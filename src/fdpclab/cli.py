@@ -20,7 +20,7 @@ from .config import build_experiment, load_config, validate_config
 from .errors import ConfigurationError, FdpcError, SearchError, SolverError
 from .inflation import solve_w
 from .model import NoCsit, build_sample_bank
-from .rate import achievable_rate, no_interference_bound
+from .rate import paired_rates
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -87,27 +87,23 @@ def cmd_rate(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
     bank = _bank_for(exp)
-    iterations = 0
+    iter_box = [0]
     if args.solver in ("alg1", "alg2"):
-        iter_box = [0]
-
-        def policy(spec_, cell):
-            res = solve_w(spec_, cell.draws, args.solver)
+        def policy(spec_, cell, core=None):
+            res = solve_w(spec_, cell.draws, args.solver, core=core)
             iter_box[0] = max(iter_box[0], res.iterations)
             return res.W, res.converged
     else:
         policy = lab.resolve_w(spec, args.solver)
-        iter_box = [0]
-    est = achievable_rate(spec, policy, bank)
-    bound = no_interference_bound(spec, bank)
-    iterations = iter_box[0]
+    # one evaluation: the solve, the rate and the bound share each cell's core
+    est, bound, _ = paired_rates(spec, policy, bank)
     payload = {
         "rate_bits": est.rate_bits,
         "stderr_bits": est.stderr_bits,
         "bound_bits": bound.rate_bits,
         "solver": args.solver,
         "converged": est.converged,
-        "iterations": iterations,
+        "iterations": iter_box[0],
         "snr_db": exp.snr_db,
         "n_outer": bank.n_outer,
         "n_inner": bank.n_inner,

@@ -1,8 +1,10 @@
 """JSON experiment configuration: schema validation and object construction.
 
 A config describes one channel instance plus Monte Carlo settings.  It can
-start from a named reference channel (``ref``) and override fields, or
-specify everything explicitly.  Unknown fields are rejected.
+start from a named reference channel (``ref``) and set the operating point
+(SNR, Q/P, CSIT, Monte Carlo settings), or specify everything explicitly.
+A reference fixes the channel, so ``ref`` together with any of
+``CHANNEL_FIELDS`` is rejected, as are unknown fields.
 """
 
 import hashlib
@@ -15,8 +17,8 @@ from .errors import ConfigurationError
 from .lab import default_quantized_csit, reference_channel
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, IidUniformComplex,
-                    NoCsit, PerfectCsit, QuantizedCsit, random_psd,
-                    scaled_identity)
+                    NoCsit, PerfectCsit, QuantizedCsit, exp_correlation,
+                    random_psd, scaled_identity)
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
 
@@ -89,6 +91,9 @@ CONFIG_SCHEMA = {
 
 DEFAULT_MC = {"n_outer": 200, "n_inner": 20000, "seed": 0}
 
+# Fields that define the channel itself; a named reference fixes all of them.
+CHANNEL_FIELDS = ("t", "r", "m", "field", "n", "fading", "sigma_s", "sigma_x")
+
 
 def validate_config(raw):
     try:
@@ -126,9 +131,7 @@ def _fading_from_config(cfg, t, r):
             if mat_key in cfg:
                 return np.asarray(cfg[mat_key], dtype=complex)
             if rho_key in cfg:
-                rho = cfg[rho_key]
-                idx = np.arange(n)
-                return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
+                return exp_correlation(n, cfg[rho_key])
             return np.eye(n, dtype=complex)
 
         return CorrelatedRayleigh(r_rx=corr(r, "r_rx", "rho_rx"),
@@ -226,6 +229,10 @@ def build_experiment(raw, overrides=None):
     mc.update(raw.get("mc", {}))
 
     if "ref" in raw:
+        clash = [k for k in CHANNEL_FIELDS if k in raw]
+        if clash:
+            raise ConfigurationError(f"reference {raw['ref']!r} fixes {', '.join(clash)};"
+                                     " drop them or give the channel without 'ref'")
         ref = reference_channel(raw["ref"])
         base, model = ref.spec, ref.model
         q_over_p = raw.get("q_over_p", ref.q_over_p)

@@ -6,12 +6,16 @@ the inflation factor for the current ``T``, then applies the stationarity
 fixed point
 
     T  <-  (1 / lambda) * E_H { H* N_r^{-1} H T  -  [0 H*] M^{-1} [I_m; H T] }
+        =  (1 / lambda) * E_H { K C* S^{-1} (I_m - C K T) }
 
-with ``N_r`` the received covariance, ``M`` the rate block matrix and
-``lambda`` chosen by bisection to meet the power constraint
+with ``N_r``, ``M``, ``K``, ``C`` and ``S(W)`` as in :mod:`fdpclab.rate`
+and ``lambda`` chosen by bisection to meet the power constraint
 ``trace(T T*) = P``.  The map is the (conjugate-coordinate) gradient of the
 power-constrained Lagrangian; its sign and structure are pinned by the
 finite-difference checks in the test suite.
+
+``K`` depends on ``T``, so each outer step builds one
+:class:`fdpclab.rate.CellCore` for its W-solve, rate and gradient calls.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -20,29 +24,27 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SearchError
 from .inflation import SolverConfig, solve_w
-from .linalg import ct, logdet_pd
+from .linalg import ct
 from .model import ChannelSpec, Dimensions
-from .rate import _build_M_core, achievable_rate
+from .rate import CellCore, achievable_rate
 
 
 @dataclass(frozen=True)
 class JointConfig:
     rank_bound: int
     outer_iters: int = 30
-    t_step_iters: int = 1
     lambda_bracket: tuple = (1e-9, 1e9)
     power_tol: float = 1e-6          # relative power-constraint tolerance
     solver: str = "alg1"             # inflation solver used in the W-step
     rate_tol: float = 1e-4           # stop when the rate gain drops below this (bits)
-    refresh_bank: bool = False       # redraw the bank between outer iterations
     solver_config: SolverConfig = dc_field(default_factory=SolverConfig)
 
     def __post_init__(self):
         lo, hi = self.lambda_bracket
         if not (0.0 < lo < hi):
             raise ConfigurationError("lambda bracket must satisfy 0 < lo < hi")
-        if self.rank_bound < 1 or self.outer_iters < 1 or self.t_step_iters < 1:
-            raise ConfigurationError("rank_bound, outer_iters, t_step_iters must be >= 1")
+        if self.rank_bound < 1 or self.outer_iters < 1:
+            raise ConfigurationError("rank_bound and outer_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -67,58 +69,45 @@ def spec_with_factor(spec, T):
 
 def lagrangian(spec, T, W, lam, samples):
     """Power-penalized rate in nats for an explicit factor T (any trace)."""
-    T = np.asarray(T, dtype=spec.dtype)
-    H = np.asarray(samples, dtype=spec.dtype)
+    core = CellCore(spec, samples, T)
     W = np.asarray(W, dtype=spec.dtype)
-    M = _build_M_core(T, spec.sigma_s, spec.sigma_z, W, H, spec.dtype)
-    m = T.shape[1]
-    n_r = M[:, m:, m:]
-    val = float(np.mean(logdet_pd(n_r)) - np.mean(logdet_pd(M)))
-    return val - lam * float(np.trace(T @ ct(T)).real)
+    val = -float(np.mean(core.logdet_s(W)))
+    return val - lam * float(np.trace(core.T @ ct(core.T)).real)
 
 
-def t_step_map(spec, T, W, lam, samples):
+def t_step_map(spec, T, W, lam, samples, core=None):
     """One application of the scaled stationarity map, ``(1/lam) g(T, W)``."""
     if not lam > 0:
         raise ConfigurationError("lambda must be positive")
-    return gradient_map(spec, T, W, samples) / lam
+    return gradient_map(spec, T, W, samples, core) / lam
 
 
-def gradient_map(spec, T, W, samples):
-    """``g(T, W)``: conjugate-coordinate gradient of the unpenalized rate term."""
-    T = np.asarray(T, dtype=spec.dtype)
+def gradient_map(spec, T, W, samples, core=None):
+    """``g(T, W)``: conjugate-coordinate gradient of the unpenalized rate term.
+
+    ``core`` is a :class:`fdpclab.rate.CellCore` built for this ``T``.
+    """
+    core = core or CellCore(spec, samples, T)
+    T = core.T
     W = np.asarray(W, dtype=spec.dtype)
-    H = np.asarray(samples, dtype=spec.dtype)
-    if H.ndim != 3 or H.shape[0] == 0:
-        raise ConfigurationError("samples must be a nonempty (n, r, t) stack")
-    n, r, t = H.shape
-    m = T.shape[1]
-    M = _build_M_core(T, spec.sigma_s, spec.sigma_z, W, H, spec.dtype)
-    n_r = M[:, m:, m:]
-    ht = np.einsum("nrk,km->nrm", H, T, optimize=True)
+    ck, S = core.schur(W)
+    rhs = np.eye(T.shape[1], dtype=spec.dtype) - np.einsum("nmt,tj->nmj", ck, T,
+                                                           optimize=True)
     try:
-        term1 = np.linalg.solve(n_r, ht)
+        x = np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular received covariance: {exc}") from None
-    rhs = np.empty((n, m + r, m), dtype=spec.dtype)
-    rhs[:, :m, :] = np.eye(m, dtype=spec.dtype)
-    rhs[:, m:, :] = ht
-    try:
-        x = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular block matrix: {exc}") from None
-    integrand = term1 - x[:, m:, :]
-    return np.einsum("nrt,nrm->tm", np.conj(H), integrand, optimize=True) / n
+        raise EvaluationError(f"singular Schur complement: {exc}") from None
+    return np.einsum("nmt,nmj->tj", np.conj(ck), x, optimize=True) / ck.shape[0]
 
 
-def solve_lambda(spec, T, W, samples, bracket=(1e-9, 1e9), power_tol=1e-6):
+def solve_lambda(spec, T, W, samples, bracket=(1e-9, 1e9), power_tol=1e-6, core=None):
     """Multiplier meeting ``trace(T+ T+*) = P`` for ``T+ = (1/lam) g(T, W)``.
 
     The trace is probed at 8 points for monotone non-increase in ``lam``
     before bisecting (it is exactly ``||g||_F^2 / lam^2`` here, so the probe
     always passes; the rescaling fallback is kept for the contract).
     """
-    g = gradient_map(spec, T, W, samples)
+    g = gradient_map(spec, T, W, samples, core)
     lo, hi = bracket
 
     def excess(lam):
@@ -168,7 +157,7 @@ def _eig_stats(T, rank_tol=1e-10):
     return int(nz.size), float(nz[0] / nz[-1])
 
 
-def joint_optimize(spec, config, bank, bank_factory=None):
+def joint_optimize(spec, config, bank):
     """Alternate inflation solving and covariance fixed-point updates.
 
     Works on single-cell (no-CSIT style) banks: one global W and one T.
@@ -177,21 +166,18 @@ def joint_optimize(spec, config, bank, bank_factory=None):
     """
     if len(bank.cells) != 1:
         raise ConfigurationError("joint optimization expects a single-cell bank")
-    if config.refresh_bank and bank_factory is None:
-        raise ConfigurationError("refresh_bank requires a bank_factory")
     m = config.rank_bound
     T = _initial_factor(spec, m)
+    draws = bank.cells[0].draws
     rate_trace = []
     best = None
     prev_rate = -np.inf
     converged = False
     for outer in range(config.outer_iters):
-        if config.refresh_bank and outer > 0:
-            bank = bank_factory(outer)
-        draws = bank.cells[0].draws
         spec_t = spec_with_factor(spec, T)
-        w_res = solve_w(spec_t, draws, config.solver, config.solver_config)
-        est = achievable_rate(spec_t, w_res.W, bank)
+        core = CellCore(spec_t, draws)
+        w_res = solve_w(spec_t, draws, config.solver, config.solver_config, core)
+        est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
             best = (est, T, w_res.W)
@@ -199,20 +185,17 @@ def joint_optimize(spec, config, bank, bank_factory=None):
             converged = True
             break
         prev_rate = est.rate_bits
-        for _ in range(config.t_step_iters):
-            lam = solve_lambda(spec_t, T, w_res.W, draws,
-                               bracket=config.lambda_bracket,
-                               power_tol=config.power_tol)
-            T = t_step_map(spec_t, T, w_res.W, lam, draws)
-            tr = float(np.trace(T @ ct(T)).real)
-            if tr > spec.P * (1.0 + config.power_tol):
-                raise EvaluationError(
-                    f"power constraint violated after T-step: {tr:.6g} > {spec.P:.6g}"
-                )
-            if tr > spec.P:
-                # bisection leaves a <= power_tol overshoot; snap onto the budget
-                T = T * np.sqrt(spec.P / tr)
-            spec_t = spec_with_factor(spec, T)
+        lam = solve_lambda(spec_t, T, w_res.W, draws, bracket=config.lambda_bracket,
+                           power_tol=config.power_tol, core=core)
+        T = t_step_map(spec_t, T, w_res.W, lam, draws, core)
+        tr = float(np.trace(T @ ct(T)).real)
+        if tr > spec.P * (1.0 + config.power_tol):
+            raise EvaluationError(
+                f"power constraint violated after T-step: {tr:.6g} > {spec.P:.6g}"
+            )
+        if tr > spec.P:
+            # bisection leaves a <= power_tol overshoot; snap onto the budget
+            T = T * np.sqrt(spec.P / tr)
     est, T, W = best
     rank_used, eig_ratio = _eig_stats(T)
     return JointResult(T=T, W=W, rate_trace=tuple(rate_trace),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .linalg import ct, hermitize, pinv_rtol, psd_factor
-from .rate import _build_M_core, check_inflation, objective
+from .rate import CellCore, check_inflation, objective
 
 
 @dataclass(frozen=True)
@@ -119,47 +119,32 @@ def theoretical_scaling_pd(t, r):
 # Algorithm 1: row-wise surrogate minimization
 # ---------------------------------------------------------------------------
 
-def _row_permutation(m, row):
-    perm = list(range(m))
-    perm[0], perm[row] = perm[row], perm[0]
-    return perm
+def row_surrogate(spec, W, row, inner_samples, core=None):
+    """Value of the Jensen surrogate ``E(a - B* D^{-1} B)`` for one row of W.
 
-
-def _permuted_M(spec, W, row, H):
-    """Block matrix with W's target row moved to position 0 (plus permuted parts)."""
-    m = spec.dims.m
-    perm = _row_permutation(m, row)
-    Wp = W[perm]
-    Tp = spec.T[:, perm]
-    M = _build_M_core(Tp, spec.sigma_s, spec.sigma_z, Wp, H, spec.dtype)
-    return M, Wp, Tp, perm
-
-
-def row_surrogate(spec, W, row, inner_samples):
-    """Value of the Jensen surrogate ``E(a - B* D^{-1} B)`` for one row of W."""
+    ``a - B* D^{-1} B`` is the Schur complement of the other rows in
+    ``S(W)``, which is ``1 / (S(W)^{-1})_rr``.
+    """
     W = check_inflation(spec, W)
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    M, _, _, _ = _permuted_M(spec, W, row, H)
-    a = M[:, 0, 0].real
-    B = M[:, 1:, :1]
-    quad = np.einsum("nio,nio->n", np.conj(B), np.linalg.solve(M[:, 1:, 1:], B))
-    return float(np.mean(a - quad.real))
+    core = core or CellCore(spec, inner_samples)
+    return float(np.mean(1.0 / np.linalg.inv(core.schur(W)[1])[:, row, row].real))
 
 
-def alg1_row_update(spec, W, row, inner_samples):
+def alg1_row_update(spec, W, row, inner_samples, core=None):
     """Replace one row of W by the minimizer of its Jensen-bounded surrogate.
 
     The surrogate ``E(a - B* D^{-1} B)`` is an exact quadratic in the row;
     the normal matrix is inverted on the column space of sigma_s (factored
-    as T2 T2*), which also canonicalizes the row into that space.
+    as T2 T2*), which also canonicalizes the row into that space.  With
+    ``Wb``/``Cb``/``Sb`` the other rows' parts of ``W``, ``C`` and ``S(W)``,
+    the expectations it needs are ``E Sb^{-1}``, ``E Sb^{-1} Cb K`` and
+    ``E(K + K Cb* Sb^{-1} Cb K)`` (just ``E K`` when m = 1).
     """
     W = check_inflation(spec, W)
-    m, r, t = spec.dims.m, spec.dims.r, spec.dims.t
+    m = spec.dims.m
     if not 0 <= row < m:
         raise ValueError(f"row index {row} out of range for m={m}")
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    if H.ndim != 3 or H.shape[0] == 0:
-        raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
+    core = core or CellCore(spec, inner_samples)
 
     t2 = psd_factor(spec.sigma_s)
     out = W.copy()
@@ -168,32 +153,26 @@ def alg1_row_update(spec, W, row, inner_samples):
         out[row] = 0.0
         return out
 
-    M, Wp, Tp, perm = _permuted_M(spec, W, row, H)
-    D = M[:, 1:, 1:]
-    try:
-        Dinv = np.linalg.inv(D)
-    except np.linalg.LinAlgError:
-        raise SolverError(f"singular D block in row update {row}", row_index=row)
-
-    k = m - 1
-    F = Dinv[:, :k, :k]
-    G = Dinv[:, :k, k:]
-    J = Dinv[:, k:, :k]
-    K = Dinv[:, k:, k:]
-    Wb = Wp[1:]                                     # (m-1, t)
-    e_hkh = np.einsum("nrt,nrs,nsu->tu", np.conj(H), K, H, optimize=True) / H.shape[0]
-    psi2 = e_hkh
-    psi = e_hkh
-    if k:
+    rest = [i for i in range(m) if i != row]
+    psi2 = psi = core.mean_K
+    if rest:
+        Wb = W[rest]
+        ck, Sb = core.schur(Wb, rest)
+        try:
+            F = np.linalg.inv(Sb)
+        except np.linalg.LinAlgError:
+            raise SolverError(f"singular D block in row update {row}", row_index=row)
+        f_ck = np.einsum("nij,njt->nit", F, ck, optimize=True)
         e_f = F.mean(axis=0)
-        e_gh = np.einsum("nar,nrt->at", G, H, optimize=True) / H.shape[0]
-        e_hj = np.einsum("nrt,nra->ta", np.conj(H), J, optimize=True) / H.shape[0]
+        e_gh = -f_ck.mean(axis=0)
+        e_hj = ct(e_gh)
+        e_hkh = core.mean_K + np.einsum("nit,niu->tu", np.conj(ck), f_ck, optimize=True) / len(ck)
         psi2 = e_hj @ Wb + e_hkh
         psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
-    n_tilde = np.conj(Tp[:, 0]) @ psi2              # (t,): first column of T, conjugated
-    core = np.eye(t2.shape[1], dtype=spec.dtype) - ct(t2) @ psi @ t2
+    n_tilde = np.conj(spec.T[:, row]) @ psi2
+    core_mat = np.eye(t2.shape[1], dtype=spec.dtype) - ct(t2) @ psi @ t2
     try:
-        y = np.linalg.solve(core.T, (n_tilde @ t2).T).T
+        y = np.linalg.solve(core_mat.T, (n_tilde @ t2).T).T
     except np.linalg.LinAlgError:
         raise SolverError(
             f"singular normal matrix in row update {row} after rank reduction",
@@ -203,7 +182,7 @@ def alg1_row_update(spec, W, row, inner_samples):
     return out
 
 
-def alg1_solve(spec, W0, config, inner_samples):
+def alg1_solve(spec, W0, config, inner_samples, core=None):
     """Cyclic row minimization until the objective stabilizes.
 
     One iteration sweeps all rows; the objective is recorded after every
@@ -216,14 +195,15 @@ def alg1_solve(spec, W0, config, inner_samples):
     """
     W = check_inflation(spec, W0)
     H = np.asarray(inner_samples, dtype=spec.dtype)
-    trace = [objective(spec, W, H)]
+    core = core or CellCore(spec, H)
+    trace = [objective(spec, W, H, core)]
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_iters + 1):
         W_new = W
         for row in range(spec.dims.m):
-            W_new = alg1_row_update(spec, W_new, row, H)
-        obj_new = objective(spec, W_new, H)
+            W_new = alg1_row_update(spec, W_new, row, H, core)
+        obj_new = objective(spec, W_new, H, core)
         if obj_new > trace[-1] + config.tol * max(1.0, abs(trace[-1])):
             sweeps -= 1  # rolled back: this sweep produced no iterate
             break
@@ -240,35 +220,33 @@ def alg1_solve(spec, W0, config, inner_samples):
 # Algorithm 2: stationarity fixed point
 # ---------------------------------------------------------------------------
 
-def alg2_map(spec, W, inner_samples):
+def alg2_map(spec, W, inner_samples, core=None):
     """One application of the stationarity map ``g``.
 
-    With zero interference the stationarity equation holds identically and
-    the map returns W unchanged.
+    The top blocks of ``M^{-1}`` are ``S^{-1}`` and ``-S^{-1} C H* N_r^{-1}``,
+    so ``g(W) = (E S^{-1})^{-1} E(S^{-1} C K)``.  With zero interference the
+    stationarity equation holds identically and the map returns W unchanged.
     """
     W = check_inflation(spec, W)
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    if H.ndim != 3 or H.shape[0] == 0:
-        raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
+    core = core or CellCore(spec, inner_samples)
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
         return W.copy()
-    m = spec.dims.m
-    M = _build_M_core(spec.T, spec.sigma_s, spec.sigma_z, W, H, spec.dtype)
+    ck, S = core.schur(W)
     try:
-        Minv = np.linalg.inv(M)
+        s_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise SolverError("singular block matrix in fixed-point map")
-    e_a1 = Minv[:, :m, :m].mean(axis=0)
-    e_a2h = np.einsum("nmr,nrt->mt", Minv[:, :m, m:], H, optimize=True) / H.shape[0]
+    e_s_inv = s_inv.mean(axis=0)
+    e_s_inv_ck = np.einsum("nij,njt->it", s_inv, ck, optimize=True) / ck.shape[0]
     try:
-        return -np.linalg.solve(e_a1, e_a2h)
+        return np.linalg.solve(e_s_inv, e_s_inv_ck)
     except np.linalg.LinAlgError:
         raise SolverError(
             "singular E(A1) in fixed-point map; lower the damping or re-seed"
         )
 
 
-def alg2_solve(spec, W0, config, inner_samples):
+def alg2_solve(spec, W0, config, inner_samples, core=None):
     """Damped fixed-point iteration ``W <- (1-g) W + g map(W)``.
 
     The step is halved whenever it would increase the objective; five
@@ -277,20 +255,21 @@ def alg2_solve(spec, W0, config, inner_samples):
     """
     W = check_inflation(spec, W0)
     H = np.asarray(inner_samples, dtype=spec.dtype)
+    core = core or CellCore(spec, H)
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
-        return SolveResult(W=W, objective_trace=(objective(spec, W, H),),
+        return SolveResult(W=W, objective_trace=(objective(spec, W, H, core),),
                            converged=True, iterations=0)
     gamma = config.damping
-    obj = objective(spec, W, H)
+    obj = objective(spec, W, H, core)
     trace = [obj]
     best_obj, best_w = obj, W
     strikes = 0
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        G = alg2_map(spec, W, H)
+        G = alg2_map(spec, W, H, core)
         cand = (1.0 - gamma) * W + gamma * G
-        obj_c = objective(spec, cand, H)
+        obj_c = objective(spec, cand, H, core)
         if obj_c > obj + 1e-12 * max(1.0, abs(obj)):
             strikes += 1
             gamma *= 0.5
@@ -330,35 +309,36 @@ def default_w0(spec, inner_samples, kind="mean-h"):
     raise ConfigurationError(f"unknown initialization {kind!r}")
 
 
-def best_initialization(spec, inner_samples):
+def best_initialization(spec, inner_samples, core=None):
     """Pick the candidate starting point with the smallest sample objective."""
     H = np.asarray(inner_samples, dtype=spec.dtype)
+    core = core or CellCore(spec, H)
     best = None
     for kind in ("mean-h", "zero", "pinv", "identity"):
         W = default_w0(spec, H, kind)
-        val = objective(spec, W, H)
+        val = objective(spec, W, H, core)
         if best is None or val < best[0]:
             best = (val, W)
     return best[1]
 
 
-def solve_w(spec, inner_samples, method, config=None):
+def solve_w(spec, inner_samples, method, config=None, core=None):
     """Solve for the inflation factor on one cell's draws.
 
     ``method`` is one of alg1, alg2, zero, pinv, identity, and the iterative
-    methods start from the best of the standard initializations.
+    methods start from the best of the standard initializations.  ``core``
+    is a :class:`fdpclab.rate.CellCore` for ``(spec, inner_samples)``.
     """
     config = config or SolverConfig()
-    if method == "alg1":
-        return alg1_solve(spec, best_initialization(spec, inner_samples),
-                          config, inner_samples)
-    if method == "alg2":
-        return alg2_solve(spec, best_initialization(spec, inner_samples),
-                          config, inner_samples)
+    core = core or CellCore(spec, inner_samples)
+    if method in ("alg1", "alg2"):
+        solve = alg1_solve if method == "alg1" else alg2_solve
+        return solve(spec, best_initialization(spec, inner_samples, core),
+                     config, inner_samples, core)
     closed = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
     if method in closed:
         W = closed[method](spec)
-        return SolveResult(W=W, objective_trace=(objective(spec, W, inner_samples),),
+        return SolveResult(W=W, objective_trace=(objective(spec, W, inner_samples, core),),
                            converged=True, iterations=0)
     raise ConfigurationError(f"unknown solver {method!r}")
 
@@ -366,8 +346,8 @@ def solve_w(spec, inner_samples, method, config=None):
 def cell_solver(method, config=None):
     """Adapter: a per-cell W provider for :func:`fdpclab.rate.achievable_rate`."""
 
-    def _solve(spec, cell):
-        res = solve_w(spec, cell.draws, method, config)
+    def _solve(spec, cell, core=None):
+        res = solve_w(spec, cell.draws, method, config, core)
         return res.W, res.converged
 
     return _solve

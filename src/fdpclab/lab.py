@@ -23,8 +23,8 @@ from .inflation import cell_solver, theoretical_scaling, w_identity, w_pinv, w_z
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
-                    QuantizedCsit, build_sample_bank, fading_component_std,
-                    random_factor, random_psd)
+                    QuantizedCsit, build_sample_bank, exp_correlation,
+                    fading_component_std, random_factor, random_psd)
 from .rate import achievable_rate, no_interference_bound, paired_rates
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
@@ -255,11 +255,6 @@ class ReferenceChannel:
     note: str
 
 
-def _exp_corr(n, rho):
-    idx = np.arange(n)
-    return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
-
-
 def _basis_outer(n, i):
     e = np.zeros(n)
     e[i] = 1.0
@@ -339,13 +334,13 @@ def _make_registry():
         ChannelSpec.create(Dimensions(3, 3, 3), T=np.sqrt(p3 / 3.0) * np.eye(3),
                            sigma_s=random_psd(3, 3, seed=41, trace=p3, field=COMPLEX),
                            sigma_z=np.eye(3), field=COMPLEX),
-        CorrelatedRayleigh(r_rx=_exp_corr(3, 0.7), r_tx=_exp_corr(3, 0.5)),
+        CorrelatedRayleigh(r_rx=exp_correlation(3, 0.7), r_tx=exp_correlation(3, 0.5)),
         1.0, "separably correlated Rayleigh 3x3: spatial water-filling regime")
     add("fdpc-rank-3x2",
         ChannelSpec.create(Dimensions(3, 2, 3), T=np.sqrt(p0 / 3.0) * np.eye(3),
                            sigma_s=random_psd(3, 2, seed=51, trace=p0, field=COMPLEX),
                            sigma_z=np.eye(2), field=COMPLEX),
-        CorrelatedRayleigh(r_rx=_exp_corr(2, 0.3), r_tx=_exp_corr(3, 0.9)),
+        CorrelatedRayleigh(r_rx=exp_correlation(2, 0.3), r_tx=exp_correlation(3, 0.9)),
         1.0, "strong transmit correlation: reduced-rank signalling suffices at low SNR")
 
     return regs

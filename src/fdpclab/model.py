@@ -205,6 +205,12 @@ class CorrelatedRayleigh:
             object.__setattr__(self, name, mat)
 
 
+def exp_correlation(n, rho):
+    """Exponential correlation matrix ``rho^|i-j|`` (n, n), complex dtype."""
+    idx = np.arange(n)
+    return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(complex)
+
+
 def _sample_h_batch(model, dims, rng, n):
     """Draw ``n`` channel matrices, shape (n, r, t)."""
     r, t = dims.r, dims.t
@@ -392,9 +398,6 @@ class BankCell:
     h_hat: np.ndarray | None
     draws: np.ndarray  # (n_i, r, t)
 
-    def mean_h(self):
-        return self.draws.mean(axis=0)
-
 
 @dataclass(frozen=True)
 class SampleBank:
@@ -410,10 +413,6 @@ class SampleBank:
 
     def __len__(self):
         return len(self.cells)
-
-    @property
-    def n_total(self):
-        return sum(cell.draws.shape[0] for cell in self.cells)
 
     def to_bytes(self):
         """Deterministic serialization of every draw, for reproducibility checks."""

@@ -1,25 +1,38 @@
 """Rate functionals over a sample bank.
 
-The central object is the (m+r) x (m+r) Hermitian block matrix
+The paper minimizes, over the inflation factor ``W``, the expected
+log-determinant of the (m+r) x (m+r) Hermitian block matrix
 
-    M(W, H) = [[ I_m + W Ss W*,        (T* + W Ss) H*          ],
-               [ H (T + Ss W*),  H (T T* + Ss) H* + Sz         ]]
+    M(W, H) = [[ I_m + W Ss W*,  C H* ],        C = T* + W Ss   (m, t)
+               [ H C*,           N_r  ]]
 
-whose expected log-determinant (conditioned on the transmitter-side
-estimate) is minimized over the inflation factor ``W``.  The achievable
-rate of one bank cell is
+whose lower-right block, the received covariance
+``N_r = H (T T* + Ss) H* + Sz``, does not depend on ``W``.  With the Schur
+complement of ``N_r``,
 
-    mean_i logdet( H_i (T T* + Ss) H_i* + Sz ) - mean_i logdet M(W, H_i)
+    logdet M = logdet N_r + logdet S(W),
+    S(W) = I_m + W Ss W* - C K C*,      K = H* N_r^{-1} H   (t, t),
 
-averaged over outer cells and converted to bits.  The no-interference
-bound uses the same draws (common random numbers).
+every W-dependent quantity is an m x m matrix per draw, and the achievable
+rate of one bank cell is ``-mean_i logdet S(W, H_i)`` (averaged over outer
+cells, in bits).  The no-interference bound
+``mean_i logdet(H_i T T* H_i* + Sz) - logdet Sz`` uses the same draws.
 
-Internally everything is in nats; reported rates are in bits.
-Reductions over samples are plain sequential means in sample order, so
-results are deterministic for a fixed bank.
+:class:`CellCore` holds the W-independent part of one (spec, draws) pair.
+It is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
+evaluation builds one per bank cell and hands it to the cell's solver, so
+the initialization, the solve, the rate and the bound share it; the
+covariance optimization builds one per outer step, since ``T`` changes.
+Public functions that are not handed a core build their own.  :func:`build_M`
+is the direct form, kept as the tests' reference.
+
+Internally everything is in nats; reported rates are in bits.  Reductions
+over samples run in sample order, so results are deterministic for a fixed
+bank.
 """
-
+import inspect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,34 +69,79 @@ class RateEstimate:
     converged: bool = True
 
 
-def _received_covariance(spec, H):
-    """``H (T T* + Ss) H* + Sz`` for stacked H of shape (n, r, t)."""
-    sig = spec.T @ ct(spec.T) + spec.sigma_s
-    out = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H), optimize=True)
-    return hermitize(out + spec.sigma_z)
+def _covariance(H, sigma, sigma_z):
+    """``H sigma H* + Sz`` for stacked H of shape (n, r, t)."""
+    out = np.einsum("nrk,kl,nsl->nrs", H, sigma, np.conj(H), optimize=True)
+    return hermitize(out + sigma_z)
 
 
-def _build_M_core(T, sigma_s, sigma_z, W, H, dtype):
-    """Assemble the block matrix for explicit factors (H stacked, (n, r, t))."""
-    m = T.shape[1]
-    r = H.shape[1]
-    n = H.shape[0]
-    tl = hermitize(np.eye(m, dtype=dtype) + W @ sigma_s @ ct(W))
-    cross = ct(T) + W @ sigma_s                      # (m, t)
-    tr_block = np.einsum("mk,nrk->nmr", cross, np.conj(H), optimize=True)
-    sig = T @ ct(T) + sigma_s
-    br = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H), optimize=True)
-    br = hermitize(br + sigma_z)
-    M = np.empty((n, m + r, m + r), dtype=dtype)
-    M[:, :m, :m] = tl
-    M[:, :m, m:] = tr_block
-    M[:, m:, :m] = ct(tr_block)
-    M[:, m:, m:] = br
-    return M
+class CellCore:
+    """W-independent part of the rate for one (spec, draws) pair.
+
+    ``T`` defaults to ``spec.T``.  ``logdet N_r`` and ``K`` are computed on
+    first use, the bound term only when the bound is asked for.  ``K`` is
+    stored as one (t, n*t) matrix, draws side by side, so that ``C K`` for
+    all draws is one GEMM and ``C K C*`` a second.
+    """
+
+    def __init__(self, spec, draws, T=None):
+        H = np.asarray(draws, dtype=spec.dtype)
+        if H.ndim != 3 or H.shape[0] == 0:
+            raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
+        self.spec = spec
+        self.T = spec.T if T is None else np.asarray(T, dtype=spec.dtype)
+        self.H = H
+
+    @cached_property
+    def _received(self):
+        H = self.H
+        n, _, t = H.shape
+        n_r = _covariance(H, self.T @ ct(self.T) + self.spec.sigma_s, self.spec.sigma_z)
+        ld = logdet_pd(n_r)
+        K = hermitize(np.einsum("nrt,nru->ntu", np.conj(H), np.linalg.solve(n_r, H),
+                                optimize=True))
+        return ld, np.ascontiguousarray(K.transpose(1, 0, 2)).reshape(t, n * t)
+
+    @property
+    def logdet_nr(self):
+        """``logdet N_r`` per draw, shape (n,)."""
+        return self._received[0]
+
+    @cached_property
+    def mean_K(self):
+        """``E K = E H* N_r^{-1} H``, shape (t, t)."""
+        t = self.H.shape[2]
+        return self._received[1].reshape(t, -1, t).mean(axis=1)
+
+    @cached_property
+    def logdet_bound(self):
+        """``logdet(H T T* H* + Sz)`` per draw: the no-interference received covariance."""
+        return logdet_pd(_covariance(self.H, self.T @ ct(self.T), self.spec.sigma_z))
+
+    def schur(self, W, cols=None):
+        """``(C K, S)`` per draw, shapes (n, k, t) and (n, k, k), for W of shape (k, t).
+
+        ``C = T[:, cols]* + W Ss`` with ``cols`` all of T's columns by
+        default, so a subset of W's rows passes the matching columns of T.
+        """
+        n, _, t = self.H.shape
+        k = W.shape[0]
+        Tc = self.T if cols is None else self.T[:, cols]
+        ss = self.spec.sigma_s
+        C = ct(Tc) + W @ ss
+        ck = (C @ self._received[1]).reshape(k, n, t)
+        ckc = (ck.reshape(k * n, t) @ ct(C)).reshape(k, n, k)
+        S = hermitize(np.eye(k, dtype=self.spec.dtype) + W @ ss @ ct(W)
+                      - ckc.transpose(1, 0, 2))
+        return ck.transpose(1, 0, 2), S
+
+    def logdet_s(self, W):
+        """``logdet S(W)`` per draw; the per-draw rate is its negative."""
+        return logdet_pd(self.schur(W)[1])
 
 
 def build_M(spec, W, H):
-    """Achievable-rate block matrix for one H or a stack of H draws.
+    """Achievable-rate block matrix for one H or a stack of H draws (test reference).
 
     Hermitian by construction.  Returns shape (m+r, m+r) for a single H and
     (n, m+r, m+r) for a stack.
@@ -93,26 +151,27 @@ def build_M(spec, W, H):
     single = H.ndim == 2
     if single:
         H = H[None]
-    M = _build_M_core(spec.T, spec.sigma_s, spec.sigma_z, W, H, spec.dtype)
+    m = spec.dims.m
+    cross = np.einsum("mk,nrk->nmr", ct(spec.T) + W @ spec.sigma_s, np.conj(H))
+    M = np.empty((H.shape[0], m + H.shape[1], m + H.shape[1]), dtype=spec.dtype)
+    M[:, :m, :m] = hermitize(np.eye(m, dtype=spec.dtype) + W @ spec.sigma_s @ ct(W))
+    M[:, :m, m:] = cross
+    M[:, m:, :m] = ct(cross)
+    M[:, m:, m:] = _covariance(H, spec.T @ ct(spec.T) + spec.sigma_s, spec.sigma_z)
     return M[0] if single else M
 
 
-def objective(spec, W, inner_samples):
-    """Sample mean of ``logdet M(W, H)`` over the given draws, in nats."""
-    H = np.asarray(inner_samples)
-    if H.ndim != 3 or H.shape[0] == 0:
-        raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
-    return float(np.mean(logdet_pd(build_M(spec, W, H))))
+def objective(spec, W, inner_samples, core=None):
+    """Sample mean of ``logdet M(W, H)`` over the given draws, in nats.
+
+    ``core`` is a :class:`CellCore` built for ``(spec, inner_samples)``.
+    """
+    W = check_inflation(spec, W)
+    core = core or CellCore(spec, inner_samples)
+    return float(np.mean(core.logdet_nr) + np.mean(core.logdet_s(W)))
 
 
-def _per_sample_terms(spec, W, H):
-    """(logdet received covariance, logdet M) per draw, both in nats."""
-    ld_m = logdet_pd(build_M(spec, W, H))
-    ld_d = logdet_pd(_received_covariance(spec, np.asarray(H, dtype=spec.dtype)))
-    return ld_d, ld_m
-
-
-def _resolve_cell_w(spec, w, cell):
+def _resolve_cell_w(spec, w, cell, core, pass_core):
     """Return (W, converged) for one bank cell under the w policy."""
     if isinstance(w, str):
         if w != "perfect":
@@ -125,36 +184,39 @@ def _resolve_cell_w(spec, w, cell):
 
         return w_perfect_csit(spec, cell.h_hat), True
     if callable(w):
-        out = w(spec, cell)
-        if isinstance(out, tuple):
-            return out
-        return out, True
-    return check_inflation(spec, w), True
+        out = w(spec, cell, core=core) if pass_core else w(spec, cell)
+        return out if isinstance(out, tuple) else (out, True)
+    return w, True
 
 
 class _Evaluation:
-    """Per-cell rate/bound contributions for one (spec, w, bank) evaluation."""
+    """Per-cell rate and/or bound contributions for one (spec, bank) evaluation.
 
-    def __init__(self, spec, w, bank, want_bound=True):
+    ``w`` is the inflation policy (None: no rate); ``cores`` optionally gives
+    one prebuilt :class:`CellCore` per cell.
+    """
+
+    def __init__(self, spec, bank, w=None, want_bound=False, cores=None):
         n_cells = len(bank.cells)
-        self.rate_cells = np.empty(n_cells)
+        self.rate_cells = np.empty(n_cells) if w is not None else None
         self.bound_cells = np.empty(n_cells) if want_bound else None
         self.converged = True
         self.single_rate = None
         self.single_bound = None
+        pass_core = callable(w) and "core" in inspect.signature(w).parameters
         ld_z = float(logdet_pd(spec.sigma_z))
         for i, cell in enumerate(bank.cells):
-            W, ok = _resolve_cell_w(spec, w, cell)
-            self.converged = self.converged and bool(ok)
-            ld_d, ld_m = _per_sample_terms(spec, W, cell.draws)
-            self.rate_cells[i] = np.mean(ld_d) - np.mean(ld_m)
-            if n_cells == 1:
-                self.single_rate = ld_d - ld_m
+            core = cores[i] if cores is not None else CellCore(spec, cell.draws)
+            if w is not None:
+                W, ok = _resolve_cell_w(spec, w, cell, core, pass_core)
+                self.converged = self.converged and bool(ok)
+                per_draw = -core.logdet_s(check_inflation(spec, W))
+                self.rate_cells[i] = np.mean(per_draw)
+                self.single_rate = per_draw  # the stderr basis when n_cells == 1
             if want_bound:
-                ld_x = logdet_pd(_bound_covariance(spec, cell.draws))
-                self.bound_cells[i] = np.mean(ld_x) - ld_z
-                if n_cells == 1:
-                    self.single_bound = ld_x - ld_z
+                per_draw = core.logdet_bound - ld_z
+                self.bound_cells[i] = np.mean(per_draw)
+                self.single_bound = per_draw
         self.bank = bank
 
     def _se(self, cells, single):
@@ -164,21 +226,19 @@ class _Evaluation:
             return 0.0
         return float(np.std(single, ddof=1) / np.sqrt(single.size))
 
-    def rate_estimate(self):
+    def _estimate(self, cells, single, converged=True):
         return RateEstimate(
-            rate_bits=float(np.mean(self.rate_cells)) / LN2,
-            stderr_bits=self._se(self.rate_cells, self.single_rate) / LN2,
+            rate_bits=float(np.mean(cells)) / LN2,
+            stderr_bits=self._se(cells, single) / LN2,
             n_outer=self.bank.n_outer, n_inner=self.bank.n_inner,
-            seed=self.bank.seed, converged=self.converged,
+            seed=self.bank.seed, converged=converged,
         )
 
+    def rate_estimate(self):
+        return self._estimate(self.rate_cells, self.single_rate, self.converged)
+
     def bound_estimate(self):
-        return RateEstimate(
-            rate_bits=float(np.mean(self.bound_cells)) / LN2,
-            stderr_bits=self._se(self.bound_cells, self.single_bound) / LN2,
-            n_outer=self.bank.n_outer, n_inner=self.bank.n_inner,
-            seed=self.bank.seed,
-        )
+        return self._estimate(self.bound_cells, self.single_bound)
 
     def paired_arrays(self):
         """(rate, bound) arrays over the stderr basis (cells, or samples when single-cell)."""
@@ -187,43 +247,22 @@ class _Evaluation:
         return self.single_rate, self.single_bound
 
 
-def _bound_covariance(spec, H):
-    sig_x = spec.T @ ct(spec.T)
-    out = np.einsum("nrk,kl,nsl->nrs", np.asarray(H, dtype=spec.dtype), sig_x,
-                    np.conj(np.asarray(H, dtype=spec.dtype)), optimize=True)
-    return hermitize(out + spec.sigma_z)
-
-
-def achievable_rate(spec, w, bank):
+def achievable_rate(spec, w, bank, cores=None):
     """Achievable rate over the bank for a fixed W, a per-cell solver, or 'perfect'.
 
     ``w`` may be an (m, t) array (used for all cells), the string
     ``"perfect"`` (per-cell closed form, perfect-CSIT banks only), or a
     callable ``(spec, cell) -> W`` or ``-> (W, converged)`` solved once per
-    outer cell.
+    outer cell.  A callable that declares a ``core`` keyword also receives
+    the cell's :class:`CellCore`, so its solve reuses the precompute.
+    ``cores`` optionally gives one prebuilt core per cell.
     """
-    return _Evaluation(spec, w, bank, want_bound=False).rate_estimate()
+    return _Evaluation(spec, bank, w, cores=cores).rate_estimate()
 
 
 def no_interference_bound(spec, bank):
     """Rate of the same channel without interference, on the same draws."""
-    ld_z = float(logdet_pd(spec.sigma_z))
-    cells = np.empty(len(bank.cells))
-    single = None
-    for i, cell in enumerate(bank.cells):
-        ld_x = logdet_pd(_bound_covariance(spec, cell.draws))
-        cells[i] = np.mean(ld_x) - ld_z
-        if len(bank.cells) == 1:
-            single = ld_x - ld_z
-    if len(cells) > 1:
-        se = float(np.std(cells, ddof=1) / np.sqrt(len(cells)))
-    elif single is not None and single.size > 1:
-        se = float(np.std(single, ddof=1) / np.sqrt(single.size))
-    else:
-        se = 0.0
-    return RateEstimate(rate_bits=float(np.mean(cells)) / LN2,
-                        stderr_bits=se / LN2, n_outer=bank.n_outer,
-                        n_inner=bank.n_inner, seed=bank.seed)
+    return _Evaluation(spec, bank, want_bound=True).bound_estimate()
 
 
 def paired_rates(spec, w, bank):
@@ -233,7 +272,7 @@ def paired_rates(spec, w, bank):
     covariance of the two estimators in bits^2, for stderr propagation of
     gaps and ratios.
     """
-    ev = _Evaluation(spec, w, bank)
+    ev = _Evaluation(spec, bank, w, want_bound=True)
     a, b = ev.paired_arrays()
     if a is None or a.size < 2:
         cov = 0.0

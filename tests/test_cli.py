@@ -106,6 +106,16 @@ def test_rate_unknown_ref_exits_2():
     assert code == 2 and out == ""
 
 
+def test_ref_with_channel_fields_exits_2(tmp_path):
+    path = write_config(tmp_path, {"ref": "fdpc-2x2-a", "t": 5})
+    code, out = run_cli(["rate", path, "--solver", "zero", "--samples", "10"])
+    assert code == 2 and out == ""
+    for key in ("t", "r", "m", "field", "n", "fading", "sigma_s", "sigma_x"):
+        value = BASE_CFG.get(key, {"kind": "scaled_identity"})
+        with pytest.raises(ConfigurationError, match=f"fixes {key};"):
+            build_experiment({"ref": "fdpc-2x2-a", key: value})
+
+
 def test_lowsnr_ratio_above_09_at_minus30(tmp_path):
     out_csv = tmp_path / "lowsnr.csv"
     code, out = run_cli(["lowsnr", "--ref", "fdpc-lowsnr", "--seed", "3",

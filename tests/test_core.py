@@ -1,0 +1,232 @@
+"""The Schur-complement cell core against direct block-matrix references.
+
+The production code never assembles ``M(W, H)``; it works on the m x m Schur
+complement ``S(W)`` of the received covariance.  The references below invert
+or factor ``build_M`` directly, the way the rate was first written, and every
+core-based quantity must match them to 1e-10 relative.  A 60-digit mpmath
+oracle pins the per-draw rate at high SNR.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from fdpclab import covopt, inflation, lab, rate
+from fdpclab.linalg import ct, psd_factor
+from fdpclab.model import ChannelSpec, Dimensions, NoCsit, build_sample_bank
+
+from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
+
+REL = 1e-10
+
+
+def rel_err(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+
+
+# ---------------------------------------------------------------------------
+# direct references on the (m+r) x (m+r) block matrix
+# ---------------------------------------------------------------------------
+
+def with_factor(spec, T):
+    """Same channel, transmit factor T (trace unconstrained)."""
+    T = np.asarray(T, dtype=spec.dtype)
+    return ChannelSpec.create(Dimensions(spec.dims.t, spec.dims.r, T.shape[1]), T=T,
+                              sigma_s=spec.sigma_s, sigma_z=spec.sigma_z,
+                              field=spec.field, P=max(spec.P, np.trace(T @ ct(T)).real))
+
+
+def ref_objective(spec, W, H):
+    return float(np.mean(np.linalg.slogdet(rate.build_M(spec, W, H))[1]))
+
+
+def ref_alg2_map(spec, W, H):
+    if not spec.sigma_s.any():
+        return W  # stationarity holds identically; the map is the identity
+    m = spec.dims.m
+    m_inv = np.linalg.inv(rate.build_M(spec, W, H))
+    e_a1 = m_inv[:, :m, :m].mean(axis=0)
+    e_a2h = np.einsum("nmr,nrt->mt", m_inv[:, :m, m:], H) / len(H)
+    return -np.linalg.solve(e_a1, e_a2h)
+
+
+def permuted_M(spec, W, row, H):
+    """Block matrix with W's target row (and T's column) moved to position 0."""
+    perm = list(range(spec.dims.m))
+    perm[0], perm[row] = perm[row], perm[0]
+    return rate.build_M(with_factor(spec, spec.T[:, perm]), W[perm], H), perm
+
+
+def ref_row_surrogate(spec, W, row, H):
+    M, _ = permuted_M(spec, W, row, H)
+    B = M[:, 1:, :1]
+    quad = np.einsum("nio,nio->n", np.conj(B), np.linalg.solve(M[:, 1:, 1:], B))
+    return float(np.mean(M[:, 0, 0].real - quad.real))
+
+
+def ref_row_update(spec, W, row, H):
+    t2 = psd_factor(spec.sigma_s)
+    out = W.copy()
+    if t2.shape[1] == 0:
+        out[row] = 0.0
+        return out
+    M, perm = permuted_M(spec, W, row, H)
+    d_inv = np.linalg.inv(M[:, 1:, 1:])
+    k = spec.dims.m - 1
+    n = len(H)
+    wb = W[perm][1:]
+    e_hkh = np.einsum("nrt,nrs,nsu->tu", np.conj(H), d_inv[:, k:, k:], H) / n
+    psi2 = psi = e_hkh
+    if k:
+        e_f = d_inv[:, :k, :k].mean(axis=0)
+        e_gh = np.einsum("nar,nrt->at", d_inv[:, :k, k:], H) / n
+        e_hj = np.einsum("nrt,nra->ta", np.conj(H), d_inv[:, k:, :k]) / n
+        psi2 = e_hj @ wb + e_hkh
+        psi = ct(wb) @ e_f @ wb + ct(wb) @ e_gh + e_hj @ wb + e_hkh
+    n_tilde = np.conj(spec.T[:, row]) @ psi2
+    normal = np.eye(t2.shape[1]) - ct(t2) @ psi @ t2
+    y = np.linalg.solve(normal.T, (n_tilde @ t2).T).T
+    out[row] = y @ np.linalg.pinv(t2)
+    return out
+
+
+def ref_gradient(spec, T, W, H):
+    spec_t = with_factor(spec, T)
+    m = T.shape[1]
+    M = rate.build_M(spec_t, W, H)
+    ht = H @ T
+    rhs = np.concatenate([np.broadcast_to(np.eye(m), (len(H), m, m)), ht], axis=1)
+    integrand = np.linalg.solve(M[:, m:, m:], ht) - np.linalg.solve(M, rhs)[:, m:, :]
+    return np.einsum("nrt,nrm->tm", np.conj(H), integrand) / len(H)
+
+
+# ---------------------------------------------------------------------------
+# cases: the solver-comparison channels, m = 3, real, zero interference
+# ---------------------------------------------------------------------------
+
+def reference_case(name, snr_db):
+    ref = lab.reference_channel(name)
+    spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=77).cells[0].draws
+    return spec, H
+
+
+def zero_interference_case(snr_db):
+    spec = rand_spec(make_rng(90), 3, 2, 2, "complex", q=0.0).at_snr_db(snr_db)
+    return spec, rand_matrix(make_rng(91), (300, 2, 3), "complex")
+
+
+CASES = {
+    "fdpc-fig4-1": lambda: reference_case("fdpc-fig4-1", 10.0),
+    "fdpc-fig4-2": lambda: reference_case("fdpc-fig4-2", 10.0),
+    "fdpc-cov-3x3": lambda: reference_case("fdpc-cov-3x3", 0.0),
+    "fdpc-2x2-a": lambda: reference_case("fdpc-2x2-a", 20.0),
+    "zero-interference": lambda: zero_interference_case(10.0),
+}
+
+
+def case_w(spec, seed):
+    return 0.4 * rand_matrix(make_rng(seed), (spec.dims.m, spec.dims.t), spec.field)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_core_matches_block_matrix_references(name):
+    spec, H = CASES[name]()
+    core = rate.CellCore(spec, H)
+    W = case_w(spec, 1)
+    assert rel_err(rate.objective(spec, W, H, core), ref_objective(spec, W, H)) <= REL
+    assert rel_err(rate.objective(spec, W, H), ref_objective(spec, W, H)) <= REL
+    assert rel_err(inflation.alg2_map(spec, W, H, core), ref_alg2_map(spec, W, H)) <= REL
+    for row in range(spec.dims.m):
+        assert rel_err(inflation.row_surrogate(spec, W, row, H, core),
+                       ref_row_surrogate(spec, W, row, H)) <= REL
+        assert rel_err(inflation.alg1_row_update(spec, W, row, H, core),
+                       ref_row_update(spec, W, row, H)) <= REL
+    T = spec.T + 0.3 * rand_matrix(make_rng(2), spec.T.shape, spec.field)
+    assert rel_err(covopt.gradient_map(spec, T, W, H), ref_gradient(spec, T, W, H)) <= REL
+    assert rel_err(covopt.gradient_map(spec, spec.T, W, H, core),
+                   ref_gradient(spec, spec.T, W, H)) <= REL
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rate_and_bound_match_direct_log_determinants(name):
+    spec, H = CASES[name]()
+    W = case_w(spec, 3)
+    bank = degenerate_bank(H)
+    est, bound, _ = rate.paired_rates(spec, W, bank)
+    sig = spec.T @ ct(spec.T)
+    n_r = np.einsum("nrk,kl,nsl->nrs", H, sig + spec.sigma_s, np.conj(H)) + spec.sigma_z
+    n_x = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H)) + spec.sigma_z
+    ld = lambda a: np.linalg.slogdet(a)[1]
+    want_rate = np.mean(ld(n_r) - ld(rate.build_M(spec, W, H))) / np.log(2.0)
+    want_bound = np.mean(ld(n_x) - ld(spec.sigma_z)) / np.log(2.0)
+    assert rel_err(est.rate_bits, want_rate) <= REL
+    assert rel_err(bound.rate_bits, want_bound) <= REL
+    assert rate.no_interference_bound(spec, bank) == bound
+
+
+@pytest.mark.parametrize("name", ["fdpc-fig4-2", "fdpc-cov-3x3", "fdpc-2x2-a"])
+def test_row_update_is_stationary_for_its_surrogate(name):
+    """Central differences of row_surrogate vanish at the updated row."""
+    spec, H = CASES[name]()
+    core = rate.CellCore(spec, H)
+    W = case_w(spec, 4)
+    rng = make_rng(5)
+    step = 1e-5
+    for row in range(spec.dims.m):
+        W_new = inflation.alg1_row_update(spec, W, row, H, core)
+        base = inflation.row_surrogate(spec, W_new, row, H, core)
+        for _ in range(6):
+            d = np.zeros_like(W_new)
+            d[row] = rand_matrix(rng, (spec.dims.t,), spec.field)
+            d /= np.linalg.norm(d)
+            plus = inflation.row_surrogate(spec, W_new + step * d, row, H, core)
+            minus = inflation.row_surrogate(spec, W_new - step * d, row, H, core)
+            assert abs(plus - minus) / (2 * step) < 1e-6 * max(1.0, abs(base))
+            assert min(plus, minus) >= base - 1e-12 * max(1.0, abs(base))
+
+
+# ---------------------------------------------------------------------------
+# high-SNR accuracy against a 60-digit oracle
+# ---------------------------------------------------------------------------
+
+def mp_matrix(a):
+    a = np.asarray(a)
+    return mpmath.matrix([[mpmath.mpc(complex(x)) if np.iscomplexobj(a) else mpmath.mpf(float(x))
+                           for x in row] for row in a])
+
+
+def oracle_rate_bits(spec, W, h):
+    """``logdet N_r - logdet M`` for one draw, at 60 digits, from the float64 inputs."""
+    with mpmath.workdps(60):
+        T, ss, sz = mp_matrix(spec.T), mp_matrix(spec.sigma_s), mp_matrix(spec.sigma_z)
+        W, h = mp_matrix(W), mp_matrix(h)
+        m, r = W.rows, h.rows
+        c = T.H + W * ss
+        n_r = h * (T * T.H + ss) * h.H + sz
+        M = mpmath.zeros(m + r, m + r)
+        blocks = ((0, 0, mpmath.eye(m) + W * ss * W.H), (0, m, c * h.H),
+                  (m, 0, h * c.H), (m, m, n_r))
+        for i0, j0, blk in blocks:
+            for i in range(blk.rows):
+                for j in range(blk.cols):
+                    M[i0 + i, j0 + j] = blk[i, j]
+        return float(mpmath.re(mpmath.log(mpmath.det(n_r)) - mpmath.log(mpmath.det(M)))
+                     / mpmath.log(2))
+
+
+@pytest.mark.parametrize("name,snr_db,tol_bits", [
+    ("fdpc-3x2-b", 40.0, 1e-6),
+    ("fdpc-3x2-b", 80.0, 1e-6),
+    ("fdpc-2x2-b", 80.0, 1e-6),
+    ("fdpc-2x2-b", 100.0, 1e-4),
+])
+def test_per_draw_rate_against_mpmath_oracle(name, snr_db, tol_bits):
+    ref = lab.reference_channel(name)
+    spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 8, seed=3).cells[0].draws
+    W = inflation.w_pinv(spec)
+    got = -rate.CellCore(spec, H).logdet_s(W) / np.log(2.0)
+    want = np.array([oracle_rate_bits(spec, W, h) for h in H])
+    assert np.abs(got - want).max() <= tol_bits
