@@ -2,7 +2,7 @@
 
 Subcommands: rate, sweep, scaling, lowsnr, solve-w, jointopt.  stdout
 carries only the machine-readable payload (JSON); diagnostics go to stderr.
-Exit codes: 0 success, 2 configuration error, 3 solver/search failure.
+Exit codes: 0 success, 2 configuration error, 3 solver/evaluation failure.
 
 Flags override config-file values; the seed resolution order is
 ``--seed`` > config ``mc.seed`` > ``FDPC_SEED`` > 0.
@@ -16,16 +16,14 @@ import sys
 import numpy as np
 
 from . import covopt, lab
-from .config import build_experiment, load_config, validate_config
-from .errors import ConfigurationError, FdpcError, SearchError, SolverError
+from .config import _csit_from_config, build_experiment, load_config, validate_config
+from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import solve_w
 from .model import NoCsit, build_sample_bank
 from .rate import paired_rates
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-SOLVER_CHOICES = ("alg1", "alg2", "zero", "pinv", "identity", "perfect")
 
 
 def _log(msg):
@@ -114,25 +112,31 @@ def cmd_rate(args):
 
 
 def _parse_csit_labels(spec_labels, exp):
+    """CSIT models for a comma list of ``none``, ``perfect`` and ``B=<bits>``."""
     out = []
     for label in spec_labels.split(","):
         label = label.strip()
-        if label == "none":
-            out.append(NoCsit())
-        elif label == "perfect":
-            from .model import PerfectCsit
-
-            out.append(PerfectCsit())
-        elif label.startswith("B="):
-            out.append(lab.default_quantized_csit(exp.model, int(label[2:])))
+        if label in ("none", "perfect"):
+            cfg = {"variant": label}
+        elif label.startswith("B=") and label[2:].isdigit():
+            cfg = {"variant": "quantized", "bits": int(label[2:])}
         else:
             raise ConfigurationError(f"unknown CSIT label {label!r}")
+        out.append(_csit_from_config(cfg, exp.model))
     return tuple(out)
+
+
+def _parse_snr_list(text):
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"--snr-db-list must be comma-separated numbers, got {text!r}") from None
 
 
 def cmd_sweep(args):
     exp = _load_experiment(args)
-    snrs = tuple(float(s) for s in args.snr_db_list.split(","))
+    snrs = _parse_snr_list(args.snr_db_list)
     solvers = tuple(s.strip() for s in args.solvers.split(","))
     csits = _parse_csit_labels(args.csit, exp) if args.csit else (exp.csit,)
     plan = lab.SweepPlan(snr_db_list=snrs, q_over_p=exp.q_over_p, solvers=solvers,
@@ -163,7 +167,7 @@ def cmd_scaling(args):
 
 def cmd_lowsnr(args):
     exp = _load_experiment(args)
-    snrs = [float(s) for s in args.snr_db_list.split(",")]
+    snrs = _parse_snr_list(args.snr_db_list)
     rows = lab.low_snr_ratio(exp.base_spec, exp.model, snrs, exp.mc["seed"],
                              q_over_p=exp.q_over_p, n_inner=exp.mc["n_inner"])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -231,10 +235,9 @@ def _add_common(p, with_solver=False):
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, help="override mc.n_inner")
     p.add_argument("--n-outer", type=int, dest="n_outer", help="override mc.n_outer")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="write the payload/file here instead of stdout")
     if with_solver:
-        p.add_argument("--solver", choices=SOLVER_CHOICES, default="alg1")
+        p.add_argument("--solver", choices=lab.SOLVERS, default="alg1")
 
 
 def build_parser():
@@ -254,6 +257,8 @@ def build_parser():
     p.add_argument("--solvers", default="alg1")
     p.add_argument("--csit", help="comma list of none, perfect, B=1, B=2, ...")
     p.add_argument("--no-bound", action="store_true")
+    p.add_argument("--threads", type=int, default=1,
+                   help="evaluate sweep cells on this many threads")
     p.set_defaults(func=cmd_sweep)
     # sweep writes its CSV to --out (required)
 
@@ -296,7 +301,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         _log(f"configuration error: {exc}")
         return EXIT_CONFIG
-    except (SolverError, SearchError) as exc:
+    except SolverError as exc:
         _log(f"solver error: {exc}")
         return EXIT_SOLVER
     except FdpcError as exc:

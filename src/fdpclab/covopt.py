@@ -9,40 +9,38 @@ fixed point
         =  (1 / lambda) * E_H { K C* S^{-1} (I_m - C K T) }
 
 with ``N_r``, ``M``, ``K``, ``C`` and ``S(W)`` as in :mod:`fdpclab.rate`
-and ``lambda`` chosen by bisection to meet the power constraint
-``trace(T T*) = P``.  The map is the (conjugate-coordinate) gradient of the
-power-constrained Lagrangian; its sign and structure are pinned by the
-finite-difference checks in the test suite.
+and ``lambda`` set in closed form to meet the power constraint
+``trace(T T*) = P``: the update's trace is ``||g||_F^2 / lambda^2``, so
+``lambda = ||g||_F / sqrt(P)``.  The map is the (conjugate-coordinate)
+gradient of the power-constrained Lagrangian; its sign and structure are
+pinned by the finite-difference checks in the test suite.
 
 ``K`` depends on ``T``, so each outer step builds one
 :class:`fdpclab.rate.CellCore` for its W-solve, rate and gradient calls.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, SearchError
-from .inflation import SolverConfig, solve_w
+from .errors import ConfigurationError, EvaluationError
+from .inflation import solve_w
 from .linalg import ct
 from .model import ChannelSpec, Dimensions
 from .rate import CellCore, achievable_rate
+
+
+# Stop the alternation when the rate gains less than this per outer step (bits).
+RATE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class JointConfig:
     rank_bound: int
     outer_iters: int = 30
-    lambda_bracket: tuple = (1e-9, 1e9)
-    power_tol: float = 1e-6          # relative power-constraint tolerance
     solver: str = "alg1"             # inflation solver used in the W-step
-    rate_tol: float = 1e-4           # stop when the rate gain drops below this (bits)
-    solver_config: SolverConfig = dc_field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        lo, hi = self.lambda_bracket
-        if not (0.0 < lo < hi):
-            raise ConfigurationError("lambda bracket must satisfy 0 < lo < hi")
         if self.rank_bound < 1 or self.outer_iters < 1:
             raise ConfigurationError("rank_bound and outer_iters must be >= 1")
 
@@ -100,46 +98,15 @@ def gradient_map(spec, T, W, samples, core=None):
     return np.einsum("nmt,nmj->tj", np.conj(ck), x, optimize=True) / ck.shape[0]
 
 
-def solve_lambda(spec, T, W, samples, bracket=(1e-9, 1e9), power_tol=1e-6, core=None):
+def solve_lambda(spec, T, W, samples, core=None):
     """Multiplier meeting ``trace(T+ T+*) = P`` for ``T+ = (1/lam) g(T, W)``.
 
-    The trace is probed at 8 points for monotone non-increase in ``lam``
-    before bisecting (it is exactly ``||g||_F^2 / lam^2`` here, so the probe
-    always passes; the rescaling fallback is kept for the contract).
+    The trace is ``||g||_F^2 / lam^2``, so ``lam = ||g||_F / sqrt(P)``.
     """
-    g = gradient_map(spec, T, W, samples, core)
-    lo, hi = bracket
-
-    def excess(lam):
-        tp = g / lam
-        return float(np.trace(tp @ ct(tp)).real) - spec.P
-
-    probes = np.geomspace(lo, hi, 8)
-    traces = [excess(p) + spec.P for p in probes]
-    if any(b > a * (1 + 1e-12) for a, b in zip(traces, traces[1:])):
-        # non-monotone trace: fall back to rescaling the map output
-        import warnings
-
-        warnings.warn("trace((1/lam) g) not monotone in lam; rescaling instead")
-        norm = float(np.trace(g @ ct(g)).real)
-        return float(np.sqrt(norm / spec.P))
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo < 0 or f_hi > 0:
-        raise SearchError(
-            f"lambda bracket ({lo:g}, {hi:g}) does not contain the power root"
-        )
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    lam = np.exp(0.5 * (log_lo + log_hi))
-    for _ in range(200):
-        lam = np.exp(0.5 * (log_lo + log_hi))
-        e = excess(lam)
-        if abs(e) <= power_tol * spec.P:
-            return float(lam)
-        if e > 0:
-            log_lo = np.log(lam)
-        else:
-            log_hi = np.log(lam)
-    raise SearchError("lambda bisection exhausted its bracket")
+    norm = float(np.linalg.norm(gradient_map(spec, T, W, samples, core)))
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise EvaluationError(f"covariance gradient has norm {norm:g}; no power multiplier")
+    return norm / np.sqrt(spec.P)
 
 
 def _initial_factor(spec, m):
@@ -176,26 +143,17 @@ def joint_optimize(spec, config, bank):
     for outer in range(config.outer_iters):
         spec_t = spec_with_factor(spec, T)
         core = CellCore(spec_t, draws)
-        w_res = solve_w(spec_t, draws, config.solver, config.solver_config, core)
+        w_res = solve_w(spec_t, draws, config.solver, core=core)
         est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
             best = (est, T, w_res.W)
-        if est.rate_bits - prev_rate < config.rate_tol and outer > 0:
+        if est.rate_bits - prev_rate < RATE_TOL and outer > 0:
             converged = True
             break
         prev_rate = est.rate_bits
-        lam = solve_lambda(spec_t, T, w_res.W, draws, bracket=config.lambda_bracket,
-                           power_tol=config.power_tol, core=core)
+        lam = solve_lambda(spec_t, T, w_res.W, draws, core=core)
         T = t_step_map(spec_t, T, w_res.W, lam, draws, core)
-        tr = float(np.trace(T @ ct(T)).real)
-        if tr > spec.P * (1.0 + config.power_tol):
-            raise EvaluationError(
-                f"power constraint violated after T-step: {tr:.6g} > {spec.P:.6g}"
-            )
-        if tr > spec.P:
-            # bisection leaves a <= power_tol overshoot; snap onto the budget
-            T = T * np.sqrt(spec.P / tr)
     est, T, W = best
     rank_used, eig_ratio = _eig_stats(T)
     return JointResult(T=T, W=W, rate_trace=tuple(rate_trace),

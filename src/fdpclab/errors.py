@@ -26,7 +26,3 @@ class SolverError(FdpcError):
     def __init__(self, message, row_index=None):
         super().__init__(message)
         self.row_index = row_index
-
-
-class SearchError(FdpcError):
-    """A scalar root/parameter search exhausted its bracket."""

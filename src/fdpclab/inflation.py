@@ -26,16 +26,12 @@ from .rate import CellCore, check_inflation, objective
 class SolverConfig:
     max_iters: int = 200
     tol: float = 1e-7          # relative objective / iterate change threshold
-    damping: float = 1.0       # step size for the fixed-point iteration
-    rank_tol: float = 1e-10    # relative singular-value cutoff for pseudo-inverses
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if not 0.0 < self.tol < 1.0:
             raise ConfigurationError("tol must lie in (0, 1)")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigurationError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,10 @@ def w_raw_to_factored(spec, w_raw):
     if spec.dims.m != spec.dims.t:
         raise ValueError("conversion requires a square transmit factor")
     return np.linalg.solve(spec.T, np.asarray(w_raw, dtype=spec.dtype))
+
+
+# W-independent inflation factors, by solver name.
+CLOSED_FORMS = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
 
 
 def theoretical_scaling(rank_sum, m, r):
@@ -242,12 +242,12 @@ def alg2_map(spec, W, inner_samples, core=None):
         return np.linalg.solve(e_s_inv, e_s_inv_ck)
     except np.linalg.LinAlgError:
         raise SolverError(
-            "singular E(A1) in fixed-point map; lower the damping or re-seed"
+            "singular E(A1) in fixed-point map; re-seed or use more draws"
         )
 
 
 def alg2_solve(spec, W0, config, inner_samples, core=None):
-    """Damped fixed-point iteration ``W <- (1-g) W + g map(W)``.
+    """Damped fixed-point iteration ``W <- (1-g) W + g map(W)``, from ``g = 1``.
 
     The step is halved whenever it would increase the objective; five
     consecutive rejected steps flag non-convergence and the best-seen W is
@@ -259,7 +259,7 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
         return SolveResult(W=W, objective_trace=(objective(spec, W, H, core),),
                            converged=True, iterations=0)
-    gamma = config.damping
+    gamma = 1.0
     obj = objective(spec, W, H, core)
     trace = [obj]
     best_obj, best_w = obj, W
@@ -300,12 +300,8 @@ def default_w0(spec, inner_samples, kind="mean-h"):
     """Standard starting points: perfect-CSIT W at the cell-mean H, 0, or T+."""
     if kind == "mean-h":
         return w_perfect_csit(spec, np.asarray(inner_samples).mean(axis=0))
-    if kind == "zero":
-        return w_zero(spec)
-    if kind == "pinv":
-        return w_pinv(spec)
-    if kind == "identity":
-        return w_identity(spec)
+    if kind in CLOSED_FORMS:
+        return CLOSED_FORMS[kind](spec)
     raise ConfigurationError(f"unknown initialization {kind!r}")
 
 
@@ -335,19 +331,18 @@ def solve_w(spec, inner_samples, method, config=None, core=None):
         solve = alg1_solve if method == "alg1" else alg2_solve
         return solve(spec, best_initialization(spec, inner_samples, core),
                      config, inner_samples, core)
-    closed = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
-    if method in closed:
-        W = closed[method](spec)
+    if method in CLOSED_FORMS:
+        W = CLOSED_FORMS[method](spec)
         return SolveResult(W=W, objective_trace=(objective(spec, W, inner_samples, core),),
                            converged=True, iterations=0)
     raise ConfigurationError(f"unknown solver {method!r}")
 
 
-def cell_solver(method, config=None):
-    """Adapter: a per-cell W provider for :func:`fdpclab.rate.achievable_rate`."""
+def cell_solver(method):
+    """Adapter: a per-cell W policy for :func:`fdpclab.rate.achievable_rate`."""
 
     def _solve(spec, cell, core=None):
-        res = solve_w(spec, cell.draws, method, config, core)
+        res = solve_w(spec, cell.draws, method, core=core)
         return res.W, res.converged
 
     return _solve

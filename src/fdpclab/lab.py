@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FdpcError
-from .inflation import cell_solver, theoretical_scaling, w_identity, w_pinv, w_zero
+from .inflation import CLOSED_FORMS, cell_solver, theoretical_scaling, w_zero
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
                     QuantizedCsit, build_sample_bank, exp_correlation,
                     fading_component_std, random_factor, random_psd)
 from .rate import achievable_rate, no_interference_bound, paired_rates
+
+# Solver names a W policy can be resolved from (see resolve_w).
+SOLVERS = ("alg1", "alg2", *CLOSED_FORMS, "perfect")
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
               "bound_bits", "n_outer", "n_inner", "seed"]
@@ -46,6 +49,10 @@ class SweepPlan:
             raise ConfigurationError("sweep plan lists must be nonempty")
         if self.q_over_p < 0:
             raise ConfigurationError("q_over_p must be >= 0")
+        unknown = [s for s in self.solvers if s not in SOLVERS]
+        if unknown:
+            raise ConfigurationError(f"unknown solver(s) {', '.join(map(repr, unknown))};"
+                                     f" known: {', '.join(SOLVERS)}")
 
 
 @dataclass(frozen=True)
@@ -78,19 +85,18 @@ def derived_seed(seed, *key):
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def resolve_w(spec, solver, config=None):
+def resolve_w(spec, solver):
     """Per-spec W policy for a solver name usable by achievable_rate."""
-    fixed = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
-    if solver in fixed:
-        return fixed[solver](spec)
+    if solver in CLOSED_FORMS:
+        return CLOSED_FORMS[solver](spec)
     if solver == "perfect":
         return "perfect"
     if solver in ("alg1", "alg2"):
-        return cell_solver(solver, config)
+        return cell_solver(solver)
     raise ConfigurationError(f"unknown solver {solver!r}")
 
 
-def run_sweep(base_spec, model, plan, seed, solver_config=None, threads=1):
+def run_sweep(base_spec, model, plan, seed, threads=1):
     """Evaluate every (snr, csit, solver) cell of the plan.
 
     Per-cell failures are recorded as error rows (nan rates) and the sweep
@@ -116,7 +122,7 @@ def run_sweep(base_spec, model, plan, seed, solver_config=None, threads=1):
         label = csit_label(csit)
         try:
             spec = base_spec.at_snr_db(snr, plan.q_over_p)
-            est = achievable_rate(spec, resolve_w(spec, solver, solver_config), bank)
+            est = achievable_rate(spec, resolve_w(spec, solver), bank)
             if plan.include_bound:
                 key = (ci, snr)
                 if key not in bound_cache:
@@ -228,7 +234,7 @@ def format_lowsnr_csv(rows):
 
 
 def gap_to_bound(base_spec, model, snr_db, solver, seed, csit=None,
-                 n_outer=200, n_inner=20000, solver_config=None):
+                 n_outer=200, n_inner=20000):
     """Bound minus rate (bits) with both evaluated on one bank.
 
     Returns ``(gap_bits, stderr_gap_bits)``.
@@ -236,7 +242,7 @@ def gap_to_bound(base_spec, model, snr_db, solver, seed, csit=None,
     csit = csit or NoCsit()
     bank = build_sample_bank(base_spec, model, csit, n_outer, n_inner, seed)
     spec = base_spec.at_snr_db(float(snr_db), base_spec.Q / base_spec.P)
-    r_est, c_est, cov = paired_rates(spec, resolve_w(spec, solver, solver_config), bank)
+    r_est, c_est, cov = paired_rates(spec, resolve_w(spec, solver), bank)
     gap = c_est.rate_bits - r_est.rate_bits
     var = r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2.0 * cov
     return float(gap), float(np.sqrt(max(var, 0.0)))

@@ -7,7 +7,7 @@ their contracts rather than re-checking on every call.
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import ConfigurationError, EvaluationError
 
 # Relative singular-value cutoff used by default for numerical ranks and
 # pseudo-inverses.
@@ -80,8 +80,6 @@ def validate_hermitian(a, name, tol=1e-12):
     a = np.asarray(a)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - ct(a)).max(initial=0.0) > tol * scale:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(f"{name} is not Hermitian within {tol:g}")
 
 
@@ -91,8 +89,6 @@ def clip_psd(a, name, tol=1e-10):
     Eigenvalues down to ``-tol * lambda_max`` are tolerated and clipped to
     zero; anything more negative is a configuration error.
     """
-    from .errors import ConfigurationError
-
     validate_hermitian(a, name)
     w, v = np.linalg.eigh(hermitize(a))
     lam_max = max(float(w.max()), 0.0)
@@ -117,7 +113,5 @@ def sqrtm_pd(a):
     """Hermitian square root of a positive definite matrix."""
     w, v = np.linalg.eigh(hermitize(np.asarray(a)))
     if w.min() <= 0:
-        from .errors import ConfigurationError
-
         raise ConfigurationError("matrix is not positive definite")
     return hermitize((v * np.sqrt(w)) @ ct(v))

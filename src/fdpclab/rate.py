@@ -30,7 +30,6 @@ Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in sample order, so results are deterministic for a fixed
 bank.
 """
-import inspect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,7 +170,7 @@ def objective(spec, W, inner_samples, core=None):
     return float(np.mean(core.logdet_nr) + np.mean(core.logdet_s(W)))
 
 
-def _resolve_cell_w(spec, w, cell, core, pass_core):
+def _resolve_cell_w(spec, w, cell, core):
     """Return (W, converged) for one bank cell under the w policy."""
     if isinstance(w, str):
         if w != "perfect":
@@ -184,8 +183,7 @@ def _resolve_cell_w(spec, w, cell, core, pass_core):
 
         return w_perfect_csit(spec, cell.h_hat), True
     if callable(w):
-        out = w(spec, cell, core=core) if pass_core else w(spec, cell)
-        return out if isinstance(out, tuple) else (out, True)
+        return w(spec, cell, core=core)
     return w, True
 
 
@@ -203,12 +201,11 @@ class _Evaluation:
         self.converged = True
         self.single_rate = None
         self.single_bound = None
-        pass_core = callable(w) and "core" in inspect.signature(w).parameters
         ld_z = float(logdet_pd(spec.sigma_z))
         for i, cell in enumerate(bank.cells):
             core = cores[i] if cores is not None else CellCore(spec, cell.draws)
             if w is not None:
-                W, ok = _resolve_cell_w(spec, w, cell, core, pass_core)
+                W, ok = _resolve_cell_w(spec, w, cell, core)
                 self.converged = self.converged and bool(ok)
                 per_draw = -core.logdet_s(check_inflation(spec, W))
                 self.rate_cells[i] = np.mean(per_draw)
@@ -252,10 +249,10 @@ def achievable_rate(spec, w, bank, cores=None):
 
     ``w`` may be an (m, t) array (used for all cells), the string
     ``"perfect"`` (per-cell closed form, perfect-CSIT banks only), or a
-    callable ``(spec, cell) -> W`` or ``-> (W, converged)`` solved once per
-    outer cell.  A callable that declares a ``core`` keyword also receives
-    the cell's :class:`CellCore`, so its solve reuses the precompute.
-    ``cores`` optionally gives one prebuilt core per cell.
+    policy called once per outer cell as ``w(spec, cell, core=core)`` that
+    returns ``(W, converged)``; ``core`` is the cell's :class:`CellCore`, so
+    the policy's solve reuses the precompute.  ``cores`` optionally gives one
+    prebuilt core per cell.
     """
     return _Evaluation(spec, bank, w, cores=cores).rate_estimate()
 

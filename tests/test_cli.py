@@ -171,6 +171,35 @@ def test_sweep_partial_failure_exits_zero(tmp_path):
     assert "nan" in out.read_text(encoding="utf-8")
 
 
+def test_sweep_malformed_csit_label_exits_2(tmp_path):
+    code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+                         "--csit", "B=x", "--samples", "10",
+                         "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "lowsnr"])
+def test_malformed_snr_list_exits_2(tmp_path, command):
+    code, out = run_cli([command, "--ref", "fdpc-2x2-a", "--snr-db-list", "0,abc",
+                         "--samples", "10", "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and out == ""
+
+
+def test_sweep_unknown_solver_exits_2(tmp_path):
+    out_csv = tmp_path / "x.csv"
+    code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+                         "--solvers", "alg1,bogus", "--samples", "10",
+                         "--out", str(out_csv)])
+    assert code == 2 and out == ""
+    assert not out_csv.exists()
+
+
+def test_threads_is_a_sweep_only_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rate", "--ref", "fdpc-fig4-1", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_solve_w_payload(tmp_path):
     cfg = write_config(tmp_path, dict(BASE_CFG, q_over_p=1.0,
                                       sigma_s={"kind": "scaled_identity"}))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdpclab import covopt, inflation, rate
-from fdpclab.errors import ConfigurationError, SearchError
+from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct
 from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian,
                            IidRealGaussian, NoCsit, build_sample_bank)
@@ -96,14 +96,25 @@ def test_solve_lambda_meets_power_constraint():
     assert spec.P * (1 - 1e-6) <= trace <= spec.P * (1 + 1e-6)
 
 
-def test_solve_lambda_bracket_exhausted():
+def test_solve_lambda_is_exact_closed_form():
+    rng = make_rng(4)
+    spec = rand_spec(rng, 3, 2, 2, "complex").at_snr_db(5.0, 1.0)
+    H = rand_matrix(rng, (100, 2, 3), "complex")
+    T = rand_matrix(rng, (3, 2), "complex")
+    T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
+    W = rand_matrix(rng, (2, 3), "complex") * 0.2
+    t_plus = covopt.t_step_map(spec, T, W, covopt.solve_lambda(spec, T, W, H), H)
+    trace = float(np.trace(t_plus @ ct(t_plus)).real)
+    assert abs(trace - spec.P) <= 1e-12 * spec.P
+
+
+def test_solve_lambda_rejects_zero_gradient():
     rng = make_rng(5)
     spec = rand_spec(rng, 2, 2, 2, "real")
     H = rng.standard_normal((40, 2, 2))
-    T = rng.standard_normal((2, 2)) * 0.5
-    W = rng.standard_normal((2, 2)) * 0.2
-    with pytest.raises(SearchError):
-        covopt.solve_lambda(spec, T, W, H, bracket=(1e17, 1e18))
+    # T = 0 and W = 0 give C = 0, so g = E[K C* S^{-1} (I - C K T)] = 0
+    with pytest.raises(EvaluationError):
+        covopt.solve_lambda(spec, np.zeros((2, 2)), np.zeros((2, 2)), H)
 
 
 def test_joint_optimize_isotropic_when_no_interference():
