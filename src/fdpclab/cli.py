@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import covopt, lab
-from .config import _csit_from_config, build_experiment, load_config, validate_config
+from .config import _csit_from_config, build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import solve_w
 from .model import NoCsit, build_sample_bank
@@ -55,13 +55,10 @@ def _resolve_seed(args, raw):
 
 
 def _load_experiment(args):
-    if args.config:
-        raw = load_config(args.config)
-    elif getattr(args, "ref", None):
-        raw = validate_config({"ref": args.ref})
-    else:
+    if not (args.config or args.ref):
         raise ConfigurationError("provide a config file or --ref NAME")
-    if getattr(args, "ref", None):
+    raw = load_config(args.config) if args.config else {}
+    if args.ref:
         raw["ref"] = args.ref
     seed = _resolve_seed(args, raw)
     overrides = {

@@ -95,11 +95,14 @@ DEFAULT_MC = {"n_outer": 200, "n_inner": 20000, "seed": 0}
 CHANNEL_FIELDS = ("t", "r", "m", "field", "n", "fading", "sigma_s", "sigma_x")
 
 
+# Built once: jsonschema.validate would check the schema itself on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(raw):
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"invalid configuration: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigurationError(f"invalid configuration: {error.message}")
     return raw
 
 

@@ -346,3 +346,12 @@ def cell_solver(method):
         return res.W, res.converged
 
     return _solve
+
+
+def perfect_csit_policy(spec, cell, core=None):
+    """Per-cell W policy for perfect-CSIT banks: the closed form at the known H."""
+    if cell.h_hat is None or cell.draws.shape[0] != 1:
+        raise ConfigurationError(
+            "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
+        )
+    return w_perfect_csit(spec, cell.h_hat), True

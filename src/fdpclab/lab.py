@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FdpcError
-from .inflation import CLOSED_FORMS, cell_solver, theoretical_scaling, w_zero
+from .inflation import (CLOSED_FORMS, cell_solver, perfect_csit_policy,
+                        theoretical_scaling, w_zero)
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
@@ -90,7 +91,7 @@ def resolve_w(spec, solver):
     if solver in CLOSED_FORMS:
         return CLOSED_FORMS[solver](spec)
     if solver == "perfect":
-        return "perfect"
+        return perfect_csit_policy
     if solver in ("alg1", "alg2"):
         return cell_solver(solver)
     raise ConfigurationError(f"unknown solver {solver!r}")
@@ -102,6 +103,8 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
     Per-cell failures are recorded as error rows (nan rates) and the sweep
     continues.  Row order follows the plan regardless of thread count.
     """
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     banks = {}
     for ci, csit in enumerate(plan.csit_list):
         bank_seed = derived_seed(seed, ci)
@@ -179,7 +182,8 @@ def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed,
                      q_over_p=1.0, n_inner=20000):
     """High-SNR slope of the rate in bits per log2(P), two-point secant.
 
-    Both endpoints share one no-CSIT bank (common random numbers).
+    ``w_choice`` is a solver name (see :func:`resolve_w`).  Both endpoints
+    share one no-CSIT bank (common random numbers).
     """
     lo, hi = snr_db_pair
     if not hi > lo or lo < 30.0:
@@ -188,13 +192,7 @@ def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed,
     rates = {}
     for snr in (lo, hi):
         spec = base_spec.at_snr_db(snr, q_over_p)
-        if isinstance(w_choice, str):
-            w = resolve_w(spec, w_choice)
-        elif callable(w_choice):
-            w = w_choice(spec)
-        else:
-            w = w_choice
-        rates[snr] = achievable_rate(spec, w, bank).rate_bits
+        rates[snr] = achievable_rate(spec, resolve_w(spec, w_choice), bank).rate_bits
     dlog_p = (hi - lo) / 10.0 * np.log2(10.0)
     return (rates[hi] - rates[lo]) / dlog_p
 

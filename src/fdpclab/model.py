@@ -114,14 +114,6 @@ class ChannelSpec:
     def dtype(self):
         return np.float64 if self.field == REAL else np.complex128
 
-    @property
-    def snr(self):
-        return self.P / self.N
-
-    @property
-    def sigma_x(self):
-        return self.T @ ct(self.T)
-
     @classmethod
     def create(cls, dims, T, sigma_s, sigma_z, field=REAL, P=None):
         """Build a spec, deriving P, Q, N from the matrices when omitted."""

@@ -26,6 +26,13 @@ covariance optimization builds one per outer step, since ``T`` changes.
 Public functions that are not handed a core build their own.  :func:`build_M`
 is the direct form, kept as the tests' reference.
 
+The rate, the bound and the paired rate/bound all come from one loop over
+the bank's cells.  It yields a basis per quantity: the per-draw terms when
+the bank has one cell, the per-cell means otherwise.  The estimate is the
+basis mean, its standard error ``std(ddof=1)/sqrt(size)`` (0 for a single
+term), and the covariance of the paired estimators comes from the two bases.
+A W policy is an (m, t) array or a callable per-cell solver.
+
 Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in sample order, so results are deterministic for a fixed
 bank.
@@ -170,96 +177,57 @@ def objective(spec, W, inner_samples, core=None):
     return float(np.mean(core.logdet_nr) + np.mean(core.logdet_s(W)))
 
 
-def _resolve_cell_w(spec, w, cell, core):
-    """Return (W, converged) for one bank cell under the w policy."""
-    if isinstance(w, str):
-        if w != "perfect":
-            raise ConfigurationError(f"unknown inflation policy {w!r}")
-        if cell.h_hat is None or cell.draws.shape[0] != 1:
-            raise ConfigurationError(
-                "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
-            )
-        from .inflation import w_perfect_csit
+def _evaluate(spec, bank, w=None, bound=False, cores=None):
+    """Rate and/or bound basis over the bank's cells, in nats.
 
-        return w_perfect_csit(spec, cell.h_hat), True
-    if callable(w):
-        return w(spec, cell, core=core)
-    return w, True
-
-
-class _Evaluation:
-    """Per-cell rate and/or bound contributions for one (spec, bank) evaluation.
-
-    ``w`` is the inflation policy (None: no rate); ``cores`` optionally gives
-    one prebuilt :class:`CellCore` per cell.
+    ``w`` is an (m, t) array or a policy ``w(spec, cell, core=core) ->
+    (W, converged)``; None skips the rate.  Each basis is the per-draw array
+    for a one-cell bank and the array of per-cell means otherwise (None when
+    not asked for).  Returns ``(rate_basis, bound_basis, converged)``.
     """
+    rates, bounds, converged = [], [], True
+    ld_z = float(logdet_pd(spec.sigma_z))
+    for i, cell in enumerate(bank.cells):
+        core = cores[i] if cores is not None else CellCore(spec, cell.draws)
+        if w is not None:
+            W, ok = w(spec, cell, core=core) if callable(w) else (w, True)
+            converged = converged and bool(ok)
+            rates.append(-core.logdet_s(check_inflation(spec, W)))
+        if bound:
+            bounds.append(core.logdet_bound - ld_z)
 
-    def __init__(self, spec, bank, w=None, want_bound=False, cores=None):
-        n_cells = len(bank.cells)
-        self.rate_cells = np.empty(n_cells) if w is not None else None
-        self.bound_cells = np.empty(n_cells) if want_bound else None
-        self.converged = True
-        self.single_rate = None
-        self.single_bound = None
-        ld_z = float(logdet_pd(spec.sigma_z))
-        for i, cell in enumerate(bank.cells):
-            core = cores[i] if cores is not None else CellCore(spec, cell.draws)
-            if w is not None:
-                W, ok = _resolve_cell_w(spec, w, cell, core)
-                self.converged = self.converged and bool(ok)
-                per_draw = -core.logdet_s(check_inflation(spec, W))
-                self.rate_cells[i] = np.mean(per_draw)
-                self.single_rate = per_draw  # the stderr basis when n_cells == 1
-            if want_bound:
-                per_draw = core.logdet_bound - ld_z
-                self.bound_cells[i] = np.mean(per_draw)
-                self.single_bound = per_draw
-        self.bank = bank
+    def basis(terms):
+        if not terms:
+            return None
+        return terms[0] if len(terms) == 1 else np.array([np.mean(x) for x in terms])
 
-    def _se(self, cells, single):
-        if len(cells) > 1:
-            return float(np.std(cells, ddof=1) / np.sqrt(len(cells)))
-        if single is None or single.size < 2:
-            return 0.0
-        return float(np.std(single, ddof=1) / np.sqrt(single.size))
+    return basis(rates), basis(bounds), converged
 
-    def _estimate(self, cells, single, converged=True):
-        return RateEstimate(
-            rate_bits=float(np.mean(cells)) / LN2,
-            stderr_bits=self._se(cells, single) / LN2,
-            n_outer=self.bank.n_outer, n_inner=self.bank.n_inner,
-            seed=self.bank.seed, converged=converged,
-        )
 
-    def rate_estimate(self):
-        return self._estimate(self.rate_cells, self.single_rate, self.converged)
-
-    def bound_estimate(self):
-        return self._estimate(self.bound_cells, self.single_bound)
-
-    def paired_arrays(self):
-        """(rate, bound) arrays over the stderr basis (cells, or samples when single-cell)."""
-        if len(self.rate_cells) > 1:
-            return self.rate_cells, self.bound_cells
-        return self.single_rate, self.single_bound
+def _estimate(basis, bank, converged=True):
+    """RateEstimate in bits: the basis mean and its standard error."""
+    se = float(np.std(basis, ddof=1) / np.sqrt(basis.size)) if basis.size > 1 else 0.0
+    return RateEstimate(rate_bits=float(np.mean(basis)) / LN2, stderr_bits=se / LN2,
+                        n_outer=bank.n_outer, n_inner=bank.n_inner, seed=bank.seed,
+                        converged=converged)
 
 
 def achievable_rate(spec, w, bank, cores=None):
-    """Achievable rate over the bank for a fixed W, a per-cell solver, or 'perfect'.
+    """Achievable rate over the bank for a fixed W or a per-cell W policy.
 
-    ``w`` may be an (m, t) array (used for all cells), the string
-    ``"perfect"`` (per-cell closed form, perfect-CSIT banks only), or a
-    policy called once per outer cell as ``w(spec, cell, core=core)`` that
-    returns ``(W, converged)``; ``core`` is the cell's :class:`CellCore`, so
-    the policy's solve reuses the precompute.  ``cores`` optionally gives one
+    ``w`` is an (m, t) array (used for all cells) or a policy called once
+    per outer cell as ``w(spec, cell, core=core)`` that returns
+    ``(W, converged)``; ``core`` is the cell's :class:`CellCore`, so the
+    policy's solve reuses the precompute.  ``cores`` optionally gives one
     prebuilt core per cell.
     """
-    return _Evaluation(spec, bank, w, cores=cores).rate_estimate()
+    basis, _, converged = _evaluate(spec, bank, w, cores=cores)
+    return _estimate(basis, bank, converged)
 
 
 def no_interference_bound(spec, bank):
     """Rate of the same channel without interference, on the same draws."""
-    return _Evaluation(spec, bank, want_bound=True).bound_estimate()
+    return _estimate(_evaluate(spec, bank, bound=True)[1], bank)
 
 
 def paired_rates(spec, w, bank):
@@ -269,10 +237,6 @@ def paired_rates(spec, w, bank):
     covariance of the two estimators in bits^2, for stderr propagation of
     gaps and ratios.
     """
-    ev = _Evaluation(spec, bank, w, want_bound=True)
-    a, b = ev.paired_arrays()
-    if a is None or a.size < 2:
-        cov = 0.0
-    else:
-        cov = float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2
-    return ev.rate_estimate(), ev.bound_estimate(), cov
+    a, b, converged = _evaluate(spec, bank, w, bound=True)
+    cov = float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
+    return _estimate(a, bank, converged), _estimate(b, bank), cov

@@ -61,7 +61,7 @@ def test_criterion_2_perfect_csit_equivalence():
                                  N_OUTER, 1, seed=3100 + t)
         for snr in (0.0, 10.0, 20.0):
             spec = spec0.at_snr_db(snr, q_over_p=1.0)
-            r_est, c_est, cov = rate.paired_rates(spec, "perfect", bank)
+            r_est, c_est, cov = rate.paired_rates(spec, inflation.perfect_csit_policy, bank)
             gap = abs(r_est.rate_bits - c_est.rate_bits)
             tol = max(2.0 * combined_se(r_est.stderr_bits, c_est.stderr_bits, cov), 1e-9)
             if worst is None or gap / tol > worst[0]:

@@ -2,11 +2,12 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 from fdpclab.cli import main
-from fdpclab.config import build_experiment, config_hash, validate_config
+from fdpclab.config import CONFIG_SCHEMA, build_experiment, config_hash, validate_config
 from fdpclab.errors import ConfigurationError
 
 
@@ -49,6 +50,20 @@ def test_schema_rejects_bad_types():
         validate_config({"t": "two"})
     with pytest.raises(ConfigurationError):
         validate_config({"csit": {"variant": "quantized", "bits": 9}})
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_validate_config_reports_the_error_jsonschema_picks():
+    for raw in ({"t": "two"}, {"csit": {"variant": "quantized", "bits": 9}},
+                {"t": 0, "r": "x", "bogus": 1}, [1, 2]):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigurationError) as got:
+            validate_config(raw)
+        assert str(got.value) == f"invalid configuration: {want.value.message}"
 
 
 def test_build_experiment_requires_core_fields():
@@ -190,6 +205,15 @@ def test_sweep_unknown_solver_exits_2(tmp_path):
     code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
                          "--solvers", "alg1,bogus", "--samples", "10",
                          "--out", str(out_csv)])
+    assert code == 2 and out == ""
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_threads_below_one_exits_2(tmp_path, threads):
+    out_csv = tmp_path / "x.csv"
+    code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+                         "--threads", threads, "--samples", "10", "--out", str(out_csv)])
     assert code == 2 and out == ""
     assert not out_csv.exists()
 

@@ -3,9 +3,9 @@ import pytest
 
 from fdpclab import inflation, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
-from fdpclab.linalg import ct, logdet_pd, numerical_rank
-from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian, NoCsit,
-                           PerfectCsit, build_sample_bank)
+from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
+from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian, IidRealGaussian,
+                           NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank)
 
 from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
 
@@ -165,7 +165,7 @@ def test_scalar_costa_one_bit():
     bank = degenerate_bank(np.ones((1, 1, 1)))
     for q in (0.0, 1.0, 7.3):
         spec = scalar_spec(q)
-        est = rate.achievable_rate(spec, "perfect", bank)
+        est = rate.achievable_rate(spec, inflation.perfect_csit_policy, bank)
         assert est.rate_bits == pytest.approx(1.0, abs=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_perfect_csit_matches_bound(dims):
     bank = build_sample_bank(spec0, IidComplexGaussian(), PerfectCsit(), 200, 1, seed=5)
     for snr in (0.0, 10.0, 20.0):
         spec = spec0.at_snr_db(snr, q_over_p=1.0)
-        r_est, c_est, cov = rate.paired_rates(spec, "perfect", bank)
+        r_est, c_est, cov = rate.paired_rates(spec, inflation.perfect_csit_policy, bank)
         se = np.sqrt(max(r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2 * cov, 0.0))
         assert abs(r_est.rate_bits - c_est.rate_bits) <= max(2 * se, 1e-9)
 
@@ -194,8 +194,6 @@ def test_bound_examples():
 
 def test_bound_dominates_rate(rng):
     spec = rand_spec(make_rng(23), 2, 2, 1, "real")
-    from fdpclab.model import IidRealGaussian
-
     bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 4000, seed=6)
     for solver in ("zero", "pinv"):
         from fdpclab.lab import resolve_w
@@ -215,6 +213,68 @@ def test_rate_reports_nonconvergence_flag():
 
     est = rate.achievable_rate(spec, flaky, bank)
     assert est.converged is False
+
+
+# ---------------------------------------------------------------------------
+# standard-error basis: per-draw terms for one cell, per-cell means otherwise
+# ---------------------------------------------------------------------------
+
+def per_draw_terms(spec, W, H):
+    """Per-draw rate and bound terms in nats, from the direct block matrix."""
+    M = rate.build_M(spec, W, H)
+    m = spec.dims.m
+    rates = logdet_pd(M[:, m:, m:]) - logdet_pd(M)
+    rx = hermitize(H @ spec.T @ ct(spec.T) @ ct(H) + spec.sigma_z)
+    return rates, logdet_pd(rx) - logdet_pd(spec.sigma_z)
+
+
+def assert_stderr_basis(spec, W, bank, a, b):
+    n = a.size
+    r_est, c_est, cov = rate.paired_rates(spec, W, bank)
+    assert r_est.rate_bits == pytest.approx(a.mean() / rate.LN2, rel=1e-9)
+    assert r_est.stderr_bits == pytest.approx(np.std(a, ddof=1) / np.sqrt(n) / rate.LN2,
+                                              rel=1e-9)
+    assert c_est.stderr_bits == pytest.approx(np.std(b, ddof=1) / np.sqrt(n) / rate.LN2,
+                                              rel=1e-9)
+    assert cov == pytest.approx(np.cov(a, b)[0, 1] / n / rate.LN2 ** 2, rel=1e-9)
+    assert rate.achievable_rate(spec, W, bank).stderr_bits == r_est.stderr_bits
+    assert rate.no_interference_bound(spec, bank).stderr_bits == c_est.stderr_bits
+
+
+def test_stderr_basis_single_cell_is_per_draw():
+    spec = rand_spec(make_rng(41), 3, 2, 2, "complex")
+    bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 300, seed=7)
+    W = rand_matrix(make_rng(42), (2, 3), "complex")
+    a, b = per_draw_terms(spec, W, bank.cells[0].draws)
+    assert_stderr_basis(spec, W, bank, a, b)
+
+
+def test_stderr_basis_multi_cell_is_per_cell_means():
+    spec = rand_spec(make_rng(43), 2, 2, 1, "real")
+    bank = build_sample_bank(spec, IidRealGaussian(), QuantizedCsit.designed(1),
+                             6, 50, seed=8)
+    W = rand_matrix(make_rng(44), (1, 2), "real")
+    terms = [per_draw_terms(spec, W, cell.draws) for cell in bank.cells]
+    a = np.array([r.mean() for r, _ in terms])
+    b = np.array([c.mean() for _, c in terms])
+    assert_stderr_basis(spec, W, bank, a, b)
+
+
+def test_single_term_basis_has_zero_stderr():
+    spec = rand_spec(make_rng(45), 2, 2, 1, "real")
+    bank = degenerate_bank(make_rng(46).standard_normal((1, 2, 2)))
+    r_est, c_est, cov = rate.paired_rates(spec, np.zeros((1, 2)), bank)
+    assert (r_est.stderr_bits, c_est.stderr_bits, cov) == (0.0, 0.0, 0.0)
+
+
+def test_perfect_csit_policy_needs_a_perfect_csit_bank():
+    spec = rand_spec(make_rng(47), 2, 2, 1, "real")
+    bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 10, seed=9)
+    with pytest.raises(ConfigurationError, match="perfect-CSIT bank"):
+        rate.achievable_rate(spec, inflation.perfect_csit_policy, bank)
+    # a W policy is an array or a callable; a solver name is not one
+    with pytest.raises(ConfigurationError):
+        rate.achievable_rate(spec, "perfect", bank)
 
 
 def test_evaluation_error_carries_sample_index():
