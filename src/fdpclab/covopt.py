@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import ct
+from .linalg import Cholesky, ct, mean_product
 from .model import ChannelSpec, Dimensions
 from .rate import CellCore, achievable_rate
 
@@ -91,11 +91,7 @@ def gradient_map(spec, T, W, samples, core=None):
     ck, S = core.schur(W)
     rhs = np.eye(T.shape[1], dtype=spec.dtype) - np.einsum("nmt,tj->nmj", ck, T,
                                                            optimize=True)
-    try:
-        x = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular Schur complement: {exc}") from None
-    return np.einsum("nmt,nmj->tj", np.conj(ck), x, optimize=True) / ck.shape[0]
+    return mean_product(ct(ck), Cholesky(S).solve(rhs))
 
 
 def solve_lambda(spec, T, W, samples, core=None):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
-from .linalg import ct, hermitize, pinv_rtol, psd_factor
+from .errors import ConfigurationError, EvaluationError, SolverError
+from .linalg import Cholesky, ct, hermitize, mean_product, pinv_rtol, psd_factor
 from .rate import CellCore, check_inflation, objective
 
 
@@ -127,7 +127,7 @@ def row_surrogate(spec, W, row, inner_samples, core=None):
     """
     W = check_inflation(spec, W)
     core = core or CellCore(spec, inner_samples)
-    return float(np.mean(1.0 / np.linalg.inv(core.schur(W)[1])[:, row, row].real))
+    return float(np.mean(1.0 / Cholesky(core.schur(W)[1]).inv()[:, row, row].real))
 
 
 def alg1_row_update(spec, W, row, inner_samples, core=None):
@@ -159,14 +159,16 @@ def alg1_row_update(spec, W, row, inner_samples, core=None):
         Wb = W[rest]
         ck, Sb = core.schur(Wb, rest)
         try:
-            F = np.linalg.inv(Sb)
-        except np.linalg.LinAlgError:
-            raise SolverError(f"singular D block in row update {row}", row_index=row)
-        f_ck = np.einsum("nij,njt->nit", F, ck, optimize=True)
+            fac = Cholesky(Sb)
+        except EvaluationError:
+            raise SolverError(f"singular D block in row update {row}",
+                              row_index=row) from None
+        F = fac.inv()
         e_f = F.mean(axis=0)
-        e_gh = -f_ck.mean(axis=0)
+        e_gh = -mean_product(F, ck)
         e_hj = ct(e_gh)
-        e_hkh = core.mean_K + np.einsum("nit,niu->tu", np.conj(ck), f_ck, optimize=True) / len(ck)
+        G = fac.forward(ck)  # (Cb K)* Sb^{-1} Cb K = G* G
+        e_hkh = core.mean_K + mean_product(ct(G), G)
         psi2 = e_hj @ Wb + e_hkh
         psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
     n_tilde = np.conj(spec.T[:, row]) @ psi2
@@ -233,11 +235,12 @@ def alg2_map(spec, W, inner_samples, core=None):
         return W.copy()
     ck, S = core.schur(W)
     try:
-        s_inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError:
-        raise SolverError("singular block matrix in fixed-point map")
+        fac = Cholesky(S)
+    except EvaluationError:
+        raise SolverError("singular block matrix in fixed-point map") from None
+    s_inv = fac.inv()
     e_s_inv = s_inv.mean(axis=0)
-    e_s_inv_ck = np.einsum("nij,njt->it", s_inv, ck, optimize=True) / ck.shape[0]
+    e_s_inv_ck = mean_product(s_inv, ck)
     try:
         return np.linalg.solve(e_s_inv, e_s_inv_ck)
     except np.linalg.LinAlgError:

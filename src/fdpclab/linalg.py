@@ -3,6 +3,22 @@
 All routines accept stacked inputs (leading batch dimensions) where it makes
 sense, and treat matrices as Hermitian/positive (semi-)definite according to
 their contracts rather than re-checking on every call.
+
+:class:`Cholesky` is the one factorization of stacked matrices, used for
+every per-draw log-determinant, solve and inverse.  Its contract:
+
+* input is a stack (..., k, k) of Hermitian positive definite matrices; only
+  the lower triangle and the real part of the diagonal are read, so the
+  upper triangle need not be stored symmetric;
+* a pivot that is not finite and positive raises :class:`EvaluationError`
+  whose ``sample_index`` is the flat index of the first such matrix in the
+  stack (None for a single matrix); no partial result is returned;
+* the log-determinant, forward and back substitution and the (exactly
+  Hermitian) inverse all come from that one factor.
+
+It loops over the k columns in Python with ufuncs over the whole stack, so
+its cost is a few array passes per entry of the factor instead of one LAPACK
+call per matrix; it is meant for the small k (m, r <= 3) of the rate.
 """
 
 import numpy as np
@@ -24,42 +40,99 @@ def hermitize(a):
     return 0.5 * (a + ct(a))
 
 
+class Cholesky:
+    """Lower Cholesky factor ``A = L L*`` of a stack (..., k, k) of Hermitian p.d. matrices.
+
+    See the module docstring for the contract.  Each entry of ``L`` is one
+    array of the stack's batch shape: ``L[i][j]`` for ``i > j`` and the
+    reciprocal diagonal ``r[j] = 1 / L_jj``; ``pivots[..., j]`` is ``L_jj^2``.
+    """
+
+    def __init__(self, a):
+        a = np.asarray(a)
+        k = a.shape[-1]
+        L = [[None] * k for _ in range(k)]
+        r, pivots = [], []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for j in range(k):
+                d = a[..., j, j].real - sum(_abs2(L[j][p]) for p in range(j))
+                pivots.append(d)
+                r.append(1.0 / np.sqrt(d))
+                for i in range(j + 1, k):
+                    L[i][j] = (a[..., i, j] - sum(L[i][p] * np.conj(L[j][p])
+                                                  for p in range(j))) * r[j]
+        self.pivots = np.stack(pivots, axis=-1)
+        ok = np.all((self.pivots > 0) & (self.pivots < np.inf), axis=-1)
+        if not ok.all():
+            raise EvaluationError(
+                "Cholesky factorization failed: matrix not positive definite",
+                sample_index=int(np.argmin(ok.ravel())) if a.ndim > 2 else None,
+            )
+        self.L, self.r, self.k = L, r, k
+        self.dtype = np.result_type(a.dtype, float)
+
+    def logdet(self):
+        """log-determinant of each matrix, batch shape."""
+        return np.sum(np.log(self.pivots), axis=-1)
+
+    def forward(self, b):
+        """``L^{-1} b`` for ``b`` of shape (..., k, t)."""
+        L, r = self.L, self.r
+        y = np.empty(b.shape, np.result_type(b, self.dtype))
+        for i in range(self.k):
+            acc = b[..., i, :] - sum(L[i][p][..., None] * y[..., p, :] for p in range(i))
+            y[..., i, :] = acc * r[i][..., None]
+        return y
+
+    def backward(self, y):
+        """``L^{-*} y`` for ``y`` of shape (..., k, t)."""
+        L, r, k = self.L, self.r, self.k
+        x = np.empty(y.shape, np.result_type(y, self.dtype))
+        for i in reversed(range(k)):
+            acc = y[..., i, :] - sum(np.conj(L[p][i])[..., None] * x[..., p, :]
+                                     for p in range(i + 1, k))
+            x[..., i, :] = acc * r[i][..., None]
+        return x
+
+    def solve(self, b):
+        """``A^{-1} b`` for ``b`` of shape (..., k, t)."""
+        return self.backward(self.forward(b))
+
+    def inv(self):
+        """``A^{-1} = L^{-*} L^{-1}``, exactly Hermitian with a real diagonal."""
+        L, r, k = self.L, self.r, self.k
+        X = [[None] * k for _ in range(k)]  # X = L^{-1}, lower triangular
+        for j in range(k):
+            X[j][j] = r[j]
+            for i in range(j + 1, k):
+                X[i][j] = -sum(L[i][p] * X[p][j] for p in range(j, i)) * r[i]
+        out = np.empty(self.pivots.shape + (k,), dtype=self.dtype)
+        for j in range(k):
+            out[..., j, j] = sum(_abs2(X[p][j]) for p in range(j, k))
+            for i in range(j + 1, k):
+                v = sum(np.conj(X[p][i]) * X[p][j] for p in range(i, k))
+                out[..., i, j] = v
+                out[..., j, i] = np.conj(v)
+        return out
+
+
+def _abs2(z):
+    return (np.conj(z) * z).real
+
+
+def mean_product(a, b):
+    """``mean_n a_n b_n`` for stacks ``a`` (n, i, j) and ``b`` (n, j, t), as one GEMM."""
+    n, i, j = a.shape
+    return a.transpose(1, 2, 0).reshape(i, j * n) @ b.transpose(1, 0, 2).reshape(j * n, -1) / n
+
+
 def logdet_pd(a):
     """log-determinant of Hermitian positive definite matrices (stacked).
 
-    Uses a Cholesky factorization; raises :class:`EvaluationError` carrying
-    the index of the first offending matrix if the factorization fails or
-    produces non-finite values.
+    Factors with :class:`Cholesky`, which raises :class:`EvaluationError`
+    carrying the index of the first matrix that is not positive definite.
     """
-    a = np.asarray(a)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise EvaluationError(
-            "Cholesky factorization failed: matrix not positive definite",
-            sample_index=_first_bad_cholesky(a),
-        ) from None
-    diag = np.einsum("...ii->...i", chol).real
-    out = 2.0 * np.sum(np.log(diag), axis=-1)
-    if not np.all(np.isfinite(out)):
-        bad = np.nonzero(~np.isfinite(np.atleast_1d(out)))[0]
-        raise EvaluationError(
-            "non-finite log-determinant", sample_index=int(bad[0])
-        )
-    return out
-
-
-def _first_bad_cholesky(a):
-    a = np.asarray(a)
-    if a.ndim == 2:
-        return None
-    flat = a.reshape((-1,) + a.shape[-2:])
-    for i, mat in enumerate(flat):
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            return i
-    return None
+    return Cholesky(a).logdet()
 
 
 def pinv_rtol(a, rank_tol=DEFAULT_RANK_TOL):

@@ -19,7 +19,10 @@ cells, in bits).  The no-interference bound
 ``mean_i logdet(H_i T T* H_i* + Sz) - logdet Sz`` uses the same draws.
 
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
-It is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
+It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
+``K = G* G`` with ``G = L^{-1} H``; every factorization of ``N_r`` or
+``S(W)`` is one :class:`fdpclab.linalg.Cholesky` over the stack of draws.
+The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
 evaluation builds one per bank cell and hands it to the cell's solver, so
 the initialization, the solve, the rate and the bound share it; the
 covariance optimization builds one per outer step, since ``T`` changes.
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import ct, hermitize, logdet_pd
+from .linalg import Cholesky, ct, hermitize, logdet_pd
 
 LN2 = float(np.log(2.0))
 
@@ -102,11 +105,11 @@ class CellCore:
     def _received(self):
         H = self.H
         n, _, t = H.shape
-        n_r = _covariance(H, self.T @ ct(self.T) + self.spec.sigma_s, self.spec.sigma_z)
-        ld = logdet_pd(n_r)
-        K = hermitize(np.einsum("nrt,nru->ntu", np.conj(H), np.linalg.solve(n_r, H),
-                                optimize=True))
-        return ld, np.ascontiguousarray(K.transpose(1, 0, 2)).reshape(t, n * t)
+        fac = Cholesky(_covariance(H, self.T @ ct(self.T) + self.spec.sigma_s,
+                                   self.spec.sigma_z))
+        G = fac.forward(H)
+        K = hermitize(np.einsum("nrt,nru->ntu", np.conj(G), G, optimize=True))
+        return fac.logdet(), np.ascontiguousarray(K.transpose(1, 0, 2)).reshape(t, n * t)
 
     @property
     def logdet_nr(self):
@@ -129,6 +132,8 @@ class CellCore:
 
         ``C = T[:, cols]* + W Ss`` with ``cols`` all of T's columns by
         default, so a subset of W's rows passes the matching columns of T.
+        ``S`` is Hermitian up to roundoff and is not symmetrized, since
+        :class:`fdpclab.linalg.Cholesky` reads only its lower triangle.
         """
         n, _, t = self.H.shape
         k = W.shape[0]
@@ -137,8 +142,7 @@ class CellCore:
         C = ct(Tc) + W @ ss
         ck = (C @ self._received[1]).reshape(k, n, t)
         ckc = (ck.reshape(k * n, t) @ ct(C)).reshape(k, n, k)
-        S = hermitize(np.eye(k, dtype=self.spec.dtype) + W @ ss @ ct(W)
-                      - ckc.transpose(1, 0, 2))
+        S = np.eye(k, dtype=self.spec.dtype) + W @ ss @ ct(W) - ckc.transpose(1, 0, 2)
         return ck.transpose(1, 0, 2), S
 
     def logdet_s(self, W):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fdpclab.model import BankCell, ChannelSpec, Dimensions, SampleBank
+from fdpclab.rate import CellCore
 
 
 def make_rng(seed=0):
@@ -43,6 +44,18 @@ def degenerate_bank(H_list):
     h_hat = draws[0] if draws.shape[0] == 1 else None
     cell = BankCell(h_hat=h_hat, draws=draws)
     return SampleBank(cells=(cell,), seed=0, n_outer=1, n_inner=draws.shape[0])
+
+
+class IndefiniteCore(CellCore):
+    """A cell core whose Schur complement ``S`` is indefinite at draw ``bad`` only."""
+
+    bad = 1
+
+    def schur(self, W, cols=None):
+        ck, S = super().schur(W, cols)
+        S = S.copy()
+        S[self.bad] = -np.eye(S.shape[-1])
+        return ck, S
 
 
 @pytest.fixture

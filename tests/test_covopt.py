@@ -7,7 +7,7 @@ from fdpclab.linalg import ct
 from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian,
                            IidRealGaussian, NoCsit, build_sample_bank)
 
-from conftest import make_rng, rand_matrix, rand_psd, rand_spec
+from conftest import IndefiniteCore, make_rng, rand_matrix, rand_psd, rand_spec
 
 
 def central_diff_gradient(fun, T, step=1e-5):
@@ -186,3 +186,12 @@ def test_joint_result_best_iterate_dominates_trace():
     res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=12),
                                 bank)
     assert res.rate_bits == pytest.approx(max(res.rate_trace))
+
+
+def test_gradient_of_indefinite_schur_complement_is_an_evaluation_error():
+    # the CLI reports EvaluationError as "error: ..." with exit code 3
+    spec = rand_spec(make_rng(43), 2, 2, 2, "complex")
+    H = rand_matrix(make_rng(44), (4, 2, 2), "complex")
+    with pytest.raises(EvaluationError) as exc:
+        covopt.gradient_map(spec, spec.T, inflation.w_pinv(spec), H, IndefiniteCore(spec, H))
+    assert exc.value.sample_index == IndefiniteCore.bad

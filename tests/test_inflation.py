@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fdpclab import inflation, rate
-from fdpclab.errors import ConfigurationError
+from fdpclab.errors import ConfigurationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
 from fdpclab.model import ChannelSpec, Dimensions
 
-from conftest import make_rng, rand_matrix, rand_spec
+from conftest import IndefiniteCore, make_rng, rand_matrix, rand_spec
 
 
 def scalar_spec(q, p=1.0, n=1.0):
@@ -323,3 +323,17 @@ def test_solve_w_unknown_method():
     spec = rand_spec(make_rng(28), 2, 2, 1, "real")
     with pytest.raises(ConfigurationError):
         inflation.solve_w(spec, np.zeros((3, 2, 2)), "gradient")
+
+
+def test_indefinite_schur_complement_is_a_solver_error():
+    # the CLI reports SolverError as "solver error: ..." with exit code 3
+    spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
+    H = rand_matrix(make_rng(42), (4, 2, 2), "complex")
+    core = IndefiniteCore(spec, H)
+    W = inflation.w_pinv(spec)
+    with pytest.raises(SolverError, match=r"^singular block matrix in fixed-point map$"):
+        inflation.alg2_map(spec, W, H, core)
+    for row in range(2):
+        with pytest.raises(SolverError, match=rf"^singular D block in row update {row}$") as exc:
+            inflation.alg1_row_update(spec, W, row, H, core)
+        assert exc.value.row_index == row

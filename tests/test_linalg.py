@@ -1,0 +1,94 @@
+"""The stacked Cholesky kernel against numpy's LAPACK routines.
+
+Each matrix of a test stack is ``Q diag(lam) Q*`` with ``Q`` a seeded random
+unitary (orthogonal in the real field) and eigenvalues log-spaced over the
+stated condition number, times a random per-matrix scale.  Backward-stable
+factorizations agree to about ``cond * eps`` relative, so every tolerance is
+``TOL_EPS * k * cond * eps``.
+"""
+
+import numpy as np
+import pytest
+
+from fdpclab.errors import EvaluationError
+from fdpclab.linalg import Cholesky, ct, logdet_pd
+
+from conftest import make_rng, rand_matrix
+
+EPS = np.finfo(float).eps
+TOL_EPS = 8.0
+CONDS = (1.0, 1e4, 1e8, 1e12)
+
+
+def pd_stack(rng, n, k, cond, field):
+    q, _ = np.linalg.qr(rand_matrix(rng, (n, k, k), field))
+    lam = np.logspace(0.0, -np.log10(cond), k) * np.exp(rng.uniform(-3, 3, (n, 1)))
+    a = (q * lam[:, None, :]) @ ct(q)
+    return 0.5 * (a + ct(a))
+
+
+def rel_err(got, want):
+    """Largest per-matrix max-norm error, relative to the reference's max norm."""
+    axes = (-2, -1)
+    return float((np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)).max())
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kernel_matches_lapack(k, field):
+    rng = make_rng(100 * k + (field == "complex"))
+    for cond in CONDS:
+        tol = TOL_EPS * k * cond * EPS
+        a = pd_stack(rng, 32, k, cond, field)
+        b = rand_matrix(rng, (32, k, 3), field)
+        fac = Cholesky(a)
+        L = np.linalg.cholesky(a)
+        eye = np.broadcast_to(np.eye(k), a.shape)
+
+        assert np.abs(fac.logdet() - np.linalg.slogdet(a)[1]).max() <= tol
+        assert np.allclose(fac.pivots, np.einsum("nii->ni", L).real ** 2, rtol=tol, atol=0)
+        assert rel_err(fac.forward(eye), np.linalg.inv(L)) <= tol
+        assert rel_err(fac.forward(b), np.linalg.solve(L, b)) <= tol
+        assert rel_err(fac.backward(b), np.linalg.solve(ct(L), b)) <= tol
+        assert rel_err(fac.solve(b), np.linalg.solve(a, b)) <= tol
+        assert rel_err(fac.inv(), np.linalg.inv(a)) <= tol
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_inverse_is_exactly_hermitian(field):
+    a = pd_stack(make_rng(7), 16, 3, 1e6, field)
+    inv = Cholesky(a).inv()
+    assert np.array_equal(inv, ct(inv))
+    assert not np.einsum("nii->ni", inv).imag.any()
+
+
+def test_kernel_reads_only_lower_triangle_and_real_diagonal():
+    a = pd_stack(make_rng(9), 8, 3, 1e3, "complex")
+    junk = a.copy()
+    junk[:, np.triu_indices(3, 1)[0], np.triu_indices(3, 1)[1]] = np.nan
+    junk[:, range(3), range(3)] += 5j
+    ref, got = Cholesky(a), Cholesky(junk)
+    assert np.array_equal(got.logdet(), ref.logdet())
+    assert np.array_equal(got.inv(), ref.inv())
+
+
+def test_single_matrix_has_batch_shape_of_a_scalar():
+    a = pd_stack(make_rng(11), 1, 2, 10.0, "real")[0]
+    fac = Cholesky(a)
+    assert np.ndim(fac.logdet()) == 0
+    assert fac.logdet() == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-14)
+    assert np.allclose(fac.inv(), np.linalg.inv(a), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "singular", "nan", "inf"])
+def test_not_positive_definite_raises_with_first_index(bad):
+    a = np.tile(np.eye(3), (6, 1, 1))
+    value = {"indefinite": -1.0, "singular": 0.0, "nan": np.nan, "inf": np.inf}[bad]
+    a[4, 0, 0] = value  # fails at the first pivot
+    a[3, 2, 2] = value  # fails at the last pivot, but comes first in the stack
+    with pytest.raises(EvaluationError) as exc:
+        Cholesky(a)
+    assert exc.value.sample_index == 3
+    with pytest.raises(EvaluationError) as exc:
+        logdet_pd(a[4])
+    assert exc.value.sample_index is None

@@ -281,8 +281,14 @@ def test_evaluation_error_carries_sample_index():
     # noise made numerically singular bypasses spec validation via direct call
     spec = rand_spec(make_rng(31), 1, 1, 1, "real")
     bad = np.full((3, 1, 1), np.nan)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as exc:
         rate.objective(spec, np.zeros((1, 1)), bad)
+    assert exc.value.sample_index == 0
+    stack = np.tile(np.eye(2), (4, 1, 1))
+    stack[2] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
+    with pytest.raises(EvaluationError) as exc:
+        logdet_pd(stack)
+    assert exc.value.sample_index == 2
 
 
 def test_check_inflation_shape_and_field():
