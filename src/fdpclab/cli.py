@@ -205,7 +205,7 @@ def cmd_jointopt(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
     bank = _bank_for(exp, csit=NoCsit())
-    cfg = covopt.JointConfig(rank_bound=args.rank or spec.dims.m,
+    cfg = covopt.JointConfig(rank_bound=spec.dims.m if args.rank is None else args.rank,
                              outer_iters=args.outer_iters,
                              solver=args.solver)
     res = covopt.joint_optimize(spec, cfg, bank)

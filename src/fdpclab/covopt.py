@@ -16,7 +16,8 @@ gradient of the power-constrained Lagrangian; its sign and structure are
 pinned by the finite-difference checks in the test suite.
 
 ``K`` depends on ``T``, so each outer step builds one
-:class:`fdpclab.rate.CellCore` for its W-solve, rate and gradient calls.
+:class:`fdpclab.rate.CellCore` for its W-solve, its rate and its T-step,
+which computes the gradient once for both the new factor and ``lambda``.
 """
 
 from dataclasses import dataclass
@@ -73,11 +74,18 @@ def lagrangian(spec, T, W, lam, samples):
     return val - lam * float(np.trace(core.T @ ct(core.T)).real)
 
 
-def t_step_map(spec, T, W, lam, samples, core=None):
-    """One application of the scaled stationarity map, ``(1/lam) g(T, W)``."""
-    if not lam > 0:
-        raise ConfigurationError("lambda must be positive")
-    return gradient_map(spec, T, W, samples, core) / lam
+def t_step_map(spec, T, W, samples, core=None):
+    """One T-step from one gradient: ``(T+, lam)`` with ``T+ = (1/lam) g(T, W)``.
+
+    ``lam = ||g||_F / sqrt(P)`` meets ``trace(T+ T+*) = P``.  ``core`` is a
+    :class:`fdpclab.rate.CellCore` built for this ``T``.
+    """
+    g = gradient_map(spec, T, W, samples, core)
+    norm = float(np.linalg.norm(g))
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise EvaluationError(f"covariance gradient has norm {norm:g}; no power multiplier")
+    lam = norm / np.sqrt(spec.P)
+    return g / lam, lam
 
 
 def gradient_map(spec, T, W, samples, core=None):
@@ -95,14 +103,8 @@ def gradient_map(spec, T, W, samples, core=None):
 
 
 def solve_lambda(spec, T, W, samples, core=None):
-    """Multiplier meeting ``trace(T+ T+*) = P`` for ``T+ = (1/lam) g(T, W)``.
-
-    The trace is ``||g||_F^2 / lam^2``, so ``lam = ||g||_F / sqrt(P)``.
-    """
-    norm = float(np.linalg.norm(gradient_map(spec, T, W, samples, core)))
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise EvaluationError(f"covariance gradient has norm {norm:g}; no power multiplier")
-    return norm / np.sqrt(spec.P)
+    """Multiplier ``lam`` of :func:`t_step_map` at ``(T, W)``."""
+    return t_step_map(spec, T, W, samples, core)[1]
 
 
 def _initial_factor(spec, m):
@@ -148,8 +150,7 @@ def joint_optimize(spec, config, bank):
             converged = True
             break
         prev_rate = est.rate_bits
-        lam = solve_lambda(spec_t, T, w_res.W, draws, core=core)
-        T = t_step_map(spec_t, T, w_res.W, lam, draws, core)
+        T, _ = t_step_map(spec_t, T, w_res.W, draws, core)
     est, T, W = best
     rank_used, eig_ratio = _eig_stats(T)
     return JointResult(T=T, W=W, rate_trace=tuple(rate_trace),

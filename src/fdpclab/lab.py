@@ -7,8 +7,9 @@ name so results stay stable across runs.
 
 Every sweep cell is reproducible from (seed, config) alone: one bank per
 CSIT setting (fading draws do not depend on the transmit power, so the same
-bank serves every SNR — common random numbers), and all solver candidates
-at a given (snr, csit) share that bank.
+bank serves every SNR — common random numbers).  A sweep works in (csit,
+snr) groups: all solver candidates and the bound of a group share the
+bank and one cell core per bank cell, built once for the group.
 """
 
 import csv
@@ -26,7 +27,7 @@ from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
                     QuantizedCsit, build_sample_bank, exp_correlation,
                     fading_component_std, random_factor, random_psd)
-from .rate import achievable_rate, no_interference_bound, paired_rates
+from .rate import CellCore, achievable_rate, no_interference_bound, paired_rates
 
 # Solver names a W policy can be resolved from (see resolve_w).
 SOLVERS = ("alg1", "alg2", *CLOSED_FORMS, "perfect")
@@ -48,8 +49,10 @@ class SweepPlan:
     def __post_init__(self):
         if not self.snr_db_list or not self.solvers or not self.csit_list:
             raise ConfigurationError("sweep plan lists must be nonempty")
-        if self.q_over_p < 0:
-            raise ConfigurationError("q_over_p must be >= 0")
+        if not np.isfinite(self.snr_db_list).all():
+            raise ConfigurationError(f"SNRs must be finite, got {self.snr_db_list}")
+        if not 0 <= self.q_over_p < np.inf:
+            raise ConfigurationError("q_over_p must be finite and >= 0")
         unknown = [s for s in self.solvers if s not in SOLVERS]
         if unknown:
             raise ConfigurationError(f"unknown solver(s) {', '.join(map(repr, unknown))};"
@@ -100,63 +103,52 @@ def resolve_w(spec, solver):
 def run_sweep(base_spec, model, plan, seed, threads=1):
     """Evaluate every (snr, csit, solver) cell of the plan.
 
-    Per-cell failures are recorded as error rows (nan rates) and the sweep
-    continues.  Row order follows the plan regardless of thread count.
+    The unit of work is a (csit, snr) group: its spec and one
+    :class:`fdpclab.rate.CellCore` per bank cell are built once and shared
+    by the bound and every solver; ``threads > 1`` runs groups on a pool.
+    Failures become error rows (nan rates) and the sweep continues: a solver
+    failure marks its row, a spec or bound failure every row of its group.
+    Row order follows the plan regardless of thread count.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    banks = {}
+    groups = []
     for ci, csit in enumerate(plan.csit_list):
         bank_seed = derived_seed(seed, ci)
-        banks[ci] = (build_sample_bank(base_spec, model, csit, plan.n_outer,
-                                       plan.n_inner, bank_seed), bank_seed)
+        bank = build_sample_bank(base_spec, model, csit, plan.n_outer, plan.n_inner,
+                                 bank_seed)
+        groups += [(csit, bank, bank_seed, float(snr)) for snr in plan.snr_db_list]
 
-    cells = []
-    for ci, csit in enumerate(plan.csit_list):
-        for snr in plan.snr_db_list:
-            for solver in plan.solvers:
-                cells.append((ci, csit, float(snr), solver))
+    def eval_group(group):
+        csit, bank, bank_seed, snr = group
 
-    bound_cache = {}
+        def row(solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
+                error=None):
+            return SweepRow(snr_db=snr, csit=csit_label(csit), solver=solver,
+                            rate_bits=rate_bits, stderr_bits=stderr_bits,
+                            bound_bits=bound_bits, n_outer=bank.n_outer,
+                            n_inner=bank.n_inner, seed=bank_seed, error=error)
 
-    def eval_cell(cell):
-        ci, csit, snr, solver = cell
-        bank, bank_seed = banks[ci]
-        label = csit_label(csit)
         try:
             spec = base_spec.at_snr_db(snr, plan.q_over_p)
-            est = achievable_rate(spec, resolve_w(spec, solver), bank)
-            if plan.include_bound:
-                key = (ci, snr)
-                if key not in bound_cache:
-                    bound_cache[key] = no_interference_bound(spec, bank).rate_bits
-                bound = bound_cache[key]
-            else:
-                bound = float("nan")
-            return SweepRow(snr_db=snr, csit=label, solver=solver,
-                            rate_bits=est.rate_bits, stderr_bits=est.stderr_bits,
-                            bound_bits=bound, n_outer=bank.n_outer,
-                            n_inner=bank.n_inner, seed=bank_seed)
+            cores = [CellCore(spec, cell.draws) for cell in bank.cells]
+            bound = (no_interference_bound(spec, bank, cores=cores).rate_bits
+                     if plan.include_bound else np.nan)
         except FdpcError as exc:
-            return SweepRow(snr_db=snr, csit=label, solver=solver,
-                            rate_bits=float("nan"), stderr_bits=float("nan"),
-                            bound_bits=float("nan"), n_outer=bank.n_outer,
-                            n_inner=bank.n_inner, seed=bank_seed, error=str(exc))
+            return [row(solver, error=str(exc)) for solver in plan.solvers]
+        rows = []
+        for solver in plan.solvers:
+            try:
+                est = achievable_rate(spec, resolve_w(spec, solver), bank, cores=cores)
+                rows.append(row(solver, est.rate_bits, est.stderr_bits, bound))
+            except FdpcError as exc:
+                rows.append(row(solver, error=str(exc)))
+        return rows
 
-    if threads > 1:
-        # bounds are cached per (csit, snr); warm the cache sequentially so
-        # threaded evaluation stays deterministic and race-free
-        if plan.include_bound:
-            for ci, csit in enumerate(plan.csit_list):
-                for snr in plan.snr_db_list:
-                    spec = base_spec.at_snr_db(float(snr), plan.q_over_p)
-                    bound_cache[(ci, float(snr))] = no_interference_bound(
-                        spec, banks[ci][0]).rate_bits
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_cell, cells))
-    else:
-        rows = [eval_cell(c) for c in cells]
-    return rows
+    if threads == 1:
+        return [row for group in groups for row in eval_group(group)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [row for rows in pool.map(eval_group, groups) for row in rows]
 
 
 def format_sweep_csv(rows):

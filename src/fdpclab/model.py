@@ -57,6 +57,12 @@ def _as_field(a, field, name):
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
+def _check_finite_budgets(**budgets):
+    if not np.isfinite(list(budgets.values())).all():
+        raise ConfigurationError("power budgets must be finite, got "
+                                 + ", ".join(f"{k}={v:g}" for k, v in budgets.items()))
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Static description of one fading dirty paper channel instance.
@@ -77,6 +83,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         t, r, m = self.dims.t, self.dims.r, self.dims.m
+        _check_finite_budgets(P=self.P, Q=self.Q, N=self.N)
         if self.field not in (REAL, COMPLEX):
             raise ConfigurationError(f"unknown field {self.field!r}")
         T = _as_field(self.T, self.field, "T")
@@ -127,17 +134,21 @@ class ChannelSpec:
         return cls(dims=dims, T=T, sigma_s=sigma_s, sigma_z=sigma_z,
                    P=P, Q=Q, N=N, field=field)
 
-    def rescaled(self, P, Q=None):
-        """Same spatial structure, new power budgets.
+    def at_snr_db(self, snr_db, q_over_p=None):
+        """Same spatial structure at the SNR ``P/N`` given in dB.
 
         ``T`` is scaled so ``trace(T T*) = P`` and ``sigma_s`` so its trace
-        is ``Q`` (default: keep the current Q/P ratio).
+        is ``Q = q_over_p * P`` (default: keep the current Q/P ratio).
         """
+        try:
+            P = self.N * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ConfigurationError(f"SNR {snr_db:g} dB overflows the power budget") from None
+        Q = self.Q * P / self.P if q_over_p is None else q_over_p * P
+        _check_finite_budgets(P=P, Q=Q)
         tr_x = float(np.trace(self.T @ ct(self.T)).real)
         if tr_x <= 0:
             raise ConfigurationError("cannot rescale a zero transmit factor")
-        if Q is None:
-            Q = self.Q * P / self.P
         if Q > 0 and self.Q == 0:
             raise ConfigurationError("cannot rescale zero interference to Q > 0")
         T = self.T * np.sqrt(P / tr_x)
@@ -145,12 +156,6 @@ class ChannelSpec:
         return ChannelSpec(dims=self.dims, T=T, sigma_s=sigma_s,
                            sigma_z=self.sigma_z, P=P, Q=float(Q), N=self.N,
                            field=self.field)
-
-    def at_snr_db(self, snr_db, q_over_p=None):
-        """Spec rescaled so that P/N hits the requested SNR in dB."""
-        P = self.N * 10.0 ** (snr_db / 10.0)
-        Q = None if q_over_p is None else q_over_p * P
-        return self.rescaled(P, Q)
 
 
 # ---------------------------------------------------------------------------

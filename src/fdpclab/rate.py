@@ -24,7 +24,8 @@ It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``S(W)`` is one :class:`fdpclab.linalg.Cholesky` over the stack of draws.
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
 evaluation builds one per bank cell and hands it to the cell's solver, so
-the initialization, the solve, the rate and the bound share it; the
+the initialization, the solve, the rate and the bound share it; a sweep
+builds one set per (CSIT, SNR) group for all its solvers and the bound; the
 covariance optimization builds one per outer step, since ``T`` changes.
 Public functions that are not handed a core build their own.  :func:`build_M`
 is the direct form, kept as the tests' reference.
@@ -229,9 +230,9 @@ def achievable_rate(spec, w, bank, cores=None):
     return _estimate(basis, bank, converged)
 
 
-def no_interference_bound(spec, bank):
-    """Rate of the same channel without interference, on the same draws."""
-    return _estimate(_evaluate(spec, bank, bound=True)[1], bank)
+def no_interference_bound(spec, bank, cores=None):
+    """Rate without interference on the same draws; ``cores`` as in :func:`achievable_rate`."""
+    return _estimate(_evaluate(spec, bank, bound=True, cores=cores)[1], bank)
 
 
 def paired_rates(spec, w, bank):

@@ -218,6 +218,33 @@ def test_sweep_threads_below_one_exits_2(tmp_path, threads):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--snr-db-list", "nan,10"],
+    ["sweep", "--snr-db-list", "0,inf"],
+    ["sweep", "--snr-db-list", "0", "--q-over-p", "inf"],
+    ["sweep", "--snr-db-list", "0", "--q-over-p", "nan"],
+    ["lowsnr", "--snr-db-list", "inf"],
+    ["lowsnr", "--snr-db-list", "0,nan"],
+    ["rate", "--snr-db", "nan"],
+    ["rate", "--snr-db", "inf"],
+    ["rate", "--snr-db", "4000"],
+    ["rate", "--q-over-p", "inf"],
+    ["rate", "--q-over-p", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_snr_or_power_exits_2(tmp_path, argv):
+    out_csv = tmp_path / "x.csv"
+    code, out = run_cli([*argv, "--ref", "fdpc-2x2-a", "--samples", "10",
+                         "--out", str(out_csv)])
+    assert code == 2 and out == ""
+    assert not out_csv.exists()
+
+
+def test_jointopt_rank_zero_exits_2():
+    code, out = run_cli(["jointopt", "--ref", "fdpc-cov-3x3", "--rank", "0",
+                         "--samples", "10"])
+    assert code == 2 and out == ""
+
+
 def test_threads_is_a_sweep_only_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["rate", "--ref", "fdpc-fig4-1", "--threads", "2"])

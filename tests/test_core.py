@@ -164,6 +164,8 @@ def test_rate_and_bound_match_direct_log_determinants(name):
     assert rel_err(est.rate_bits, want_rate) <= REL
     assert rel_err(bound.rate_bits, want_bound) <= REL
     assert rate.no_interference_bound(spec, bank) == bound
+    cores = [rate.CellCore(spec, cell.draws) for cell in bank.cells]
+    assert rate.no_interference_bound(spec, bank, cores=cores) == bound
 
 
 @pytest.mark.parametrize("name", ["fdpc-fig4-2", "fdpc-cov-3x3", "fdpc-2x2-a"])

@@ -75,11 +75,13 @@ def test_t_step_map_scaling_and_validation():
     H = rng.standard_normal((50, 2, 2))
     T = rng.standard_normal((2, 2)) * 0.4
     W = rng.standard_normal((2, 2)) * 0.2
-    t1 = covopt.t_step_map(spec, T, W, 1.0, H)
-    t2 = covopt.t_step_map(spec, T, W, 2.0, H)
-    assert np.allclose(t1, 2.0 * t2)
-    with pytest.raises(ConfigurationError):
-        covopt.t_step_map(spec, T, W, 0.0, H)
+    t_plus, lam = covopt.t_step_map(spec, T, W, H)
+    assert lam > 0
+    assert np.allclose(lam * t_plus, covopt.gradient_map(spec, T, W, H))
+    assert covopt.solve_lambda(spec, T, W, H) == lam
+    # T = 0 and W = 0 give C = 0, so g = 0 and no multiplier exists
+    with pytest.raises(EvaluationError):
+        covopt.t_step_map(spec, np.zeros((2, 2)), np.zeros((2, 2)), H)
 
 
 def test_solve_lambda_meets_power_constraint():
@@ -89,9 +91,9 @@ def test_solve_lambda_meets_power_constraint():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    lam = covopt.solve_lambda(spec, T, W, H)
+    t_plus, lam = covopt.t_step_map(spec, T, W, H)
     assert lam > 0
-    t_plus = covopt.t_step_map(spec, T, W, lam, H)
+    assert covopt.solve_lambda(spec, T, W, H) == lam
     trace = float(np.trace(t_plus @ ct(t_plus)).real)
     assert spec.P * (1 - 1e-6) <= trace <= spec.P * (1 + 1e-6)
 
@@ -103,7 +105,8 @@ def test_solve_lambda_is_exact_closed_form():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    t_plus = covopt.t_step_map(spec, T, W, covopt.solve_lambda(spec, T, W, H), H)
+    t_plus, lam = covopt.t_step_map(spec, T, W, H)
+    assert covopt.solve_lambda(spec, T, W, H) == lam
     trace = float(np.trace(t_plus @ ct(t_plus)).real)
     assert abs(trace - spec.P) <= 1e-12 * spec.P
 
@@ -165,6 +168,32 @@ def test_joint_result_reproducible_on_fresh_bank():
     redo = rate.achievable_rate(spec_t, res.W, fresh)
     combined = np.sqrt(res.stderr_bits ** 2 + redo.stderr_bits ** 2)
     assert abs(redo.rate_bits - res.rate_bits) <= 3 * combined
+
+
+def test_joint_optimize_computes_one_gradient_per_t_step(monkeypatch):
+    calls = {"gradient_map": 0, "t_step_map": 0}
+
+    def counting(name):
+        fun = getattr(covopt, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fun(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(covopt, name, counting(name))
+    rng = make_rng(15)
+    ss = rand_psd(rng, 2, 2, "complex", trace=2.0)
+    base = ChannelSpec.create(Dimensions(2, 2, 2), T=np.eye(2), sigma_s=ss,
+                              sigma_z=np.eye(2), field="complex")
+    spec = base.at_snr_db(10.0, q_over_p=1.0)
+    bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 500, seed=16)
+    res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=6),
+                                bank)
+    # every outer iteration but a converged last one takes one T-step
+    assert calls["t_step_map"] == len(res.rate_trace) - int(res.converged) > 0
+    assert calls["gradient_map"] == calls["t_step_map"]
 
 
 def test_joint_optimize_rejects_multicell_banks():

@@ -235,7 +235,8 @@ def test_alg2_scalar_fixed_point_equals_grid_minimizer():
     res = inflation.alg2_solve(spec, np.zeros((1, 1)),
                                inflation.SolverConfig(tol=1e-12, max_iters=500), H)
     grid = np.linspace(-1.0, 2.0, 30001)
-    w_star = grid[int(np.argmin([rate.objective(spec, [[w]], H) for w in grid]))]
+    core = rate.CellCore(spec, H)
+    w_star = grid[int(np.argmin([rate.objective(spec, [[w]], H, core) for w in grid]))]
     assert res.W[0, 0] == pytest.approx(w_star, abs=1e-4)
     assert res.converged
 

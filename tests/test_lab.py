@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fdpclab import lab
-from fdpclab.errors import ConfigurationError
+from fdpclab import lab, rate
+from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.model import NoCsit, PerfectCsit, QuantizedCsit
 
 from conftest import make_rng, rand_spec
@@ -69,6 +69,44 @@ def test_sweep_error_rows_recorded():
     assert all(r.error is not None and np.isnan(r.rate_bits) for r in bad)
     text = lab.format_sweep_csv(rows)
     assert "nan" in text
+
+
+def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
+    built = []
+    init = rate.CellCore.__init__
+
+    def counting_init(self, spec, draws, T=None):
+        built.append((spec.P, id(draws)))
+        init(self, spec, draws, T)
+
+    monkeypatch.setattr(rate.CellCore, "__init__", counting_init)
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(solvers=("zero", "alg1"), csit_list=(NoCsit(), PerfectCsit()),
+                      n_outer=3, n_inner=50)
+    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=8)
+    assert all(r.error is None for r in rows)
+    # two SNRs x (one no-CSIT cell + three perfect-CSIT cells)
+    assert len(built) == len(set(built)) == 2 * (1 + 3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_bound_failure_marks_its_group(monkeypatch, threads):
+    bound = lab.no_interference_bound
+
+    def failing_at_10db(spec, bank, cores=None):
+        if spec.P > 10.0 * spec.N * 0.99:
+            raise EvaluationError("bound failed")
+        return bound(spec, bank, cores=cores)
+
+    monkeypatch.setattr(lab, "no_interference_bound", failing_at_10db)
+    ref = lab.reference_channel("fdpc-2x2-a")
+    rows = lab.run_sweep(ref.spec, ref.model, small_plan(), seed=6, threads=threads)
+    assert len(rows) == 4
+    for row in rows:
+        if row.snr_db == 10.0:
+            assert row.error == "bound failed" and np.isnan(row.rate_bits)
+        else:
+            assert row.error is None and np.isfinite(row.bound_bits)
 
 
 def test_csit_labels():

@@ -46,6 +46,16 @@ def test_channel_spec_validation(rng):
         ChannelSpec.create(dims, T=T, sigma_s=np.diag([1.0, -0.5]), sigma_z=np.eye(2))
 
 
+@pytest.mark.parametrize("budgets", [dict(P=np.inf), dict(P=np.nan), dict(Q=np.inf),
+                                     dict(Q=np.nan), dict(N=np.inf), dict(N=np.nan)],
+                         ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()))
+def test_channel_spec_rejects_non_finite_budgets(budgets):
+    kwargs = dict(dims=Dimensions(2, 2, 1), T=np.array([[1.0], [0.0]]),
+                  sigma_s=np.eye(2), sigma_z=np.eye(2), P=1.0, Q=2.0, N=2.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        ChannelSpec(**{**kwargs, **budgets})
+
+
 def test_spec_clips_tiny_negative_eigenvalues():
     dims = Dimensions(2, 2, 1)
     sigma_s = np.diag([1.0, -1e-14])
