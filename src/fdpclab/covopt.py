@@ -97,8 +97,11 @@ def gradient_map(spec, T, W, samples, core=None):
     T = core.T
     W = np.asarray(W, dtype=spec.dtype)
     ck, S = core.schur(W)
-    rhs = np.eye(T.shape[1], dtype=spec.dtype) - np.einsum("nmt,tj->nmj", ck, T,
-                                                           optimize=True)
+    n, m, t = ck.shape
+    # I - C K T for all draws, with C K T as one GEMM: schur's ck is a
+    # draw-major view of a row-major (m, n, t) array, so the reshape is free
+    rhs = (ck.transpose(1, 0, 2).reshape(m * n, t) @ -T).reshape(m, n, m).transpose(1, 0, 2)
+    rhs += np.eye(m, dtype=spec.dtype)
     return mean_product(ct(ck), Cholesky(S).solve(rhs))
 
 

@@ -51,7 +51,11 @@ def w_perfect_csit(spec, H):
     H = np.asarray(H, dtype=spec.dtype)
     T = spec.T
     rx = hermitize(H @ (T @ ct(T)) @ ct(H) + spec.sigma_z)
-    return ct(T) @ ct(H) @ np.linalg.solve(rx, H)
+    try:
+        return ct(T) @ ct(H) @ np.linalg.solve(rx, H)
+    except np.linalg.LinAlgError:
+        raise EvaluationError("received covariance is numerically singular; "
+                              "no perfect-CSIT inflation factor") from None
 
 
 def w_pinv(spec, rank_tol=1e-10):
@@ -222,27 +226,29 @@ def alg1_solve(spec, W0, config, inner_samples, core=None):
 # Algorithm 2: stationarity fixed point
 # ---------------------------------------------------------------------------
 
-def alg2_map(spec, W, inner_samples, core=None):
+def alg2_map(spec, W, inner_samples, core=None, factor=None):
     """One application of the stationarity map ``g``.
 
     The top blocks of ``M^{-1}`` are ``S^{-1}`` and ``-S^{-1} C H* N_r^{-1}``,
     so ``g(W) = (E S^{-1})^{-1} E(S^{-1} C K)``.  With zero interference the
     stationarity equation holds identically and the map returns W unchanged.
+    ``factor`` is ``(C K, Cholesky(S))`` at this W when the caller already
+    has it (:func:`alg2_solve` does); otherwise they come from ``core``.
     """
     W = check_inflation(spec, W)
     core = core or CellCore(spec, inner_samples)
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
         return W.copy()
-    ck, S = core.schur(W)
-    try:
-        fac = Cholesky(S)
-    except EvaluationError:
-        raise SolverError("singular block matrix in fixed-point map") from None
+    if factor is None:
+        ck, S = core.schur(W)
+        try:
+            factor = ck, Cholesky(S)
+        except EvaluationError:
+            raise SolverError("singular block matrix in fixed-point map") from None
+    ck, fac = factor
     s_inv = fac.inv()
-    e_s_inv = s_inv.mean(axis=0)
-    e_s_inv_ck = mean_product(s_inv, ck)
     try:
-        return np.linalg.solve(e_s_inv, e_s_inv_ck)
+        return np.linalg.solve(s_inv.mean(axis=0), mean_product(s_inv, ck))
     except np.linalg.LinAlgError:
         raise SolverError(
             "singular E(A1) in fixed-point map; re-seed or use more draws"
@@ -254,7 +260,10 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
 
     The step is halved whenever it would increase the objective; five
     consecutive rejected steps flag non-convergence and the best-seen W is
-    returned.
+    returned.  Each evaluated point (the start and every candidate) costs
+    one ``S(W)`` and one Cholesky factor, which give its objective; the
+    factor of an accepted candidate also gives the next map, and a rejected
+    step reuses the map of the current W.  Nothing outlives the call.
     """
     W = check_inflation(spec, W0)
     H = np.asarray(inner_samples, dtype=spec.dtype)
@@ -262,17 +271,28 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
         return SolveResult(W=W, objective_trace=(objective(spec, W, H, core),),
                            converged=True, iterations=0)
+    ld_nr = np.mean(core.logdet_nr)
+
+    def point(W):
+        """Objective at W and ``(C K, Cholesky(S(W)))``."""
+        ck, S = core.schur(W)
+        fac = Cholesky(S)
+        return float(ld_nr + np.mean(fac.logdet())), (ck, fac)
+
     gamma = 1.0
-    obj = objective(spec, W, H, core)
+    obj, factor = point(W)
     trace = [obj]
     best_obj, best_w = obj, W
+    G = None
     strikes = 0
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        G = alg2_map(spec, W, H, core)
+        if G is None:
+            # drop W's factor before the candidate's is built
+            G, factor = alg2_map(spec, W, H, core, factor), None
         cand = (1.0 - gamma) * W + gamma * G
-        obj_c = objective(spec, cand, H, core)
+        obj_c, factor = point(cand)
         if obj_c > obj + 1e-12 * max(1.0, abs(obj)):
             strikes += 1
             gamma *= 0.5
@@ -280,8 +300,7 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
                 break
             continue
         step = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
-        W = cand
-        obj = obj_c
+        W, obj, G = cand, obj_c, None
         trace.append(obj)
         strikes = 0
         if obj < best_obj:

@@ -16,9 +16,12 @@ every per-draw log-determinant, solve and inverse.  Its contract:
 * the log-determinant, forward and back substitution and the (exactly
   Hermitian) inverse all come from that one factor.
 
-It loops over the k columns in Python with ufuncs over the whole stack, so
-its cost is a few array passes per entry of the factor instead of one LAPACK
-call per matrix; it is meant for the small k (m, r <= 3) of the rate.
+It loops over the entries of the factor in Python with ufuncs over the
+whole stack, and its solves and log-determinant likewise work one entry of
+the result at a time on arrays of the batch shape, so the cost is a few
+array passes per entry instead of one LAPACK call per matrix (and no ufunc
+runs over a trailing axis of length k); it is meant for the small k
+(m, r <= 3) of the rate.
 """
 
 import numpy as np
@@ -61,37 +64,45 @@ class Cholesky:
                 for i in range(j + 1, k):
                     L[i][j] = (a[..., i, j] - sum(L[i][p] * np.conj(L[j][p])
                                                   for p in range(j))) * r[j]
-        self.pivots = np.stack(pivots, axis=-1)
-        ok = np.all((self.pivots > 0) & (self.pivots < np.inf), axis=-1)
-        if not ok.all():
+        ok = True
+        for d in pivots:
+            ok = ok & (d > 0) & (d < np.inf)
+        if not np.all(ok):
             raise EvaluationError(
                 "Cholesky factorization failed: matrix not positive definite",
                 sample_index=int(np.argmin(ok.ravel())) if a.ndim > 2 else None,
             )
-        self.L, self.r, self.k = L, r, k
+        self.L, self.r, self.k, self._d = L, r, k, pivots
         self.dtype = np.result_type(a.dtype, float)
+
+    @property
+    def pivots(self):
+        """``L_jj^2`` stacked on a last axis of length k."""
+        return np.stack(self._d, axis=-1)
 
     def logdet(self):
         """log-determinant of each matrix, batch shape."""
-        return np.sum(np.log(self.pivots), axis=-1)
+        return sum(np.log(d) for d in self._d)
 
     def forward(self, b):
-        """``L^{-1} b`` for ``b`` of shape (..., k, t)."""
+        """``L^{-1} b`` for ``b`` of shape (..., k, t), one entry of the result at a time."""
         L, r = self.L, self.r
         y = np.empty(b.shape, np.result_type(b, self.dtype))
-        for i in range(self.k):
-            acc = b[..., i, :] - sum(L[i][p][..., None] * y[..., p, :] for p in range(i))
-            y[..., i, :] = acc * r[i][..., None]
+        for c in range(b.shape[-1]):
+            for i in range(self.k):
+                acc = b[..., i, c] - sum(L[i][p] * y[..., p, c] for p in range(i))
+                y[..., i, c] = acc * r[i]
         return y
 
     def backward(self, y):
-        """``L^{-*} y`` for ``y`` of shape (..., k, t)."""
+        """``L^{-*} y`` for ``y`` of shape (..., k, t), one entry of the result at a time."""
         L, r, k = self.L, self.r, self.k
         x = np.empty(y.shape, np.result_type(y, self.dtype))
-        for i in reversed(range(k)):
-            acc = y[..., i, :] - sum(np.conj(L[p][i])[..., None] * x[..., p, :]
-                                     for p in range(i + 1, k))
-            x[..., i, :] = acc * r[i][..., None]
+        for c in range(y.shape[-1]):
+            for i in reversed(range(k)):
+                acc = y[..., i, c] - sum(np.conj(L[p][i]) * x[..., p, c]
+                                         for p in range(i + 1, k))
+                x[..., i, c] = acc * r[i]
         return x
 
     def solve(self, b):
@@ -106,7 +117,7 @@ class Cholesky:
             X[j][j] = r[j]
             for i in range(j + 1, k):
                 X[i][j] = -sum(L[i][p] * X[p][j] for p in range(j, i)) * r[i]
-        out = np.empty(self.pivots.shape + (k,), dtype=self.dtype)
+        out = np.empty(np.shape(self._d[0]) + (k, k), dtype=self.dtype)
         for j in range(k):
             out[..., j, j] = sum(_abs2(X[p][j]) for p in range(j, k))
             for i in range(j + 1, k):

@@ -22,6 +22,11 @@ cells, in bits).  The no-interference bound
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``; every factorization of ``N_r`` or
 ``S(W)`` is one :class:`fdpclab.linalg.Cholesky` over the stack of draws.
+The covariances and ``K`` are built entry by entry like that kernel: each
+entry of the lower triangle (r, t <= 3) is a few ufunc multiply-adds on
+arrays of length n, and the upper triangle is its conjugate mirror, so they
+are exactly Hermitian without a symmetrization pass.  ``K`` is written
+straight into the (t, n*t) layout that :meth:`CellCore.schur` multiplies.
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
 evaluation builds one per bank cell and hands it to the cell's solver, so
 the initialization, the solve, the rate and the bound share it; a sweep
@@ -39,7 +44,8 @@ A W policy is an (m, t) array or a callable per-cell solver.
 
 Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in sample order, so results are deterministic for a fixed
-bank.
+bank and BLAS thread count (a GEMM may round differently on another
+thread count).
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,10 +85,40 @@ class RateEstimate:
     converged: bool = True
 
 
+def _hermitian_products(x, y, out, shift=None):
+    """Fill ``out[:, i, j] = sum_l x[:, i, l] y[:, j, l] (+ shift[i, j])`` for i >= j.
+
+    ``x`` and ``y`` are stacks (n, k, L) and ``out`` an (n, k, k) array or
+    view.  Each entry is a few multiply-adds on length-n arrays; the upper
+    triangle is the conjugate mirror and the diagonal its real part, so the
+    result is exactly Hermitian.
+    """
+    k, L = x.shape[1], x.shape[2]
+    for i in range(k):
+        for j in range(i + 1):
+            v = x[:, i, 0] * y[:, j, 0]
+            for p in range(1, L):
+                v += x[:, i, p] * y[:, j, p]
+            if shift is not None:
+                v += shift[i, j]
+            if i == j:
+                out[:, i, i] = v.real
+            else:
+                out[:, i, j] = v
+                out[:, j, i] = np.conj(v)
+    return out
+
+
 def _covariance(H, sigma, sigma_z):
-    """``H sigma H* + Sz`` for stacked H of shape (n, r, t)."""
-    out = np.einsum("nrk,kl,nsl->nrs", H, sigma, np.conj(H), optimize=True)
-    return hermitize(out + sigma_z)
+    """``H sigma H* + Sz`` for stacked H of shape (n, r, t), exactly Hermitian.
+
+    ``H sigma`` is one GEMM over the stack; only the lower triangle of
+    ``sigma_z`` is read.
+    """
+    n, r, t = H.shape
+    HS = (H.reshape(n * r, t) @ sigma).reshape(n, r, t)
+    out = np.empty((n, r, r), dtype=np.result_type(H, sigma, sigma_z))
+    return _hermitian_products(HS, np.conj(H), out, sigma_z)
 
 
 class CellCore:
@@ -108,9 +144,10 @@ class CellCore:
         n, _, t = H.shape
         fac = Cholesky(_covariance(H, self.T @ ct(self.T) + self.spec.sigma_s,
                                    self.spec.sigma_z))
-        G = fac.forward(H)
-        K = hermitize(np.einsum("nrt,nru->ntu", np.conj(G), G, optimize=True))
-        return fac.logdet(), np.ascontiguousarray(K.transpose(1, 0, 2)).reshape(t, n * t)
+        G = fac.forward(H).transpose(0, 2, 1)
+        K = np.empty((t, n, t), dtype=G.dtype)
+        _hermitian_products(np.conj(G), G, K.transpose(1, 0, 2))
+        return fac.logdet(), K.reshape(t, n * t)
 
     @property
     def logdet_nr(self):

@@ -239,6 +239,14 @@ def test_non_finite_snr_or_power_exits_2(tmp_path, argv):
     assert not out_csv.exists()
 
 
+def test_rate_with_singular_received_covariance_exits_3(capsys):
+    """At 300 dB the perfect-CSIT starting point meets a singular covariance."""
+    code, out = run_cli(["rate", "--ref", "fdpc-2x2-a", "--snr-db", "300"])
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_jointopt_rank_zero_exits_2():
     code, out = run_cli(["jointopt", "--ref", "fdpc-cov-3x3", "--rank", "0",
                          "--samples", "10"])

@@ -190,6 +190,41 @@ def test_row_update_is_stationary_for_its_surrogate(name):
 
 
 # ---------------------------------------------------------------------------
+# the entry-wise core build against einsum and LAPACK
+# ---------------------------------------------------------------------------
+
+def ref_core(spec, H):
+    """``logdet N_r``, the ``K`` stack and the bound's log-determinant, directly."""
+    sig = spec.T @ ct(spec.T)
+    n_r = np.einsum("nrk,kl,nsl->nrs", H, sig + spec.sigma_s, np.conj(H)) + spec.sigma_z
+    n_x = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H)) + spec.sigma_z
+    L = np.linalg.cholesky(n_r)
+    G = np.linalg.solve(L, H)
+    ld = lambda lower: 2.0 * np.log(np.abs(np.diagonal(lower, axis1=1, axis2=2))).sum(axis=1)
+    return ld(L), np.einsum("nrt,nru->ntu", np.conj(G), G), ld(np.linalg.cholesky(n_x))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("r,t", [(r, t) for r in (1, 2, 3) for t in (1, 2, 3)])
+def test_entrywise_core_matches_einsum_reference(r, t, field):
+    rng = make_rng(100 + 10 * r + t)
+    spec = rand_spec(rng, t, r, t, field, q=2.0, p=3.0)
+    H = rand_matrix(rng, (64, r, t), field)
+    core = rate.CellCore(spec, H)
+    ld_nr, K, ld_bound = ref_core(spec, H)
+    got_K = core._received[1].reshape(t, len(H), t).transpose(1, 0, 2)
+    assert rel_err(core.logdet_nr, ld_nr) <= 1e-12
+    assert rel_err(got_K, K) <= 1e-12
+    assert rel_err(core.mean_K, K.mean(axis=0)) <= 1e-12
+    assert rel_err(core.logdet_bound, ld_bound) <= 1e-12
+    n_r = rate._covariance(H, spec.T @ ct(spec.T) + spec.sigma_s, spec.sigma_z)
+    for a in (n_r, got_K):
+        assert a.dtype == spec.dtype
+        assert np.array_equal(a, ct(a))
+    assert core.logdet_nr.dtype == core.logdet_bound.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
 # high-SNR accuracy against a 60-digit oracle
 # ---------------------------------------------------------------------------
 

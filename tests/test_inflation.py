@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fdpclab import inflation, rate
+from fdpclab import inflation, lab, rate
 from fdpclab.errors import ConfigurationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
-from fdpclab.model import ChannelSpec, Dimensions
+from fdpclab.model import ChannelSpec, Dimensions, NoCsit, build_sample_bank
 
 from conftest import IndefiniteCore, make_rng, rand_matrix, rand_spec
 
@@ -239,6 +239,39 @@ def test_alg2_scalar_fixed_point_equals_grid_minimizer():
     w_star = grid[int(np.argmin([rate.objective(spec, [[w]], H, core) for w in grid]))]
     assert res.W[0, 0] == pytest.approx(w_star, abs=1e-4)
     assert res.converged
+
+
+class CountingCore(rate.CellCore):
+    """A cell core that records the ``(W, cols)`` of every ``schur`` call."""
+
+    def __init__(self, spec, draws):
+        super().__init__(spec, draws)
+        self.calls = []
+
+    def schur(self, W, cols=None):
+        self.calls.append((np.asarray(W).tobytes(), cols))
+        return super().schur(W, cols)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 80.0])
+def test_alg2_factors_each_point_once(snr_db):
+    """One ``S(W)`` for the start and one per candidate, never the same W twice.
+
+    At 10 and 20 dB every step is accepted; at 80 dB roundoff in the
+    objective makes the solver reject and halve steps.
+    """
+    ref = lab.reference_channel("fdpc-fig4-2")
+    spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
+    core = CountingCore(spec, H)
+    state = set(vars(core)) | {"_received"}
+    res = inflation.alg2_solve(spec, inflation.best_initialization(spec, H),
+                               inflation.SolverConfig(), H, core)
+    assert set(vars(core)) == state  # the solve leaves nothing on the core
+    assert len(core.calls) == 1 + res.iterations
+    assert len(set(core.calls)) == len(core.calls)
+    if snr_db == 80.0:
+        assert len(res.objective_trace) - 1 < res.iterations  # rejected steps
 
 
 def test_alg2_zero_interference_returns_w0():
