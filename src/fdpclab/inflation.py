@@ -5,7 +5,9 @@ Two iterative solvers work on a fixed list of conditional fading draws
 
 * ``alg1_solve`` cycles over the rows of W, each row minimizing a
   Jensen-bounded surrogate of the objective in closed form;
-* ``alg2_solve`` iterates the stationarity fixed-point map ``g``.
+* ``alg2_solve`` solves the stationarity fixed point ``W = g(W)`` by a
+  safeguarded Anderson-accelerated iteration of the map ``g``, certified
+  by the relative fixed-point residual at the returned W.
 
 Closed forms: the perfect-CSIT inflation factor, the pseudo-inverse choice
 that attains the largest high-SNR scaling, and the high-SNR choice for
@@ -25,7 +27,7 @@ from .rate import CellCore, check_inflation, objective
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 200
-    tol: float = 1e-7          # relative objective / iterate change threshold
+    tol: float = 1e-7          # alg1: relative objective change; alg2: relative residual
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -226,6 +228,10 @@ def alg1_solve(spec, W0, config, inner_samples, core=None):
 # Algorithm 2: stationarity fixed point
 # ---------------------------------------------------------------------------
 
+# Anderson history depth of alg2_solve: the number of past residual and map
+# differences in its least-squares fit.
+ANDERSON_DEPTH = 5
+
 def alg2_map(spec, W, inner_samples, core=None, factor=None):
     """One application of the stationarity map ``g``.
 
@@ -256,14 +262,29 @@ def alg2_map(spec, W, inner_samples, core=None, factor=None):
 
 
 def alg2_solve(spec, W0, config, inner_samples, core=None):
-    """Damped fixed-point iteration ``W <- (1-g) W + g map(W)``, from ``g = 1``.
+    """Safeguarded Anderson-accelerated fixed-point iteration ``W <- map(W)``.
 
-    The step is halved whenever it would increase the objective; five
-    consecutive rejected steps flag non-convergence and the best-seen W is
-    returned.  Each evaluated point (the start and every candidate) costs
-    one ``S(W)`` and one Cholesky factor, which give its objective; the
-    factor of an accepted candidate also gives the next map, and a rejected
-    step reuses the map of the current W.  Nothing outlives the call.
+    At each accepted point (the start included) the map ``G`` and the
+    residual ``f = G - W`` come from that point's Cholesky factor, and the
+    solve stops, converged, once ``||f|| <= tol ||W||`` (Frobenius norms):
+    the returned W is then the point whose residual passed.  Otherwise the
+    next candidate is the type-II Anderson step ``G - dG c``, with ``c``
+    the least-squares fit ``min ||f - dF c||`` over the differences of the
+    last ``ANDERSON_DEPTH`` accepted residuals ``dF`` and maps ``dG``, or
+    plain ``G`` while that history is empty.  A candidate is accepted only
+    if its objective does not rise (beyond a 1e-12 relative slack), so the
+    trace is non-increasing.  A candidate whose objective rises, or whose
+    ``S(W)`` is not positive definite (a non-finite candidate, say), clears
+    the history, which restarts at the next accepted point, and is replaced
+    by the damped step ``(1-g) W + g G`` from ``g = 1``, halving ``g`` on
+    every further rise.  Five consecutive rejected candidates, or
+    ``max_iters`` candidates in all, stop the solve unconverged with the
+    best-seen W.
+
+    ``iterations`` counts the evaluated candidates.  Each evaluated point
+    costs one ``S(W)`` and one Cholesky factor, which give its objective; the
+    factor of an accepted point also gives its map.  Nothing outlives the
+    call.
     """
     W = check_inflation(spec, W0)
     H = np.asarray(inner_samples, dtype=spec.dtype)
@@ -279,35 +300,55 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
         fac = Cholesky(S)
         return float(ld_nr + np.mean(fac.logdet())), (ck, fac)
 
-    gamma = 1.0
     obj, factor = point(W)
     trace = [obj]
     best_obj, best_w = obj, W
-    G = None
+    d_f, d_g = [], []  # flattened residual and map differences, oldest first
+    G = last = None
+    gamma = 1.0
     strikes = 0
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    while True:
         if G is None:
             # drop W's factor before the candidate's is built
             G, factor = alg2_map(spec, W, H, core, factor), None
-        cand = (1.0 - gamma) * W + gamma * G
-        obj_c, factor = point(cand)
-        if obj_c > obj + 1e-12 * max(1.0, abs(obj)):
-            strikes += 1
-            gamma *= 0.5
-            if strikes >= 5 or gamma < 1e-6:
+            f = G - W
+            if np.linalg.norm(f) <= config.tol * np.linalg.norm(W):
+                converged = True
                 break
+            if last is not None:
+                d_f.append((f - last[0]).ravel())
+                d_g.append((G - last[1]).ravel())
+                del d_f[:-ANDERSON_DEPTH], d_g[:-ANDERSON_DEPTH]
+            last = f, G
+        if iterations == config.max_iters:
+            break
+        iterations += 1
+        if d_f:
+            c = np.linalg.lstsq(np.stack(d_f, axis=1), f.ravel(), rcond=None)[0]
+            cand = G - (np.stack(d_g, axis=1) @ c).reshape(G.shape)
+        else:
+            cand = (1.0 - gamma) * W + gamma * G
+        try:
+            obj_c, factor = point(cand)
+        except EvaluationError:  # S(cand) not p.d., e.g. a non-finite candidate
+            obj_c = np.inf
+        if not obj_c <= obj + 1e-12 * max(1.0, abs(obj)):
+            strikes += 1
+            if strikes >= 5:
+                break
+            if d_f:  # restart the history at the next accepted point
+                d_f, d_g, last = [], [], None
+            else:
+                gamma *= 0.5
             continue
-        step = np.linalg.norm(cand - W) / max(1.0, np.linalg.norm(W))
         W, obj, G = cand, obj_c, None
         trace.append(obj)
         strikes = 0
+        gamma = 1.0
         if obj < best_obj:
             best_obj, best_w = obj, W
-        if step < config.tol:
-            converged = True
-            break
     if not converged:
         W = best_w
     return SolveResult(W=W, objective_trace=tuple(trace),

@@ -247,6 +247,16 @@ def test_rate_with_singular_received_covariance_exits_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_rate_alg2_converges_at_20db():
+    """The plain fixed-point iteration ran into its 200-step cap here."""
+    code, out = run_cli(["rate", "--ref", "fdpc-fig4-2", "--snr-db", "20",
+                         "--solver", "alg2", "--samples", "1000", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert payload["iterations"] < 200
+
+
 def test_jointopt_rank_zero_exits_2():
     code, out = run_cli(["jointopt", "--ref", "fdpc-cov-3x3", "--rank", "0",
                          "--samples", "10"])
