@@ -3,7 +3,8 @@
 from .model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
                     IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                     NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank)
-from .rate import RateEstimate, achievable_rate, build_M, no_interference_bound, objective
+from .rate import (CellCore, RateEstimate, achievable_rate, build_M,
+                   no_interference_bound, objective)
 from .inflation import (SolveResult, SolverConfig, alg1_solve, alg2_solve,
                         solve_w, theoretical_scaling, w_perfect_csit, w_pinv)
 from .covopt import JointConfig, JointResult, joint_optimize
@@ -14,7 +15,7 @@ __all__ = [
     "ChannelSpec", "CorrelatedRayleigh", "Dimensions", "IidComplexGaussian",
     "IidRealGaussian", "IidUniformComplex", "NoCsit", "PerfectCsit",
     "QuantizedCsit", "build_sample_bank",
-    "RateEstimate", "achievable_rate", "build_M", "no_interference_bound",
+    "CellCore", "RateEstimate", "achievable_rate", "build_M", "no_interference_bound",
     "objective",
     "SolveResult", "SolverConfig", "alg1_solve", "alg2_solve", "solve_w",
     "theoretical_scaling", "w_perfect_csit", "w_pinv",

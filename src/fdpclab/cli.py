@@ -4,6 +4,7 @@ Subcommands: rate, sweep, scaling, lowsnr, solve-w, jointopt.  stdout
 carries only the machine-readable payload (JSON); diagnostics go to stderr.
 Exit codes: 0 success, 2 configuration error, 3 solver/evaluation failure.
 
+Each subcommand takes only the flags it honours; any other flag exits 2.
 Flags override config-file values; the seed resolution order is
 ``--seed`` > config ``mc.seed`` > ``FDPC_SEED`` > 0.
 """
@@ -20,7 +21,7 @@ from .config import _csit_from_config, build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import solve_w
 from .model import NoCsit, build_sample_bank
-from .rate import paired_rates
+from .rate import CellCore, paired_rates
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -84,8 +85,8 @@ def cmd_rate(args):
     bank = _bank_for(exp)
     iter_box = [0]
     if args.solver in ("alg1", "alg2"):
-        def policy(spec_, cell, core=None):
-            res = solve_w(spec_, cell.draws, args.solver, core=core)
+        def policy(core, cell):
+            res = solve_w(core, args.solver)
             iter_box[0] = max(iter_box[0], res.iterations)
             return res.W, res.converged
     else:
@@ -179,7 +180,7 @@ def cmd_solve_w(args):
     bank = _bank_for(exp)
     if len(bank.cells) != 1:
         raise ConfigurationError("solve-w expects a single-cell (no-CSIT) bank")
-    res = solve_w(spec, bank.cells[0].draws, args.solver)
+    res = solve_w(CellCore(spec, bank.cells[0].draws), args.solver)
     if not res.converged and args.solver in ("alg1", "alg2"):
         _log(f"solver {args.solver} did not converge "
              f"(best objective {res.objective_trace[-1]:.6g})")
@@ -223,15 +224,19 @@ def cmd_jointopt(args):
     }, args.out)
 
 
-def _add_common(p, with_solver=False):
+def _add_common(p, with_solver=False, snr_db=True, n_outer=True):
+    """Flags shared by the subcommands; one that cannot honour ``--snr-db`` or
+    ``--n-outer`` leaves it out, so that it is rejected instead of ignored."""
     p.add_argument("config", nargs="?", default=None,
                    help="JSON configuration file")
     p.add_argument("--ref", help="start from a named reference channel")
-    p.add_argument("--snr-db", type=float, dest="snr_db")
+    if snr_db:
+        p.add_argument("--snr-db", type=float, dest="snr_db")
     p.add_argument("--q-over-p", type=float, dest="q_over_p")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, help="override mc.n_inner")
-    p.add_argument("--n-outer", type=int, dest="n_outer", help="override mc.n_outer")
+    if n_outer:
+        p.add_argument("--n-outer", type=int, dest="n_outer", help="override mc.n_outer")
     p.add_argument("--out", help="write the payload/file here instead of stdout")
     if with_solver:
         p.add_argument("--solver", choices=lab.SOLVERS, default="alg1")
@@ -244,42 +249,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rate", help="single rate evaluation")
-    _add_common(p, with_solver=True)
-    p.set_defaults(func=cmd_rate)
+    def add(name, func, help, **common):
+        # no abbreviations, so that --snr-db is not taken for --snr-db-list
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        _add_common(p, **common)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep", help="rate-vs-SNR sweep to CSV")
-    _add_common(p)
+    add("rate", cmd_rate, "single rate evaluation", with_solver=True)
+
+    # sweep writes its CSV to --out (required)
+    p = add("sweep", cmd_sweep, "rate-vs-SNR sweep to CSV", snr_db=False)
     p.add_argument("--snr-db-list", required=True, help="comma-separated SNRs in dB")
     p.add_argument("--solvers", default="alg1")
     p.add_argument("--csit", help="comma list of none, perfect, B=1, B=2, ...")
     p.add_argument("--no-bound", action="store_true")
     p.add_argument("--threads", type=int, default=1,
                    help="evaluate sweep cells on this many threads")
-    p.set_defaults(func=cmd_sweep)
-    # sweep writes its CSV to --out (required)
 
-    p = sub.add_parser("scaling", help="high-SNR slope estimate")
-    _add_common(p)
+    p = add("scaling", cmd_scaling, "high-SNR slope estimate", snr_db=False, n_outer=False)
     p.add_argument("--w", default="pinv", choices=("pinv", "zero", "identity"))
     p.add_argument("--snr-lo", type=float, default=40.0)
     p.add_argument("--snr-hi", type=float, default=60.0)
-    p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("lowsnr", help="zero-inflation to bound ratio curve")
-    _add_common(p)
+    p = add("lowsnr", cmd_lowsnr, "zero-inflation to bound ratio curve",
+            snr_db=False, n_outer=False)
     p.add_argument("--snr-db-list", default="0,-5,-10,-15,-20,-25,-30")
-    p.set_defaults(func=cmd_lowsnr)
 
-    p = sub.add_parser("solve-w", help="solve the inflation factor on one bank")
-    _add_common(p, with_solver=True)
-    p.set_defaults(func=cmd_solve_w)
+    add("solve-w", cmd_solve_w, "solve the inflation factor on one bank", with_solver=True)
 
-    p = sub.add_parser("jointopt", help="joint covariance/inflation optimization")
-    _add_common(p, with_solver=True)
+    p = add("jointopt", cmd_jointopt, "joint covariance/inflation optimization",
+            with_solver=True, n_outer=False)
     p.add_argument("--rank", type=int, help="rank bound for the input covariance")
     p.add_argument("--outer-iters", type=int, default=30)
-    p.set_defaults(func=cmd_jointopt)
 
     return parser
 

@@ -18,6 +18,7 @@ pinned by the finite-difference checks in the test suite.
 ``K`` depends on ``T``, so each outer step builds one
 :class:`fdpclab.rate.CellCore` for its W-solve, its rate and its T-step,
 which computes the gradient once for both the new factor and ``lambda``.
+The maps below take that core, which fixes the spec, ``T`` and the draws.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import Cholesky, ct, mean_product
+from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_product
 from .model import ChannelSpec, Dimensions
 from .rate import CellCore, achievable_rate
 
@@ -66,48 +67,43 @@ def spec_with_factor(spec, T):
                        P=spec.P, Q=spec.Q, N=spec.N, field=spec.field)
 
 
-def lagrangian(spec, T, W, lam, samples):
-    """Power-penalized rate in nats for an explicit factor T (any trace)."""
-    core = CellCore(spec, samples, T)
-    W = np.asarray(W, dtype=spec.dtype)
+def lagrangian(core, W, lam):
+    """Power-penalized rate in nats at the core's factor ``T`` (any trace)."""
+    W = np.asarray(W, dtype=core.spec.dtype)
     val = -float(np.mean(core.logdet_s(W)))
     return val - lam * float(np.trace(core.T @ ct(core.T)).real)
 
 
-def t_step_map(spec, T, W, samples, core=None):
+def t_step_map(core, W):
     """One T-step from one gradient: ``(T+, lam)`` with ``T+ = (1/lam) g(T, W)``.
 
-    ``lam = ||g||_F / sqrt(P)`` meets ``trace(T+ T+*) = P``.  ``core`` is a
-    :class:`fdpclab.rate.CellCore` built for this ``T``.
+    ``T`` is the core's factor, and ``lam = ||g||_F / sqrt(P)`` meets
+    ``trace(T+ T+*) = P``.
     """
-    g = gradient_map(spec, T, W, samples, core)
+    g = gradient_map(core, W)
     norm = float(np.linalg.norm(g))
     if not (np.isfinite(norm) and norm > 0.0):
         raise EvaluationError(f"covariance gradient has norm {norm:g}; no power multiplier")
-    lam = norm / np.sqrt(spec.P)
+    lam = norm / np.sqrt(core.spec.P)
     return g / lam, lam
 
 
-def gradient_map(spec, T, W, samples, core=None):
-    """``g(T, W)``: conjugate-coordinate gradient of the unpenalized rate term.
-
-    ``core`` is a :class:`fdpclab.rate.CellCore` built for this ``T``.
-    """
-    core = core or CellCore(spec, samples, T)
-    T = core.T
-    W = np.asarray(W, dtype=spec.dtype)
+def gradient_map(core, W):
+    """``g(T, W)`` at the core's ``T``: conjugate-coordinate gradient of the rate term."""
+    T, dtype = core.T, core.spec.dtype
+    W = np.asarray(W, dtype=dtype)
     ck, S = core.schur(W)
     n, m, t = ck.shape
     # I - C K T for all draws, with C K T as one GEMM: schur's ck is a
     # draw-major view of a row-major (m, n, t) array, so the reshape is free
     rhs = (ck.transpose(1, 0, 2).reshape(m * n, t) @ -T).reshape(m, n, m).transpose(1, 0, 2)
-    rhs += np.eye(m, dtype=spec.dtype)
+    rhs += np.eye(m, dtype=dtype)
     return mean_product(ct(ck), Cholesky(S).solve(rhs))
 
 
-def solve_lambda(spec, T, W, samples, core=None):
-    """Multiplier ``lam`` of :func:`t_step_map` at ``(T, W)``."""
-    return t_step_map(spec, T, W, samples, core)[1]
+def solve_lambda(core, W):
+    """Multiplier ``lam`` of :func:`t_step_map` at the core's ``T`` and ``W``."""
+    return t_step_map(core, W)[1]
 
 
 def _initial_factor(spec, m):
@@ -115,10 +111,10 @@ def _initial_factor(spec, m):
     return np.sqrt(spec.P / m) * np.eye(t, m, dtype=spec.dtype)
 
 
-def _eig_stats(T, rank_tol=1e-10):
+def _eig_stats(T):
     w = np.linalg.eigvalsh(T @ ct(T)).real
     w = np.sort(w)[::-1]
-    keep = w > rank_tol * max(w[0], np.finfo(float).tiny)
+    keep = w > DEFAULT_RANK_TOL * max(w[0], np.finfo(float).tiny)
     nz = w[keep]
     if nz.size == 0:
         return 0, float("nan")
@@ -144,7 +140,7 @@ def joint_optimize(spec, config, bank):
     for outer in range(config.outer_iters):
         spec_t = spec_with_factor(spec, T)
         core = CellCore(spec_t, draws)
-        w_res = solve_w(spec_t, draws, config.solver, core=core)
+        w_res = solve_w(core, config.solver)
         est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
@@ -153,7 +149,7 @@ def joint_optimize(spec, config, bank):
             converged = True
             break
         prev_rate = est.rate_bits
-        T, _ = t_step_map(spec_t, T, w_res.W, draws, core)
+        T, _ = t_step_map(core, w_res.W)
     est, T, W = best
     rank_used, eig_ratio = _eig_stats(T)
     return JointResult(T=T, W=W, rate_trace=tuple(rate_trace),

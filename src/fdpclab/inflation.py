@@ -9,6 +9,10 @@ Two iterative solvers work on a fixed list of conditional fading draws
   safeguarded Anderson-accelerated iteration of the map ``g``, certified
   by the relative fixed-point residual at the returned W.
 
+Both solvers, their maps and the initialization take a
+:class:`fdpclab.rate.CellCore`, which fixes the spec, ``T`` and the draws they
+work on; per-cell W policies are ``w(core, cell) -> (W, converged)``.
+
 Closed forms: the perfect-CSIT inflation factor, the pseudo-inverse choice
 that attains the largest high-SNR scaling, and the high-SNR choice for
 positive definite input covariance (stated in the raw-input convention, see
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
-from .linalg import Cholesky, ct, hermitize, mean_product, pinv_rtol, psd_factor
-from .rate import CellCore, check_inflation, objective
+from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, hermitize, mean_product, psd_factor
+from .rate import check_inflation, objective
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,9 @@ def w_perfect_csit(spec, H):
                               "no perfect-CSIT inflation factor") from None
 
 
-def w_pinv(spec, rank_tol=1e-10):
+def w_pinv(spec):
     """Moore-Penrose pseudo-inverse of the transmit factor (m, t)."""
-    return pinv_rtol(spec.T, rank_tol)
+    return np.linalg.pinv(spec.T, rcond=DEFAULT_RANK_TOL)
 
 
 def w_zero(spec):
@@ -125,18 +129,17 @@ def theoretical_scaling_pd(t, r):
 # Algorithm 1: row-wise surrogate minimization
 # ---------------------------------------------------------------------------
 
-def row_surrogate(spec, W, row, inner_samples, core=None):
+def row_surrogate(core, W, row):
     """Value of the Jensen surrogate ``E(a - B* D^{-1} B)`` for one row of W.
 
     ``a - B* D^{-1} B`` is the Schur complement of the other rows in
     ``S(W)``, which is ``1 / (S(W)^{-1})_rr``.
     """
-    W = check_inflation(spec, W)
-    core = core or CellCore(spec, inner_samples)
+    W = check_inflation(core.spec, W)
     return float(np.mean(1.0 / Cholesky(core.schur(W)[1]).inv()[:, row, row].real))
 
 
-def alg1_row_update(spec, W, row, inner_samples, core=None):
+def alg1_row_update(core, W, row):
     """Replace one row of W by the minimizer of its Jensen-bounded surrogate.
 
     The surrogate ``E(a - B* D^{-1} B)`` is an exact quadratic in the row;
@@ -146,11 +149,11 @@ def alg1_row_update(spec, W, row, inner_samples, core=None):
     the expectations it needs are ``E Sb^{-1}``, ``E Sb^{-1} Cb K`` and
     ``E(K + K Cb* Sb^{-1} Cb K)`` (just ``E K`` when m = 1).
     """
+    spec = core.spec
     W = check_inflation(spec, W)
     m = spec.dims.m
     if not 0 <= row < m:
         raise ValueError(f"row index {row} out of range for m={m}")
-    core = core or CellCore(spec, inner_samples)
 
     t2 = psd_factor(spec.sigma_s)
     out = W.copy()
@@ -177,7 +180,7 @@ def alg1_row_update(spec, W, row, inner_samples, core=None):
         e_hkh = core.mean_K + mean_product(ct(G), G)
         psi2 = e_hj @ Wb + e_hkh
         psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
-    n_tilde = np.conj(spec.T[:, row]) @ psi2
+    n_tilde = np.conj(core.T[:, row]) @ psi2
     core_mat = np.eye(t2.shape[1], dtype=spec.dtype) - ct(t2) @ psi @ t2
     try:
         y = np.linalg.solve(core_mat.T, (n_tilde @ t2).T).T
@@ -190,7 +193,7 @@ def alg1_row_update(spec, W, row, inner_samples, core=None):
     return out
 
 
-def alg1_solve(spec, W0, config, inner_samples, core=None):
+def alg1_solve(core, W0, config):
     """Cyclic row minimization until the objective stabilizes.
 
     One iteration sweeps all rows; the objective is recorded after every
@@ -201,16 +204,15 @@ def alg1_solve(spec, W0, config, inner_samples, core=None):
     with the best-seen iterate returned.  The recorded trace is therefore
     non-increasing.
     """
+    spec, H = core.spec, core.H
     W = check_inflation(spec, W0)
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    core = core or CellCore(spec, H)
     trace = [objective(spec, W, H, core)]
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_iters + 1):
         W_new = W
         for row in range(spec.dims.m):
-            W_new = alg1_row_update(spec, W_new, row, H, core)
+            W_new = alg1_row_update(core, W_new, row)
         obj_new = objective(spec, W_new, H, core)
         if obj_new > trace[-1] + config.tol * max(1.0, abs(trace[-1])):
             sweeps -= 1  # rolled back: this sweep produced no iterate
@@ -232,7 +234,7 @@ def alg1_solve(spec, W0, config, inner_samples, core=None):
 # differences in its least-squares fit.
 ANDERSON_DEPTH = 5
 
-def alg2_map(spec, W, inner_samples, core=None, factor=None):
+def alg2_map(core, W, factor=None):
     """One application of the stationarity map ``g``.
 
     The top blocks of ``M^{-1}`` are ``S^{-1}`` and ``-S^{-1} C H* N_r^{-1}``,
@@ -241,9 +243,8 @@ def alg2_map(spec, W, inner_samples, core=None, factor=None):
     ``factor`` is ``(C K, Cholesky(S))`` at this W when the caller already
     has it (:func:`alg2_solve` does); otherwise they come from ``core``.
     """
-    W = check_inflation(spec, W)
-    core = core or CellCore(spec, inner_samples)
-    if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
+    W = check_inflation(core.spec, W)
+    if np.abs(core.spec.sigma_s).max(initial=0.0) == 0.0:
         return W.copy()
     if factor is None:
         ck, S = core.schur(W)
@@ -261,7 +262,7 @@ def alg2_map(spec, W, inner_samples, core=None, factor=None):
         )
 
 
-def alg2_solve(spec, W0, config, inner_samples, core=None):
+def alg2_solve(core, W0, config):
     """Safeguarded Anderson-accelerated fixed-point iteration ``W <- map(W)``.
 
     At each accepted point (the start included) the map ``G`` and the
@@ -286,11 +287,10 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
     factor of an accepted point also gives its map.  Nothing outlives the
     call.
     """
+    spec = core.spec
     W = check_inflation(spec, W0)
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    core = core or CellCore(spec, H)
     if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
-        return SolveResult(W=W, objective_trace=(objective(spec, W, H, core),),
+        return SolveResult(W=W, objective_trace=(objective(spec, W, core.H, core),),
                            converged=True, iterations=0)
     ld_nr = np.mean(core.logdet_nr)
 
@@ -312,7 +312,7 @@ def alg2_solve(spec, W0, config, inner_samples, core=None):
     while True:
         if G is None:
             # drop W's factor before the candidate's is built
-            G, factor = alg2_map(spec, W, H, core, factor), None
+            G, factor = alg2_map(core, W, factor), None
             f = G - W
             if np.linalg.norm(f) <= config.tol * np.linalg.norm(W):
                 converged = True
@@ -368,10 +368,9 @@ def default_w0(spec, inner_samples, kind="mean-h"):
     raise ConfigurationError(f"unknown initialization {kind!r}")
 
 
-def best_initialization(spec, inner_samples, core=None):
+def best_initialization(core):
     """Pick the candidate starting point with the smallest sample objective."""
-    H = np.asarray(inner_samples, dtype=spec.dtype)
-    core = core or CellCore(spec, H)
+    spec, H = core.spec, core.H
     best = None
     for kind in ("mean-h", "zero", "pinv", "identity"):
         W = default_w0(spec, H, kind)
@@ -381,22 +380,19 @@ def best_initialization(spec, inner_samples, core=None):
     return best[1]
 
 
-def solve_w(spec, inner_samples, method, config=None, core=None):
-    """Solve for the inflation factor on one cell's draws.
+def solve_w(core, method):
+    """Solve for the inflation factor on one cell's core.
 
-    ``method`` is one of alg1, alg2, zero, pinv, identity, and the iterative
-    methods start from the best of the standard initializations.  ``core``
-    is a :class:`fdpclab.rate.CellCore` for ``(spec, inner_samples)``.
+    ``method`` is one of alg1, alg2, zero, pinv, identity; the iterative
+    methods run with the default :class:`SolverConfig` from the best of the
+    standard initializations.
     """
-    config = config or SolverConfig()
-    core = core or CellCore(spec, inner_samples)
     if method in ("alg1", "alg2"):
         solve = alg1_solve if method == "alg1" else alg2_solve
-        return solve(spec, best_initialization(spec, inner_samples, core),
-                     config, inner_samples, core)
+        return solve(core, best_initialization(core), SolverConfig())
     if method in CLOSED_FORMS:
-        W = CLOSED_FORMS[method](spec)
-        return SolveResult(W=W, objective_trace=(objective(spec, W, inner_samples, core),),
+        W = CLOSED_FORMS[method](core.spec)
+        return SolveResult(W=W, objective_trace=(objective(core.spec, W, core.H, core),),
                            converged=True, iterations=0)
     raise ConfigurationError(f"unknown solver {method!r}")
 
@@ -404,17 +400,17 @@ def solve_w(spec, inner_samples, method, config=None, core=None):
 def cell_solver(method):
     """Adapter: a per-cell W policy for :func:`fdpclab.rate.achievable_rate`."""
 
-    def _solve(spec, cell, core=None):
-        res = solve_w(spec, cell.draws, method, core=core)
+    def _solve(core, cell):
+        res = solve_w(core, method)
         return res.W, res.converged
 
     return _solve
 
 
-def perfect_csit_policy(spec, cell, core=None):
+def perfect_csit_policy(core, cell):
     """Per-cell W policy for perfect-CSIT banks: the closed form at the known H."""
     if cell.h_hat is None or cell.draws.shape[0] != 1:
         raise ConfigurationError(
             "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
         )
-    return w_perfect_csit(spec, cell.h_hat), True
+    return w_perfect_csit(core.spec, cell.h_hat), True

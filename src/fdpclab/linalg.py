@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 
-# Relative singular-value cutoff used by default for numerical ranks and
-# pseudo-inverses.
+# Relative singular-value (or eigenvalue) cutoff for numerical ranks,
+# pseudo-inverses and p.s.d. factors.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -146,17 +146,12 @@ def logdet_pd(a):
     return Cholesky(a).logdet()
 
 
-def pinv_rtol(a, rank_tol=DEFAULT_RANK_TOL):
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff."""
-    return np.linalg.pinv(a, rcond=rank_tol)
-
-
-def numerical_rank(a, rank_tol=DEFAULT_RANK_TOL):
-    """Rank of ``a`` counting singular values above ``rank_tol * s_max``."""
+def numerical_rank(a):
+    """Rank of ``a`` counting singular values above ``DEFAULT_RANK_TOL * s_max``."""
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def validate_hermitian(a, name, tol=1e-12):
@@ -185,11 +180,11 @@ def clip_psd(a, name, tol=1e-10):
     return hermitize((v * w) @ ct(v))
 
 
-def psd_factor(sigma, rank_tol=DEFAULT_RANK_TOL):
+def psd_factor(sigma):
     """Factor a p.s.d. matrix as ``sigma = F @ F*`` with F of width rank(sigma)."""
     w, v = np.linalg.eigh(hermitize(np.asarray(sigma)))
     lam_max = max(float(w.max(initial=0.0)), 0.0)
-    keep = w > rank_tol * max(lam_max, np.finfo(float).tiny)
+    keep = w > DEFAULT_RANK_TOL * max(lam_max, np.finfo(float).tiny)
     return v[:, keep] * np.sqrt(w[keep])
 
 

@@ -17,7 +17,6 @@ bank is a deterministic function of its arguments.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError
@@ -122,13 +121,12 @@ class ChannelSpec:
         return np.float64 if self.field == REAL else np.complex128
 
     @classmethod
-    def create(cls, dims, T, sigma_s, sigma_z, field=REAL, P=None):
-        """Build a spec, deriving P, Q, N from the matrices when omitted."""
+    def create(cls, dims, T, sigma_s, sigma_z, field=REAL):
+        """Build a spec, deriving P, Q, N from the traces of the matrices."""
         T = np.asarray(T)
         sigma_s = np.asarray(sigma_s)
         sigma_z = np.asarray(sigma_z)
-        if P is None:
-            P = float(np.trace(T @ ct(T)).real)
+        P = float(np.trace(T @ ct(T)).real)
         Q = float(np.trace(sigma_s).real)
         N = float(np.trace(sigma_z).real)
         return cls(dims=dims, T=T, sigma_s=sigma_s, sigma_z=sigma_z,
@@ -314,14 +312,17 @@ def quantizer_mse(step, bits):
                         - 2.0 * levels * (phi(lo) - phi(hi))))
 
 
+# MSE-optimal steps for bits 1..6: the minimizers of quantizer_mse found by a
+# bounded scalar search on (1e-4, 4) with xatol 1e-9.
+OPTIMAL_STEPS = (1.5957690976033163, 0.9956866832112957, 0.5860194518645409,
+                 0.33520061249449357, 0.18813879495609337, 0.10406300440302312)
+
+
 def design_uniform_quantizer(bits):
     """MSE-optimal step of the equally-spaced-level quantizer, unit normal source."""
-    if not 1 <= bits <= 6:
+    if not 1 <= bits <= len(OPTIMAL_STEPS):
         raise ConfigurationError("bits must lie in 1..6")
-    res = minimize_scalar(lambda d: quantizer_mse(d, bits),
-                          bounds=(1e-4, 4.0), method="bounded",
-                          options={"xatol": 1e-9})
-    return float(res.x)
+    return OPTIMAL_STEPS[int(bits) - 1]
 
 
 def _quantize_real(x, csit):
@@ -404,12 +405,6 @@ class SampleBank:
     seed: int
     n_outer: int
     n_inner: int
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self):
-        return len(self.cells)
 
     def to_bytes(self):
         """Deterministic serialization of every draw, for reproducibility checks."""

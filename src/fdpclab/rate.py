@@ -27,20 +27,22 @@ entry of the lower triangle (r, t <= 3) is a few ufunc multiply-adds on
 arrays of length n, and the upper triangle is its conjugate mirror, so they
 are exactly Hermitian without a symmetrization pass.  ``K`` is written
 straight into the (t, n*t) layout that :meth:`CellCore.schur` multiplies.
-The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws: a rate
+The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws, and it is
+the one input that names them: the solvers, the maps and the covariance
+step take a core and read the spec, ``T`` and the draws from it.  A rate
 evaluation builds one per bank cell and hands it to the cell's solver, so
 the initialization, the solve, the rate and the bound share it; a sweep
 builds one set per (CSIT, SNR) group for all its solvers and the bound; the
 covariance optimization builds one per outer step, since ``T`` changes.
-Public functions that are not handed a core build their own.  :func:`build_M`
-is the direct form, kept as the tests' reference.
+:func:`build_M` is the direct form, kept as the tests' reference.
 
 The rate, the bound and the paired rate/bound all come from one loop over
 the bank's cells.  It yields a basis per quantity: the per-draw terms when
 the bank has one cell, the per-cell means otherwise.  The estimate is the
 basis mean, its standard error ``std(ddof=1)/sqrt(size)`` (0 for a single
 term), and the covariance of the paired estimators comes from the two bases.
-A W policy is an (m, t) array or a callable per-cell solver.
+A W policy is an (m, t) array or a callable per-cell solver
+``w(core, cell) -> (W, converged)``.
 
 Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in sample order, so results are deterministic for a fixed
@@ -124,7 +126,8 @@ def _covariance(H, sigma, sigma_z):
 class CellCore:
     """W-independent part of the rate for one (spec, draws) pair.
 
-    ``T`` defaults to ``spec.T``.  ``logdet N_r`` and ``K`` are computed on
+    ``T`` defaults to ``spec.T``; another factor, of any trace, evaluates
+    the rate there.  ``logdet N_r`` and ``K`` are computed on
     first use, the bound term only when the bound is asked for.  ``K`` is
     stored as one (t, n*t) matrix, draws side by side, so that ``C K`` for
     all draws is one GEMM and ``C K C*`` a second.
@@ -212,18 +215,20 @@ def build_M(spec, W, H):
 def objective(spec, W, inner_samples, core=None):
     """Sample mean of ``logdet M(W, H)`` over the given draws, in nats.
 
-    ``core`` is a :class:`CellCore` built for ``(spec, inner_samples)``.
+    ``core``, when given, is the :class:`CellCore` of ``(spec, inner_samples)``
+    and is used in their place.
     """
     W = check_inflation(spec, W)
-    core = core or CellCore(spec, inner_samples)
+    if core is None:
+        core = CellCore(spec, inner_samples)
     return float(np.mean(core.logdet_nr) + np.mean(core.logdet_s(W)))
 
 
 def _evaluate(spec, bank, w=None, bound=False, cores=None):
     """Rate and/or bound basis over the bank's cells, in nats.
 
-    ``w`` is an (m, t) array or a policy ``w(spec, cell, core=core) ->
-    (W, converged)``; None skips the rate.  Each basis is the per-draw array
+    ``w`` is an (m, t) array or a policy ``w(core, cell) -> (W, converged)``;
+    None skips the rate.  Each basis is the per-draw array
     for a one-cell bank and the array of per-cell means otherwise (None when
     not asked for).  Returns ``(rate_basis, bound_basis, converged)``.
     """
@@ -232,7 +237,7 @@ def _evaluate(spec, bank, w=None, bound=False, cores=None):
     for i, cell in enumerate(bank.cells):
         core = cores[i] if cores is not None else CellCore(spec, cell.draws)
         if w is not None:
-            W, ok = w(spec, cell, core=core) if callable(w) else (w, True)
+            W, ok = w(core, cell) if callable(w) else (w, True)
             converged = converged and bool(ok)
             rates.append(-core.logdet_s(check_inflation(spec, W)))
         if bound:
@@ -258,10 +263,9 @@ def achievable_rate(spec, w, bank, cores=None):
     """Achievable rate over the bank for a fixed W or a per-cell W policy.
 
     ``w`` is an (m, t) array (used for all cells) or a policy called once
-    per outer cell as ``w(spec, cell, core=core)`` that returns
-    ``(W, converged)``; ``core`` is the cell's :class:`CellCore`, so the
-    policy's solve reuses the precompute.  ``cores`` optionally gives one
-    prebuilt core per cell.
+    per outer cell as ``w(core, cell)`` that returns ``(W, converged)``;
+    ``core`` is the cell's :class:`CellCore`, so the policy's solve reuses
+    the precompute.  ``cores`` optionally gives one prebuilt core per cell.
     """
     basis, _, converged = _evaluate(spec, bank, w, cores=cores)
     return _estimate(basis, bank, converged)

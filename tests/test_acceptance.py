@@ -96,7 +96,7 @@ def test_criterion_4_high_snr_identity_choice():
     candidates = {"zero": inflation.w_zero(spec), "pinv": inflation.w_pinv(spec)}
     for k in range(5):
         candidates[f"random-{k}"] = rand_matrix(rng, (3, 3), "complex")
-    res = inflation.solve_w(spec, bank.cells[0].draws, "alg1")
+    res = inflation.solve_w(rate.CellCore(spec, bank.cells[0].draws), "alg1")
     candidates["alg1"] = res.W
     ok = True
     margin = []
@@ -129,8 +129,8 @@ def test_criterion_6_closed_form_matches_single_sweep():
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4400)
     H = bank.cells[0].draws
-    res = inflation.alg1_solve(spec, inflation.w_zero(spec),
-                               inflation.SolverConfig(max_iters=1), H)
+    res = inflation.alg1_solve(rate.CellCore(spec, H), inflation.w_zero(spec),
+                               inflation.SolverConfig(max_iters=1))
     # the m = 1 closed form, coded independently of the row-update machinery
     T, ss, sz = spec.T, spec.sigma_s, spec.sigma_z
     sig = T @ ct(T) + ss
@@ -148,8 +148,9 @@ def test_criterion_7_fixed_point_stationarity():
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4500)
     H = bank.cells[0].draws
     cfg = inflation.SolverConfig(tol=1e-8, max_iters=500)
-    res = inflation.alg2_solve(spec, inflation.best_initialization(spec, H), cfg, H)
-    g = inflation.alg2_map(spec, res.W, H)
+    core = rate.CellCore(spec, H)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
+    g = inflation.alg2_map(core, res.W)
     resid = float(np.linalg.norm(res.W - g) / max(1.0, np.linalg.norm(res.W)))
     obj0 = rate.objective(spec, res.W, H)
     scale = max(1.0, abs(obj0))
@@ -216,7 +217,7 @@ def test_criterion_10_covariance_optimization():
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
-    residual = covopt.gradient_map(spec_g, T, W, H) - lam * T
+    residual = covopt.gradient_map(rate.CellCore(spec_g, H, T), W) - lam * T
     fd = np.zeros_like(T)
     h = 1e-5
     for i in range(2):
@@ -224,8 +225,8 @@ def test_criterion_10_covariance_optimization():
             tp, tm = T.copy(), T.copy()
             tp[i, j] += h
             tm[i, j] -= h
-            fd[i, j] = (covopt.lagrangian(spec_g, tp, W, lam, H)
-                        - covopt.lagrangian(spec_g, tm, W, lam, H)) / (2 * h)
+            fd[i, j] = (covopt.lagrangian(rate.CellCore(spec_g, H, tp), W, lam)
+                        - covopt.lagrangian(rate.CellCore(spec_g, H, tm), W, lam)) / (2 * h)
     rel = float(np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd))
     grad_ok = rel < 1e-3
 
@@ -235,7 +236,7 @@ def test_criterion_10_covariance_optimization():
     bank_c = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=5200)
     joint = covopt.joint_optimize(spec_c, covopt.JointConfig(rank_bound=3,
                                                              outer_iters=25), bank_c)
-    res_w = inflation.solve_w(spec_c, bank_c.cells[0].draws, "alg1")
+    res_w = inflation.solve_w(rate.CellCore(spec_c, bank_c.cells[0].draws), "alg1")
     iso = rate.achievable_rate(spec_c, res_w.W, bank_c)
     wf_ok = joint.rate_bits >= iso.rate_bits - 2 * max(joint.stderr_bits,
                                                        iso.stderr_bits)

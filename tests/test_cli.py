@@ -263,10 +263,18 @@ def test_jointopt_rank_zero_exits_2():
     assert code == 2 and out == ""
 
 
-def test_threads_is_a_sweep_only_flag():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["rate", "--ref", "fdpc-fig4-1", "--threads", "2"])
-    assert exc.value.code == 2
+def test_threads_is_a_sweep_only_flag(tmp_path, capsys):
+    """Flags a subcommand cannot honour are rejected, not ignored."""
+    required = {"sweep": ("--snr-db-list", "0", "--out", str(tmp_path / "x.csv"))}
+    for command, flag in (("rate", "--threads"), ("sweep", "--snr-db"),
+                          ("scaling", "--snr-db"), ("lowsnr", "--snr-db"),
+                          ("scaling", "--n-outer"), ("lowsnr", "--n-outer"),
+                          ("jointopt", "--n-outer")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--ref", "fdpc-fig4-1", *required.get(command, ()),
+                     flag, "2"])
+        assert exc.value.code == 2, (command, flag)
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_solve_w_payload(tmp_path):
@@ -321,6 +329,12 @@ def test_env_seed_default(tmp_path, monkeypatch):
     # flag wins over env
     code, out = run_cli(["rate", cfg, "--solver", "zero", "--seed", "5"])
     assert json.loads(out)["seed"] == 5
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, fdpclab.cli; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -32,9 +32,10 @@ def rel_err(got, want):
 def with_factor(spec, T):
     """Same channel, transmit factor T (trace unconstrained)."""
     T = np.asarray(T, dtype=spec.dtype)
-    return ChannelSpec.create(Dimensions(spec.dims.t, spec.dims.r, T.shape[1]), T=T,
-                              sigma_s=spec.sigma_s, sigma_z=spec.sigma_z,
-                              field=spec.field, P=max(spec.P, np.trace(T @ ct(T)).real))
+    return ChannelSpec(dims=Dimensions(spec.dims.t, spec.dims.r, T.shape[1]), T=T,
+                       sigma_s=spec.sigma_s, sigma_z=spec.sigma_z,
+                       P=max(spec.P, np.trace(T @ ct(T)).real), Q=spec.Q, N=spec.N,
+                       field=spec.field)
 
 
 def ref_objective(spec, W, H):
@@ -137,16 +138,16 @@ def test_core_matches_block_matrix_references(name):
     W = case_w(spec, 1)
     assert rel_err(rate.objective(spec, W, H, core), ref_objective(spec, W, H)) <= REL
     assert rel_err(rate.objective(spec, W, H), ref_objective(spec, W, H)) <= REL
-    assert rel_err(inflation.alg2_map(spec, W, H, core), ref_alg2_map(spec, W, H)) <= REL
+    assert rel_err(inflation.alg2_map(core, W), ref_alg2_map(spec, W, H)) <= REL
     for row in range(spec.dims.m):
-        assert rel_err(inflation.row_surrogate(spec, W, row, H, core),
+        assert rel_err(inflation.row_surrogate(core, W, row),
                        ref_row_surrogate(spec, W, row, H)) <= REL
-        assert rel_err(inflation.alg1_row_update(spec, W, row, H, core),
+        assert rel_err(inflation.alg1_row_update(core, W, row),
                        ref_row_update(spec, W, row, H)) <= REL
     T = spec.T + 0.3 * rand_matrix(make_rng(2), spec.T.shape, spec.field)
-    assert rel_err(covopt.gradient_map(spec, T, W, H), ref_gradient(spec, T, W, H)) <= REL
-    assert rel_err(covopt.gradient_map(spec, spec.T, W, H, core),
-                   ref_gradient(spec, spec.T, W, H)) <= REL
+    assert rel_err(covopt.gradient_map(rate.CellCore(spec, H, T), W),
+                   ref_gradient(spec, T, W, H)) <= REL
+    assert rel_err(covopt.gradient_map(core, W), ref_gradient(spec, spec.T, W, H)) <= REL
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -177,14 +178,14 @@ def test_row_update_is_stationary_for_its_surrogate(name):
     rng = make_rng(5)
     step = 1e-5
     for row in range(spec.dims.m):
-        W_new = inflation.alg1_row_update(spec, W, row, H, core)
-        base = inflation.row_surrogate(spec, W_new, row, H, core)
+        W_new = inflation.alg1_row_update(core, W, row)
+        base = inflation.row_surrogate(core, W_new, row)
         for _ in range(6):
             d = np.zeros_like(W_new)
             d[row] = rand_matrix(rng, (spec.dims.t,), spec.field)
             d /= np.linalg.norm(d)
-            plus = inflation.row_surrogate(spec, W_new + step * d, row, H, core)
-            minus = inflation.row_surrogate(spec, W_new - step * d, row, H, core)
+            plus = inflation.row_surrogate(core, W_new + step * d, row)
+            minus = inflation.row_surrogate(core, W_new - step * d, row)
             assert abs(plus - minus) / (2 * step) < 1e-6 * max(1.0, abs(base))
             assert min(plus, minus) >= base - 1e-12 * max(1.0, abs(base))
 

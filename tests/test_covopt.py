@@ -6,6 +6,7 @@ from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct
 from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian,
                            IidRealGaussian, NoCsit, build_sample_bank)
+from fdpclab.rate import CellCore
 
 from conftest import IndefiniteCore, make_rng, rand_matrix, rand_psd, rand_spec
 
@@ -34,8 +35,8 @@ def test_gradient_matches_finite_differences_real():
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
-    residual = covopt.gradient_map(spec, T, W, H) - lam * T
-    fd = central_diff_gradient(lambda x: covopt.lagrangian(spec, x, W, lam, H), T)
+    residual = covopt.gradient_map(CellCore(spec, H, T), W) - lam * T
+    fd = central_diff_gradient(lambda x: covopt.lagrangian(CellCore(spec, H, x), W, lam), T)
     # real parametrization carries a factor 2 relative to the conjugate map
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
@@ -48,8 +49,8 @@ def test_gradient_matches_finite_differences_complex():
     T = rand_matrix(rng, (2, 2), "complex") * 0.5
     W = rand_matrix(rng, (2, 2), "complex") * 0.3
     lam = 0.9
-    residual = covopt.gradient_map(spec, T, W, H) - lam * T
-    fd = central_diff_gradient(lambda x: covopt.lagrangian(spec, x, W, lam, H), T)
+    residual = covopt.gradient_map(CellCore(spec, H, T), W) - lam * T
+    fd = central_diff_gradient(lambda x: covopt.lagrangian(CellCore(spec, H, x), W, lam), T)
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
 
@@ -59,7 +60,7 @@ def test_gradient_reduces_to_mutual_information_gradient_when_no_interference():
     H = rng.standard_normal((300, 2, 2))
     T = rng.standard_normal((2, 2)) * 0.6
     W = rng.standard_normal((2, 2))
-    g = covopt.gradient_map(spec, T, W, H)
+    g = covopt.gradient_map(CellCore(spec, H, T), W)
 
     def bound_nats(Tm):
         cov = np.einsum("nrk,kl,nsl->nrs", H, Tm @ Tm.T, H) + spec.sigma_z
@@ -75,13 +76,14 @@ def test_t_step_map_scaling_and_validation():
     H = rng.standard_normal((50, 2, 2))
     T = rng.standard_normal((2, 2)) * 0.4
     W = rng.standard_normal((2, 2)) * 0.2
-    t_plus, lam = covopt.t_step_map(spec, T, W, H)
+    core = CellCore(spec, H, T)
+    t_plus, lam = covopt.t_step_map(core, W)
     assert lam > 0
-    assert np.allclose(lam * t_plus, covopt.gradient_map(spec, T, W, H))
-    assert covopt.solve_lambda(spec, T, W, H) == lam
+    assert np.allclose(lam * t_plus, covopt.gradient_map(core, W))
+    assert covopt.solve_lambda(core, W) == lam
     # T = 0 and W = 0 give C = 0, so g = 0 and no multiplier exists
     with pytest.raises(EvaluationError):
-        covopt.t_step_map(spec, np.zeros((2, 2)), np.zeros((2, 2)), H)
+        covopt.t_step_map(CellCore(spec, H, np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_solve_lambda_meets_power_constraint():
@@ -91,9 +93,10 @@ def test_solve_lambda_meets_power_constraint():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    t_plus, lam = covopt.t_step_map(spec, T, W, H)
+    core = CellCore(spec, H, T)
+    t_plus, lam = covopt.t_step_map(core, W)
     assert lam > 0
-    assert covopt.solve_lambda(spec, T, W, H) == lam
+    assert covopt.solve_lambda(core, W) == lam
     trace = float(np.trace(t_plus @ ct(t_plus)).real)
     assert spec.P * (1 - 1e-6) <= trace <= spec.P * (1 + 1e-6)
 
@@ -105,8 +108,9 @@ def test_solve_lambda_is_exact_closed_form():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    t_plus, lam = covopt.t_step_map(spec, T, W, H)
-    assert covopt.solve_lambda(spec, T, W, H) == lam
+    core = CellCore(spec, H, T)
+    t_plus, lam = covopt.t_step_map(core, W)
+    assert covopt.solve_lambda(core, W) == lam
     trace = float(np.trace(t_plus @ ct(t_plus)).real)
     assert abs(trace - spec.P) <= 1e-12 * spec.P
 
@@ -117,7 +121,7 @@ def test_solve_lambda_rejects_zero_gradient():
     H = rng.standard_normal((40, 2, 2))
     # T = 0 and W = 0 give C = 0, so g = E[K C* S^{-1} (I - C K T)] = 0
     with pytest.raises(EvaluationError):
-        covopt.solve_lambda(spec, np.zeros((2, 2)), np.zeros((2, 2)), H)
+        covopt.solve_lambda(CellCore(spec, H, np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_joint_optimize_isotropic_when_no_interference():
@@ -222,5 +226,5 @@ def test_gradient_of_indefinite_schur_complement_is_an_evaluation_error():
     spec = rand_spec(make_rng(43), 2, 2, 2, "complex")
     H = rand_matrix(make_rng(44), (4, 2, 2), "complex")
     with pytest.raises(EvaluationError) as exc:
-        covopt.gradient_map(spec, spec.T, inflation.w_pinv(spec), H, IndefiniteCore(spec, H))
+        covopt.gradient_map(IndefiniteCore(spec, H), inflation.w_pinv(spec))
     assert exc.value.sample_index == IndefiniteCore.bad

@@ -115,7 +115,7 @@ def test_row_update_zero_interference_returns_zero_row():
     spec = rand_spec(make_rng(6), 3, 2, 2, "real", q=0.0)
     H = make_rng(7).standard_normal((10, 2, 3))
     W = make_rng(8).standard_normal((2, 3))
-    out = inflation.alg1_row_update(spec, W, 0, H)
+    out = inflation.alg1_row_update(rate.CellCore(spec, H), W, 0)
     assert np.abs(out[0]).max() == 0.0
     assert np.array_equal(out[1], W[1])
 
@@ -130,7 +130,7 @@ def test_row_update_matches_independent_closed_form():
     rx = np.einsum("nrk,kl,nsl->nrs", H, sig, H) + np.eye(2)
     e_h = np.einsum("nrt,nrs,nsu->tu", H, np.linalg.inv(rx), H) / len(H)
     expected = (T.T @ e_h @ ss) @ np.linalg.pinv(ss - ss @ e_h @ ss, rcond=1e-10)
-    got = inflation.alg1_row_update(spec, np.zeros((1, 3)), 0, H)
+    got = inflation.alg1_row_update(rate.CellCore(spec, H), np.zeros((1, 3)), 0)
     assert np.abs(got - expected).max() <= 1e-8 * max(1.0, np.abs(expected).max())
 
 
@@ -141,10 +141,11 @@ def test_row_update_exact_on_degenerate_bank():
     rng = make_rng(10)
     spec = rand_spec(rng, 3, 2, 2, "real", sigma_s_rank=2)
     H = rng.standard_normal((1, 2, 3))
+    core = rate.CellCore(spec, H)
     W = np.zeros((2, 3))
     for _ in range(2):
         for row in range(2):
-            W_new = inflation.alg1_row_update(spec, W, row, H)
+            W_new = inflation.alg1_row_update(core, W, row)
             after = rate.objective(spec, W_new, H)
 
             def f(x, row=row):
@@ -163,7 +164,7 @@ def test_row_update_random_search_oracle():
     rng = make_rng(11)
     spec = rand_spec(rng, 3, 2, 1, "real")
     H = rng.standard_normal((1, 2, 3))
-    W = inflation.alg1_row_update(spec, np.zeros((1, 3)), 0, H)
+    W = inflation.alg1_row_update(rate.CellCore(spec, H), np.zeros((1, 3)), 0)
     base = rate.objective(spec, W, H)
     best = base
     for _ in range(10 ** 4):
@@ -176,10 +177,11 @@ def test_row_surrogate_monotone(rng):
     spec = rand_spec(make_rng(12), 3, 2, 2, "real")
     H = make_rng(13).standard_normal((200, 2, 3))
     W = make_rng(14).standard_normal((2, 3))
+    core = rate.CellCore(spec, H)
     for row in range(2):
-        updated = inflation.alg1_row_update(spec, W, row, H)
-        before = inflation.row_surrogate(spec, W, row, H)
-        after = inflation.row_surrogate(spec, updated, row, H)
+        updated = inflation.alg1_row_update(core, W, row)
+        before = inflation.row_surrogate(core, W, row)
+        after = inflation.row_surrogate(core, updated, row)
         assert after <= before + 1e-12
         W = updated
 
@@ -188,7 +190,7 @@ def test_row_update_canonical_rows_in_interference_row_space():
     rng = make_rng(15)
     spec = rand_spec(rng, 4, 2, 2, "real", sigma_s_rank=2)
     H = rng.standard_normal((50, 2, 4))
-    W = inflation.alg1_row_update(spec, rng.standard_normal((2, 4)), 0, H)
+    W = inflation.alg1_row_update(rate.CellCore(spec, H), rng.standard_normal((2, 4)), 0)
     t2 = psd_factor(spec.sigma_s)
     proj = t2 @ np.linalg.pinv(t2)
     assert np.allclose(W[0] @ proj, W[0], atol=1e-10)
@@ -198,8 +200,9 @@ def test_alg1_solve_one_sweep_is_closed_form_m1():
     rng = make_rng(16)
     spec = rand_spec(rng, 3, 2, 1, "complex")
     H = rand_matrix(rng, (300, 2, 3), "complex")
-    res = inflation.alg1_solve(spec, np.zeros((1, 3)), inflation.SolverConfig(), H)
-    direct = inflation.alg1_row_update(spec, np.zeros((1, 3)), 0, H)
+    core = rate.CellCore(spec, H)
+    res = inflation.alg1_solve(core, np.zeros((1, 3)), inflation.SolverConfig())
+    direct = inflation.alg1_row_update(core, np.zeros((1, 3)), 0)
     assert np.abs(res.W - direct).max() <= 1e-8 * max(1.0, np.abs(direct).max())
     assert res.converged
 
@@ -207,7 +210,8 @@ def test_alg1_solve_one_sweep_is_closed_form_m1():
 def test_alg1_solve_zero_interference_single_sweep():
     spec = rand_spec(make_rng(17), 2, 2, 2, "real", q=0.0)
     H = make_rng(18).standard_normal((40, 2, 2))
-    res = inflation.alg1_solve(spec, np.ones((2, 2)), inflation.SolverConfig(), H)
+    res = inflation.alg1_solve(rate.CellCore(spec, H), np.ones((2, 2)),
+                               inflation.SolverConfig())
     assert res.converged and res.iterations == 1
     assert res.objective_trace[-1] == pytest.approx(float(logdet_pd(spec.sigma_z)),
                                                     abs=1e-9)
@@ -219,8 +223,9 @@ def test_alg1_trace_non_increasing():
         spec = rand_spec(make_rng(seed + 40), 3, 2, 2,
                          "complex" if seed % 2 else "real")
         H = rand_matrix(rng, (800, 2, 3), spec.field)
-        res = inflation.alg1_solve(spec, inflation.best_initialization(spec, H),
-                                   inflation.SolverConfig(), H)
+        core = rate.CellCore(spec, H)
+        res = inflation.alg1_solve(core, inflation.best_initialization(core),
+                                   inflation.SolverConfig())
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs <= 1e-7 * np.maximum(1.0, np.abs(res.objective_trace[:-1])))
 
@@ -232,10 +237,10 @@ def test_alg1_trace_non_increasing():
 def test_alg2_scalar_fixed_point_equals_grid_minimizer():
     spec = scalar_spec(1.0)
     H = np.ones((1, 1, 1))
-    res = inflation.alg2_solve(spec, np.zeros((1, 1)),
-                               inflation.SolverConfig(tol=1e-12, max_iters=500), H)
-    grid = np.linspace(-1.0, 2.0, 30001)
     core = rate.CellCore(spec, H)
+    res = inflation.alg2_solve(core, np.zeros((1, 1)),
+                               inflation.SolverConfig(tol=1e-12, max_iters=500))
+    grid = np.linspace(-1.0, 2.0, 30001)
     w_star = grid[int(np.argmin([rate.objective(spec, [[w]], H, core) for w in grid]))]
     assert res.W[0, 0] == pytest.approx(w_star, abs=1e-4)
     assert res.converged
@@ -264,10 +269,10 @@ def test_alg2_factors_each_point_once(snr_db):
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
     H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
+    W0 = inflation.best_initialization(rate.CellCore(spec, H))
     core = CountingCore(spec, H)
     state = set(vars(core)) | {"_received"}
-    res = inflation.alg2_solve(spec, inflation.best_initialization(spec, H),
-                               inflation.SolverConfig(), H, core)
+    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
     assert set(vars(core)) == state  # the solve leaves nothing on the core
     assert len(core.calls) == 1 + res.iterations
     assert len(set(core.calls)) == len(core.calls)
@@ -289,23 +294,23 @@ def test_alg2_accelerated_fixed_point_oracle(ref_name, snr_db):
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
     H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
     core = rate.CellCore(spec, H)
-    W0 = inflation.best_initialization(spec, H, core)
+    W0 = inflation.best_initialization(core)
     cfg = inflation.SolverConfig()
-    res = inflation.alg2_solve(spec, W0, cfg, H, core)
+    res = inflation.alg2_solve(core, W0, cfg)
     assert res.converged
     if snr_db <= 20.0:
         assert res.iterations <= 40
     trace = np.array(res.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
-    g = inflation.alg2_map(spec, res.W, H, core)
+    g = inflation.alg2_map(core, res.W)
     assert np.linalg.norm(g - res.W) <= cfg.tol * np.linalg.norm(res.W)
 
     obj = rate.objective(spec, res.W, H, core)
     W_plain = W0
     for _ in range(200):
-        W_plain = inflation.alg2_map(spec, W_plain, H, core)
+        W_plain = inflation.alg2_map(core, W_plain)
     assert obj <= rate.objective(spec, W_plain, H, core) + 1e-10
-    tight = inflation.alg2_solve(spec, W0, inflation.SolverConfig(tol=1e-13), H, core)
+    tight = inflation.alg2_solve(core, W0, inflation.SolverConfig(tol=1e-13))
     assert abs(obj - rate.objective(spec, tight.W, H, core)) <= 1e-6
 
 
@@ -326,8 +331,8 @@ def test_alg2_rejects_candidates_it_cannot_evaluate():
     spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
     H = rand_matrix(make_rng(42), (40, 2, 2), "complex")
     W0 = inflation.w_pinv(spec)
-    res = inflation.alg2_solve(spec, W0, inflation.SolverConfig(), H,
-                               IndefiniteAfterStartCore(spec, H))
+    res = inflation.alg2_solve(IndefiniteAfterStartCore(spec, H), W0,
+                               inflation.SolverConfig())
     assert not res.converged and res.iterations == 5
     assert len(res.objective_trace) == 1
     assert np.array_equal(res.W, W0)
@@ -337,9 +342,10 @@ def test_alg2_zero_interference_returns_w0():
     spec = rand_spec(make_rng(20), 2, 2, 1, "real", q=0.0)
     H = make_rng(21).standard_normal((30, 2, 2))
     W0 = make_rng(22).standard_normal((1, 2))
-    out = inflation.alg2_map(spec, W0, H)
+    core = rate.CellCore(spec, H)
+    out = inflation.alg2_map(core, W0)
     assert np.array_equal(out, W0)
-    res = inflation.alg2_solve(spec, W0, inflation.SolverConfig(), H)
+    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
     assert res.converged and res.iterations == 0
     assert np.array_equal(res.W, W0)
 
@@ -349,9 +355,10 @@ def test_alg2_residual_satisfies_stopping_contract():
     spec = rand_spec(rng, 3, 2, 2, "complex")
     H = rand_matrix(rng, (1500, 2, 3), "complex")
     cfg = inflation.SolverConfig(tol=1e-8, max_iters=500)
-    res = inflation.alg2_solve(spec, inflation.best_initialization(spec, H), cfg, H)
+    core = rate.CellCore(spec, H)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
     assert res.converged
-    g = inflation.alg2_map(spec, res.W, H)
+    g = inflation.alg2_map(core, res.W)
     assert np.linalg.norm(res.W - g) <= cfg.tol * np.linalg.norm(res.W)
 
 
@@ -360,8 +367,9 @@ def test_alg2_fixed_point_near_alg1_on_degenerate_bank():
     spec = rand_spec(rng, 3, 2, 1, "real")
     H = rng.standard_normal((1, 2, 3))
     cfg = inflation.SolverConfig(tol=1e-12, max_iters=2000)
-    r1 = inflation.alg1_solve(spec, np.zeros((1, 3)), cfg, H)
-    g_at_w1 = inflation.alg2_map(spec, r1.W, H)
+    core = rate.CellCore(spec, H)
+    r1 = inflation.alg1_solve(core, np.zeros((1, 3)), cfg)
+    g_at_w1 = inflation.alg2_map(core, r1.W)
     assert np.linalg.norm(g_at_w1 - r1.W) < 1e-3 * max(1.0, np.linalg.norm(r1.W))
 
 
@@ -370,7 +378,8 @@ def test_alg2_directional_derivatives_vanish():
     spec = rand_spec(rng, 2, 2, 2, "real")
     H = rng.standard_normal((600, 2, 2))
     cfg = inflation.SolverConfig(tol=1e-9, max_iters=500)
-    res = inflation.alg2_solve(spec, inflation.best_initialization(spec, H), cfg, H)
+    core = rate.CellCore(spec, H)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
     obj0 = rate.objective(spec, res.W, H)
     scale = max(1.0, abs(obj0))
     step = 1e-5
@@ -405,7 +414,7 @@ def test_solver_dominance_over_baselines():
         H = rand_matrix(rng, (1000, 2, 3), "complex")
         baselines = [inflation.w_zero(spec), inflation.w_pinv(spec),
                      inflation.w_identity(spec)]
-        solved = min(inflation.solve_w(spec, H, method).objective_trace[-1]
+        solved = min(inflation.solve_w(rate.CellCore(spec, H), method).objective_trace[-1]
                      for method in ("alg1", "alg2"))
         for base_w in baselines:
             assert solved <= rate.objective(spec, base_w, H) + 1e-9
@@ -414,7 +423,7 @@ def test_solver_dominance_over_baselines():
 def test_solve_w_unknown_method():
     spec = rand_spec(make_rng(28), 2, 2, 1, "real")
     with pytest.raises(ConfigurationError):
-        inflation.solve_w(spec, np.zeros((3, 2, 2)), "gradient")
+        inflation.solve_w(rate.CellCore(spec, np.zeros((3, 2, 2))), "gradient")
 
 
 def test_indefinite_schur_complement_is_a_solver_error():
@@ -424,8 +433,8 @@ def test_indefinite_schur_complement_is_a_solver_error():
     core = IndefiniteCore(spec, H)
     W = inflation.w_pinv(spec)
     with pytest.raises(SolverError, match=r"^singular block matrix in fixed-point map$"):
-        inflation.alg2_map(spec, W, H, core)
+        inflation.alg2_map(core, W)
     for row in range(2):
         with pytest.raises(SolverError, match=rf"^singular D block in row update {row}$") as exc:
-            inflation.alg1_row_update(spec, W, row, H, core)
+            inflation.alg1_row_update(core, W, row)
         assert exc.value.row_index == row

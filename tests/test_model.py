@@ -160,10 +160,15 @@ def test_design_b2_matches_grid_oracle():
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6])
 def test_design_local_optimality(bits):
+    from scipy.optimize import minimize_scalar
+
     step = design_uniform_quantizer(bits)
     mse = quantizer_mse(step, bits)
     assert mse <= quantizer_mse(step + 0.01, bits)
     assert mse <= quantizer_mse(step - 0.01, bits)
+    res = minimize_scalar(lambda d: quantizer_mse(d, bits), bounds=(1e-4, 4.0),
+                          method="bounded", options={"xatol": 1e-9})
+    assert step == pytest.approx(res.x, abs=1e-8)
 
 
 def test_design_rejects_out_of_range():
@@ -272,11 +277,11 @@ def test_bank_structure_contracts():
     spec = rand_spec(make_rng(8), 2, 2, 1, "real")
     model = IidRealGaussian()
     none = build_sample_bank(spec, model, NoCsit(), 10, 1000, seed=1)
-    assert len(none) == 1 and none.cells[0].draws.shape == (1000, 2, 2)
+    assert len(none.cells) == 1 and none.cells[0].draws.shape == (1000, 2, 2)
     assert none.cells[0].h_hat is None
     perfect = build_sample_bank(spec, model, PerfectCsit(), 500, 7, seed=1)
-    assert len(perfect) == 500
-    for cell in perfect:
+    assert len(perfect.cells) == 500
+    for cell in perfect.cells:
         assert cell.draws.shape == (1, 2, 2)
         assert np.array_equal(cell.draws[0], cell.h_hat)
 

@@ -208,7 +208,7 @@ def test_rate_reports_nonconvergence_flag():
     spec = rand_spec(make_rng(29), 2, 2, 1, "real")
     bank = degenerate_bank(make_rng(30).standard_normal((8, 2, 2)))
 
-    def flaky(spec_, cell, core=None):
+    def flaky(core, cell):
         return np.zeros((1, 2)), False
 
     est = rate.achievable_rate(spec, flaky, bank)
