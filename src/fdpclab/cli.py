@@ -4,8 +4,8 @@ Subcommands: rate, sweep, scaling, lowsnr, solve-w, jointopt.  stdout
 carries only the machine-readable payload (JSON); diagnostics go to stderr.
 Exit codes: 0 success, 2 configuration error, 3 solver/evaluation failure.
 
-Each subcommand takes only the flags it honours; any other flag exits 2.
-Flags override config-file values; the seed resolution order is
+Each subcommand takes only the flags and config fields it honours; any other
+exits 2.  Flags override config-file values; the seed resolution order is
 ``--seed`` > config ``mc.seed`` > ``FDPC_SEED`` > 0.
 """
 
@@ -55,10 +55,22 @@ def _resolve_seed(args, raw):
     return 0
 
 
+# Config fields a subcommand may list as ``unread``: it then takes no flag for
+# one and rejects a config file that sets it.
+UNREAD_FIELDS = {
+    "snr_db": lambda raw: "snr_db" in raw,
+    "mc.n_outer": lambda raw: "n_outer" in raw.get("mc", {}),
+    "csit": lambda raw: raw.get("csit", {"variant": "none"})["variant"] != "none",
+}
+
+
 def _load_experiment(args):
     if not (args.config or args.ref):
         raise ConfigurationError("provide a config file or --ref NAME")
     raw = load_config(args.config) if args.config else {}
+    unread = [name for name in args.unread if UNREAD_FIELDS[name](raw)]
+    if unread:
+        raise ConfigurationError(f"{args.command} cannot honour config {', '.join(unread)}")
     if args.ref:
         raw["ref"] = args.ref
     seed = _resolve_seed(args, raw)
@@ -224,22 +236,22 @@ def cmd_jointopt(args):
     }, args.out)
 
 
-def _add_common(p, with_solver=False, snr_db=True, n_outer=True):
-    """Flags shared by the subcommands; one that cannot honour ``--snr-db`` or
-    ``--n-outer`` leaves it out, so that it is rejected instead of ignored."""
+def _add_common(p, with_solver=False, unread=()):
+    """Flags shared by the subcommands, less those of the ``unread`` fields."""
     p.add_argument("config", nargs="?", default=None,
                    help="JSON configuration file")
     p.add_argument("--ref", help="start from a named reference channel")
-    if snr_db:
+    if "snr_db" not in unread:
         p.add_argument("--snr-db", type=float, dest="snr_db")
     p.add_argument("--q-over-p", type=float, dest="q_over_p")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, help="override mc.n_inner")
-    if n_outer:
+    if "mc.n_outer" not in unread:
         p.add_argument("--n-outer", type=int, dest="n_outer", help="override mc.n_outer")
     p.add_argument("--out", help="write the payload/file here instead of stdout")
     if with_solver:
         p.add_argument("--solver", choices=lab.SOLVERS, default="alg1")
+    p.set_defaults(unread=unread)
 
 
 def build_parser():
@@ -259,7 +271,7 @@ def build_parser():
     add("rate", cmd_rate, "single rate evaluation", with_solver=True)
 
     # sweep writes its CSV to --out (required)
-    p = add("sweep", cmd_sweep, "rate-vs-SNR sweep to CSV", snr_db=False)
+    p = add("sweep", cmd_sweep, "rate-vs-SNR sweep to CSV", unread=("snr_db",))
     p.add_argument("--snr-db-list", required=True, help="comma-separated SNRs in dB")
     p.add_argument("--solvers", default="alg1")
     p.add_argument("--csit", help="comma list of none, perfect, B=1, B=2, ...")
@@ -267,19 +279,21 @@ def build_parser():
     p.add_argument("--threads", type=int, default=1,
                    help="evaluate sweep cells on this many threads")
 
-    p = add("scaling", cmd_scaling, "high-SNR slope estimate", snr_db=False, n_outer=False)
+    one_cell = ("mc.n_outer", "csit")  # scaling, lowsnr, jointopt build one no-CSIT cell
+    p = add("scaling", cmd_scaling, "high-SNR slope estimate",
+            unread=("snr_db", *one_cell))
     p.add_argument("--w", default="pinv", choices=("pinv", "zero", "identity"))
     p.add_argument("--snr-lo", type=float, default=40.0)
     p.add_argument("--snr-hi", type=float, default=60.0)
 
     p = add("lowsnr", cmd_lowsnr, "zero-inflation to bound ratio curve",
-            snr_db=False, n_outer=False)
+            unread=("snr_db", *one_cell))
     p.add_argument("--snr-db-list", default="0,-5,-10,-15,-20,-25,-30")
 
     add("solve-w", cmd_solve_w, "solve the inflation factor on one bank", with_solver=True)
 
     p = add("jointopt", cmd_jointopt, "joint covariance/inflation optimization",
-            with_solver=True, n_outer=False)
+            with_solver=True, unread=one_cell)
     p.add_argument("--rank", type=int, help="rank bound for the input covariance")
     p.add_argument("--outer-iters", type=int, default=30)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lab import default_quantized_csit, reference_channel
-from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
+from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                     NoCsit, PerfectCsit, QuantizedCsit, exp_correlation,
                     random_psd, scaled_identity)
@@ -266,7 +266,6 @@ def build_experiment(raw, overrides=None):
     T = _factor_from_config(raw.get("sigma_x", {"kind": "scaled_identity"}),
                             t, m, p0, field)
     sigma_z = scaled_identity(r, n, field)
-    base = ChannelSpec.create(Dimensions(t, r, m), T=T, sigma_s=sigma_s,
-                              sigma_z=sigma_z, field=field)
+    base = ChannelSpec.create(T=T, sigma_s=sigma_s, sigma_z=sigma_z, field=field)
     csit = _csit_from_config(raw.get("csit", {"variant": "none"}), model)
     return Experiment(base, model, csit, q_over_p, snr_db, mc, raw)

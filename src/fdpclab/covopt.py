@@ -15,20 +15,21 @@ and ``lambda`` set in closed form to meet the power constraint
 gradient of the power-constrained Lagrangian; its sign and structure are
 pinned by the finite-difference checks in the test suite.
 
-``K`` depends on ``T``, so each outer step builds one
-:class:`fdpclab.rate.CellCore` for its W-solve, its rate and its T-step,
-which computes the gradient once for both the new factor and ``lambda``.
-The maps below take that core, which fixes the spec, ``T`` and the draws.
+The iterate ``T`` lives in a spec, ``dataclasses.replace(spec, T=T)``, which
+derives the rank bound ``m`` from ``T``'s shape and keeps the covariances and
+the budget ``P``.  ``K`` depends on ``T``, so each outer step builds one
+:class:`fdpclab.rate.CellCore` on that spec for its W-solve, its rate and its
+T-step, which computes the gradient once for both the new factor and
+``lambda``.  The maps below take that core and read ``T`` from its spec.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
 from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_product
-from .model import ChannelSpec, Dimensions
 from .rate import CellCore, achievable_rate
 
 
@@ -59,25 +60,17 @@ class JointResult:
     converged: bool
 
 
-def spec_with_factor(spec, T):
-    """New spec sharing covariances/powers with ``spec`` but transmitting ``T``."""
-    T = np.asarray(T, dtype=spec.dtype)
-    dims = Dimensions(spec.dims.t, spec.dims.r, T.shape[1])
-    return ChannelSpec(dims=dims, T=T, sigma_s=spec.sigma_s, sigma_z=spec.sigma_z,
-                       P=spec.P, Q=spec.Q, N=spec.N, field=spec.field)
-
-
 def lagrangian(core, W, lam):
-    """Power-penalized rate in nats at the core's factor ``T`` (any trace)."""
+    """Power-penalized rate in nats at the factor ``T`` of the core's spec."""
     W = np.asarray(W, dtype=core.spec.dtype)
     val = -float(np.mean(core.logdet_s(W)))
-    return val - lam * float(np.trace(core.T @ ct(core.T)).real)
+    return val - lam * float(np.trace(core.spec.T @ ct(core.spec.T)).real)
 
 
 def t_step_map(core, W):
     """One T-step from one gradient: ``(T+, lam)`` with ``T+ = (1/lam) g(T, W)``.
 
-    ``T`` is the core's factor, and ``lam = ||g||_F / sqrt(P)`` meets
+    ``T`` is the core's ``spec.T``, and ``lam = ||g||_F / sqrt(P)`` meets
     ``trace(T+ T+*) = P``.
     """
     g = gradient_map(core, W)
@@ -89,8 +82,8 @@ def t_step_map(core, W):
 
 
 def gradient_map(core, W):
-    """``g(T, W)`` at the core's ``T``: conjugate-coordinate gradient of the rate term."""
-    T, dtype = core.T, core.spec.dtype
+    """``g(T, W)`` at the core's ``spec.T``: conjugate-coordinate gradient of the rate term."""
+    T, dtype = core.spec.T, core.spec.dtype
     W = np.asarray(W, dtype=dtype)
     ck, S = core.schur(W)
     n, m, t = ck.shape
@@ -102,7 +95,7 @@ def gradient_map(core, W):
 
 
 def solve_lambda(core, W):
-    """Multiplier ``lam`` of :func:`t_step_map` at the core's ``T`` and ``W``."""
+    """Multiplier ``lam`` of :func:`t_step_map` at the core's ``spec.T`` and ``W``."""
     return t_step_map(core, W)[1]
 
 
@@ -138,7 +131,7 @@ def joint_optimize(spec, config, bank):
     prev_rate = -np.inf
     converged = False
     for outer in range(config.outer_iters):
-        spec_t = spec_with_factor(spec, T)
+        spec_t = replace(spec, T=T)
         core = CellCore(spec_t, draws)
         w_res = solve_w(core, config.solver)
         est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))

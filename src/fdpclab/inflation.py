@@ -180,7 +180,7 @@ def alg1_row_update(core, W, row):
         e_hkh = core.mean_K + mean_product(ct(G), G)
         psi2 = e_hj @ Wb + e_hkh
         psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
-    n_tilde = np.conj(core.T[:, row]) @ psi2
+    n_tilde = np.conj(spec.T[:, row]) @ psi2
     core_mat = np.eye(t2.shape[1], dtype=spec.dtype) - ct(t2) @ psi @ t2
     try:
         y = np.linalg.solve(core_mat.T, (n_tilde @ t2).T).T

@@ -23,7 +23,7 @@ from .errors import ConfigurationError, FdpcError
 from .inflation import (CLOSED_FORMS, cell_solver, perfect_csit_policy,
                         theoretical_scaling, w_zero)
 from .linalg import ct, numerical_rank
-from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, Dimensions,
+from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
                     QuantizedCsit, build_sample_bank, exp_correlation,
                     fading_component_std, random_factor, random_psd)
@@ -269,12 +269,12 @@ def _make_registry():
     # 2x2 real channels (quantized-feedback regimes)
     p0 = 2.0  # P = N = trace(I_2)
     add("fdpc-2x2-a",
-        ChannelSpec.create(Dimensions(2, 2, 1), T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
+        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
                            sigma_s=p0 * _basis_outer(2, 1), sigma_z=np.eye(2), field=REAL),
         real, 1.0,
         "rank(Sigma_X + Sigma_S) = 2 > rank(Sigma_X) = 1; feedback-monotonicity regime")
     add("fdpc-2x2-b",
-        ChannelSpec.create(Dimensions(2, 2, 1), T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
+        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
                            sigma_s=p0 * _basis_outer(2, 0), sigma_z=np.eye(2), field=REAL),
         real, 1.0,
         "interference aligned with the input: rank sum = m = 1 <= r, bound gap vanishes")
@@ -282,44 +282,41 @@ def _make_registry():
     # 3x2 real channels (scaling-factor regimes, W = T+)
     t3 = np.sqrt(p0 / 2.0) * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     add("fdpc-3x2-a",
-        ChannelSpec.create(Dimensions(3, 2, 2), T=t3,
+        ChannelSpec.create(T=t3,
                            sigma_s=p0 * _basis_outer(3, 2), sigma_z=np.eye(2), field=REAL),
         real, 1.0, "rank sum 3 > m = 2: predicted slope 1")
     add("fdpc-3x2-b",
-        ChannelSpec.create(Dimensions(3, 2, 2), T=t3,
+        ChannelSpec.create(T=t3,
                            sigma_s=(p0 / 2.0) * np.diag([1.0, 1.0, 0.0]),
                            sigma_z=np.eye(2), field=REAL),
         real, 1.0, "rank sum 2 = m: predicted slope 2")
     add("fdpc-3x2-c",
-        ChannelSpec.create(Dimensions(3, 2, 1), T=np.sqrt(p0) * np.array([[1.0], [0.0], [0.0]]),
+        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0], [0.0]]),
                            sigma_s=(p0 / 2.0) * np.diag([0.0, 1.0, 1.0]),
                            sigma_z=np.eye(2), field=REAL),
         real, 1.0, "rank sum 3, m = 1: predicted slope 0")
 
     # low-SNR reference
     add("fdpc-lowsnr",
-        ChannelSpec.create(Dimensions(2, 2, 2), T=np.sqrt(p0 / 2.0) * np.eye(2),
+        ChannelSpec.create(T=np.sqrt(p0 / 2.0) * np.eye(2),
                            sigma_s=(p0 / 2.0) * np.eye(2), sigma_z=np.eye(2), field=REAL),
         real, 1.0, "2x2 real, Q/P = 1: zero-inflation ratio-optimality regime")
 
     # algorithm-comparison channels (complex Rayleigh, no CSIT)
     add("fdpc-fig4-1",
-        ChannelSpec.create(Dimensions(2, 2, 1),
-                           T=random_factor(2, 1, seed=61, power=p0, field=COMPLEX),
+        ChannelSpec.create(T=random_factor(2, 1, seed=61, power=p0, field=COMPLEX),
                            sigma_s=random_psd(2, 2, seed=62, trace=p0, field=COMPLEX),
                            sigma_z=np.eye(2), field=COMPLEX),
         cplx, 1.0, "m = 1: row solver uses its closed form")
     add("fdpc-fig4-2",
-        ChannelSpec.create(Dimensions(3, 2, 2),
-                           T=random_factor(3, 2, seed=63, power=p0, field=COMPLEX),
+        ChannelSpec.create(T=random_factor(3, 2, seed=63, power=p0, field=COMPLEX),
                            sigma_s=random_psd(3, 3, seed=64, trace=p0, field=COMPLEX),
                            sigma_z=np.eye(2), field=COMPLEX),
         cplx, 1.0, "m = 2 rank-3 interference")
 
     # full-rank covariance, t > r (high-SNR identity-choice regime)
     add("fdpc-3x2-pd",
-        ChannelSpec.create(Dimensions(3, 2, 3),
-                           T=random_factor(3, 3, seed=101, power=p0, field=COMPLEX),
+        ChannelSpec.create(T=random_factor(3, 3, seed=101, power=p0, field=COMPLEX),
                            sigma_s=random_psd(3, 3, seed=102, trace=p0, field=COMPLEX),
                            sigma_z=np.eye(2), field=COMPLEX),
         cplx, 1.0, "positive definite input covariance, t = 3 > r = 2")
@@ -327,13 +324,13 @@ def _make_registry():
     # covariance-optimization references
     p3 = 3.0
     add("fdpc-cov-3x3",
-        ChannelSpec.create(Dimensions(3, 3, 3), T=np.sqrt(p3 / 3.0) * np.eye(3),
+        ChannelSpec.create(T=np.sqrt(p3 / 3.0) * np.eye(3),
                            sigma_s=random_psd(3, 3, seed=41, trace=p3, field=COMPLEX),
                            sigma_z=np.eye(3), field=COMPLEX),
         CorrelatedRayleigh(r_rx=exp_correlation(3, 0.7), r_tx=exp_correlation(3, 0.5)),
         1.0, "separably correlated Rayleigh 3x3: spatial water-filling regime")
     add("fdpc-rank-3x2",
-        ChannelSpec.create(Dimensions(3, 2, 3), T=np.sqrt(p0 / 3.0) * np.eye(3),
+        ChannelSpec.create(T=np.sqrt(p0 / 3.0) * np.eye(3),
                            sigma_s=random_psd(3, 2, seed=51, trace=p0, field=COMPLEX),
                            sigma_z=np.eye(2), field=COMPLEX),
         CorrelatedRayleigh(r_rx=exp_correlation(2, 0.3), r_tx=exp_correlation(3, 0.9)),

@@ -155,8 +155,10 @@ def numerical_rank(a):
 
 
 def validate_hermitian(a, name, tol=1e-12):
-    """Check Hermitian symmetry within an absolute-scale tolerance."""
+    """Check that ``a`` is finite and Hermitian within an absolute-scale tolerance."""
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ConfigurationError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - ct(a)).max(initial=0.0) > tol * scale:
         raise ConfigurationError(f"{name} is not Hermitian within {tol:g}")

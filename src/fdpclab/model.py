@@ -14,7 +14,7 @@ independent stream per outer cell from ``(seed, cell_index)`` so that the
 bank is a deterministic function of its arguments.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -66,48 +66,45 @@ def _check_finite_budgets(**budgets):
 class ChannelSpec:
     """Static description of one fading dirty paper channel instance.
 
-    ``P``, ``Q`` and ``N`` are the power budgets; they must agree with the
-    traces of ``T T*``, ``sigma_s`` and ``sigma_z`` (``P`` is an upper bound
-    for ``trace(T T*)``).
+    The inputs are the matrices, the power budget ``P`` (an upper bound for
+    ``trace(T T*)``) and the field.  ``dims`` comes from the shapes, and ``Q``
+    and ``N`` are the traces of ``sigma_s`` and ``sigma_z`` as given (before
+    ``sigma_s`` is clipped to p.s.d.).
     """
 
-    dims: Dimensions
     T: np.ndarray          # (t, m) factor of Sigma_X
     sigma_s: np.ndarray    # (t, t) interference covariance, p.s.d.
     sigma_z: np.ndarray    # (r, r) noise covariance, p.d.
     P: float
-    Q: float
-    N: float
     field: str = REAL
+    dims: Dimensions = dataclass_field(init=False)
+    Q: float = dataclass_field(init=False)
+    N: float = dataclass_field(init=False)
 
     def __post_init__(self):
-        t, r, m = self.dims.t, self.dims.r, self.dims.m
-        _check_finite_budgets(P=self.P, Q=self.Q, N=self.N)
+        _check_finite_budgets(P=self.P)
         if self.field not in (REAL, COMPLEX):
             raise ConfigurationError(f"unknown field {self.field!r}")
         T = _as_field(self.T, self.field, "T")
-        if T.shape != (t, m):
-            raise ConfigurationError(f"T has shape {T.shape}, expected {(t, m)}")
         sigma_s = _as_field(self.sigma_s, self.field, "sigma_s")
         sigma_z = _as_field(self.sigma_z, self.field, "sigma_z")
-        if sigma_s.shape != (t, t):
-            raise ConfigurationError("sigma_s shape mismatch")
-        if sigma_z.shape != (r, r):
-            raise ConfigurationError("sigma_z shape mismatch")
+        if T.ndim != 2 or sigma_z.ndim != 2:
+            raise ConfigurationError("T and sigma_z must be matrices")
+        dims = Dimensions(T.shape[0], sigma_z.shape[0], T.shape[1])
+        if sigma_s.shape != (dims.t, dims.t) or sigma_z.shape != (dims.r, dims.r):
+            raise ConfigurationError(f"sigma_s {sigma_s.shape} or sigma_z {sigma_z.shape} "
+                                     f"does not fit T {T.shape}")
         validate_hermitian(sigma_s, "sigma_s")
         validate_hermitian(sigma_z, "sigma_z")
+        Q = float(np.trace(sigma_s).real)
+        N = float(np.trace(sigma_z).real)
         sigma_s = clip_psd(sigma_s, "sigma_s")
 
         tr_x = float(np.trace(T @ ct(T)).real)
-        if tr_x > self.P * (1.0 + 1e-9) + 1e-15:
+        if not tr_x <= self.P * (1.0 + 1e-9) + 1e-15:
             raise ConfigurationError(
                 f"trace(T T*)={tr_x:.6g} exceeds power budget P={self.P:.6g}"
             )
-        if abs(float(np.trace(sigma_s).real) - self.Q) > 1e-9 * max(1.0, self.Q):
-            raise ConfigurationError("trace(sigma_s) does not equal Q")
-        n = float(np.trace(sigma_z).real)
-        if abs(n - self.N) > 1e-9 * max(1.0, self.N) or n <= 0:
-            raise ConfigurationError("trace(sigma_z) must equal N > 0")
         sign, _ = np.linalg.slogdet(sigma_z)
         if np.linalg.eigvalsh(hermitize(sigma_z)).min() <= 0 or sign.real <= 0:
             raise ConfigurationError("sigma_z must be positive definite")
@@ -115,22 +112,19 @@ class ChannelSpec:
         for name, arr in (("T", T), ("sigma_s", sigma_s), ("sigma_z", sigma_z)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name, val in (("dims", dims), ("Q", Q), ("N", N)):
+            object.__setattr__(self, name, val)
 
     @property
     def dtype(self):
         return np.float64 if self.field == REAL else np.complex128
 
     @classmethod
-    def create(cls, dims, T, sigma_s, sigma_z, field=REAL):
-        """Build a spec, deriving P, Q, N from the traces of the matrices."""
+    def create(cls, T, sigma_s, sigma_z, field=REAL):
+        """Build a spec whose power budget ``P`` is ``trace(T T*)``."""
         T = np.asarray(T)
-        sigma_s = np.asarray(sigma_s)
-        sigma_z = np.asarray(sigma_z)
-        P = float(np.trace(T @ ct(T)).real)
-        Q = float(np.trace(sigma_s).real)
-        N = float(np.trace(sigma_z).real)
-        return cls(dims=dims, T=T, sigma_s=sigma_s, sigma_z=sigma_z,
-                   P=P, Q=Q, N=N, field=field)
+        return cls(T=T, sigma_s=sigma_s, sigma_z=sigma_z,
+                   P=float(np.trace(T @ ct(T)).real), field=field)
 
     def at_snr_db(self, snr_db, q_over_p=None):
         """Same spatial structure at the SNR ``P/N`` given in dB.
@@ -151,8 +145,7 @@ class ChannelSpec:
             raise ConfigurationError("cannot rescale zero interference to Q > 0")
         T = self.T * np.sqrt(P / tr_x)
         sigma_s = self.sigma_s * (Q / self.Q) if self.Q > 0 else self.sigma_s
-        return ChannelSpec(dims=self.dims, T=T, sigma_s=sigma_s,
-                           sigma_z=self.sigma_z, P=P, Q=float(Q), N=self.N,
+        return ChannelSpec(T=T, sigma_s=sigma_s, sigma_z=self.sigma_z, P=P,
                            field=self.field)
 
 
@@ -403,8 +396,11 @@ class SampleBank:
 
     cells: tuple
     seed: int
-    n_outer: int
     n_inner: int
+
+    @property
+    def n_outer(self):
+        return len(self.cells)
 
     def to_bytes(self):
         """Deterministic serialization of every draw, for reproducibility checks."""
@@ -463,8 +459,7 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
             cells.append(BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws)))
     else:
         raise ConfigurationError(f"unknown CSIT model {csit!r}")
-    return SampleBank(cells=tuple(cells), seed=int(seed),
-                      n_outer=len(cells), n_inner=n_inner)
+    return SampleBank(cells=tuple(cells), seed=int(seed), n_inner=n_inner)
 
 
 # ---------------------------------------------------------------------------

@@ -126,26 +126,25 @@ def _covariance(H, sigma, sigma_z):
 class CellCore:
     """W-independent part of the rate for one (spec, draws) pair.
 
-    ``T`` defaults to ``spec.T``; another factor, of any trace, evaluates
-    the rate there.  ``logdet N_r`` and ``K`` are computed on
-    first use, the bound term only when the bound is asked for.  ``K`` is
-    stored as one (t, n*t) matrix, draws side by side, so that ``C K`` for
-    all draws is one GEMM and ``C K C*`` a second.
+    The transmit factor is ``spec.T``; to evaluate another one, build the
+    core on ``dataclasses.replace(spec, T=T)``.  ``logdet N_r`` and ``K`` are
+    computed on first use, the bound term only when the bound is asked for.
+    ``K`` is stored as one (t, n*t) matrix, draws side by side, so that
+    ``C K`` for all draws is one GEMM and ``C K C*`` a second.
     """
 
-    def __init__(self, spec, draws, T=None):
+    def __init__(self, spec, draws):
         H = np.asarray(draws, dtype=spec.dtype)
         if H.ndim != 3 or H.shape[0] == 0:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
-        self.T = spec.T if T is None else np.asarray(T, dtype=spec.dtype)
         self.H = H
 
     @cached_property
     def _received(self):
         H = self.H
         n, _, t = H.shape
-        fac = Cholesky(_covariance(H, self.T @ ct(self.T) + self.spec.sigma_s,
+        fac = Cholesky(_covariance(H, self.spec.T @ ct(self.spec.T) + self.spec.sigma_s,
                                    self.spec.sigma_z))
         G = fac.forward(H).transpose(0, 2, 1)
         K = np.empty((t, n, t), dtype=G.dtype)
@@ -166,7 +165,7 @@ class CellCore:
     @cached_property
     def logdet_bound(self):
         """``logdet(H T T* H* + Sz)`` per draw: the no-interference received covariance."""
-        return logdet_pd(_covariance(self.H, self.T @ ct(self.T), self.spec.sigma_z))
+        return logdet_pd(_covariance(self.H, self.spec.T @ ct(self.spec.T), self.spec.sigma_z))
 
     def schur(self, W, cols=None):
         """``(C K, S)`` per draw, shapes (n, k, t) and (n, k, k), for W of shape (k, t).
@@ -178,7 +177,7 @@ class CellCore:
         """
         n, _, t = self.H.shape
         k = W.shape[0]
-        Tc = self.T if cols is None else self.T[:, cols]
+        Tc = self.spec.T if cols is None else self.spec.T[:, cols]
         ss = self.spec.sigma_s
         C = ct(Tc) + W @ ss
         ck = (C @ self._received[1]).reshape(k, n, t)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fdpclab.model import BankCell, ChannelSpec, Dimensions, SampleBank
+from fdpclab.linalg import ct
+from fdpclab.model import BankCell, ChannelSpec, SampleBank
 from fdpclab.rate import CellCore
 
 
@@ -30,8 +33,13 @@ def rand_spec(rng, t, r, m, field, q=1.0, p=1.0, sigma_s_rank=None):
     T *= np.sqrt(p / np.trace(T @ T.conj().T).real)
     rank = sigma_s_rank or t
     sigma_s = rand_psd(rng, t, rank, field, trace=q) if q > 0 else np.zeros((t, t))
-    return ChannelSpec.create(Dimensions(t, r, m), T=T, sigma_s=sigma_s,
-                              sigma_z=np.eye(r), field=field)
+    return ChannelSpec.create(T=T, sigma_s=sigma_s, sigma_z=np.eye(r), field=field)
+
+
+def with_factor(spec, T):
+    """Same channel transmitting ``T`` of any trace: ``P`` grows to cover it."""
+    T = np.asarray(T, dtype=spec.dtype)
+    return replace(spec, T=T, P=max(spec.P, float(np.trace(T @ ct(T)).real)))
 
 
 def degenerate_bank(H_list):
@@ -43,7 +51,7 @@ def degenerate_bank(H_list):
     draws.setflags(write=False)
     h_hat = draws[0] if draws.shape[0] == 1 else None
     cell = BankCell(h_hat=h_hat, draws=draws)
-    return SampleBank(cells=(cell,), seed=0, n_outer=1, n_inner=draws.shape[0])
+    return SampleBank(cells=(cell,), seed=0, n_inner=draws.shape[0])
 
 
 class IndefiniteCore(CellCore):

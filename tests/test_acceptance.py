@@ -14,7 +14,7 @@ from fdpclab.linalg import ct, logdet_pd
 from fdpclab.model import (IidComplexGaussian, IidRealGaussian, NoCsit,
                            PerfectCsit, build_sample_bank)
 
-from conftest import make_rng, rand_matrix, rand_spec
+from conftest import make_rng, rand_matrix, rand_spec, with_factor
 
 N_INNER = 20000
 N_OUTER = 200
@@ -217,7 +217,11 @@ def test_criterion_10_covariance_optimization():
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
-    residual = covopt.gradient_map(rate.CellCore(spec_g, H, T), W) - lam * T
+    residual = covopt.gradient_map(rate.CellCore(with_factor(spec_g, T), H), W) - lam * T
+
+    def lagrangian(Tx):
+        return covopt.lagrangian(rate.CellCore(with_factor(spec_g, Tx), H), W, lam)
+
     fd = np.zeros_like(T)
     h = 1e-5
     for i in range(2):
@@ -225,8 +229,7 @@ def test_criterion_10_covariance_optimization():
             tp, tm = T.copy(), T.copy()
             tp[i, j] += h
             tm[i, j] -= h
-            fd[i, j] = (covopt.lagrangian(rate.CellCore(spec_g, H, tp), W, lam)
-                        - covopt.lagrangian(rate.CellCore(spec_g, H, tm), W, lam)) / (2 * h)
+            fd[i, j] = (lagrangian(tp) - lagrangian(tm)) / (2 * h)
     rel = float(np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd))
     grad_ok = rel < 1e-3
 

@@ -277,6 +277,50 @@ def test_threads_is_a_sweep_only_flag(tmp_path, capsys):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+JOINT_CFG = {
+    "t": 2, "r": 2, "m": 2, "snr_db": 5.0, "q_over_p": 1.0, "n": 2.0,
+    "field": "complex", "fading": {"variant": "iid_complex"},
+    "csit": {"variant": "none"},
+    "sigma_s": {"kind": "random_rank", "rank": 2, "seed": 5},
+    "mc": {"n_inner": 1000, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("command, field", [
+    ("sweep", {"snr_db": 30.0}),
+    ("scaling", {"snr_db": 30.0}),
+    ("lowsnr", {"snr_db": 30.0}),
+    ("scaling", {"mc": {"n_outer": 7}}),
+    ("lowsnr", {"mc": {"n_outer": 7}}),
+    ("jointopt", {"mc": {"n_outer": 7}}),
+    ("scaling", {"csit": {"variant": "perfect"}}),
+    ("lowsnr", {"csit": {"variant": "quantized", "bits": 2}}),
+    ("jointopt", {"csit": {"variant": "quantized", "bits": 2}}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_field_a_subcommand_cannot_honour_exits_2(tmp_path, command, field):
+    """Config fields are rejected like the flags the subcommand leaves out."""
+    cfg = {k: v for k, v in JOINT_CFG.items() if k != "snr_db"}
+    cfg = write_config(tmp_path, {**cfg, **field})
+    extra = {"sweep": ["--snr-db-list", "0"], "jointopt": ["--outer-iters", "2"]}
+    code, out = run_cli([command, cfg, *extra.get(command, []), "--samples", "20",
+                         "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("field", [
+    {"sigma_s": {"kind": "matrix", "matrix": [[1, 1e400], [1e400, 1]]}},
+    {"fading": {"variant": "correlated_rayleigh", "r_rx": [[1, 1e400], [1e400, 1]]}},
+], ids=["sigma_s", "r_rx"])
+def test_non_finite_config_matrix_exits_2(tmp_path, capsys, field):
+    # JSON reads 1e400 as inf; inf - inf would pass a symmetry check alone
+    path = tmp_path / "cfg.json"
+    text = json.dumps({**JOINT_CFG, **field}).replace("Infinity", "1e400")
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["rate", str(path), "--solver", "zero", "--samples", "20"])
+    assert code == 2 and out == ""
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_solve_w_payload(tmp_path):
     cfg = write_config(tmp_path, dict(BASE_CFG, q_over_p=1.0,
                                       sigma_s={"kind": "scaled_identity"}))
@@ -290,13 +334,7 @@ def test_solve_w_payload(tmp_path):
 
 
 def test_jointopt_payload(tmp_path):
-    cfg = write_config(tmp_path, {
-        "t": 2, "r": 2, "m": 2, "snr_db": 5.0, "q_over_p": 1.0, "n": 2.0,
-        "field": "complex", "fading": {"variant": "iid_complex"},
-        "csit": {"variant": "none"},
-        "sigma_s": {"kind": "random_rank", "rank": 2, "seed": 5},
-        "mc": {"n_inner": 1000, "seed": 3},
-    })
+    cfg = write_config(tmp_path, JOINT_CFG)
     code, out = run_cli(["jointopt", cfg, "--rank", "2", "--outer-iters", "8"])
     assert code == 0
     payload = json.loads(out)

@@ -13,9 +13,9 @@ import pytest
 
 from fdpclab import covopt, inflation, lab, rate
 from fdpclab.linalg import ct, psd_factor
-from fdpclab.model import ChannelSpec, Dimensions, NoCsit, build_sample_bank
+from fdpclab.model import NoCsit, build_sample_bank
 
-from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
+from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec, with_factor
 
 REL = 1e-10
 
@@ -28,15 +28,6 @@ def rel_err(got, want):
 # ---------------------------------------------------------------------------
 # direct references on the (m+r) x (m+r) block matrix
 # ---------------------------------------------------------------------------
-
-def with_factor(spec, T):
-    """Same channel, transmit factor T (trace unconstrained)."""
-    T = np.asarray(T, dtype=spec.dtype)
-    return ChannelSpec(dims=Dimensions(spec.dims.t, spec.dims.r, T.shape[1]), T=T,
-                       sigma_s=spec.sigma_s, sigma_z=spec.sigma_z,
-                       P=max(spec.P, np.trace(T @ ct(T)).real), Q=spec.Q, N=spec.N,
-                       field=spec.field)
-
 
 def ref_objective(spec, W, H):
     return float(np.mean(np.linalg.slogdet(rate.build_M(spec, W, H))[1]))
@@ -145,7 +136,7 @@ def test_core_matches_block_matrix_references(name):
         assert rel_err(inflation.alg1_row_update(core, W, row),
                        ref_row_update(spec, W, row, H)) <= REL
     T = spec.T + 0.3 * rand_matrix(make_rng(2), spec.T.shape, spec.field)
-    assert rel_err(covopt.gradient_map(rate.CellCore(spec, H, T), W),
+    assert rel_err(covopt.gradient_map(rate.CellCore(with_factor(spec, T), H), W),
                    ref_gradient(spec, T, W, H)) <= REL
     assert rel_err(covopt.gradient_map(core, W), ref_gradient(spec, spec.T, W, H)) <= REL
 

@@ -4,11 +4,12 @@ import pytest
 from fdpclab import covopt, inflation, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct
-from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian,
-                           IidRealGaussian, NoCsit, build_sample_bank)
+from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
+                           build_sample_bank)
 from fdpclab.rate import CellCore
 
-from conftest import IndefiniteCore, make_rng, rand_matrix, rand_psd, rand_spec
+from conftest import (IndefiniteCore, make_rng, rand_matrix, rand_psd, rand_spec,
+                      with_factor)
 
 
 def central_diff_gradient(fun, T, step=1e-5):
@@ -35,8 +36,9 @@ def test_gradient_matches_finite_differences_real():
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
-    residual = covopt.gradient_map(CellCore(spec, H, T), W) - lam * T
-    fd = central_diff_gradient(lambda x: covopt.lagrangian(CellCore(spec, H, x), W, lam), T)
+    residual = covopt.gradient_map(CellCore(with_factor(spec, T), H), W) - lam * T
+    fd = central_diff_gradient(
+        lambda x: covopt.lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
     # real parametrization carries a factor 2 relative to the conjugate map
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
@@ -49,8 +51,9 @@ def test_gradient_matches_finite_differences_complex():
     T = rand_matrix(rng, (2, 2), "complex") * 0.5
     W = rand_matrix(rng, (2, 2), "complex") * 0.3
     lam = 0.9
-    residual = covopt.gradient_map(CellCore(spec, H, T), W) - lam * T
-    fd = central_diff_gradient(lambda x: covopt.lagrangian(CellCore(spec, H, x), W, lam), T)
+    residual = covopt.gradient_map(CellCore(with_factor(spec, T), H), W) - lam * T
+    fd = central_diff_gradient(
+        lambda x: covopt.lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
 
@@ -60,7 +63,7 @@ def test_gradient_reduces_to_mutual_information_gradient_when_no_interference():
     H = rng.standard_normal((300, 2, 2))
     T = rng.standard_normal((2, 2)) * 0.6
     W = rng.standard_normal((2, 2))
-    g = covopt.gradient_map(CellCore(spec, H, T), W)
+    g = covopt.gradient_map(CellCore(with_factor(spec, T), H), W)
 
     def bound_nats(Tm):
         cov = np.einsum("nrk,kl,nsl->nrs", H, Tm @ Tm.T, H) + spec.sigma_z
@@ -76,14 +79,14 @@ def test_t_step_map_scaling_and_validation():
     H = rng.standard_normal((50, 2, 2))
     T = rng.standard_normal((2, 2)) * 0.4
     W = rng.standard_normal((2, 2)) * 0.2
-    core = CellCore(spec, H, T)
+    core = CellCore(with_factor(spec, T), H)
     t_plus, lam = covopt.t_step_map(core, W)
     assert lam > 0
     assert np.allclose(lam * t_plus, covopt.gradient_map(core, W))
     assert covopt.solve_lambda(core, W) == lam
     # T = 0 and W = 0 give C = 0, so g = 0 and no multiplier exists
     with pytest.raises(EvaluationError):
-        covopt.t_step_map(CellCore(spec, H, np.zeros((2, 2))), np.zeros((2, 2)))
+        covopt.t_step_map(CellCore(with_factor(spec, np.zeros((2, 2))), H), np.zeros((2, 2)))
 
 
 def test_solve_lambda_meets_power_constraint():
@@ -93,7 +96,7 @@ def test_solve_lambda_meets_power_constraint():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    core = CellCore(spec, H, T)
+    core = CellCore(with_factor(spec, T), H)
     t_plus, lam = covopt.t_step_map(core, W)
     assert lam > 0
     assert covopt.solve_lambda(core, W) == lam
@@ -108,7 +111,7 @@ def test_solve_lambda_is_exact_closed_form():
     T = rand_matrix(rng, (3, 2), "complex")
     T *= np.sqrt(spec.P / np.trace(T @ ct(T)).real)
     W = rand_matrix(rng, (2, 3), "complex") * 0.2
-    core = CellCore(spec, H, T)
+    core = CellCore(with_factor(spec, T), H)
     t_plus, lam = covopt.t_step_map(core, W)
     assert covopt.solve_lambda(core, W) == lam
     trace = float(np.trace(t_plus @ ct(t_plus)).real)
@@ -121,12 +124,12 @@ def test_solve_lambda_rejects_zero_gradient():
     H = rng.standard_normal((40, 2, 2))
     # T = 0 and W = 0 give C = 0, so g = E[K C* S^{-1} (I - C K T)] = 0
     with pytest.raises(EvaluationError):
-        covopt.solve_lambda(CellCore(spec, H, np.zeros((2, 2))), np.zeros((2, 2)))
+        covopt.solve_lambda(CellCore(with_factor(spec, np.zeros((2, 2))), H), np.zeros((2, 2)))
 
 
 def test_joint_optimize_isotropic_when_no_interference():
     """For i.i.d. fading and Q = 0 the scaled identity is already optimal."""
-    base = ChannelSpec.create(Dimensions(3, 3, 3), T=np.sqrt(1 / 3) * np.eye(3),
+    base = ChannelSpec.create(T=np.sqrt(1 / 3) * np.eye(3),
                               sigma_s=np.zeros((3, 3)), sigma_z=np.eye(3),
                               field="complex")
     spec = base.at_snr_db(10.0)
@@ -142,8 +145,8 @@ def test_joint_optimize_isotropic_when_no_interference():
 def test_joint_optimize_rank_monotone_in_m():
     rng = make_rng(7)
     ss = rand_psd(rng, 3, 2, "complex", trace=2.0)
-    base = ChannelSpec.create(Dimensions(3, 2, 3), T=np.sqrt(2 / 3) * np.eye(3),
-                              sigma_s=ss, sigma_z=np.eye(2), field="complex")
+    base = ChannelSpec.create(T=np.sqrt(2 / 3) * np.eye(3), sigma_s=ss, sigma_z=np.eye(2),
+                              field="complex")
     spec = base.at_snr_db(10.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 3000, seed=8)
     rates = []
@@ -161,14 +164,13 @@ def test_joint_optimize_rank_monotone_in_m():
 def test_joint_result_reproducible_on_fresh_bank():
     rng = make_rng(9)
     ss = rand_psd(rng, 2, 2, "complex", trace=2.0)
-    base = ChannelSpec.create(Dimensions(2, 2, 2), T=np.eye(2),
-                              sigma_s=ss, sigma_z=np.eye(2), field="complex")
+    base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(5.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 4000, seed=10)
     res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=15),
                                 bank)
     fresh = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 4000, seed=11)
-    spec_t = covopt.spec_with_factor(spec, res.T)
+    spec_t = with_factor(spec, res.T)
     redo = rate.achievable_rate(spec_t, res.W, fresh)
     combined = np.sqrt(res.stderr_bits ** 2 + redo.stderr_bits ** 2)
     assert abs(redo.rate_bits - res.rate_bits) <= 3 * combined
@@ -189,8 +191,7 @@ def test_joint_optimize_computes_one_gradient_per_t_step(monkeypatch):
         monkeypatch.setattr(covopt, name, counting(name))
     rng = make_rng(15)
     ss = rand_psd(rng, 2, 2, "complex", trace=2.0)
-    base = ChannelSpec.create(Dimensions(2, 2, 2), T=np.eye(2), sigma_s=ss,
-                              sigma_z=np.eye(2), field="complex")
+    base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(10.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 500, seed=16)
     res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=6),
@@ -212,8 +213,7 @@ def test_joint_optimize_rejects_multicell_banks():
 def test_joint_result_best_iterate_dominates_trace():
     rng = make_rng(13)
     ss = rand_psd(rng, 2, 2, "complex", trace=2.0)
-    base = ChannelSpec.create(Dimensions(2, 2, 2), T=np.eye(2), sigma_s=ss,
-                              sigma_z=np.eye(2), field="complex")
+    base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(10.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 2000, seed=14)
     res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=12),

@@ -4,14 +4,13 @@ import pytest
 from fdpclab import inflation, lab, rate
 from fdpclab.errors import ConfigurationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
-from fdpclab.model import ChannelSpec, Dimensions, NoCsit, build_sample_bank
+from fdpclab.model import ChannelSpec, NoCsit, build_sample_bank
 
 from conftest import IndefiniteCore, make_rng, rand_matrix, rand_spec
 
 
 def scalar_spec(q, p=1.0, n=1.0):
-    return ChannelSpec.create(Dimensions(1, 1, 1), T=[[np.sqrt(p)]],
-                              sigma_s=[[q]], sigma_z=[[n]], field="real")
+    return ChannelSpec.create(T=[[np.sqrt(p)]], sigma_s=[[q]], sigma_z=[[n]], field="real")
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +41,7 @@ def test_perfect_csit_local_optimality():
 
 
 def test_pinv_examples():
-    spec = ChannelSpec.create(Dimensions(2, 2, 1), T=[[1.0], [0.0]],
-                              sigma_s=np.zeros((2, 2)), sigma_z=np.eye(2))
+    spec = ChannelSpec.create(T=[[1.0], [0.0]], sigma_s=np.zeros((2, 2)), sigma_z=np.eye(2))
     assert np.allclose(inflation.w_pinv(spec), [[1.0, 0.0]])
 
     rng = make_rng(2)

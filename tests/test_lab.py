@@ -75,9 +75,9 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
     built = []
     init = rate.CellCore.__init__
 
-    def counting_init(self, spec, draws, T=None):
+    def counting_init(self, spec, draws):
         built.append((spec.P, id(draws)))
-        init(self, spec, draws, T)
+        init(self, spec, draws)
 
     monkeypatch.setattr(rate.CellCore, "__init__", counting_init)
     ref = lab.reference_channel("fdpc-2x2-a")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,45 +29,78 @@ def test_dimensions_invariants():
 
 
 def test_channel_spec_validation(rng):
-    dims = Dimensions(2, 2, 1)
     T = np.array([[1.0], [0.0]])
-    ChannelSpec.create(dims, T=T, sigma_s=np.eye(2), sigma_z=np.eye(2))
+    ChannelSpec.create(T=T, sigma_s=np.eye(2), sigma_z=np.eye(2))
     # power budget violated
     with pytest.raises(ConfigurationError):
-        ChannelSpec(dims=dims, T=T, sigma_s=np.eye(2), sigma_z=np.eye(2),
-                    P=0.5, Q=2.0, N=2.0)
+        ChannelSpec(T=T, sigma_s=np.eye(2), sigma_z=np.eye(2), P=0.5)
     # non-Hermitian covariance
     with pytest.raises(ConfigurationError):
-        ChannelSpec.create(dims, T=T, sigma_s=np.array([[1.0, 0.5], [0.0, 1.0]]),
+        ChannelSpec.create(T=T, sigma_s=np.array([[1.0, 0.5], [0.0, 1.0]]),
                            sigma_z=np.eye(2))
     # singular noise
     with pytest.raises(ConfigurationError):
-        ChannelSpec.create(dims, T=T, sigma_s=np.eye(2), sigma_z=np.diag([1.0, 0.0]))
+        ChannelSpec.create(T=T, sigma_s=np.eye(2), sigma_z=np.diag([1.0, 0.0]))
     # negative-definite interference
     with pytest.raises(ConfigurationError):
-        ChannelSpec.create(dims, T=T, sigma_s=np.diag([1.0, -0.5]), sigma_z=np.eye(2))
+        ChannelSpec.create(T=T, sigma_s=np.diag([1.0, -0.5]), sigma_z=np.eye(2))
 
 
-@pytest.mark.parametrize("budgets", [dict(P=np.inf), dict(P=np.nan), dict(Q=np.inf),
-                                     dict(Q=np.nan), dict(N=np.inf), dict(N=np.nan)],
-                         ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()))
+def test_channel_spec_derives_dims_and_traces():
+    spec = ChannelSpec(T=[[1.0], [0.0], [0.0]], sigma_s=np.diag([1.0, 2.0, 0.0]),
+                       sigma_z=np.diag([1.0, 3.0]), P=1.5)
+    assert spec.dims == Dimensions(t=3, r=2, m=1)
+    assert (spec.P, spec.Q, spec.N) == (1.5, 3.0, 4.0)
+    # rank bound above t, and sigma_s not (t, t)
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        ChannelSpec.create(T=np.eye(2, 3), sigma_s=np.eye(2), sigma_z=np.eye(2))
+    with pytest.raises(ConfigurationError, match="does not fit T"):
+        ChannelSpec.create(T=np.eye(2, 1), sigma_s=np.eye(3), sigma_z=np.eye(2))
+
+
+def _with_entry(mat, i, j, value):
+    mat = np.array(mat, dtype=float)
+    mat[i, j] = mat[j, i] = value
+    return mat
+
+
+# A non-finite Q or N can only come from a non-finite entry of sigma_s or
+# sigma_z, whose traces they are; off-diagonal entries do not reach the trace.
+@pytest.mark.parametrize("budgets", [
+    dict(P=np.inf), dict(P=np.nan),
+    dict(sigma_s=_with_entry(np.eye(2), 0, 0, np.inf)),
+    dict(sigma_s=_with_entry(np.eye(2), 0, 0, np.nan)),
+    dict(sigma_z=_with_entry(np.eye(2), 1, 1, np.inf)),
+    dict(sigma_z=_with_entry(np.eye(2), 1, 1, np.nan)),
+    dict(sigma_s=_with_entry(np.eye(2), 0, 1, np.inf)),
+    dict(sigma_z=_with_entry(np.eye(2), 0, 1, np.nan)),
+], ids=["P=inf", "P=nan", "Q=inf", "Q=nan", "N=inf", "N=nan",
+        "sigma_s-off-diagonal=inf", "sigma_z-off-diagonal=nan"])
 def test_channel_spec_rejects_non_finite_budgets(budgets):
-    kwargs = dict(dims=Dimensions(2, 2, 1), T=np.array([[1.0], [0.0]]),
-                  sigma_s=np.eye(2), sigma_z=np.eye(2), P=1.0, Q=2.0, N=2.0)
+    kwargs = dict(T=np.array([[1.0], [0.0]]), sigma_s=np.eye(2), sigma_z=np.eye(2), P=1.0)
     with pytest.raises(ConfigurationError, match="finite"):
         ChannelSpec(**{**kwargs, **budgets})
 
 
+def test_replace_transmit_factor_rederives_rank_and_keeps_budgets():
+    spec = rand_spec(make_rng(8), 3, 2, 3, "complex", q=2.0, p=3.0)
+    T = spec.T[:, :2]
+    narrow = replace(spec, T=T)
+    assert narrow.dims == Dimensions(3, 2, 2) and narrow.T.shape == (3, 2)
+    assert narrow.P == spec.P and narrow.N == spec.N
+    assert narrow.Q == pytest.approx(spec.Q, rel=1e-12)
+    with pytest.raises(ConfigurationError, match="exceeds power budget"):
+        replace(spec, T=2.0 * spec.T)
+
+
 def test_spec_clips_tiny_negative_eigenvalues():
-    dims = Dimensions(2, 2, 1)
     sigma_s = np.diag([1.0, -1e-14])
-    spec = ChannelSpec.create(dims, T=[[1.0], [0.0]], sigma_s=sigma_s, sigma_z=np.eye(2))
+    spec = ChannelSpec.create(T=[[1.0], [0.0]], sigma_s=sigma_s, sigma_z=np.eye(2))
     assert np.linalg.eigvalsh(spec.sigma_s).min() >= 0.0
 
 
 def test_rescaling_keeps_structure():
-    spec = ChannelSpec.create(Dimensions(2, 2, 1), T=[[1.0], [0.0]],
-                              sigma_s=np.diag([2.0, 0.0]), sigma_z=np.eye(2))
+    spec = ChannelSpec.create(T=[[1.0], [0.0]], sigma_s=np.diag([2.0, 0.0]), sigma_z=np.eye(2))
     scaled = spec.at_snr_db(20.0, q_over_p=0.5)
     assert scaled.P == pytest.approx(2.0 * 100.0)
     assert scaled.Q == pytest.approx(0.5 * scaled.P)

@@ -4,15 +4,14 @@ import pytest
 from fdpclab import inflation, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
-from fdpclab.model import (ChannelSpec, Dimensions, IidComplexGaussian, IidRealGaussian,
-                           NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank)
+from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
+                           PerfectCsit, QuantizedCsit, build_sample_bank)
 
 from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
 
 
 def scalar_spec(q, p=1.0, n=1.0):
-    return ChannelSpec.create(Dimensions(1, 1, 1), T=[[np.sqrt(p)]],
-                              sigma_s=[[q]], sigma_z=[[n]], field="real")
+    return ChannelSpec.create(T=[[np.sqrt(p)]], sigma_s=[[q]], sigma_z=[[n]], field="real")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +186,7 @@ def test_bound_examples():
     c = rate.no_interference_bound(spec, bank)
     assert c.rate_bits == pytest.approx(2.0)  # log2(1 + 3)
 
-    zero_x = ChannelSpec.create(Dimensions(1, 1, 1), T=[[0.0]], sigma_s=[[1.0]],
-                                sigma_z=[[1.0]], field="real")
+    zero_x = ChannelSpec.create(T=[[0.0]], sigma_s=[[1.0]], sigma_z=[[1.0]], field="real")
     assert rate.no_interference_bound(zero_x, bank).rate_bits == pytest.approx(0.0)
 
 
