@@ -87,6 +87,11 @@ def _load_experiment(args):
 
 def _bank_for(exp, csit=None):
     csit = csit if csit is not None else exp.csit
+    # only a flag or config value is in raw, not DEFAULT_MC; 1 is honoured
+    n_outer = exp.raw.get("mc", {}).get("n_outer", 1)
+    if isinstance(csit, NoCsit) and n_outer != 1:
+        raise ConfigurationError(f"n_outer {n_outer} needs perfect or quantized CSIT;"
+                                 " a no-CSIT bank is one cell of n_inner draws")
     return build_sample_bank(exp.base_spec, exp.model, csit,
                              exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
 

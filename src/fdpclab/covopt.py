@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_product
+from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_product, right_product
 from .rate import CellCore, achievable_rate
 
 
@@ -86,11 +86,8 @@ def gradient_map(core, W):
     T, dtype = core.spec.T, core.spec.dtype
     W = np.asarray(W, dtype=dtype)
     ck, S = core.schur(W)
-    n, m, t = ck.shape
-    # I - C K T for all draws, with C K T as one GEMM: schur's ck is a
-    # draw-major view of a row-major (m, n, t) array, so the reshape is free
-    rhs = (ck.transpose(1, 0, 2).reshape(m * n, t) @ -T).reshape(m, n, m).transpose(1, 0, 2)
-    rhs += np.eye(m, dtype=dtype)
+    rhs = right_product(ck, -T)  # I - C K T per draw
+    rhs += np.eye(ck.shape[1], dtype=dtype)
     return mean_product(ct(ck), Cholesky(S).solve(rhs))
 
 

@@ -22,6 +22,13 @@ the result at a time on arrays of the batch shape, so the cost is a few
 array passes per entry instead of one LAPACK call per matrix (and no ufunc
 runs over a trailing axis of length k); it is meant for the small k
 (m, r <= 3) of the rate.
+
+No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
+:func:`mean_product` and :func:`right_product`, are ufunc multiply-adds on
+one length-n array per matrix entry, like the kernel.  They round the same
+way whatever the BLAS thread count, and start no BLAS thread.  The cell
+core's stacks (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a
+(k, l, n) array, so that each entry ``a[:, i, j]`` is contiguous.
 """
 
 import numpy as np
@@ -132,9 +139,37 @@ def _abs2(z):
 
 
 def mean_product(a, b):
-    """``mean_n a_n b_n`` for stacks ``a`` (n, i, j) and ``b`` (n, j, t), as one GEMM."""
-    n, i, j = a.shape
-    return a.transpose(1, 2, 0).reshape(i, j * n) @ b.transpose(1, 0, 2).reshape(j * n, -1) / n
+    """``mean_n a_n b_n`` for stacks ``a`` (n, i, j) and ``b`` (n, j, t), shape (i, t).
+
+    Each entry is j multiply-adds on length-n arrays and one mean.
+    """
+    _, i, j = a.shape
+    out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
+    for p in range(i):
+        for q in range(b.shape[2]):
+            v = a[:, p, 0] * b[:, 0, q]
+            for l in range(1, j):
+                v += a[:, p, l] * b[:, l, q]
+            out[p, q] = v.mean()
+    return out
+
+
+def right_product(x, b):
+    """``x_n b`` for a stack ``x`` (n, k, j) and a matrix ``b`` (j, l), shape (n, k, l).
+
+    Each entry is j scaled-array adds on length-n arrays.  The result is
+    entry-major: an (n, k, l) view of a (k, l, n) array, so each of its
+    entries is one contiguous array.
+    """
+    n, k, j = x.shape
+    out = np.empty((k, b.shape[1], n), dtype=np.result_type(x, b))
+    for i in range(k):
+        for c in range(b.shape[1]):
+            v = out[i, c]
+            np.multiply(x[:, i, 0], b[0, c], out=v)
+            for p in range(1, j):
+                v += x[:, i, p] * b[p, c]
+    return out.transpose(2, 0, 1)
 
 
 def logdet_pd(a):

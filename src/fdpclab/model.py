@@ -344,12 +344,16 @@ def _bin_edges_for_levels(values, csit):
     return lo, hi
 
 
-def _sample_truncated_real(values, csit, sigma_c, rng):
-    """Truncated-normal draws on each value's bin, by inverse CDF."""
+def _sample_truncated_real(values, csit, sigma_c, rng, shape):
+    """Truncated-normal draws of ``shape`` on the bins of ``values``, by inverse CDF.
+
+    The bin edges and their CDF values are computed once on ``values`` (the
+    levels of one matrix) and broadcast over the leading draw axes of ``shape``.
+    """
     lo, hi = _bin_edges_for_levels(values, csit)
     u_lo = ndtr(lo / sigma_c)
     u_hi = ndtr(hi / sigma_c)
-    u = u_lo + rng.random(values.shape) * (u_hi - u_lo)
+    u = u_lo + rng.random(shape) * (u_hi - u_lo)
     tiny = np.finfo(np.float64).tiny
     x = sigma_c * ndtri(np.clip(u, tiny, 1.0 - 1e-16))
     # keep draws strictly inside their bin so the quantizer round-trips
@@ -370,12 +374,11 @@ def sample_H_given_Hhat(h_hat, csit, model, rng, n=None):
     sigma_c = fading_component_std(model)
     h_hat = np.asarray(h_hat)
     shape = h_hat.shape if n is None else (n,) + h_hat.shape
-    tiled = np.broadcast_to(h_hat, shape)
     if isinstance(model, IidComplexGaussian):
-        re = _sample_truncated_real(tiled.real, csit, sigma_c, rng)
-        im = _sample_truncated_real(tiled.imag, csit, sigma_c, rng)
+        re = _sample_truncated_real(h_hat.real, csit, sigma_c, rng, shape)
+        im = _sample_truncated_real(h_hat.imag, csit, sigma_c, rng, shape)
         return re + 1j * im
-    return _sample_truncated_real(tiled.astype(np.float64), csit, sigma_c, rng)
+    return _sample_truncated_real(h_hat.astype(np.float64), csit, sigma_c, rng, shape)
 
 
 # ---------------------------------------------------------------------------

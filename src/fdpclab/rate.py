@@ -22,11 +22,13 @@ cells, in bits).  The no-interference bound
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``; every factorization of ``N_r`` or
 ``S(W)`` is one :class:`fdpclab.linalg.Cholesky` over the stack of draws.
-The covariances and ``K`` are built entry by entry like that kernel: each
-entry of the lower triangle (r, t <= 3) is a few ufunc multiply-adds on
-arrays of length n, and the upper triangle is its conjugate mirror, so they
-are exactly Hermitian without a symmetrization pass.  ``K`` is written
-straight into the (t, n*t) layout that :meth:`CellCore.schur` multiplies.
+The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
+that kernel: each entry of the lower triangle (r, t <= 3) is a few ufunc
+multiply-adds on arrays of length n, and the upper triangle is its
+conjugate mirror, so they are exactly Hermitian without a symmetrization
+pass.  They are stored entry-major, each entry one contiguous length-n
+array, and handed out as (n, ., .) views; no BLAS call sees a length-n
+axis (see :mod:`fdpclab.linalg`).
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws, and it is
 the one input that names them: the solvers, the maps and the covariance
 step take a core and read the spec, ``T`` and the draws from it.  A rate
@@ -45,9 +47,8 @@ A W policy is an (m, t) array or a callable per-cell solver
 ``w(core, cell) -> (W, converged)``.
 
 Internally everything is in nats; reported rates are in bits.  Reductions
-over samples run in sample order, so results are deterministic for a fixed
-bank and BLAS thread count (a GEMM may round differently on another
-thread count).
+over samples run in a fixed order, so results are deterministic for a fixed
+bank, whatever the BLAS thread count.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import Cholesky, ct, hermitize, logdet_pd
+from .linalg import Cholesky, ct, hermitize, logdet_pd, right_product
 
 LN2 = float(np.log(2.0))
 
@@ -90,8 +91,8 @@ class RateEstimate:
 def _hermitian_products(x, y, out, shift=None):
     """Fill ``out[:, i, j] = sum_l x[:, i, l] y[:, j, l] (+ shift[i, j])`` for i >= j.
 
-    ``x`` and ``y`` are stacks (n, k, L) and ``out`` an (n, k, k) array or
-    view.  Each entry is a few multiply-adds on length-n arrays; the upper
+    ``x`` and ``y`` are stacks (n, k, L), ``y`` also (1, k, L) for one
+    matrix shared by all draws, and ``out`` an (n, k, k) array or view.  Each entry is a few multiply-adds on length-n arrays; the upper
     triangle is the conjugate mirror and the diagonal its real part, so the
     result is exactly Hermitian.
     """
@@ -114,13 +115,13 @@ def _hermitian_products(x, y, out, shift=None):
 def _covariance(H, sigma, sigma_z):
     """``H sigma H* + Sz`` for stacked H of shape (n, r, t), exactly Hermitian.
 
-    ``H sigma`` is one GEMM over the stack; only the lower triangle of
+    The result is an entry-major (n, r, r) view; only the lower triangle of
     ``sigma_z`` is read.
     """
-    n, r, t = H.shape
-    HS = (H.reshape(n * r, t) @ sigma).reshape(n, r, t)
-    out = np.empty((n, r, r), dtype=np.result_type(H, sigma, sigma_z))
-    return _hermitian_products(HS, np.conj(H), out, sigma_z)
+    n, r, _ = H.shape
+    out = np.empty((r, r, n), dtype=np.result_type(H, sigma, sigma_z))
+    return _hermitian_products(right_product(H, sigma), np.conj(H),
+                               out.transpose(2, 0, 1), sigma_z)
 
 
 class CellCore:
@@ -129,8 +130,7 @@ class CellCore:
     The transmit factor is ``spec.T``; to evaluate another one, build the
     core on ``dataclasses.replace(spec, T=T)``.  ``logdet N_r`` and ``K`` are
     computed on first use, the bound term only when the bound is asked for.
-    ``K`` is stored as one (t, n*t) matrix, draws side by side, so that
-    ``C K`` for all draws is one GEMM and ``C K C*`` a second.
+    ``K`` is stored entry-major as a (t, t, n) array.
     """
 
     def __init__(self, spec, draws):
@@ -147,9 +147,9 @@ class CellCore:
         fac = Cholesky(_covariance(H, self.spec.T @ ct(self.spec.T) + self.spec.sigma_s,
                                    self.spec.sigma_z))
         G = fac.forward(H).transpose(0, 2, 1)
-        K = np.empty((t, n, t), dtype=G.dtype)
-        _hermitian_products(np.conj(G), G, K.transpose(1, 0, 2))
-        return fac.logdet(), K.reshape(t, n * t)
+        K = np.empty((t, t, n), dtype=G.dtype)
+        _hermitian_products(np.conj(G), G, K.transpose(2, 0, 1))
+        return fac.logdet(), K
 
     @property
     def logdet_nr(self):
@@ -159,8 +159,7 @@ class CellCore:
     @cached_property
     def mean_K(self):
         """``E K = E H* N_r^{-1} H``, shape (t, t)."""
-        t = self.H.shape[2]
-        return self._received[1].reshape(t, -1, t).mean(axis=1)
+        return self._received[1].mean(axis=2)
 
     @cached_property
     def logdet_bound(self):
@@ -172,18 +171,26 @@ class CellCore:
 
         ``C = T[:, cols]* + W Ss`` with ``cols`` all of T's columns by
         default, so a subset of W's rows passes the matching columns of T.
-        ``S`` is Hermitian up to roundoff and is not symmetrized, since
-        :class:`fdpclab.linalg.Cholesky` reads only its lower triangle.
+        Both are entry-major views.  Row i of ``C K`` is the sum of the
+        (t, n) blocks ``K[a]`` scaled by ``C[i, a]``; the lower triangle of
+        ``S = I + W Ss W* - (C K) C*`` is formed from it entry by entry and
+        the upper triangle mirrored, so ``S`` is exactly Hermitian.
         """
-        n, _, t = self.H.shape
+        K = self._received[1]
+        t, _, n = K.shape
         k = W.shape[0]
         Tc = self.spec.T if cols is None else self.spec.T[:, cols]
         ss = self.spec.sigma_s
         C = ct(Tc) + W @ ss
-        ck = (C @ self._received[1]).reshape(k, n, t)
-        ckc = (ck.reshape(k * n, t) @ ct(C)).reshape(k, n, k)
-        S = np.eye(k, dtype=self.spec.dtype) + W @ ss @ ct(W) - ckc.transpose(1, 0, 2)
-        return ck.transpose(1, 0, 2), S
+        ck = np.empty((k, t, n), dtype=np.result_type(C, K))
+        for i in range(k):
+            np.multiply(K[0], C[i, 0], out=ck[i])
+            for a in range(1, t):
+                ck[i] += C[i, a] * K[a]
+        ck = ck.transpose(2, 0, 1)
+        S = np.empty((k, k, n), dtype=ck.dtype).transpose(2, 0, 1)
+        _hermitian_products(ck, -np.conj(C)[None], S, np.eye(k) + W @ ss @ ct(W))
+        return ck, S
 
     def logdet_s(self, W):
         """``logdet S(W)`` per draw; the per-draw rate is its negative."""

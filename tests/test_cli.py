@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -307,6 +308,44 @@ def test_config_field_a_subcommand_cannot_honour_exits_2(tmp_path, command, fiel
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("command", ["rate", "solve-w"])
+def test_n_outer_flag_on_a_no_csit_bank_exits_2(tmp_path, command):
+    """A no-CSIT bank is one cell: ``--n-outer`` other than 1 is rejected, not ignored."""
+    args = [command, "--ref", "fdpc-2x2-a", "--samples", "10", "--solver", "zero"]
+    code, out = run_cli([*args, "--n-outer", "7"])
+    assert code == 2 and out == ""
+    code, out = run_cli([*args, "--n-outer", "1"])
+    assert code == 0
+    if command == "rate":  # with CSIT the flag is honoured
+        perfect = write_config(tmp_path, {"ref": "fdpc-2x2-a", "csit": {"variant": "perfect"}})
+        code, out = run_cli(["rate", perfect, "--samples", "1", "--solver", "zero",
+                             "--n-outer", "7"])
+        assert code == 0 and json.loads(out)["n_outer"] == 7
+
+
+@pytest.mark.parametrize("command", ["rate", "solve-w"])
+def test_n_outer_config_field_on_a_no_csit_bank_exits_2(tmp_path, command):
+    """``mc.n_outer`` is rejected like the flag; the default never is."""
+    for csit in ({}, {"csit": {"variant": "none"}}):
+        cfg = write_config(tmp_path, {**JOINT_CFG, **csit,
+                                      "mc": {"n_outer": 7, "n_inner": 20}})
+        code, out = run_cli([command, cfg, "--solver", "zero"])
+        assert code == 2 and out == ""
+    cfg = write_config(tmp_path, {**JOINT_CFG, "mc": {"n_inner": 20}})
+    code, out = run_cli([command, cfg, "--solver", "zero"])
+    assert code == 0
+
+
+def test_sweep_applies_n_outer_to_its_csit_cells_only(tmp_path):
+    csv = tmp_path / "q.csv"
+    code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+                         "--csit", "none,B=1", "--solvers", "zero", "--samples", "20",
+                         "--n-outer", "3", "--out", str(csv)])
+    assert code == 0 and json.loads(out)["errors"] == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert sorted((row[1], row[6]) for row in rows) == [("B=1", "3"), ("none", "1")]
+
+
 @pytest.mark.parametrize("field", [
     {"sigma_s": {"kind": "matrix", "matrix": [[1, 1e400], [1e400, 1]]}},
     {"fading": {"variant": "correlated_rayleigh", "r_rx": [[1, 1e400], [1e400, 1]]}},
@@ -380,3 +419,31 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rate" in proc.stdout and "jointopt" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--ref", "fdpc-fig4-2", "--snr-db", "20", "--solver", "alg2",
+     "--samples", "4000"),
+    ("rate", "--ref", "fdpc-fig4-1", "--snr-db", "10", "--solver", "alg1",
+     "--samples", "4000"),
+    ("jointopt", "--ref", "fdpc-rank-3x2", "--snr-db", "30", "--rank", "1",
+     "--samples", "5000", "--outer-iters", "5"),
+    ("jointopt", "--ref", "fdpc-cov-3x3", "--rank", "3", "--samples", "5000",
+     "--outer-iters", "5"),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    """One BLAS thread and the library's default give byte-identical payloads.
+
+    At these sizes a GEMM over the stack of draws would run on several
+    threads on a multi-core host (the rank-1 ``jointopt`` payload then
+    differed in its last digits).
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    outs = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run([sys.executable, "-m", "fdpclab.cli", *argv, "--seed", "1"],
+                              capture_output=True, text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -204,7 +204,7 @@ def test_entrywise_core_matches_einsum_reference(r, t, field):
     H = rand_matrix(rng, (64, r, t), field)
     core = rate.CellCore(spec, H)
     ld_nr, K, ld_bound = ref_core(spec, H)
-    got_K = core._received[1].reshape(t, len(H), t).transpose(1, 0, 2)
+    got_K = core._received[1].transpose(2, 0, 1)
     assert rel_err(core.logdet_nr, ld_nr) <= 1e-12
     assert rel_err(got_K, K) <= 1e-12
     assert rel_err(core.mean_K, K.mean(axis=0)) <= 1e-12
@@ -214,6 +214,30 @@ def test_entrywise_core_matches_einsum_reference(r, t, field):
         assert a.dtype == spec.dtype
         assert np.array_equal(a, ct(a))
     assert core.logdet_nr.dtype == core.logdet_bound.dtype == np.float64
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m,t", [(m, t) for t in (1, 2, 3) for m in range(1, t + 1)])
+def test_schur_matches_einsum_reference_and_is_exactly_hermitian(m, t, field):
+    rng = make_rng(200 + 10 * m + t)
+    spec = rand_spec(rng, t, 2, m, field, q=2.0, p=3.0)
+    H = rand_matrix(rng, (64, 2, t), field)
+    W = rand_matrix(rng, (m, t), field)
+    core = rate.CellCore(spec, H)
+    K = ref_core(spec, H)[1]
+    for cols in ([*range(m)], [*range(1, m)]):  # all rows, then all but the first
+        if not cols:
+            continue
+        Wk = W[cols]
+        C = ct(spec.T[:, cols]) + Wk @ spec.sigma_s
+        ck_ref = np.einsum("ia,nab->nib", C, K)
+        S_ref = (np.eye(len(cols)) + Wk @ spec.sigma_s @ ct(Wk)
+                 - np.einsum("nib,jb->nij", ck_ref, np.conj(C)))
+        ck, S = core.schur(Wk, None if len(cols) == m else cols)
+        assert rel_err(ck, ck_ref) <= 1e-12
+        assert rel_err(S, S_ref) <= 1e-12
+        assert ck.dtype == S.dtype == spec.dtype
+        assert np.array_equal(S, ct(S))
 
 
 # ---------------------------------------------------------------------------

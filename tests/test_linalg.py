@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdpclab.errors import EvaluationError
-from fdpclab.linalg import Cholesky, ct, logdet_pd
+from fdpclab.linalg import Cholesky, ct, logdet_pd, mean_product, right_product
 
 from conftest import make_rng, rand_matrix
 
@@ -92,3 +92,33 @@ def test_not_positive_definite_raises_with_first_index(bad):
     with pytest.raises(EvaluationError) as exc:
         logdet_pd(a[4])
     assert exc.value.sample_index is None
+
+
+# the products over a stack of draws against einsum
+
+def entry_major(a):
+    """The same stack as an (n, ., .) view of an entry-major array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def norm_rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_stack_products_match_einsum(n, field):
+    rng = make_rng(n + (field == "complex"))
+    for m in (1, 2, 3):
+        for t in (1, 2, 3):
+            x = rand_matrix(rng, (n, m, t), field)
+            y = rand_matrix(rng, (n, t, m), field)
+            b = rand_matrix(rng, (t, m), field)
+            for layout in (np.ascontiguousarray, entry_major):
+                got = mean_product(layout(x), layout(y))
+                assert got.shape == (m, m)
+                assert norm_rel_err(got, np.einsum("nij,njk->ik", x, y) / n) <= 1e-12
+                got = right_product(layout(x), b)
+                assert got.shape == (n, m, m)
+                assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
+                assert norm_rel_err(got, np.einsum("nij,jk->nik", x, b)) <= 1e-12
