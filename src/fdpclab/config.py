@@ -63,7 +63,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["zero", "scaled_identity", "random_rank", "matrix"]},
                 "rank": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "matrix": _MATRIX,
             },
             "required": ["kind"],
@@ -83,7 +83,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_outer": {"type": "integer", "minimum": 1},
                 "n_inner": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
         },
     },

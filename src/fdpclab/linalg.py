@@ -24,11 +24,12 @@ runs over a trailing axis of length k); it is meant for the small k
 (m, r <= 3) of the rate.
 
 No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
-:func:`mean_product` and :func:`right_product`, are ufunc multiply-adds on
-one length-n array per matrix entry, like the kernel.  They round the same
-way whatever the BLAS thread count, and start no BLAS thread.  The cell
-core's stacks (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a
-(k, l, n) array, so that each entry ``a[:, i, j]`` is contiguous.
+:func:`mean_product`, :func:`right_product` and :func:`left_product`, are
+ufunc multiply-adds on one length-n array per matrix entry, like the kernel.
+They round the same way whatever the BLAS thread count, and start no BLAS
+thread.  The cell core's stacks (:mod:`fdpclab.rate`) are entry-major: an
+(n, k, l) view of a (k, l, n) array, so that each entry ``a[:, i, j]`` is
+contiguous.
 """
 
 import numpy as np
@@ -169,6 +170,22 @@ def right_product(x, b):
             np.multiply(x[:, i, 0], b[0, c], out=v)
             for p in range(1, j):
                 v += x[:, i, p] * b[p, c]
+    return out.transpose(2, 0, 1)
+
+
+def left_product(a, x):
+    """``a x_n`` for a matrix ``a`` (k, j) and a stack ``x`` (n, j, l), shape (n, k, l).
+
+    Entry-major like :func:`right_product`, and built the same way.
+    """
+    n, j, l = x.shape
+    out = np.empty((a.shape[0], l, n), dtype=np.result_type(a, x))
+    for i in range(a.shape[0]):
+        for c in range(l):
+            v = out[i, c]
+            np.multiply(x[:, 0, c], a[i, 0], out=v)
+            for p in range(1, j):
+                v += x[:, p, c] * a[i, p]
     return out.transpose(2, 0, 1)
 
 

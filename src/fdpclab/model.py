@@ -12,15 +12,20 @@ Conventions used throughout the package:
 Sampling is pure given an explicit generator; sample banks derive one
 independent stream per outer cell from ``(seed, cell_index)`` so that the
 bank is a deterministic function of its arguments.
+
+Quantized CSIT draws each entry of H from a normal truncated to one
+quantizer bin, by inverse CDF.  The normal CDF and its inverse are private
+numpy kernels (``_ndtr``, ``_ndtri``), so the package needs no scipy.
 """
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError
-from .linalg import clip_psd, ct, hermitize, sqrtm_pd, validate_hermitian
+from .linalg import (clip_psd, ct, hermitize, left_product, right_product, sqrtm_pd,
+                     validate_hermitian)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -214,8 +219,7 @@ def _sample_h_batch(model, dims, rng, n):
             raise ConfigurationError("correlation matrices do not match dims")
         g = (rng.standard_normal((n, r, t)) + 1j * rng.standard_normal((n, r, t)))
         g *= np.sqrt(0.5)
-        return np.einsum("ij,njk,kl->nil", sqrtm_pd(model.r_rx), g,
-                         sqrtm_pd(model.r_tx))
+        return left_product(sqrtm_pd(model.r_rx), right_product(g, sqrtm_pd(model.r_tx)))
     raise ConfigurationError(f"unknown fading model {model!r}")
 
 
@@ -289,17 +293,12 @@ def quantizer_mse(step, bits):
     hi = np.concatenate(((levels[:-1] + levels[1:]) / 2.0, [np.inf]))
 
     def phi(x):
-        out = np.zeros_like(x)
-        finite = np.isfinite(x)
-        out[finite] = np.exp(-0.5 * x[finite] ** 2) / np.sqrt(2.0 * np.pi)
-        return out
+        return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
 
     def xphi(x):
         return np.where(np.isfinite(x), x, 0.0) * phi(x)
 
-    cdf = lambda x: np.where(np.isfinite(x), ndtr(np.where(np.isfinite(x), x, 0.0)),
-                             (x > 0).astype(float))
-    mass = cdf(hi) - cdf(lo)
+    mass = np.array([_ndtr(b) - _ndtr(a) for a, b in zip(lo, hi)])
     return float(np.sum((1.0 + levels ** 2) * mass
                         + xphi(lo) - xphi(hi)
                         - 2.0 * levels * (phi(lo) - phi(hi))))
@@ -335,29 +334,172 @@ def quantize_H(H, csit):
     return _quantize_real(H, csit)
 
 
-def _bin_edges_for_levels(values, csit):
-    """Lower/upper bin edges of the bins whose reconstruction levels are ``values``."""
-    c = (csit.n_levels - 1) / 2.0
-    k = np.clip(np.rint(values / csit.step + c), 0, csit.n_levels - 1)
-    lo = np.where(k == 0, -np.inf, (k - 0.5 - c) * csit.step)
-    hi = np.where(k == csit.n_levels - 1, np.inf, (k + 0.5 - c) * csit.step)
-    return lo, hi
+# ---------------------------------------------------------------------------
+# normal CDF and its inverse
+# ---------------------------------------------------------------------------
+
+_SQRT_HALF = 7.07106781186547524401e-1
+_TINY = np.finfo(np.float64).tiny
+
+# Values per block of the sampler: each temporary is at most 64 KB, in cache
+# and below glibc's 128 KB mmap threshold, so its memory is reused rather
+# than mapped and page-faulted afresh for every array operation.
+_BLOCK = 8192
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989).  For y in (exp(-2), 1/2], with t = y - 1/2:
+#     x = sqrt(2 pi) (t + t t^2 P0(t^2) / Q0(t^2)).
+# For y <= exp(-2), with z = sqrt(-2 log y) and w = 1/z:
+#     x = -(z - log(z) / z - w P(w) / Q(w)),
+# (P1, Q1) for z < 8 and (P2, Q2) beyond.  Coefficients are highest degree
+# first; the Q are monic, their leading 1 left out.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ndtr(x):
+    """Standard normal CDF of one float, exact at 0 and at +-inf."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule on an array, in Cephes' order; ``monic`` adds a leading 1."""
+    if monic:
+        acc, rest = x + coef[0], coef[1:]
+    else:
+        acc, rest = x * coef[0], coef[1:]
+        acc += rest[0]
+        rest = rest[1:]
+    for c in rest:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ndtri_central(y):
+    t = y - 0.5
+    t2 = t * t
+    x = _polevl(t2, _P0)
+    x *= t2
+    x /= _polevl(t2, _Q0, monic=True)
+    x *= t
+    x += t
+    x *= _S2PI
+    return x
+
+
+def _ndtri_tail(y):
+    z = np.log(y)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    w = np.divide(1.0, z)
+    x = _polevl(w, _P1)
+    x *= w
+    q = _polevl(w, _Q1, monic=True)
+    x /= q
+    far = np.flatnonzero(z >= 8.0)  # y < exp(-32)
+    if far.size:
+        wf = w[far]
+        x[far] = wf * _polevl(wf, _P2) / _polevl(wf, _Q2, monic=True)
+    x0 = np.log(z, out=q)
+    x0 /= z
+    np.subtract(z, x0, out=x0)
+    x -= x0
+    return x
+
+
+def _ndtri_lower(y):
+    """Inverse normal CDF of a 1-D array in (0, 1/2].
+
+    The branch that most of ``y`` needs runs on all of it (each branch is
+    finite on the whole range); the other runs only on the entries that
+    need it and overwrites them.
+    """
+    central = y > _EXP_M2
+    if 2 * np.count_nonzero(central) >= y.size:
+        x, rest, branch = _ndtri_central(y), np.flatnonzero(~central), _ndtri_tail
+    else:
+        x, rest, branch = _ndtri_tail(y), np.flatnonzero(central), _ndtri_central
+    if rest.size:
+        x[rest] = branch(y[rest])
+    return x
+
+
+def _ndtri(y):
+    """Inverse standard normal CDF on (0, 1), by ``ndtri(y) = -ndtri(1 - y)`` above 1/2.
+
+    For ``y >= 1/2`` the difference ``1 - y`` is exact, and the Cephes
+    formulas are odd about 1/2, so this is Cephes ``ndtri`` itself.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    upper = y > 0.5
+    x = _ndtri_lower(np.where(upper, 1.0 - y, y))
+    return np.where(upper, -x, x)
 
 
 def _sample_truncated_real(values, csit, sigma_c, rng, shape):
-    """Truncated-normal draws of ``shape`` on the bins of ``values``, by inverse CDF.
+    """N(0, sigma_c^2) draws of ``shape``, each truncated to the bin of its level in ``values``.
 
-    The bin edges and their CDF values are computed once on ``values`` (the
-    levels of one matrix) and broadcast over the leading draw axes of ``shape``.
+    ``values`` holds reconstruction levels and its shape is a suffix of
+    ``shape``: each of its entries owns the draws along the leading axes.
+    The uniforms come from one ``rng.random(shape)`` call and are mapped by
+    the inverse CDF, ``x = sigma_c ndtri(u)`` with ``u`` uniform between the
+    CDF values of the bin edges.
+
+    The work is entry-major and bin by bin: the draws of the entries in one
+    bin are gathered, about ``_BLOCK`` at a time, into a contiguous array
+    with scalar bin edges.  Zero is a bin edge, so a bin lies on one side
+    of ``u = 1/2``.  An upper bin uses ``ndtri(u) = -ndtri(1 - u)``, where
+    ``1 - u`` is exact, so every bin evaluates only the lower half of
+    ``ndtri`` (:func:`_ndtri_lower`), and only the branches its bin
+    reaches.  The kernels are a numpy port of Cephes ``ndtri`` and
+    ``0.5 erfc(-x / sqrt 2)`` for the CDF of the bin edges.  Draws are
+    kept strictly inside their bin, so :func:`quantize_H` round-trips.
+    The uniforms' array holds the result, in the layout ``shape``.
     """
-    lo, hi = _bin_edges_for_levels(values, csit)
-    u_lo = ndtr(lo / sigma_c)
-    u_hi = ndtr(hi / sigma_c)
-    u = u_lo + rng.random(shape) * (u_hi - u_lo)
-    tiny = np.finfo(np.float64).tiny
-    x = sigma_c * ndtri(np.clip(u, tiny, 1.0 - 1e-16))
-    # keep draws strictly inside their bin so the quantizer round-trips
-    return np.clip(x, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+    n_levels, step = csit.n_levels, csit.step
+    c = (n_levels - 1) / 2.0
+    k = np.clip(np.rint(np.asarray(values, dtype=np.float64) / step + c),
+                0, n_levels - 1).astype(np.intp).ravel()
+    u = rng.random(shape)
+    by_entry = u.reshape(-1, k.size).T  # (entries, draws per entry); the draws overwrite u
+    for b in np.flatnonzero(np.bincount(k)):  # the bins in use (np.unique imports numpy.ma)
+        rows = np.flatnonzero(k == b)
+        lo = -np.inf if b == 0 else (b - 0.5 - c) * step
+        hi = np.inf if b == n_levels - 1 else (b + 0.5 - c) * step
+        u_lo, u_hi = _ndtr(lo / sigma_c), _ndtr(hi / sigma_c)
+        upper = lo >= 0.0  # ndtri(u) = -ndtri(1 - u); the clip is u <= 1 - 2**-53
+        floor, scale = (2.0 ** -53, -sigma_c) if upper else (_TINY, sigma_c)
+        edges = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+        width = max(1, _BLOCK // rows.size)
+        for j in range(0, by_entry.shape[1], width):
+            v = by_entry[rows, j:j + width]  # contiguous copy
+            v *= u_hi - u_lo
+            v += u_lo
+            if upper:
+                np.subtract(1.0, v, out=v)
+            np.maximum(v, floor, out=v)
+            x = _ndtri_lower(v.ravel())
+            x *= scale
+            by_entry[rows, j:j + width] = np.clip(x, *edges, out=x).reshape(v.shape)
+    return u
 
 
 def sample_H_given_Hhat(h_hat, csit, model, rng, n=None):

@@ -409,9 +409,54 @@ def test_env_seed_default(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, fdpclab.cli; assert 'scipy.optimize' not in sys.modules"
+    """Importing the CLI loads no scipy module at all."""
+    code = ("import sys, fdpclab.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_quantized_runs_need_no_scipy(tmp_path):
+    """A quantized sweep and a quantized complex rate run with scipy unimportable."""
+    cfg = write_config(tmp_path, {"ref": "fdpc-fig4-1",
+                                  "csit": {"variant": "quantized", "bits": 1}})
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from fdpclab.cli import main
+assert main(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+             "--csit", "none,perfect,B=1,B=2", "--samples", "50", "--n-outer", "2",
+             "--out", {str(tmp_path / "q.csv")!r}]) == 0
+assert main(["rate", {cfg!r}, "--samples", "50", "--n-outer", "2"]) == 0
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "q.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("case", ["rate-flag", "sweep-flag", "mc-seed", "env", "sigma_s-seed"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, case):
+    argv = ["rate", "--ref", "fdpc-2x2-a", "--solver", "zero", "--samples", "10"]
+    if case == "rate-flag":
+        argv += ["--seed", "-1"]
+    elif case == "sweep-flag":
+        argv = ["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0", "--samples", "10",
+                "--seed", "-1", "--out", str(tmp_path / "x.csv")]
+    elif case == "mc-seed":
+        argv[1:3] = [write_config(tmp_path, {"ref": "fdpc-2x2-a", "mc": {"seed": -2}})]
+    elif case == "env":
+        monkeypatch.setenv("FDPC_SEED", "-5")
+    else:
+        cfg = dict(BASE_CFG, q_over_p=1.0,
+                   sigma_s={"kind": "random_rank", "rank": 1, "seed": -4})
+        argv[1:3] = [write_config(tmp_path, cfg)]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "less than the minimum of 0" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_console_entry_point_runs():

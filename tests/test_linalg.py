@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fdpclab.errors import EvaluationError
-from fdpclab.linalg import Cholesky, ct, logdet_pd, mean_product, right_product
+from fdpclab.linalg import (Cholesky, ct, left_product, logdet_pd, mean_product,
+                            right_product)
 
 from conftest import make_rng, rand_matrix
 
@@ -122,3 +123,7 @@ def test_stack_products_match_einsum(n, field):
                 assert got.shape == (n, m, m)
                 assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
                 assert norm_rel_err(got, np.einsum("nij,jk->nik", x, b)) <= 1e-12
+                got = left_product(b, layout(x))
+                assert got.shape == (n, t, t)
+                assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
+                assert norm_rel_err(got, np.einsum("ij,njk->nik", b, x)) <= 1e-12

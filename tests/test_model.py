@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from fdpclab import model
 from fdpclab.errors import ConfigurationError
 from fdpclab.model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
                            IidComplexGaussian, IidRealGaussian, IidUniformComplex,
@@ -13,7 +14,7 @@ from fdpclab.model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
                            design_uniform_quantizer, quantize_H, quantizer_mse,
                            random_psd, sample_H, sample_H_given_Hhat)
 
-from conftest import make_rng, rand_spec
+from conftest import make_rng, rand_matrix, rand_spec
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,76 @@ def test_conditional_sampling_complex_round_trip():
     h_hat = quantize_H(h, csit)
     draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=100)
     assert np.allclose(quantize_H(draws, csit), np.broadcast_to(h_hat, draws.shape))
+
+
+# ---------------------------------------------------------------------------
+# normal CDF and inverse kernels and the sampler, against scipy
+# ---------------------------------------------------------------------------
+
+def test_ndtri_matches_scipy():
+    from scipy.special import ndtri
+
+    tiny = np.finfo(np.float64).tiny
+    e2, e32 = np.exp(-2.0), np.exp(-32.0)
+    y = np.concatenate([
+        np.linspace(0.01, 0.99, 9801),                # central points
+        np.geomspace(tiny, 0.3, 3000),                # lower tail, x >= 8 branch included
+        1.0 - np.geomspace(2.0 ** -53, 0.3, 3000),    # upper tail
+        np.geomspace(1e-300, e32, 200),               # y < exp(-32): the x >= 8 branch
+        [tiny, 1.0 - 2.0 ** -53, e2, 1.0 - e2, np.nextafter(e2, 0), np.nextafter(e2, 1),
+         e32, np.nextafter(e32, 0), 0.5],
+    ])
+    got, want = model._ndtri(y), ndtri(y)
+    nonzero = want != 0
+    assert np.array_equal(got[~nonzero], want[~nonzero])
+    assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) <= 4e-15
+    assert model._ndtri(0.5) == 0.0
+
+
+def test_ndtr_matches_scipy():
+    from scipy.special import ndtr
+
+    x = np.linspace(-10.0, 10.0, 20001)
+    got = np.array([model._ndtr(v) for v in x])
+    assert np.max(np.abs(got / ndtr(x) - 1.0)) <= 1e-14
+    for v in (0.0, np.inf, -np.inf):
+        assert model._ndtr(v) == ndtr(v)
+
+
+def _scipy_sample_truncated_real(values, csit, sigma_c, rng, shape):
+    """The inverse-CDF sampler as it was written on scipy.special (reference)."""
+    from scipy.special import ndtr, ndtri
+
+    c = (csit.n_levels - 1) / 2.0
+    k = np.clip(np.rint(values / csit.step + c), 0, csit.n_levels - 1)
+    lo = np.where(k == 0, -np.inf, (k - 0.5 - c) * csit.step)
+    hi = np.where(k == csit.n_levels - 1, np.inf, (k + 0.5 - c) * csit.step)
+    u_lo = ndtr(lo / sigma_c)
+    u_hi = ndtr(hi / sigma_c)
+    u = u_lo + rng.random(shape) * (u_hi - u_lo)
+    tiny = np.finfo(np.float64).tiny
+    x = sigma_c * ndtri(np.clip(u, tiny, 1.0 - 1e-16))
+    return np.clip(x, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["r-t", "stacked"])
+@pytest.mark.parametrize("bits", [1, 2, 3, 6])
+@pytest.mark.parametrize("fading", [IidRealGaussian(), IidComplexGaussian()],
+                         ids=["real", "complex"])
+def test_sampler_matches_scipy_reference(fading, bits, stacked, monkeypatch):
+    sigma_c = model.fading_component_std(fading)
+    csit = QuantizedCsit.designed(bits, component_std=sigma_c)
+    rng = make_rng(bits)
+    shape = (400, 2, 3) if stacked else (2, 3)
+    # wide enough to land in the outermost bins as well as the inner ones
+    h_hat = quantize_H(3.0 * rand_matrix(rng, shape, fading.field), csit)
+    n = None if stacked else 3000
+    got = sample_H_given_Hhat(h_hat, csit, fading, make_rng(7), n=n)
+    monkeypatch.setattr(model, "_sample_truncated_real", _scipy_sample_truncated_real)
+    want = sample_H_given_Hhat(h_hat, csit, fading, make_rng(7), n=n)
+    assert got.shape == want.shape == (shape if stacked else (n,) + shape)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(quantize_H(got, csit), np.broadcast_to(h_hat, got.shape))
 
 
 def test_conditional_sampling_rejects_unsupported_fading():
