@@ -102,7 +102,7 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 def validate_config(raw):
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if error is not None:
-        raise ConfigurationError(f"invalid configuration: {error.message}")
+        raise ConfigurationError(f"invalid configuration: {error.json_path}: {error.message}")
     return raw
 
 

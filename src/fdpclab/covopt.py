@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_product, right_product
+from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_ct_product, right_product
 from .rate import CellCore, achievable_rate
 
 
@@ -88,7 +88,7 @@ def gradient_map(core, W):
     ck, S = core.schur(W)
     rhs = right_product(ck, -T)  # I - C K T per draw
     rhs += np.eye(ck.shape[1], dtype=dtype)
-    return mean_product(ct(ck), Cholesky(S).solve(rhs))
+    return mean_ct_product(ck, Cholesky(S).solve(rhs))
 
 
 def solve_lambda(core, W):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
-from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, hermitize, mean_product, psd_factor
+from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, hermitize, mean_ct_product, mean_product
 from .rate import check_inflation, objective
 
 
@@ -136,7 +136,7 @@ def row_surrogate(core, W, row):
     ``S(W)``, which is ``1 / (S(W)^{-1})_rr``.
     """
     W = check_inflation(core.spec, W)
-    return float(np.mean(1.0 / Cholesky(core.schur(W)[1]).inv()[:, row, row].real))
+    return float(np.mean(1.0 / Cholesky(core.schur_s(W)).inv()[:, row, row].real))
 
 
 def alg1_row_update(core, W, row):
@@ -155,7 +155,7 @@ def alg1_row_update(core, W, row):
     if not 0 <= row < m:
         raise ValueError(f"row index {row} out of range for m={m}")
 
-    t2 = psd_factor(spec.sigma_s)
+    t2, t2_pinv = core.sigma_s_factor
     out = W.copy()
     if t2.shape[1] == 0:
         # W multiplies sigma_s everywhere; the zero row is the canonical choice
@@ -173,11 +173,11 @@ def alg1_row_update(core, W, row):
             raise SolverError(f"singular D block in row update {row}",
                               row_index=row) from None
         F = fac.inv()
-        e_f = F.mean(axis=0)
+        e_f = np.add.reduce(F) / F.shape[0]
         e_gh = -mean_product(F, ck)
         e_hj = ct(e_gh)
         G = fac.forward(ck)  # (Cb K)* Sb^{-1} Cb K = G* G
-        e_hkh = core.mean_K + mean_product(ct(G), G)
+        e_hkh = core.mean_K + mean_ct_product(G, G)
         psi2 = e_hj @ Wb + e_hkh
         psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
     n_tilde = np.conj(spec.T[:, row]) @ psi2
@@ -189,7 +189,7 @@ def alg1_row_update(core, W, row):
             f"singular normal matrix in row update {row} after rank reduction",
             row_index=row,
         )
-    out[row] = y @ np.linalg.pinv(t2)
+    out[row] = y @ t2_pinv
     return out
 
 
@@ -255,7 +255,8 @@ def alg2_map(core, W, factor=None):
     ck, fac = factor
     s_inv = fac.inv()
     try:
-        return np.linalg.solve(s_inv.mean(axis=0), mean_product(s_inv, ck))
+        return np.linalg.solve(np.add.reduce(s_inv) / s_inv.shape[0],
+                               mean_product(s_inv, ck))
     except np.linalg.LinAlgError:
         raise SolverError(
             "singular E(A1) in fixed-point map; re-seed or use more draws"

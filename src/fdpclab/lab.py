@@ -14,7 +14,6 @@ bank and one cell core per bank cell, built once for the group.
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,8 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
 
     if threads == 1:
         return [row for group in groups for row in eval_group(group)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool runs
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return [row for rows in pool.map(eval_group, groups) for row in rows]
 

@@ -14,7 +14,11 @@ every per-draw log-determinant, solve and inverse.  Its contract:
   whose ``sample_index`` is the flat index of the first such matrix in the
   stack (None for a single matrix); no partial result is returned;
 * the log-determinant, forward and back substitution and the (exactly
-  Hermitian) inverse all come from that one factor.
+  Hermitian) inverse all come from that one factor;
+* ``forward``, ``backward``, ``solve`` and ``inv`` return entry-major
+  results (below) and allocate no stack-sized array besides the one they
+  return: their temporaries are single entries of the batch shape, and
+  ``solve`` back-substitutes in place of its forward result.
 
 It loops over the entries of the factor in Python with ufuncs over the
 whole stack, and its solves and log-determinant likewise work one entry of
@@ -24,12 +28,15 @@ runs over a trailing axis of length k); it is meant for the small k
 (m, r <= 3) of the rate.
 
 No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
-:func:`mean_product`, :func:`right_product` and :func:`left_product`, are
-ufunc multiply-adds on one length-n array per matrix entry, like the kernel.
-They round the same way whatever the BLAS thread count, and start no BLAS
-thread.  The cell core's stacks (:mod:`fdpclab.rate`) are entry-major: an
-(n, k, l) view of a (k, l, n) array, so that each entry ``a[:, i, j]`` is
-contiguous.
+:func:`mean_product`, :func:`mean_ct_product`, :func:`right_product` and
+:func:`left_product`, are ufunc multiply-adds on one length-n array per
+matrix entry, like the kernel.  They round the same way whatever the BLAS
+thread count, and start no BLAS thread.  :func:`mean_ct_product` conjugates
+the entries of its first stack as it reads them, so no caller makes a
+conjugate-transposed copy of a stack.  The stacks of the kernel and of the
+cell core (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a
+(k, l, n) array, so that each entry ``a[:, i, j]`` is contiguous, and the
+per-entry sums and means run over contiguous arrays.
 """
 
 import numpy as np
@@ -57,6 +64,9 @@ class Cholesky:
     See the module docstring for the contract.  Each entry of ``L`` is one
     array of the stack's batch shape: ``L[i][j]`` for ``i > j`` and the
     reciprocal diagonal ``r[j] = 1 / L_jj``; ``pivots[..., j]`` is ``L_jj^2``.
+    ``forward``, ``backward``, ``solve`` and ``inv`` return entry-major
+    views: a (..., k, t) view of a (k, t, ...) array, so each entry
+    ``x[..., i, j]`` of the result is one contiguous array of the batch shape.
     """
 
     def __init__(self, a):
@@ -66,12 +76,13 @@ class Cholesky:
         r, pivots = [], []
         with np.errstate(invalid="ignore", divide="ignore"):
             for j in range(k):
-                d = a[..., j, j].real - sum(_abs2(L[j][p]) for p in range(j))
+                s = _total(_abs2(L[j][p]) for p in range(j))
+                d = np.array(a[..., j, j].real) if s is None else a[..., j, j].real - s
                 pivots.append(d)
                 r.append(1.0 / np.sqrt(d))
                 for i in range(j + 1, k):
-                    L[i][j] = (a[..., i, j] - sum(L[i][p] * np.conj(L[j][p])
-                                                  for p in range(j))) * r[j]
+                    L[i][j] = _subtract_total(a[..., i, j], (L[i][p] * np.conj(L[j][p])
+                                                             for p in range(j)), r[j])
         ok = True
         for d in pivots:
             ok = ok & (d > 0) & (d < np.inf)
@@ -90,32 +101,36 @@ class Cholesky:
 
     def logdet(self):
         """log-determinant of each matrix, batch shape."""
-        return sum(np.log(d) for d in self._d)
+        return _total(np.log(d) for d in self._d)
 
     def forward(self, b):
         """``L^{-1} b`` for ``b`` of shape (..., k, t), one entry of the result at a time."""
         L, r = self.L, self.r
-        y = np.empty(b.shape, np.result_type(b, self.dtype))
+        y = _entry_major(b.shape, np.result_type(b, self.dtype))
         for c in range(b.shape[-1]):
             for i in range(self.k):
-                acc = b[..., i, c] - sum(L[i][p] * y[..., p, c] for p in range(i))
-                y[..., i, c] = acc * r[i]
+                _subtract_total(b[..., i, c], (L[i][p] * y[..., p, c] for p in range(i)),
+                                r[i], out=y[..., i, c])
         return y
 
     def backward(self, y):
         """``L^{-*} y`` for ``y`` of shape (..., k, t), one entry of the result at a time."""
+        return self._backward(y, _entry_major(y.shape, np.result_type(y, self.dtype)))
+
+    def _backward(self, y, x):
+        """:meth:`backward` into ``x``, which may be ``y`` itself."""
         L, r, k = self.L, self.r, self.k
-        x = np.empty(y.shape, np.result_type(y, self.dtype))
         for c in range(y.shape[-1]):
             for i in reversed(range(k)):
-                acc = y[..., i, c] - sum(np.conj(L[p][i]) * x[..., p, c]
-                                         for p in range(i + 1, k))
-                x[..., i, c] = acc * r[i]
+                _subtract_total(y[..., i, c], (np.conj(L[p][i]) * x[..., p, c]
+                                               for p in range(i + 1, k)),
+                                r[i], out=x[..., i, c])
         return x
 
     def solve(self, b):
-        """``A^{-1} b`` for ``b`` of shape (..., k, t)."""
-        return self.backward(self.forward(b))
+        """``A^{-1} b`` for ``b`` of shape (..., k, t); the back substitution overwrites the forward one."""
+        y = self.forward(b)
+        return self._backward(y, y)
 
     def inv(self):
         """``A^{-1} = L^{-*} L^{-1}``, exactly Hermitian with a real diagonal."""
@@ -124,15 +139,52 @@ class Cholesky:
         for j in range(k):
             X[j][j] = r[j]
             for i in range(j + 1, k):
-                X[i][j] = -sum(L[i][p] * X[p][j] for p in range(j, i)) * r[i]
-        out = np.empty(np.shape(self._d[0]) + (k, k), dtype=self.dtype)
+                v = _total(L[i][p] * X[p][j] for p in range(j, i))
+                v *= -r[i]
+                X[i][j] = v
+        out = _entry_major(np.shape(self._d[0]) + (k, k), self.dtype)
         for j in range(k):
-            out[..., j, j] = sum(_abs2(X[p][j]) for p in range(j, k))
+            out[..., j, j] = _total(_abs2(X[p][j]) for p in range(j, k))
             for i in range(j + 1, k):
-                v = sum(np.conj(X[p][i]) * X[p][j] for p in range(i, k))
-                out[..., i, j] = v
-                out[..., j, i] = np.conj(v)
+                out[..., i, j] = _total(np.conj(X[p][i]) * X[p][j] for p in range(i, k))
+                np.conjugate(out[..., i, j], out=out[..., j, i])
         return out
+
+
+def _total(terms):
+    """``sum(terms)`` in order, accumulated into its first term; None when there are none.
+
+    Bit-identical to ``sum`` without its int start, which costs one more
+    array pass and allocation.  Each term must be a fresh array the caller
+    may overwrite.
+    """
+    acc = None
+    for v in terms:
+        if acc is None:
+            acc = v
+        else:
+            acc += v
+    return acc
+
+
+def _subtract_total(b, terms, scale, out=None):
+    """``(b - sum(terms)) * scale`` into ``out``, or into the sum when not given.
+
+    Rounds as that expression does; ``terms`` as in :func:`_total`.
+    """
+    s = _total(terms)
+    if s is None:
+        return np.multiply(b, scale, out=out)
+    if out is None and isinstance(s, np.ndarray):
+        out = s
+    out = np.subtract(b, s, out=out)
+    out *= scale
+    return out
+
+
+def _entry_major(shape, dtype):
+    """An empty array of the given shape (..., k, t), as a view of a (k, t, ...) array."""
+    return np.moveaxis(np.empty(shape[-2:] + shape[:-2], dtype), (0, 1), (-2, -1))
 
 
 def _abs2(z):
@@ -144,14 +196,39 @@ def mean_product(a, b):
 
     Each entry is j multiply-adds on length-n arrays and one mean.
     """
-    _, i, j = a.shape
+    n, i, j = a.shape
     out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
     for p in range(i):
         for q in range(b.shape[2]):
             v = a[:, p, 0] * b[:, 0, q]
             for l in range(1, j):
                 v += a[:, p, l] * b[:, l, q]
-            out[p, q] = v.mean()
+            out[p, q] = np.add.reduce(v) / n
+    return out
+
+
+def mean_ct_product(a, b):
+    """``mean_n a_n* b_n`` for stacks ``a`` (n, j, i) and ``b`` (n, j, t), shape (i, t).
+
+    Like :func:`mean_product` of ``ct(a)`` and ``b``, but each entry of
+    ``a`` is read and conjugated in place, so no conjugate-transposed copy
+    of the stack is made.  For ``b is a`` (a Gram matrix) only the lower
+    triangle is formed: the upper triangle is its conjugate mirror and the
+    diagonal its real part, so the result is exactly Hermitian.
+    """
+    n, j, i = a.shape
+    gram = b is a
+    out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
+    for p in range(i):
+        for q in range(p + 1 if gram else b.shape[2]):
+            v = a[:, 0, p].conj() * b[:, 0, q]
+            for l in range(1, j):
+                v += a[:, l, p].conj() * b[:, l, q]
+            out[p, q] = np.add.reduce(v) / n
+            if gram:
+                out[q, p] = np.conj(out[p, q])
+        if gram:
+            out[p, p] = out[p, p].real
     return out
 
 

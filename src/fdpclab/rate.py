@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import Cholesky, ct, hermitize, logdet_pd, right_product
+from .linalg import Cholesky, ct, hermitize, logdet_pd, psd_factor, right_product
 
 LN2 = float(np.log(2.0))
 
@@ -89,27 +89,36 @@ class RateEstimate:
 
 
 def _hermitian_products(x, y, out, shift=None):
-    """Fill ``out[:, i, j] = sum_l x[:, i, l] y[:, j, l] (+ shift[i, j])`` for i >= j.
+    """Fill ``out[:, i, j] = sum_l x[:, i, l] conj(y[:, j, l]) (+ shift[i, j])`` for i >= j.
 
-    ``x`` and ``y`` are stacks (n, k, L), ``y`` also (1, k, L) for one
-    matrix shared by all draws, and ``out`` an (n, k, k) array or view.  Each entry is a few multiply-adds on length-n arrays; the upper
-    triangle is the conjugate mirror and the diagonal its real part, so the
-    result is exactly Hermitian.
+    That is ``x_n y_n* (+ shift)`` per draw.  ``x`` and ``y`` are stacks
+    (n, k, L), ``y`` also (1, k, L) for one matrix shared by all draws, and
+    ``out`` an (n, k, k) array or view.  Each entry is a few multiply-adds
+    on length-n arrays, accumulated in its slot of ``out``, with the entries
+    of ``y`` conjugated as they are read (no conjugate copy of the stack);
+    the upper triangle is the conjugate mirror and the diagonal its real
+    part, so the result is exactly Hermitian.
     """
-    k, L = x.shape[1], x.shape[2]
-    for i in range(k):
-        for j in range(i + 1):
-            v = x[:, i, 0] * y[:, j, 0]
-            for p in range(1, L):
-                v += x[:, i, p] * y[:, j, p]
-            if shift is not None:
-                v += shift[i, j]
-            if i == j:
-                out[:, i, i] = v.real
-            else:
-                out[:, i, j] = v
-                out[:, j, i] = np.conj(v)
+    for i in range(x.shape[1]):
+        _hermitian_row(x[:, i], y, out, i, shift)
     return out
+
+
+def _hermitian_row(x_i, y, out, i, shift=None):
+    """Row i of :func:`_hermitian_products` from ``x_i = x[:, i]`` (n, L) alone.
+
+    Fills ``out[:, i, j]`` for j <= i and mirrors each into ``out[:, j, i]``.
+    """
+    for j in range(i + 1):
+        v = np.multiply(x_i[:, 0], y[:, j, 0].conj(), out=out[:, i, j])
+        for p in range(1, x_i.shape[1]):
+            v += x_i[:, p] * y[:, j, p].conj()
+        if shift is not None:
+            v += shift[i, j]
+        if i != j:
+            np.conjugate(v, out=out[:, j, i])
+        elif np.iscomplexobj(v):
+            v.imag = 0.0
 
 
 def _covariance(H, sigma, sigma_z):
@@ -120,8 +129,7 @@ def _covariance(H, sigma, sigma_z):
     """
     n, r, _ = H.shape
     out = np.empty((r, r, n), dtype=np.result_type(H, sigma, sigma_z))
-    return _hermitian_products(right_product(H, sigma), np.conj(H),
-                               out.transpose(2, 0, 1), sigma_z)
+    return _hermitian_products(right_product(H, sigma), H, out.transpose(2, 0, 1), sigma_z)
 
 
 class CellCore:
@@ -129,8 +137,10 @@ class CellCore:
 
     The transmit factor is ``spec.T``; to evaluate another one, build the
     core on ``dataclasses.replace(spec, T=T)``.  ``logdet N_r`` and ``K`` are
-    computed on first use, the bound term only when the bound is asked for.
-    ``K`` is stored entry-major as a (t, t, n) array.
+    computed on first use, the bound term only when the bound is asked for,
+    and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
+    row step reads, once per core.  ``K`` is stored entry-major as a
+    (t, t, n) array.
     """
 
     def __init__(self, spec, draws):
@@ -146,9 +156,10 @@ class CellCore:
         n, _, t = H.shape
         fac = Cholesky(_covariance(H, self.spec.T @ ct(self.spec.T) + self.spec.sigma_s,
                                    self.spec.sigma_z))
-        G = fac.forward(H).transpose(0, 2, 1)
-        K = np.empty((t, t, n), dtype=G.dtype)
-        _hermitian_products(np.conj(G), G, K.transpose(2, 0, 1))
+        Gt = fac.forward(H).transpose(0, 2, 1)  # G^T for G = L^{-1} H
+        K = np.empty((t, t, n), dtype=Gt.dtype)
+        # K = G* G is Hermitian, so its transpose is G^T conj(G) = Gt Gt*
+        _hermitian_products(Gt, Gt, K.transpose(2, 1, 0))
         return fac.logdet(), K
 
     @property
@@ -159,7 +170,14 @@ class CellCore:
     @cached_property
     def mean_K(self):
         """``E K = E H* N_r^{-1} H``, shape (t, t)."""
-        return self._received[1].mean(axis=2)
+        K = self._received[1]
+        return np.add.reduce(K, axis=2) / K.shape[2]
+
+    @cached_property
+    def sigma_s_factor(self):
+        """``(F, pinv(F))`` with ``Ss = F F*`` and F of width rank(Ss) (:func:`psd_factor`)."""
+        F = psd_factor(self.spec.sigma_s)
+        return F, np.linalg.pinv(F)
 
     @cached_property
     def logdet_bound(self):
@@ -172,29 +190,41 @@ class CellCore:
         ``C = T[:, cols]* + W Ss`` with ``cols`` all of T's columns by
         default, so a subset of W's rows passes the matching columns of T.
         Both are entry-major views.  Row i of ``C K`` is the sum of the
-        (t, n) blocks ``K[a]`` scaled by ``C[i, a]``; the lower triangle of
-        ``S = I + W Ss W* - (C K) C*`` is formed from it entry by entry and
-        the upper triangle mirrored, so ``S`` is exactly Hermitian.
+        (t, n) blocks ``K[a]`` scaled by ``C[i, a]``; row i of the lower
+        triangle of ``S = I + W Ss W* - (C K) C*`` is formed from it entry
+        by entry and mirrored, so ``S`` is exactly Hermitian.
         """
+        return self._schur(W, cols, keep_ck=True)
+
+    def schur_s(self, W):
+        """``S(W)`` alone, formed as :meth:`schur` forms it.
+
+        The rows of ``C K`` share one (t, n) buffer, so no (n, m, t) stack
+        is held beside ``S``.
+        """
+        return self._schur(W, None, keep_ck=False)[1]
+
+    def _schur(self, W, cols, keep_ck):
         K = self._received[1]
         t, _, n = K.shape
         k = W.shape[0]
         Tc = self.spec.T if cols is None else self.spec.T[:, cols]
         ss = self.spec.sigma_s
         C = ct(Tc) + W @ ss
-        ck = np.empty((k, t, n), dtype=np.result_type(C, K))
-        for i in range(k):
-            np.multiply(K[0], C[i, 0], out=ck[i])
-            for a in range(1, t):
-                ck[i] += C[i, a] * K[a]
-        ck = ck.transpose(2, 0, 1)
+        y, shift = -C[None], np.eye(k) + W @ ss @ ct(W)
+        ck = np.empty((k if keep_ck else 1, t, n), dtype=np.result_type(C, K))
         S = np.empty((k, k, n), dtype=ck.dtype).transpose(2, 0, 1)
-        _hermitian_products(ck, -np.conj(C)[None], S, np.eye(k) + W @ ss @ ct(W))
-        return ck, S
+        for i in range(k):
+            row = ck[i if keep_ck else 0]
+            np.multiply(K[0], C[i, 0], out=row)
+            for a in range(1, t):
+                row += C[i, a] * K[a]
+            _hermitian_row(row.T, y, S, i, shift)
+        return (ck.transpose(2, 0, 1) if keep_ck else None), S
 
     def logdet_s(self, W):
         """``logdet S(W)`` per draw; the per-draw rate is its negative."""
-        return logdet_pd(self.schur(W)[1])
+        return logdet_pd(self.schur_s(W))
 
 
 def build_M(spec, W, H):

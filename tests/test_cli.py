@@ -58,13 +58,22 @@ def test_config_schema_is_valid():
 
 
 def test_validate_config_reports_the_error_jsonschema_picks():
+    """The message names the rejected field by its JSON path."""
     for raw in ({"t": "two"}, {"csit": {"variant": "quantized", "bits": 9}},
-                {"t": 0, "r": "x", "bogus": 1}, [1, 2]):
+                {"t": 0, "r": "x", "bogus": 1}, [1, 2], {"mc": {"seed": -2}},
+                {"sigma_s": {"kind": "random_rank", "rank": 1, "seed": -2}}):
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         with pytest.raises(ConfigurationError) as got:
             validate_config(raw)
-        assert str(got.value) == f"invalid configuration: {want.value.message}"
+        assert str(got.value) == (f"invalid configuration: {want.value.json_path}: "
+                                  f"{want.value.message}")
+    for raw, path in (({"mc": {"seed": -2}}, "$.mc.seed"),
+                      ({"sigma_s": {"kind": "random_rank", "rank": 1, "seed": -2}},
+                       "$.sigma_s.seed")):
+        with pytest.raises(ConfigurationError) as got:
+            validate_config(raw)
+        assert str(got.value) == f"invalid configuration: {path}: -2 is less than the minimum of 0"
 
 
 def test_build_experiment_requires_core_fields():
@@ -408,10 +417,11 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert json.loads(out)["seed"] == 5
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    """Importing the CLI loads no scipy module at all."""
+@pytest.mark.parametrize("package", ["scipy", "concurrent", "logging"])
+def test_cli_import_leaves_package_out(package):
+    """Importing the CLI loads no module of scipy, concurrent.futures or logging."""
     code = ("import sys, fdpclab.cli; "
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            f"loaded = [m for m in sys.modules if m.split('.')[0] == {package!r}]; "
             "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

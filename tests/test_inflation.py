@@ -132,6 +132,45 @@ def test_row_update_matches_independent_closed_form():
     assert np.abs(got - expected).max() <= 1e-8 * max(1.0, np.abs(expected).max())
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_row_update_matches_einsum_reference(m, field):
+    """Each row step at m >= 2 against expectations formed with einsum and inv.
+
+    The reference builds ``K = H* N_r^{-1} H`` and the other rows' ``Sb`` per
+    draw, and takes ``E Sb^{-1}``, ``E Sb^{-1} Cb K`` and
+    ``E K Cb* Sb^{-1} Cb K`` directly; the row is then the minimizer of the
+    surrogate on the column space of ``Ss``.
+    """
+    rng = make_rng(30 + 10 * m + (field == "complex"))
+    spec = rand_spec(rng, 3, 2, m, field, sigma_s_rank=2)
+    H = rand_matrix(rng, (200, 2, 3), field)
+    W = 0.3 * rand_matrix(rng, (m, 3), field)
+    T, ss = spec.T, spec.sigma_s
+    rx = np.einsum("nrk,kl,nsl->nrs", H, T @ T.conj().T + ss, H.conj()) + np.eye(2)
+    K = np.einsum("nrt,nrs,nsu->ntu", H.conj(), np.linalg.inv(rx), H)
+    t2 = psd_factor(ss)
+    core = rate.CellCore(spec, H)
+    for row in range(m):
+        rest = [i for i in range(m) if i != row]
+        Wb = W[rest]
+        Cb = T[:, rest].conj().T + Wb @ ss
+        ck = np.einsum("it,ntu->niu", Cb, K)
+        Sb = np.eye(m - 1) + Wb @ ss @ Wb.conj().T - np.einsum("niu,ju->nij", ck, Cb.conj())
+        Sb_inv = np.linalg.inv(Sb)
+        e_f = Sb_inv.mean(axis=0)
+        e_gh = -np.einsum("nij,nju->iu", Sb_inv, ck) / len(H)
+        e_hkh = K.mean(axis=0) + np.einsum("nit,nij,nju->tu", ck.conj(), Sb_inv, ck) / len(H)
+        e_hj = e_gh.conj().T
+        psi = Wb.conj().T @ e_f @ Wb + Wb.conj().T @ e_gh + e_hj @ Wb + e_hkh
+        n_tilde = T[:, row].conj() @ (e_hj @ Wb + e_hkh)
+        normal = np.eye(t2.shape[1]) - t2.conj().T @ psi @ t2
+        want = np.linalg.solve(normal.T, n_tilde @ t2) @ np.linalg.pinv(t2)
+        got = inflation.alg1_row_update(core, W, row)
+        assert np.abs(got[row] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(np.delete(got, row, axis=0), np.delete(W, row, axis=0))
+
+
 def test_row_update_exact_on_degenerate_bank():
     """Where the surrogate is exact, each row step is the true row minimizer."""
     from scipy.optimize import minimize

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from fdpclab.errors import EvaluationError
-from fdpclab.linalg import (Cholesky, ct, left_product, logdet_pd, mean_product,
-                            right_product)
+from fdpclab.linalg import (Cholesky, ct, left_product, logdet_pd, mean_ct_product,
+                            mean_product, right_product)
 
 from conftest import make_rng, rand_matrix
 
@@ -49,10 +49,14 @@ def test_kernel_matches_lapack(k, field):
         assert np.abs(fac.logdet() - np.linalg.slogdet(a)[1]).max() <= tol
         assert np.allclose(fac.pivots, np.einsum("nii->ni", L).real ** 2, rtol=tol, atol=0)
         assert rel_err(fac.forward(eye), np.linalg.inv(L)) <= tol
-        assert rel_err(fac.forward(b), np.linalg.solve(L, b)) <= tol
-        assert rel_err(fac.backward(b), np.linalg.solve(ct(L), b)) <= tol
-        assert rel_err(fac.solve(b), np.linalg.solve(a, b)) <= tol
-        assert rel_err(fac.inv(), np.linalg.inv(a)) <= tol
+        for got, want in ((fac.forward(b), np.linalg.solve(L, b)),
+                          (fac.backward(b), np.linalg.solve(ct(L), b)),
+                          (fac.solve(b), np.linalg.solve(a, b)),
+                          (fac.inv(), np.linalg.inv(a))):
+            assert rel_err(got, want) <= tol
+            assert got.shape == want.shape
+            assert all(got[:, i, j].flags.c_contiguous  # entry-major
+                       for i in range(got.shape[1]) for j in range(got.shape[2]))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -127,3 +131,12 @@ def test_stack_products_match_einsum(n, field):
                 assert got.shape == (n, t, t)
                 assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
                 assert norm_rel_err(got, np.einsum("ij,njk->nik", b, x)) <= 1e-12
+                ly = layout(y)
+                got = mean_ct_product(ly, ly)
+                assert got.shape == (m, m)
+                assert np.array_equal(got, ct(got))  # the Gram case: exactly Hermitian
+                assert norm_rel_err(got, np.einsum("nji,njk->ik", y.conj(), y) / n) <= 1e-12
+                got = mean_ct_product(layout(y), layout(x.transpose(0, 2, 1)))
+                assert got.shape == (m, m)
+                want = np.einsum("nji,nkj->ik", y.conj(), x) / n
+                assert norm_rel_err(got, want) <= 1e-12
