@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, mean_ct_product, right_product
-from .rate import CellCore, achievable_rate
+from .linalg import DEFAULT_RANK_TOL, ct, mean_ct_product, right_product
+from .rate import CellCore, SchurPoint, achievable_rate
 
 
 # Stop the alternation when the rate gains less than this per outer step (bits).
@@ -84,11 +84,11 @@ def t_step_map(core, W):
 def gradient_map(core, W):
     """``g(T, W)`` at the core's ``spec.T``: conjugate-coordinate gradient of the rate term."""
     T, dtype = core.spec.T, core.spec.dtype
-    W = np.asarray(W, dtype=dtype)
-    ck, S = core.schur(W)
-    rhs = right_product(ck, -T)  # I - C K T per draw
-    rhs += np.eye(ck.shape[1], dtype=dtype)
-    return mean_ct_product(ck, Cholesky(S).solve(rhs))
+    point = SchurPoint(core, np.asarray(W, dtype=dtype))
+    # I - C K T per draw: averaging the two terms apart loses accuracy at high SNR
+    rhs = right_product(point.ck, -T)
+    rhs += np.eye(rhs.shape[1], dtype=dtype)
+    return mean_ct_product(point.G, point.factor.forward(rhs))  # (C K)* S^{-1} = G* L^{-1}
 
 
 def solve_lambda(core, W):

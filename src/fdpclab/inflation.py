@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
-from .linalg import DEFAULT_RANK_TOL, Cholesky, ct, hermitize, mean_ct_product, mean_product
-from .rate import check_inflation, objective
+from .linalg import DEFAULT_RANK_TOL, ct, hermitize
+from .rate import SchurPoint, check_inflation, objective
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def row_surrogate(core, W, row):
     ``S(W)``, which is ``1 / (S(W)^{-1})_rr``.
     """
     W = check_inflation(core.spec, W)
-    return float(np.mean(1.0 / Cholesky(core.schur_s(W)).inv()[:, row, row].real))
+    return float(np.mean(1.0 / SchurPoint(core, W).factor.inv()[:, row, row].real))
 
 
 def alg1_row_update(core, W, row):
@@ -166,20 +166,16 @@ def alg1_row_update(core, W, row):
     psi2 = psi = core.mean_K
     if rest:
         Wb = W[rest]
-        ck, Sb = core.schur(Wb, rest)
         try:
-            fac = Cholesky(Sb)
+            point = SchurPoint(core, Wb, rest)
         except EvaluationError:
             raise SolverError(f"singular D block in row update {row}",
                               row_index=row) from None
-        F = fac.inv()
-        e_f = np.add.reduce(F) / F.shape[0]
-        e_gh = -mean_product(F, ck)
-        e_hj = ct(e_gh)
-        G = fac.forward(ck)  # (Cb K)* Sb^{-1} Cb K = G* G
-        e_hkh = core.mean_K + mean_ct_product(G, G)
-        psi2 = e_hj @ Wb + e_hkh
-        psi = ct(Wb) @ e_f @ Wb + ct(Wb) @ e_gh + e_hj @ Wb + e_hkh
+        e_f, e_fck = point.means
+        e_kcf = ct(e_fck)
+        e_hkh = core.mean_K + point.mean_gram
+        psi2 = e_hkh - e_kcf @ Wb
+        psi = ct(Wb) @ e_f @ Wb - ct(Wb) @ e_fck - e_kcf @ Wb + e_hkh
     n_tilde = np.conj(spec.T[:, row]) @ psi2
     core_mat = np.eye(t2.shape[1], dtype=spec.dtype) - ct(t2) @ psi @ t2
     try:
@@ -199,10 +195,11 @@ def alg1_solve(core, W0, config):
     One iteration sweeps all rows; the objective is recorded after every
     accepted sweep (the initial objective is the first trace entry).  Each
     row step minimizes a Jensen surrogate, which does not guarantee descent
-    of the true objective, so a sweep that increases the objective beyond
-    tolerance is rolled back and the run stops there, flagged not converged,
-    with the best-seen iterate returned.  The recorded trace is therefore
-    non-increasing.
+    of the true objective.  A sweep that raises the objective by more than
+    ``tol * max(1, |obj|)`` (``obj`` its last trace entry) is rolled back and
+    stops the run, not converged; a smaller change, a rise included, is
+    accepted and stops it, converged.  Either way the last accepted W (or W0)
+    is returned, not the best seen, and only the last trace step may rise.
     """
     spec, H = core.spec, core.H
     W = check_inflation(spec, W0)
@@ -234,29 +231,25 @@ def alg1_solve(core, W0, config):
 # differences in its least-squares fit.
 ANDERSON_DEPTH = 5
 
-def alg2_map(core, W, factor=None):
+def alg2_map(core, W, point=None):
     """One application of the stationarity map ``g``.
 
     The top blocks of ``M^{-1}`` are ``S^{-1}`` and ``-S^{-1} C H* N_r^{-1}``,
     so ``g(W) = (E S^{-1})^{-1} E(S^{-1} C K)``.  With zero interference the
     stationarity equation holds identically and the map returns W unchanged.
-    ``factor`` is ``(C K, Cholesky(S))`` at this W when the caller already
-    has it (:func:`alg2_solve` does); otherwise they come from ``core``.
+    ``point`` is the :class:`fdpclab.rate.SchurPoint` of ``core`` at this W
+    when the caller already has it (:func:`alg2_solve` does).
     """
     W = check_inflation(core.spec, W)
     if np.abs(core.spec.sigma_s).max(initial=0.0) == 0.0:
         return W.copy()
-    if factor is None:
-        ck, S = core.schur(W)
+    if point is None:
         try:
-            factor = ck, Cholesky(S)
+            point = SchurPoint(core, W)
         except EvaluationError:
             raise SolverError("singular block matrix in fixed-point map") from None
-    ck, fac = factor
-    s_inv = fac.inv()
     try:
-        return np.linalg.solve(np.add.reduce(s_inv) / s_inv.shape[0],
-                               mean_product(s_inv, ck))
+        return np.linalg.solve(*point.means)
     except np.linalg.LinAlgError:
         raise SolverError(
             "singular E(A1) in fixed-point map; re-seed or use more draws"
@@ -267,7 +260,7 @@ def alg2_solve(core, W0, config):
     """Safeguarded Anderson-accelerated fixed-point iteration ``W <- map(W)``.
 
     At each accepted point (the start included) the map ``G`` and the
-    residual ``f = G - W`` come from that point's Cholesky factor, and the
+    residual ``f = G - W`` come from that point's :class:`SchurPoint`, and the
     solve stops, converged, once ``||f|| <= tol ||W||`` (Frobenius norms):
     the returned W is then the point whose residual passed.  Otherwise the
     next candidate is the type-II Anderson step ``G - dG c``, with ``c``
@@ -283,25 +276,13 @@ def alg2_solve(core, W0, config):
     ``max_iters`` candidates in all, stop the solve unconverged with the
     best-seen W.
 
-    ``iterations`` counts the evaluated candidates.  Each evaluated point
-    costs one ``S(W)`` and one Cholesky factor, which give its objective; the
-    factor of an accepted point also gives its map.  Nothing outlives the
-    call.
+    ``iterations`` counts the evaluated candidates, one :class:`SchurPoint`
+    each.  With zero interference the map returns W0, so the solve stops,
+    converged, after 0 candidates.  Nothing outlives the call.
     """
-    spec = core.spec
-    W = check_inflation(spec, W0)
-    if np.abs(spec.sigma_s).max(initial=0.0) == 0.0:
-        return SolveResult(W=W, objective_trace=(objective(spec, W, core.H, core),),
-                           converged=True, iterations=0)
-    ld_nr = np.mean(core.logdet_nr)
-
-    def point(W):
-        """Objective at W and ``(C K, Cholesky(S(W)))``."""
-        ck, S = core.schur(W)
-        fac = Cholesky(S)
-        return float(ld_nr + np.mean(fac.logdet())), (ck, fac)
-
-    obj, factor = point(W)
+    W = check_inflation(core.spec, W0)
+    point = SchurPoint(core, W)
+    obj = point.objective
     trace = [obj]
     best_obj, best_w = obj, W
     d_f, d_g = [], []  # flattened residual and map differences, oldest first
@@ -312,8 +293,8 @@ def alg2_solve(core, W0, config):
     iterations = 0
     while True:
         if G is None:
-            # drop W's factor before the candidate's is built
-            G, factor = alg2_map(core, W, factor), None
+            # drop W's point before the candidate's is built
+            G, point = alg2_map(core, W, point), None
             f = G - W
             if np.linalg.norm(f) <= config.tol * np.linalg.norm(W):
                 converged = True
@@ -332,7 +313,8 @@ def alg2_solve(core, W0, config):
         else:
             cand = (1.0 - gamma) * W + gamma * G
         try:
-            obj_c, factor = point(cand)
+            point = SchurPoint(core, cand)
+            obj_c = point.objective
         except EvaluationError:  # S(cand) not p.d., e.g. a non-finite candidate
             obj_c = np.inf
         if not obj_c <= obj + 1e-12 * max(1.0, abs(obj)):

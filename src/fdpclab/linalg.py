@@ -5,7 +5,7 @@ sense, and treat matrices as Hermitian/positive (semi-)definite according to
 their contracts rather than re-checking on every call.
 
 :class:`Cholesky` is the one factorization of stacked matrices, used for
-every per-draw log-determinant, solve and inverse.  Its contract:
+every per-draw log-determinant, forward substitution and inverse.  Its contract:
 
 * input is a stack (..., k, k) of Hermitian positive definite matrices; only
   the lower triangle and the real part of the diagonal are read, so the
@@ -13,15 +13,15 @@ every per-draw log-determinant, solve and inverse.  Its contract:
 * a pivot that is not finite and positive raises :class:`EvaluationError`
   whose ``sample_index`` is the flat index of the first such matrix in the
   stack (None for a single matrix); no partial result is returned;
-* the log-determinant, forward and back substitution and the (exactly
-  Hermitian) inverse all come from that one factor;
-* ``forward``, ``backward``, ``solve`` and ``inv`` return entry-major
-  results (below) and allocate no stack-sized array besides the one they
-  return: their temporaries are single entries of the batch shape, and
-  ``solve`` back-substitutes in place of its forward result.
+* the log-determinant, the forward substitution ``L^{-1} b`` and the
+  (exactly Hermitian) inverse all come from that one factor; there is no
+  back substitution, since ``b* A^{-1} c = (L^{-1} b)* (L^{-1} c)``;
+* ``forward`` and ``inv`` return entry-major results (below) and allocate
+  no stack-sized array besides the one they return: their temporaries are
+  single entries of the batch shape.
 
 It loops over the entries of the factor in Python with ufuncs over the
-whole stack, and its solves and log-determinant likewise work one entry of
+whole stack, and its substitution and log-determinant likewise work one entry of
 the result at a time on arrays of the batch shape, so the cost is a few
 array passes per entry instead of one LAPACK call per matrix (and no ufunc
 runs over a trailing axis of length k); it is meant for the small k
@@ -61,12 +61,12 @@ def hermitize(a):
 class Cholesky:
     """Lower Cholesky factor ``A = L L*`` of a stack (..., k, k) of Hermitian p.d. matrices.
 
-    See the module docstring for the contract.  Each entry of ``L`` is one
-    array of the stack's batch shape: ``L[i][j]`` for ``i > j`` and the
+    It gives the log-determinant, ``forward`` (``L^{-1} b``) and ``inv``, and no
+    back substitution; see the module docstring for the contract.  Each entry
+    of ``L`` is one array of the batch shape: ``L[i][j]`` for ``i > j`` and the
     reciprocal diagonal ``r[j] = 1 / L_jj``; ``pivots[..., j]`` is ``L_jj^2``.
-    ``forward``, ``backward``, ``solve`` and ``inv`` return entry-major
-    views: a (..., k, t) view of a (k, t, ...) array, so each entry
-    ``x[..., i, j]`` of the result is one contiguous array of the batch shape.
+    ``forward`` and ``inv`` return entry-major views: a (..., k, t) view of a
+    (k, t, ...) array, so each entry ``x[..., i, j]`` is one contiguous array.
     """
 
     def __init__(self, a):
@@ -112,25 +112,6 @@ class Cholesky:
                 _subtract_total(b[..., i, c], (L[i][p] * y[..., p, c] for p in range(i)),
                                 r[i], out=y[..., i, c])
         return y
-
-    def backward(self, y):
-        """``L^{-*} y`` for ``y`` of shape (..., k, t), one entry of the result at a time."""
-        return self._backward(y, _entry_major(y.shape, np.result_type(y, self.dtype)))
-
-    def _backward(self, y, x):
-        """:meth:`backward` into ``x``, which may be ``y`` itself."""
-        L, r, k = self.L, self.r, self.k
-        for c in range(y.shape[-1]):
-            for i in reversed(range(k)):
-                _subtract_total(y[..., i, c], (np.conj(L[p][i]) * x[..., p, c]
-                                               for p in range(i + 1, k)),
-                                r[i], out=x[..., i, c])
-        return x
-
-    def solve(self, b):
-        """``A^{-1} b`` for ``b`` of shape (..., k, t); the back substitution overwrites the forward one."""
-        y = self.forward(b)
-        return self._backward(y, y)
 
     def inv(self):
         """``A^{-1} = L^{-*} L^{-1}``, exactly Hermitian with a real diagonal."""

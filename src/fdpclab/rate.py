@@ -20,8 +20,9 @@ cells, in bits).  The no-interference bound
 
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
-``K = G* G`` with ``G = L^{-1} H``; every factorization of ``N_r`` or
-``S(W)`` is one :class:`fdpclab.linalg.Cholesky` over the stack of draws.
+``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
+factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
+every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
 The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
 that kernel: each entry of the lower triangle (r, t <= 3) is a few ufunc
 multiply-adds on arrays of length n, and the upper triangle is its
@@ -56,7 +57,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import Cholesky, ct, hermitize, logdet_pd, psd_factor, right_product
+from .linalg import (Cholesky, ct, hermitize, logdet_pd, mean_ct_product, mean_product,
+                     psd_factor, right_product)
 
 LN2 = float(np.log(2.0))
 
@@ -225,6 +227,40 @@ class CellCore:
     def logdet_s(self, W):
         """``logdet S(W)`` per draw; the per-draw rate is its negative."""
         return logdet_pd(self.schur_s(W))
+
+
+class SchurPoint:
+    """``C K`` and ``S(W) = L L*`` from ``core.schur(W, cols)``, factored once.
+
+    An ``S`` that is not positive definite raises :class:`EvaluationError`.
+    The properties are computed on first use and cached on the point, not the core.
+    """
+
+    def __init__(self, core, W, cols=None):
+        self.core = core
+        self.ck, S = core.schur(W, cols)
+        self.factor = Cholesky(S)
+
+    @cached_property
+    def objective(self):
+        """``E logdet M(W)`` in nats (W of all m rows)."""
+        return float(np.mean(self.core.logdet_nr) + np.mean(self.factor.logdet()))
+
+    @cached_property
+    def means(self):
+        """``(E S^{-1}, E S^{-1} C K)``, shapes (k, k) and (k, t)."""
+        s_inv = self.factor.inv()
+        return np.add.reduce(s_inv) / s_inv.shape[0], mean_product(s_inv, self.ck)
+
+    @cached_property
+    def G(self):
+        """``L^{-1} C K`` per draw, so that ``(C K)* S^{-1} C K = G* G``."""
+        return self.factor.forward(self.ck)
+
+    @cached_property
+    def mean_gram(self):
+        """``E G* G = E (C K)* S^{-1} C K``, exactly Hermitian."""
+        return mean_ct_product(self.G, self.G)
 
 
 def build_M(spec, W, H):

@@ -7,6 +7,8 @@ core-based quantity must match them to 1e-10 relative.  A 60-digit mpmath
 oracle pins the per-draw rate at high SNR.
 """
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -238,6 +240,15 @@ def test_schur_matches_einsum_reference_and_is_exactly_hermitian(m, t, field):
         assert rel_err(S, S_ref) <= 1e-12
         assert ck.dtype == S.dtype == spec.dtype
         assert np.array_equal(S, ct(S))
+        # the point's means: E S^{-1}, E S^{-1} C K and E (C K)* S^{-1} C K
+        point = rate.SchurPoint(core, Wk, None if len(cols) == m else cols)
+        s_inv = np.linalg.inv(S_ref)
+        e_inv, e_sck = point.means
+        assert rel_err(e_inv, s_inv.mean(axis=0)) <= 1e-12
+        assert rel_err(e_sck, np.einsum("nij,njb->ib", s_inv, ck_ref) / len(H)) <= 1e-12
+        gram_ref = np.einsum("nia,nij,njb->ab", np.conj(ck_ref), s_inv, ck_ref) / len(H)
+        assert rel_err(point.mean_gram, gram_ref) <= 1e-12
+        assert np.array_equal(point.mean_gram, ct(point.mean_gram))
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +294,36 @@ def test_per_draw_rate_against_mpmath_oracle(name, snr_db, tol_bits):
     got = -rate.CellCore(spec, H).logdet_s(W) / np.log(2.0)
     want = np.array([oracle_rate_bits(spec, W, h) for h in H])
     assert np.abs(got - want).max() <= tol_bits
+
+
+def oracle_gradient(spec, W, H):
+    """``E K C* S^{-1} (I - C K T)`` at 50 digits, from the float64 inputs."""
+    with mpmath.workdps(50):
+        T, ss, sz, W = (mp_matrix(a) for a in (spec.T, spec.sigma_s, spec.sigma_z, W))
+        m = W.rows
+        c = T.H + W * ss
+        total = mpmath.zeros(T.rows, m)
+        for h in H:
+            h = mp_matrix(h)
+            K = h.H * mpmath.inverse(h * (T * T.H + ss) * h.H + sz) * h
+            S = mpmath.eye(m) + W * ss * W.H - c * K * c.H
+            total += K * c.H * mpmath.inverse(S) * (mpmath.eye(m) - c * K * T)
+        return np.array([[complex(total[i, j]) for j in range(m)]
+                         for i in range(T.rows)]) / len(H)
+
+
+@pytest.mark.parametrize("snr_db,tol", [(30.0, 2 * 2.36e-12), (60.0, 2 * 8.54e-10)])
+def test_covariance_gradient_against_mpmath_oracle(snr_db, tol):
+    """``gradient_map`` at the initial rank-3 T and its ``alg2`` W, relative max error.
+
+    ``tol`` is twice the error of the back-substitution form
+    ``(C K)* S^{-1} (I - C K T)`` measured on these 16 draws.
+    """
+    ref = lab.reference_channel("fdpc-rank-3x2")
+    spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+    spec = replace(spec, T=covopt._initial_factor(spec, 3))
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 16, seed=3).cells[0].draws
+    core = rate.CellCore(spec, H)
+    W = inflation.solve_w(core, "alg2").W
+    want = oracle_gradient(spec, W, H)
+    assert np.abs(covopt.gradient_map(core, W) - want).max() / np.abs(want).max() <= tol

@@ -387,6 +387,27 @@ def test_alg2_zero_interference_returns_w0():
     assert np.array_equal(res.W, W0)
 
 
+def test_alg2_zero_interference_stops_at_w0_with_its_objective():
+    """With ``Ss = 0`` the first residual is 0: W0 and its objective, 0 candidates.
+
+    The noise covariance is not ``I``, so the objective is not 0.
+    """
+    rng = make_rng(43)
+    T = rand_matrix(rng, (3, 2), "complex")
+    sigma_z = rand_matrix(rng, (2, 2), "complex")
+    sigma_z = sigma_z @ sigma_z.conj().T + 0.5 * np.eye(2)
+    spec = ChannelSpec.create(T=T, sigma_s=np.zeros((3, 3)), sigma_z=sigma_z, field="complex")
+    H = rand_matrix(rng, (50, 2, 3), "complex")
+    W0 = rand_matrix(rng, (2, 3), "complex").astype(spec.dtype)
+    core = rate.CellCore(spec, H)
+    obj0 = rate.objective(spec, W0, H, core)
+    assert obj0 != 0.0
+    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
+    assert res.converged and res.iterations == 0
+    assert res.W.dtype == W0.dtype and res.W.tobytes() == W0.tobytes()
+    assert res.objective_trace == (obj0,)
+
+
 def test_alg2_residual_satisfies_stopping_contract():
     rng = make_rng(23)
     spec = rand_spec(rng, 3, 2, 2, "complex")

@@ -50,8 +50,6 @@ def test_kernel_matches_lapack(k, field):
         assert np.allclose(fac.pivots, np.einsum("nii->ni", L).real ** 2, rtol=tol, atol=0)
         assert rel_err(fac.forward(eye), np.linalg.inv(L)) <= tol
         for got, want in ((fac.forward(b), np.linalg.solve(L, b)),
-                          (fac.backward(b), np.linalg.solve(ct(L), b)),
-                          (fac.solve(b), np.linalg.solve(a, b)),
                           (fac.inv(), np.linalg.inv(a))):
             assert rel_err(got, want) <= tol
             assert got.shape == want.shape
