@@ -19,7 +19,7 @@ import numpy as np
 from . import covopt, lab
 from .config import _csit_from_config, build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
-from .inflation import solve_w
+from .inflation import CLOSED_FORMS, CORE_SOLVERS, SOLVERS, solve_w
 from .model import NoCsit, build_sample_bank
 from .rate import CellCore, paired_rates
 
@@ -100,23 +100,15 @@ def cmd_rate(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
     bank = _bank_for(exp)
-    iter_box = [0]
-    if args.solver in ("alg1", "alg2"):
-        def policy(core, cell):
-            res = solve_w(core, args.solver)
-            iter_box[0] = max(iter_box[0], res.iterations)
-            return res.W, res.converged
-    else:
-        policy = lab.resolve_w(spec, args.solver)
     # one evaluation: the solve, the rate and the bound share each cell's core
-    est, bound, _ = paired_rates(spec, policy, bank)
+    est, bound, _ = paired_rates(spec, lab.resolve_w(spec, args.solver), bank)
     payload = {
         "rate_bits": est.rate_bits,
         "stderr_bits": est.stderr_bits,
         "bound_bits": bound.rate_bits,
         "solver": args.solver,
         "converged": est.converged,
-        "iterations": iter_box[0],
+        "iterations": est.iterations,
         "snr_db": exp.snr_db,
         "n_outer": bank.n_outer,
         "n_inner": bank.n_inner,
@@ -196,9 +188,10 @@ def cmd_solve_w(args):
     spec = exp.spec_at()
     bank = _bank_for(exp)
     if len(bank.cells) != 1:
-        raise ConfigurationError("solve-w expects a single-cell (no-CSIT) bank")
-    res = solve_w(CellCore(spec, bank.cells[0].draws), args.solver)
-    if not res.converged and args.solver in ("alg1", "alg2"):
+        raise ConfigurationError("solve-w expects a single-cell bank")
+    cell = bank.cells[0]
+    res = solve_w(CellCore(spec, cell.draws), args.solver, cell)
+    if not res.converged:
         _log(f"solver {args.solver} did not converge "
              f"(best objective {res.objective_trace[-1]:.6g})")
     _emit({
@@ -241,7 +234,7 @@ def cmd_jointopt(args):
     }, args.out)
 
 
-def _add_common(p, with_solver=False, unread=()):
+def _add_common(p, solvers=(), unread=()):
     """Flags shared by the subcommands, less those of the ``unread`` fields."""
     p.add_argument("config", nargs="?", default=None,
                    help="JSON configuration file")
@@ -254,8 +247,8 @@ def _add_common(p, with_solver=False, unread=()):
     if "mc.n_outer" not in unread:
         p.add_argument("--n-outer", type=int, dest="n_outer", help="override mc.n_outer")
     p.add_argument("--out", help="write the payload/file here instead of stdout")
-    if with_solver:
-        p.add_argument("--solver", choices=lab.SOLVERS, default="alg1")
+    if solvers:
+        p.add_argument("--solver", choices=solvers, default="alg1")
     p.set_defaults(unread=unread)
 
 
@@ -273,7 +266,7 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    add("rate", cmd_rate, "single rate evaluation", with_solver=True)
+    add("rate", cmd_rate, "single rate evaluation", solvers=SOLVERS)
 
     # sweep writes its CSV to --out (required)
     p = add("sweep", cmd_sweep, "rate-vs-SNR sweep to CSV", unread=("snr_db",))
@@ -287,7 +280,7 @@ def build_parser():
     one_cell = ("mc.n_outer", "csit")  # scaling, lowsnr, jointopt build one no-CSIT cell
     p = add("scaling", cmd_scaling, "high-SNR slope estimate",
             unread=("snr_db", *one_cell))
-    p.add_argument("--w", default="pinv", choices=("pinv", "zero", "identity"))
+    p.add_argument("--w", default="pinv", choices=tuple(CLOSED_FORMS))
     p.add_argument("--snr-lo", type=float, default=40.0)
     p.add_argument("--snr-hi", type=float, default=60.0)
 
@@ -295,10 +288,11 @@ def build_parser():
             unread=("snr_db", *one_cell))
     p.add_argument("--snr-db-list", default="0,-5,-10,-15,-20,-25,-30")
 
-    add("solve-w", cmd_solve_w, "solve the inflation factor on one bank", with_solver=True)
+    add("solve-w", cmd_solve_w, "solve the inflation factor on one bank", solvers=SOLVERS)
 
+    # jointopt's bank is no-CSIT, so "perfect" can never resolve there
     p = add("jointopt", cmd_jointopt, "joint covariance/inflation optimization",
-            with_solver=True, unread=one_cell)
+            solvers=CORE_SOLVERS, unread=one_cell)
     p.add_argument("--rank", type=int, help="rank bound for the input covariance")
     p.add_argument("--outer-iters", type=int, default=30)
 

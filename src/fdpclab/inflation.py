@@ -11,12 +11,16 @@ Two iterative solvers work on a fixed list of conditional fading draws
 
 Both solvers, their maps and the initialization take a
 :class:`fdpclab.rate.CellCore`, which fixes the spec, ``T`` and the draws they
-work on; per-cell W policies are ``w(core, cell) -> (W, converged)``.
+work on.
 
 Closed forms: the perfect-CSIT inflation factor, the pseudo-inverse choice
 that attains the largest high-SNR scaling, and the high-SNR choice for
 positive definite input covariance (stated in the raw-input convention, see
 ``w_raw_to_factored``).
+
+Solver names live here only: :func:`solve_w` resolves each of
+:data:`SOLVERS` to a :class:`SolveResult`, which is what a per-cell W policy
+(see :func:`fdpclab.lab.resolve_w`) returns.
 """
 
 from dataclasses import dataclass
@@ -106,6 +110,11 @@ def w_raw_to_factored(spec, w_raw):
 
 # W-independent inflation factors, by solver name.
 CLOSED_FORMS = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
+
+# The solver names solve_w resolves.  CORE_SOLVERS need only a cell's core;
+# "perfect" also reads the cell's known H.
+CORE_SOLVERS = ("alg1", "alg2", *CLOSED_FORMS)
+SOLVERS = (*CORE_SOLVERS, "perfect")
 
 
 def theoretical_scaling(rank_sum, m, r):
@@ -342,58 +351,41 @@ def alg2_solve(core, W0, config):
 # initialization and dispatch
 # ---------------------------------------------------------------------------
 
-def default_w0(spec, inner_samples, kind="mean-h"):
-    """Standard starting points: perfect-CSIT W at the cell-mean H, 0, or T+."""
-    if kind == "mean-h":
-        return w_perfect_csit(spec, np.asarray(inner_samples).mean(axis=0))
-    if kind in CLOSED_FORMS:
-        return CLOSED_FORMS[kind](spec)
-    raise ConfigurationError(f"unknown initialization {kind!r}")
-
-
 def best_initialization(core):
-    """Pick the candidate starting point with the smallest sample objective."""
+    """The first of the standard starting points with the least sample objective.
+
+    The candidates are the perfect-CSIT W at the cell-mean H, then the
+    :data:`CLOSED_FORMS` in their order.
+    """
     spec, H = core.spec, core.H
-    best = None
-    for kind in ("mean-h", "zero", "pinv", "identity"):
-        W = default_w0(spec, H, kind)
-        val = objective(spec, W, H, core)
-        if best is None or val < best[0]:
-            best = (val, W)
-    return best[1]
+    candidates = (w_perfect_csit(spec, H.mean(axis=0)),
+                  *(form(spec) for form in CLOSED_FORMS.values()))
+    return min(candidates, key=lambda W: objective(spec, W, H, core))
 
 
-def solve_w(core, method):
+def solve_w(core, method, cell=None):
     """Solve for the inflation factor on one cell's core.
 
-    ``method`` is one of alg1, alg2, zero, pinv, identity; the iterative
-    methods run with the default :class:`SolverConfig` from the best of the
-    standard initializations.
+    ``method`` is one of :data:`SOLVERS`.  The iterative methods run with the
+    default :class:`SolverConfig` from :func:`best_initialization`.  A closed
+    form returns its W and objective, converged after 0 iterations.
+    ``perfect`` is the perfect-CSIT W at ``cell.h_hat``, which needs ``cell``
+    to be the core's cell of a perfect-CSIT bank (one draw per cell); its
+    trace is empty, since a policy solves every cell of a bank and the rate
+    reads no objective.
     """
     if method in ("alg1", "alg2"):
         solve = alg1_solve if method == "alg1" else alg2_solve
         return solve(core, best_initialization(core), SolverConfig())
-    if method in CLOSED_FORMS:
-        W = CLOSED_FORMS[method](core.spec)
-        return SolveResult(W=W, objective_trace=(objective(core.spec, W, core.H, core),),
+    if method == "perfect":
+        if cell is None or cell.h_hat is None or cell.draws.shape[0] != 1:
+            raise ConfigurationError(
+                "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
+            )
+        return SolveResult(W=w_perfect_csit(core.spec, cell.h_hat), objective_trace=(),
                            converged=True, iterations=0)
-    raise ConfigurationError(f"unknown solver {method!r}")
-
-
-def cell_solver(method):
-    """Adapter: a per-cell W policy for :func:`fdpclab.rate.achievable_rate`."""
-
-    def _solve(core, cell):
-        res = solve_w(core, method)
-        return res.W, res.converged
-
-    return _solve
-
-
-def perfect_csit_policy(core, cell):
-    """Per-cell W policy for perfect-CSIT banks: the closed form at the known H."""
-    if cell.h_hat is None or cell.draws.shape[0] != 1:
-        raise ConfigurationError(
-            "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
-        )
-    return w_perfect_csit(core.spec, cell.h_hat), True
+    if method not in CLOSED_FORMS:
+        raise ConfigurationError(f"unknown solver {method!r}")
+    W = CLOSED_FORMS[method](core.spec)
+    return SolveResult(W=W, objective_trace=(objective(core.spec, W, core.H, core),),
+                       converged=True, iterations=0)

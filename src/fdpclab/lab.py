@@ -19,17 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FdpcError
-from .inflation import (CLOSED_FORMS, cell_solver, perfect_csit_policy,
-                        theoretical_scaling, w_zero)
+from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling, w_zero
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
                     QuantizedCsit, build_sample_bank, exp_correlation,
                     fading_component_std, random_factor, random_psd)
 from .rate import CellCore, achievable_rate, no_interference_bound, paired_rates
-
-# Solver names a W policy can be resolved from (see resolve_w).
-SOLVERS = ("alg1", "alg2", *CLOSED_FORMS, "perfect")
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
               "bound_bits", "n_outer", "n_inner", "seed"]
@@ -39,7 +35,7 @@ CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
 class SweepPlan:
     snr_db_list: tuple
     q_over_p: float
-    solvers: tuple               # e.g. ("alg1", "alg2", "zero")
+    solvers: tuple               # names from fdpclab.inflation.SOLVERS
     csit_list: tuple             # CsitModel instances
     include_bound: bool = True
     n_outer: int = 200
@@ -89,14 +85,17 @@ def derived_seed(seed, *key):
 
 
 def resolve_w(spec, solver):
-    """Per-spec W policy for a solver name usable by achievable_rate."""
+    """W policy of a solver name for :func:`fdpclab.rate.achievable_rate`.
+
+    A closed form is its (m, t) array, used for every cell without a
+    per-cell solve; any other name is the policy
+    ``(core, cell) -> solve_w(core, solver, cell)``.
+    """
     if solver in CLOSED_FORMS:
         return CLOSED_FORMS[solver](spec)
-    if solver == "perfect":
-        return perfect_csit_policy
-    if solver in ("alg1", "alg2"):
-        return cell_solver(solver)
-    raise ConfigurationError(f"unknown solver {solver!r}")
+    if solver not in SOLVERS:
+        raise ConfigurationError(f"unknown solver {solver!r}")
+    return lambda core, cell: solve_w(core, solver, cell)
 
 
 def run_sweep(base_spec, model, plan, seed, threads=1):

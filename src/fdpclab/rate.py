@@ -45,7 +45,9 @@ the bank has one cell, the per-cell means otherwise.  The estimate is the
 basis mean, its standard error ``std(ddof=1)/sqrt(size)`` (0 for a single
 term), and the covariance of the paired estimators comes from the two bases.
 A W policy is an (m, t) array or a callable per-cell solver
-``w(core, cell) -> (W, converged)``.
+``w(core, cell)`` that returns a :class:`fdpclab.inflation.SolveResult`;
+the estimate is converged when every cell's solve is, and its
+``iterations`` is the most any cell's solve took.
 
 Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in a fixed order, so results are deterministic for a fixed
@@ -87,7 +89,8 @@ class RateEstimate:
     n_outer: int
     n_inner: int
     seed: int
-    converged: bool = True
+    converged: bool = True       # every cell's W solve converged
+    iterations: int = 0          # the most iterations of any cell's W solve
 
 
 def _hermitian_products(x, y, out, shift=None):
@@ -299,18 +302,23 @@ def objective(spec, W, inner_samples, core=None):
 def _evaluate(spec, bank, w=None, bound=False, cores=None):
     """Rate and/or bound basis over the bank's cells, in nats.
 
-    ``w`` is an (m, t) array or a policy ``w(core, cell) -> (W, converged)``;
-    None skips the rate.  Each basis is the per-draw array
-    for a one-cell bank and the array of per-cell means otherwise (None when
-    not asked for).  Returns ``(rate_basis, bound_basis, converged)``.
+    ``w`` is an (m, t) array or a policy ``w(core, cell) -> SolveResult``;
+    None skips the rate.  Each basis is the per-draw array for a one-cell
+    bank and the array of per-cell means otherwise (None when not asked
+    for).  Returns ``(rate_basis, bound_basis, (converged, iterations))``,
+    the last folded over the cells' solves as in :class:`RateEstimate`.
     """
-    rates, bounds, converged = [], [], True
+    rates, bounds, converged, iterations = [], [], True, 0
     ld_z = float(logdet_pd(spec.sigma_z))
     for i, cell in enumerate(bank.cells):
         core = cores[i] if cores is not None else CellCore(spec, cell.draws)
         if w is not None:
-            W, ok = w(core, cell) if callable(w) else (w, True)
-            converged = converged and bool(ok)
+            W = w
+            if callable(w):
+                res = w(core, cell)
+                W = res.W
+                converged = converged and bool(res.converged)
+                iterations = max(iterations, res.iterations)
             rates.append(-core.logdet_s(check_inflation(spec, W)))
         if bound:
             bounds.append(core.logdet_bound - ld_z)
@@ -320,27 +328,29 @@ def _evaluate(spec, bank, w=None, bound=False, cores=None):
             return None
         return terms[0] if len(terms) == 1 else np.array([np.mean(x) for x in terms])
 
-    return basis(rates), basis(bounds), converged
+    return basis(rates), basis(bounds), (converged, iterations)
 
 
-def _estimate(basis, bank, converged=True):
+def _estimate(basis, bank, converged=True, iterations=0):
     """RateEstimate in bits: the basis mean and its standard error."""
     se = float(np.std(basis, ddof=1) / np.sqrt(basis.size)) if basis.size > 1 else 0.0
     return RateEstimate(rate_bits=float(np.mean(basis)) / LN2, stderr_bits=se / LN2,
                         n_outer=bank.n_outer, n_inner=bank.n_inner, seed=bank.seed,
-                        converged=converged)
+                        converged=converged, iterations=iterations)
 
 
 def achievable_rate(spec, w, bank, cores=None):
     """Achievable rate over the bank for a fixed W or a per-cell W policy.
 
     ``w`` is an (m, t) array (used for all cells) or a policy called once
-    per outer cell as ``w(core, cell)`` that returns ``(W, converged)``;
-    ``core`` is the cell's :class:`CellCore`, so the policy's solve reuses
-    the precompute.  ``cores`` optionally gives one prebuilt core per cell.
+    per outer cell as ``w(core, cell)`` that returns a
+    :class:`fdpclab.inflation.SolveResult`; ``core`` is the cell's
+    :class:`CellCore`, so the policy's solve reuses the precompute.
+    :func:`fdpclab.lab.resolve_w` gives the policy of a solver name.
+    ``cores`` optionally gives one prebuilt core per cell.
     """
-    basis, _, converged = _evaluate(spec, bank, w, cores=cores)
-    return _estimate(basis, bank, converged)
+    basis, _, solved = _evaluate(spec, bank, w, cores=cores)
+    return _estimate(basis, bank, *solved)
 
 
 def no_interference_bound(spec, bank, cores=None):
@@ -355,6 +365,6 @@ def paired_rates(spec, w, bank):
     covariance of the two estimators in bits^2, for stderr propagation of
     gaps and ratios.
     """
-    a, b, converged = _evaluate(spec, bank, w, bound=True)
+    a, b, solved = _evaluate(spec, bank, w, bound=True)
     cov = float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
-    return _estimate(a, bank, converged), _estimate(b, bank), cov
+    return _estimate(a, bank, *solved), _estimate(b, bank), cov

@@ -61,7 +61,7 @@ def test_criterion_2_perfect_csit_equivalence():
                                  N_OUTER, 1, seed=3100 + t)
         for snr in (0.0, 10.0, 20.0):
             spec = spec0.at_snr_db(snr, q_over_p=1.0)
-            r_est, c_est, cov = rate.paired_rates(spec, inflation.perfect_csit_policy, bank)
+            r_est, c_est, cov = rate.paired_rates(spec, lab.resolve_w(spec, "perfect"), bank)
             gap = abs(r_est.rate_bits - c_est.rate_bits)
             tol = max(2.0 * combined_se(r_est.stderr_bits, c_est.stderr_bits, cov), 1e-9)
             if worst is None or gap / tol > worst[0]:
@@ -201,8 +201,8 @@ def test_criterion_9_algorithm_parity():
         bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4900)
         for snr in (0.0, 10.0, 20.0):
             spec = ref.spec.at_snr_db(snr, ref.q_over_p)
-            r1 = rate.achievable_rate(spec, inflation.cell_solver("alg1"), bank)
-            r2 = rate.achievable_rate(spec, inflation.cell_solver("alg2"), bank)
+            r1 = rate.achievable_rate(spec, lab.resolve_w(spec, "alg1"), bank)
+            r2 = rate.achievable_rate(spec, lab.resolve_w(spec, "alg2"), bank)
             worst = max(worst, abs(r1.rate_bits - r2.rate_bits))
     criterion(9, "row solver and fixed-point solver achieve near-equal rates",
               worst <= 0.2, f"max |difference| {worst:.4f} bits")

@@ -10,6 +10,8 @@ import pytest
 from fdpclab.cli import main
 from fdpclab.config import CONFIG_SCHEMA, build_experiment, config_hash, validate_config
 from fdpclab.errors import ConfigurationError
+from fdpclab.inflation import w_perfect_csit
+from fdpclab.model import build_sample_bank
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -379,6 +381,35 @@ def test_solve_w_payload(tmp_path):
     assert w.shape == (1, 2)
     assert payload["converged"] in (True, False)
     assert len(payload["objective_trace"]) >= 1
+
+
+def test_solve_w_perfect_on_a_perfect_csit_cell(tmp_path, capsys):
+    """``perfect`` is the closed form at the cell's known H; it needs a perfect-CSIT bank."""
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "perfect"}, "mc": {"n_outer": 1}}
+    cfg = write_config(tmp_path, raw)
+    code, out = run_cli(["solve-w", cfg, "--solver", "perfect", "--samples", "1",
+                         "--seed", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    exp = build_experiment(raw, {"n_inner": 1, "seed": 3})
+    bank = build_sample_bank(exp.base_spec, exp.model, exp.csit, 1, 1, exp.mc["seed"])
+    expected = w_perfect_csit(exp.spec_at(), bank.cells[0].h_hat)
+    assert np.array_equal(np.asarray(payload["W"]), expected)
+    assert (payload["converged"], payload["iterations"], payload["objective_trace"]) == (
+        True, 0, [])
+    capsys.readouterr()
+    code, out = run_cli(["solve-w", "--ref", "fdpc-2x2-a", "--solver", "perfect",
+                         "--samples", "10"])
+    assert code == 2 and out == ""
+    assert "perfect-CSIT bank" in capsys.readouterr().err
+
+
+def test_jointopt_rejects_the_perfect_solver(capsys):
+    """jointopt builds a no-CSIT bank, where ``perfect`` never resolves."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["jointopt", "--ref", "fdpc-2x2-a", "--solver", "perfect", "--samples", "10"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'perfect'" in capsys.readouterr().err
 
 
 def test_jointopt_payload(tmp_path):

@@ -453,14 +453,22 @@ def test_alg2_directional_derivatives_vanish():
 # initialization, dispatch, dominance
 # ---------------------------------------------------------------------------
 
-def test_default_w0_variants():
-    rng = make_rng(26)
-    spec = rand_spec(rng, 3, 2, 2, "real")
-    H = rng.standard_normal((20, 2, 3))
-    assert inflation.default_w0(spec, H, "zero").shape == (2, 3)
-    assert np.array_equal(inflation.default_w0(spec, H, "identity"), np.eye(2, 3))
-    with pytest.raises(ConfigurationError):
-        inflation.default_w0(spec, H, "bogus")
+@pytest.mark.parametrize("name, snr, winner, ties", [
+    ("fdpc-3x2-pd", 0.0, 0, 1),   # the mean-H start wins
+    ("fdpc-2x2-a", 30.0, 1, 3),   # zero, pinv and identity tie
+    ("fdpc-lowsnr", 0.0, 2, 2),   # pinv and identity tie
+])
+def test_best_initialization_takes_the_first_least_objective(name, snr, winner, ties):
+    """The candidates, in order: mean-H, zero, pinv, identity; the first minimum wins."""
+    ref = lab.reference_channel(name)
+    spec = ref.spec.at_snr_db(snr, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 50, seed=1).cells[0].draws
+    candidates = [inflation.w_perfect_csit(spec, H.mean(axis=0)), inflation.w_zero(spec),
+                  inflation.w_pinv(spec), inflation.w_identity(spec)]
+    values = [rate.objective(spec, W, H) for W in candidates]
+    assert values.index(min(values)) == winner and values.count(min(values)) == ties
+    W0 = inflation.best_initialization(rate.CellCore(spec, H))
+    assert np.array_equal(W0, candidates[winner])
 
 
 def test_solver_dominance_over_baselines():
@@ -480,8 +488,10 @@ def test_solver_dominance_over_baselines():
 
 def test_solve_w_unknown_method():
     spec = rand_spec(make_rng(28), 2, 2, 1, "real")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'gradient'"):
         inflation.solve_w(rate.CellCore(spec, np.zeros((3, 2, 2))), "gradient")
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        lab.resolve_w(spec, "bogus")
 
 
 def test_indefinite_schur_complement_is_a_solver_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdpclab import inflation, rate
+from fdpclab import inflation, lab, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
 from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
@@ -164,7 +164,7 @@ def test_scalar_costa_one_bit():
     bank = degenerate_bank(np.ones((1, 1, 1)))
     for q in (0.0, 1.0, 7.3):
         spec = scalar_spec(q)
-        est = rate.achievable_rate(spec, inflation.perfect_csit_policy, bank)
+        est = rate.achievable_rate(spec, lab.resolve_w(spec, "perfect"), bank)
         assert est.rate_bits == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_perfect_csit_matches_bound(dims):
     bank = build_sample_bank(spec0, IidComplexGaussian(), PerfectCsit(), 200, 1, seed=5)
     for snr in (0.0, 10.0, 20.0):
         spec = spec0.at_snr_db(snr, q_over_p=1.0)
-        r_est, c_est, cov = rate.paired_rates(spec, inflation.perfect_csit_policy, bank)
+        r_est, c_est, cov = rate.paired_rates(spec, lab.resolve_w(spec, "perfect"), bank)
         se = np.sqrt(max(r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2 * cov, 0.0))
         assert abs(r_est.rate_bits - c_est.rate_bits) <= max(2 * se, 1e-9)
 
@@ -194,10 +194,8 @@ def test_bound_dominates_rate(rng):
     spec = rand_spec(make_rng(23), 2, 2, 1, "real")
     bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 4000, seed=6)
     for solver in ("zero", "pinv"):
-        from fdpclab.lab import resolve_w
-
         sp = spec.at_snr_db(10.0, 1.0)
-        r_est, c_est, cov = rate.paired_rates(sp, resolve_w(sp, solver), bank)
+        r_est, c_est, cov = rate.paired_rates(sp, lab.resolve_w(sp, solver), bank)
         se = np.sqrt(max(r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2 * cov, 0.0))
         assert c_est.rate_bits >= r_est.rate_bits - 2 * se
 
@@ -207,10 +205,30 @@ def test_rate_reports_nonconvergence_flag():
     bank = degenerate_bank(make_rng(30).standard_normal((8, 2, 2)))
 
     def flaky(core, cell):
-        return np.zeros((1, 2)), False
+        return inflation.SolveResult(W=np.zeros((1, 2)), objective_trace=(),
+                                     converged=False, iterations=4)
 
     est = rate.achievable_rate(spec, flaky, bank)
     assert est.converged is False
+
+
+def test_policy_convergence_and_iterations_fold_over_cells():
+    """The estimate is converged only if every cell is; its iterations are the max."""
+    spec = rand_spec(make_rng(32), 2, 2, 1, "real")
+    bank = build_sample_bank(spec, IidRealGaussian(), PerfectCsit(), 3, 1, seed=4)
+
+    def policy_of(results):
+        results = iter(results)
+        return lambda core, cell: inflation.SolveResult(np.zeros((1, 2)), (), *next(results))
+
+    cases = [((True, 2), (False, 9), (True, 5)), ((True, 0), (True, 3), (True, 1))]
+    for results in cases:
+        expected = (all(ok for ok, _ in results), max(n for _, n in results))
+        est = rate.achievable_rate(spec, policy_of(results), bank)
+        r_est, c_est, _ = rate.paired_rates(spec, policy_of(results), bank)
+        assert (est.converged, est.iterations) == expected
+        assert (r_est.converged, r_est.iterations) == expected
+        assert (c_est.converged, c_est.iterations) == (True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +287,7 @@ def test_perfect_csit_policy_needs_a_perfect_csit_bank():
     spec = rand_spec(make_rng(47), 2, 2, 1, "real")
     bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 10, seed=9)
     with pytest.raises(ConfigurationError, match="perfect-CSIT bank"):
-        rate.achievable_rate(spec, inflation.perfect_csit_policy, bank)
+        rate.achievable_rate(spec, lab.resolve_w(spec, "perfect"), bank)
     # a W policy is an array or a callable; a solver name is not one
     with pytest.raises(ConfigurationError):
         rate.achievable_rate(spec, "perfect", bank)
