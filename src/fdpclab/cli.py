@@ -85,14 +85,13 @@ def _load_experiment(args):
     return exp
 
 
-def _bank_for(exp, csit=None):
-    csit = csit if csit is not None else exp.csit
+def _bank_for(exp):
     # only a flag or config value is in raw, not DEFAULT_MC; 1 is honoured
     n_outer = exp.raw.get("mc", {}).get("n_outer", 1)
-    if isinstance(csit, NoCsit) and n_outer != 1:
+    if isinstance(exp.csit, NoCsit) and n_outer != 1:
         raise ConfigurationError(f"n_outer {n_outer} needs perfect or quantized CSIT;"
                                  " a no-CSIT bank is one cell of n_inner draws")
-    return build_sample_bank(exp.base_spec, exp.model, csit,
+    return build_sample_bank(exp.base_spec, exp.model, exp.csit,
                              exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
 
 
@@ -215,7 +214,7 @@ def _matrix_payload(mat):
 def cmd_jointopt(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
-    bank = _bank_for(exp, csit=NoCsit())
+    bank = _bank_for(exp)  # a no-CSIT bank: "csit" is unread
     cfg = covopt.JointConfig(rank_bound=spec.dims.m if args.rank is None else args.rank,
                              outer_iters=args.outer_iters,
                              solver=args.solver)

@@ -22,6 +22,22 @@ from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
 
+
+def _rejected(why):
+    """A schema no value meets; the error's path names the field, its message ``why``."""
+    return {"not": {"description": why}}
+
+
+def _read_only_by(key, value, fields, required=False):
+    """Rule: only ``key == value`` reads ``fields`` (and needs them if ``required``)."""
+    rule = {"if": {"properties": {key: {"const": value}}, "required": [key]},
+            "else": {"properties": dict.fromkeys(
+                fields, _rejected(f"read only when {key} is {value}"))}}
+    if required:
+        rule["then"] = {"required": list(fields)}
+    return rule
+
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -46,6 +62,11 @@ CONFIG_SCHEMA = {
                 "rho_tx": {"type": "number"},
             },
             "required": ["variant"],
+            **_read_only_by("variant", "correlated_rayleigh",
+                            ("r_rx", "r_tx", "rho_rx", "rho_tx")),
+            "dependentSchemas": {
+                f"r_{end}": {"properties": {f"rho_{end}": _rejected(f"r_{end} is given")}}
+                for end in ("rx", "tx")},
         },
         "csit": {
             "type": "object",
@@ -56,6 +77,7 @@ CONFIG_SCHEMA = {
                 "step": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["variant"],
+            **_read_only_by("variant", "quantized", ("bits", "step")),
         },
         "sigma_s": {
             "type": "object",
@@ -67,6 +89,8 @@ CONFIG_SCHEMA = {
                 "matrix": _MATRIX,
             },
             "required": ["kind"],
+            "allOf": [_read_only_by("kind", "random_rank", ("rank", "seed"), required=True),
+                      _read_only_by("kind", "matrix", ("matrix",), required=True)],
         },
         "sigma_x": {
             "type": "object",
@@ -76,6 +100,7 @@ CONFIG_SCHEMA = {
                 "matrix": _MATRIX,
             },
             "required": ["kind"],
+            **_read_only_by("kind", "factor", ("matrix",), required=True),
         },
         "mc": {
             "type": "object",
@@ -165,8 +190,6 @@ def _sigma_s_from_config(cfg, t, q, field):
     if kind == "scaled_identity":
         return scaled_identity(t, q, field)
     if kind == "random_rank":
-        if "rank" not in cfg or "seed" not in cfg:
-            raise ConfigurationError("sigma_s random_rank needs 'rank' and 'seed'")
         return random_psd(t, cfg["rank"], cfg["seed"], q, field)
     if kind == "matrix":
         mat = np.asarray(cfg["matrix"], dtype=float)
@@ -221,7 +244,6 @@ def build_experiment(raw, overrides=None):
         if val is None:
             continue
         if key in ("n_outer", "n_inner", "seed"):
-            raw.setdefault("mc", {})
             raw["mc"] = dict(raw.get("mc", {}))
             raw["mc"][key] = val
         else:

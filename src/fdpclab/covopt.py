@@ -60,13 +60,6 @@ class JointResult:
     converged: bool
 
 
-def lagrangian(core, W, lam):
-    """Power-penalized rate in nats at the factor ``T`` of the core's spec."""
-    W = np.asarray(W, dtype=core.spec.dtype)
-    val = -float(np.mean(core.logdet_s(W)))
-    return val - lam * float(np.trace(core.spec.T @ ct(core.spec.T)).real)
-
-
 def t_step_map(core, W):
     """One T-step from one gradient: ``(T+, lam)`` with ``T+ = (1/lam) g(T, W)``.
 

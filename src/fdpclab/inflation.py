@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
 from .linalg import DEFAULT_RANK_TOL, ct, hermitize
+from .model import PerfectCsit
 from .rate import SchurPoint, check_inflation, objective
 
 
@@ -370,18 +371,16 @@ def solve_w(core, method, cell=None):
     default :class:`SolverConfig` from :func:`best_initialization`.  A closed
     form returns its W and objective, converged after 0 iterations.
     ``perfect`` is the perfect-CSIT W at ``cell.h_hat``, which needs ``cell``
-    to be the core's cell of a perfect-CSIT bank (one draw per cell); its
-    trace is empty, since a policy solves every cell of a bank and the rate
-    reads no objective.
+    to be the core's cell of a bank drawn under :class:`PerfectCsit` (one
+    draw per cell, ``h_hat`` the channel); its trace is empty, since a
+    policy solves every cell of a bank and the rate reads no objective.
     """
     if method in ("alg1", "alg2"):
         solve = alg1_solve if method == "alg1" else alg2_solve
         return solve(core, best_initialization(core), SolverConfig())
     if method == "perfect":
-        if cell is None or cell.h_hat is None or cell.draws.shape[0] != 1:
-            raise ConfigurationError(
-                "the 'perfect' policy requires a perfect-CSIT bank (one draw per cell)"
-            )
+        if cell is None or not isinstance(cell.csit, PerfectCsit):
+            raise ConfigurationError("the 'perfect' policy requires a perfect-CSIT bank")
         return SolveResult(W=w_perfect_csit(core.spec, cell.h_hat), objective_trace=(),
                            converged=True, iterations=0)
     if method not in CLOSED_FORMS:

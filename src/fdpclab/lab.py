@@ -103,19 +103,24 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
 
     The unit of work is a (csit, snr) group: its spec and one
     :class:`fdpclab.rate.CellCore` per bank cell are built once and shared
-    by the bound and every solver; ``threads > 1`` runs groups on a pool.
+    by the bound and every solver.  With one thread the groups of one bank
+    are evaluated before the next bank is built, so one bank is alive at a
+    time; ``threads > 1`` builds every bank up front and runs groups on a pool.
     Failures become error rows (nan rates) and the sweep continues: a solver
     failure marks its row, a spec or bound failure every row of its group.
     Row order follows the plan regardless of thread count.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    groups = []
-    for ci, csit in enumerate(plan.csit_list):
-        bank_seed = derived_seed(seed, ci)
-        bank = build_sample_bank(base_spec, model, csit, plan.n_outer, plan.n_inner,
-                                 bank_seed)
-        groups += [(csit, bank, bank_seed, float(snr)) for snr in plan.snr_db_list]
+
+    def groups():
+        for ci, csit in enumerate(plan.csit_list):
+            bank_seed = derived_seed(seed, ci)
+            bank = build_sample_bank(base_spec, model, csit, plan.n_outer, plan.n_inner,
+                                     bank_seed)
+            for snr in plan.snr_db_list:
+                yield csit, bank, bank_seed, float(snr)
+            del bank  # freed before the next bank is built
 
     def eval_group(group):
         csit, bank, bank_seed, snr = group
@@ -143,12 +148,12 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
                 rows.append(row(solver, error=str(exc)))
         return rows
 
-    if threads == 1:
-        return [row for group in groups for row in eval_group(group)]
+    if threads == 1:  # map drops each group once it is evaluated
+        return [row for rows in map(eval_group, groups()) for row in rows]
     from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool runs
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for rows in pool.map(eval_group, groups) for row in rows]
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # builds every bank up front
+        return [row for rows in pool.map(eval_group, groups()) for row in rows]
 
 
 def format_sweep_csv(rows):
@@ -221,21 +226,6 @@ def format_lowsnr_csv(rows):
     for snr, ratio, se in rows:
         writer.writerow([f"{snr:.6g}", f"{ratio:.6g}", f"{se:.6g}"])
     return buf.getvalue()
-
-
-def gap_to_bound(base_spec, model, snr_db, solver, seed, csit=None,
-                 n_outer=200, n_inner=20000):
-    """Bound minus rate (bits) with both evaluated on one bank.
-
-    Returns ``(gap_bits, stderr_gap_bits)``.
-    """
-    csit = csit or NoCsit()
-    bank = build_sample_bank(base_spec, model, csit, n_outer, n_inner, seed)
-    spec = base_spec.at_snr_db(float(snr_db), base_spec.Q / base_spec.P)
-    r_est, c_est, cov = paired_rates(spec, resolve_w(spec, solver), bank)
-    gap = c_est.rate_bits - r_est.rate_bits
-    var = r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2.0 * cov
-    return float(gap), float(np.sqrt(max(var, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ runs over a trailing axis of length k); it is meant for the small k
 (m, r <= 3) of the rate.
 
 No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
-:func:`mean_product`, :func:`mean_ct_product`, :func:`right_product` and
-:func:`left_product`, are ufunc multiply-adds on one length-n array per
-matrix entry, like the kernel.  They round the same way whatever the BLAS
-thread count, and start no BLAS thread.  :func:`mean_ct_product` conjugates
+:func:`mean_product`, :func:`mean_ct_product` and :func:`right_product`,
+are ufunc multiply-adds on one length-n array per matrix entry, like the
+kernel.  They round the same way whatever the BLAS thread count, and start
+no BLAS thread.  A product from the left, ``a x_n``, is :func:`right_product`
+on transposed views, ``(x_n^T a^T)^T``.  :func:`mean_ct_product` conjugates
 the entries of its first stack as it reads them, so no caller makes a
 conjugate-transposed copy of a stack.  The stacks of the kernel and of the
 cell core (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a
@@ -64,7 +65,7 @@ class Cholesky:
     It gives the log-determinant, ``forward`` (``L^{-1} b``) and ``inv``, and no
     back substitution; see the module docstring for the contract.  Each entry
     of ``L`` is one array of the batch shape: ``L[i][j]`` for ``i > j`` and the
-    reciprocal diagonal ``r[j] = 1 / L_jj``; ``pivots[..., j]`` is ``L_jj^2``.
+    reciprocal diagonal ``r[j] = 1 / L_jj``.
     ``forward`` and ``inv`` return entry-major views: a (..., k, t) view of a
     (k, t, ...) array, so each entry ``x[..., i, j]`` is one contiguous array.
     """
@@ -93,11 +94,6 @@ class Cholesky:
             )
         self.L, self.r, self.k, self._d = L, r, k, pivots
         self.dtype = np.result_type(a.dtype, float)
-
-    @property
-    def pivots(self):
-        """``L_jj^2`` stacked on a last axis of length k."""
-        return np.stack(self._d, axis=-1)
 
     def logdet(self):
         """log-determinant of each matrix, batch shape."""
@@ -228,22 +224,6 @@ def right_product(x, b):
             np.multiply(x[:, i, 0], b[0, c], out=v)
             for p in range(1, j):
                 v += x[:, i, p] * b[p, c]
-    return out.transpose(2, 0, 1)
-
-
-def left_product(a, x):
-    """``a x_n`` for a matrix ``a`` (k, j) and a stack ``x`` (n, j, l), shape (n, k, l).
-
-    Entry-major like :func:`right_product`, and built the same way.
-    """
-    n, j, l = x.shape
-    out = np.empty((a.shape[0], l, n), dtype=np.result_type(a, x))
-    for i in range(a.shape[0]):
-        for c in range(l):
-            v = out[i, c]
-            np.multiply(x[:, 0, c], a[i, 0], out=v)
-            for p in range(1, j):
-                v += x[:, p, c] * a[i, p]
     return out.transpose(2, 0, 1)
 
 

@@ -14,8 +14,9 @@ independent stream per outer cell from ``(seed, cell_index)`` so that the
 bank is a deterministic function of its arguments.
 
 Quantized CSIT draws each entry of H from a normal truncated to one
-quantizer bin, by inverse CDF.  The normal CDF and its inverse are private
-numpy kernels (``_ndtr``, ``_ndtri``), so the package needs no scipy.
+quantizer bin, by inverse CDF.  The normal CDF and the lower half of its
+inverse are private numpy kernels (``_ndtr``, ``_ndtri_lower``), so the
+package needs no scipy; the sampler reflects an upper bin onto the lower half.
 """
 
 import math
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import (clip_psd, ct, hermitize, left_product, right_product, sqrtm_pd,
-                     validate_hermitian)
+from .linalg import clip_psd, ct, hermitize, right_product, sqrtm_pd, validate_hermitian
 
 REAL = "real"
 COMPLEX = "complex"
@@ -219,13 +219,10 @@ def _sample_h_batch(model, dims, rng, n):
             raise ConfigurationError("correlation matrices do not match dims")
         g = (rng.standard_normal((n, r, t)) + 1j * rng.standard_normal((n, r, t)))
         g *= np.sqrt(0.5)
-        return left_product(sqrtm_pd(model.r_rx), right_product(g, sqrtm_pd(model.r_tx)))
+        g = right_product(g, sqrtm_pd(model.r_tx))
+        # R_r^{1/2} G R_t^{1/2} as the transpose of (G R_t^{1/2})^T (R_r^{1/2})^T
+        return right_product(g.transpose(0, 2, 1), sqrtm_pd(model.r_rx).T).transpose(0, 2, 1)
     raise ConfigurationError(f"unknown fading model {model!r}")
-
-
-def sample_H(model, dims, rng):
-    """One draw of the channel matrix under the given fading law."""
-    return _sample_h_batch(model, dims, rng, 1)[0]
 
 
 def fading_component_std(model):
@@ -285,27 +282,9 @@ class QuantizedCsit:
         return cls(bits=bits, step=design_uniform_quantizer(bits) * component_std)
 
 
-def quantizer_mse(step, bits):
-    """Mean squared error of the quantizer on a standard normal source."""
-    n = 2 ** bits
-    levels = (np.arange(n) - (n - 1) / 2.0) * step
-    lo = np.concatenate(([-np.inf], (levels[:-1] + levels[1:]) / 2.0))
-    hi = np.concatenate(((levels[:-1] + levels[1:]) / 2.0, [np.inf]))
-
-    def phi(x):
-        return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
-
-    def xphi(x):
-        return np.where(np.isfinite(x), x, 0.0) * phi(x)
-
-    mass = np.array([_ndtr(b) - _ndtr(a) for a, b in zip(lo, hi)])
-    return float(np.sum((1.0 + levels ** 2) * mass
-                        + xphi(lo) - xphi(hi)
-                        - 2.0 * levels * (phi(lo) - phi(hi))))
-
-
-# MSE-optimal steps for bits 1..6: the minimizers of quantizer_mse found by a
-# bounded scalar search on (1e-4, 4) with xatol 1e-9.
+# MSE-optimal steps for bits 1..6: the minimizers of the quantizer's mean
+# squared error on a unit normal source, found by a bounded scalar search on
+# (1e-4, 4) with xatol 1e-9 (the test suite repeats the search).
 OPTIMAL_STEPS = (1.5957690976033163, 0.9956866832112957, 0.5860194518645409,
                  0.33520061249449357, 0.18813879495609337, 0.10406300440302312)
 
@@ -442,18 +421,6 @@ def _ndtri_lower(y):
     return x
 
 
-def _ndtri(y):
-    """Inverse standard normal CDF on (0, 1), by ``ndtri(y) = -ndtri(1 - y)`` above 1/2.
-
-    For ``y >= 1/2`` the difference ``1 - y`` is exact, and the Cephes
-    formulas are odd about 1/2, so this is Cephes ``ndtri`` itself.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    upper = y > 0.5
-    x = _ndtri_lower(np.where(upper, 1.0 - y, y))
-    return np.where(upper, -x, x)
-
-
 def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     """N(0, sigma_c^2) draws of ``shape``, each truncated to the bin of its level in ``values``.
 
@@ -529,10 +496,15 @@ def sample_H_given_Hhat(h_hat, csit, model, rng, n=None):
 
 @dataclass(frozen=True)
 class BankCell:
-    """One outer cell: a transmitter-side estimate and conditional draws."""
+    """One outer cell: a transmitter-side estimate and conditional draws.
+
+    ``csit`` is the CSIT model the cell was drawn under, which decides what
+    ``h_hat`` is: the channel itself (perfect), its quantized value, or None.
+    """
 
     h_hat: np.ndarray | None
     draws: np.ndarray  # (n_i, r, t)
+    csit: object
 
 
 @dataclass(frozen=True)
@@ -546,15 +518,6 @@ class SampleBank:
     @property
     def n_outer(self):
         return len(self.cells)
-
-    def to_bytes(self):
-        """Deterministic serialization of every draw, for reproducibility checks."""
-        parts = []
-        for cell in self.cells:
-            if cell.h_hat is not None:
-                parts.append(np.ascontiguousarray(cell.h_hat).tobytes())
-            parts.append(np.ascontiguousarray(cell.draws).tobytes())
-        return b"".join(parts)
 
 
 def _cell_rng(seed, cell_index):
@@ -588,12 +551,12 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
     if isinstance(csit, NoCsit):
         rng = _cell_rng(seed, 0)
         draws = _sample_h_batch(model, dims, rng, n_inner)
-        cells.append(BankCell(h_hat=None, draws=_freeze(draws)))
+        cells.append(BankCell(h_hat=None, draws=_freeze(draws), csit=csit))
     elif isinstance(csit, PerfectCsit):
         for i in range(n_outer):
             rng = _cell_rng(seed, i)
             h = _sample_h_batch(model, dims, rng, 1)
-            cells.append(BankCell(h_hat=_freeze(h[0]), draws=_freeze(h)))
+            cells.append(BankCell(h_hat=_freeze(h[0]), draws=_freeze(h), csit=csit))
     elif isinstance(csit, QuantizedCsit):
         fading_component_std(model)  # raises for unsupported variants
         for i in range(n_outer):
@@ -601,7 +564,7 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
             h_raw = _sample_h_batch(model, dims, rng, 1)[0]
             h_hat = quantize_H(h_raw, csit)
             draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=n_inner)
-            cells.append(BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws)))
+            cells.append(BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws), csit=csit))
     else:
         raise ConfigurationError(f"unknown CSIT model {csit!r}")
     return SampleBank(cells=tuple(cells), seed=int(seed), n_inner=n_inner)

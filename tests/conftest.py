@@ -1,11 +1,15 @@
+"""Shared test helpers and the test-only references the suite checks the package against."""
+
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdpclab import lab
 from fdpclab.linalg import ct
-from fdpclab.model import BankCell, ChannelSpec, SampleBank
-from fdpclab.rate import CellCore
+from fdpclab.model import (BankCell, ChannelSpec, NoCsit, PerfectCsit, SampleBank, _ndtr,
+                           build_sample_bank)
+from fdpclab.rate import CellCore, paired_rates
 
 
 def make_rng(seed=0):
@@ -49,9 +53,57 @@ def degenerate_bank(H_list):
     """
     draws = np.ascontiguousarray(H_list)
     draws.setflags(write=False)
-    h_hat = draws[0] if draws.shape[0] == 1 else None
-    cell = BankCell(h_hat=h_hat, draws=draws)
+    if draws.shape[0] == 1:
+        cell = BankCell(h_hat=draws[0], draws=draws, csit=PerfectCsit())
+    else:
+        cell = BankCell(h_hat=None, draws=draws, csit=NoCsit())
     return SampleBank(cells=(cell,), seed=0, n_inner=draws.shape[0])
+
+
+def bank_bytes(bank):
+    """Deterministic serialization of every estimate and draw of a bank."""
+    parts = []
+    for cell in bank.cells:
+        if cell.h_hat is not None:
+            parts.append(np.ascontiguousarray(cell.h_hat).tobytes())
+        parts.append(np.ascontiguousarray(cell.draws).tobytes())
+    return b"".join(parts)
+
+
+def quantizer_mse(step, bits):
+    """Mean squared error of the ``2**bits``-level quantizer on a standard normal source."""
+    n = 2 ** bits
+    levels = (np.arange(n) - (n - 1) / 2.0) * step
+    lo = np.concatenate(([-np.inf], (levels[:-1] + levels[1:]) / 2.0))
+    hi = np.concatenate(((levels[:-1] + levels[1:]) / 2.0, [np.inf]))
+
+    def phi(x):
+        return np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
+
+    def xphi(x):
+        return np.where(np.isfinite(x), x, 0.0) * phi(x)
+
+    mass = np.array([_ndtr(b) - _ndtr(a) for a, b in zip(lo, hi)])
+    return float(np.sum((1.0 + levels ** 2) * mass
+                        + xphi(lo) - xphi(hi)
+                        - 2.0 * levels * (phi(lo) - phi(hi))))
+
+
+def lagrangian(core, W, lam):
+    """Power-penalized rate in nats at the factor ``T`` of the core's spec."""
+    W = np.asarray(W, dtype=core.spec.dtype)
+    val = -float(np.mean(core.logdet_s(W)))
+    return val - lam * float(np.trace(core.spec.T @ ct(core.spec.T)).real)
+
+
+def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):
+    """Bound minus rate (bits) on one no-CSIT bank: ``(gap_bits, stderr_gap_bits)``."""
+    bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
+    spec = base_spec.at_snr_db(float(snr_db), base_spec.Q / base_spec.P)
+    r_est, c_est, cov = paired_rates(spec, lab.resolve_w(spec, solver), bank)
+    gap = c_est.rate_bits - r_est.rate_bits
+    var = r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2.0 * cov
+    return float(gap), float(np.sqrt(max(var, 0.0)))
 
 
 class IndefiniteCore(CellCore):

@@ -14,7 +14,8 @@ from fdpclab.linalg import ct, logdet_pd
 from fdpclab.model import (IidComplexGaussian, IidRealGaussian, NoCsit,
                            PerfectCsit, build_sample_bank)
 
-from conftest import make_rng, rand_matrix, rand_spec, with_factor
+from conftest import (bank_bytes, gap_to_bound, lagrangian, make_rng, rand_matrix, rand_spec,
+                      with_factor)
 
 N_INNER = 20000
 N_OUTER = 200
@@ -182,10 +183,8 @@ def test_criterion_8_feedback_monotonicity_and_bound_gap():
             - 2 * max(rows["B=1"].stderr_bits, rows["none"].stderr_bits))
 
     ref_b = lab.reference_channel("fdpc-2x2-b")
-    gap40, _ = lab.gap_to_bound(ref_b.spec, ref_b.model, 40.0, "alg1", seed=4800,
-                                n_inner=N_INNER)
-    gap10, _ = lab.gap_to_bound(ref_b.spec, ref_b.model, 10.0, "alg1", seed=4800,
-                                n_inner=N_INNER)
+    gap40, _ = gap_to_bound(ref_b.spec, ref_b.model, 40.0, "alg1", seed=4800, n_inner=N_INNER)
+    gap10, _ = gap_to_bound(ref_b.spec, ref_b.model, 10.0, "alg1", seed=4800, n_inner=N_INNER)
     ok = mono and gap40 < 0.1 and gap40 < gap10
     criterion(8, "feedback monotonicity and vanishing bound gap",
               ok,
@@ -219,8 +218,8 @@ def test_criterion_10_covariance_optimization():
     lam = 0.7
     residual = covopt.gradient_map(rate.CellCore(with_factor(spec_g, T), H), W) - lam * T
 
-    def lagrangian(Tx):
-        return covopt.lagrangian(rate.CellCore(with_factor(spec_g, Tx), H), W, lam)
+    def penalized_rate(Tx):
+        return lagrangian(rate.CellCore(with_factor(spec_g, Tx), H), W, lam)
 
     fd = np.zeros_like(T)
     h = 1e-5
@@ -229,7 +228,7 @@ def test_criterion_10_covariance_optimization():
             tp, tm = T.copy(), T.copy()
             tp[i, j] += h
             tm[i, j] -= h
-            fd[i, j] = (lagrangian(tp) - lagrangian(tm)) / (2 * h)
+            fd[i, j] = (penalized_rate(tp) - penalized_rate(tm)) / (2 * h)
     rel = float(np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd))
     grad_ok = rel < 1e-3
 
@@ -278,7 +277,7 @@ def test_criterion_11_determinism():
     csit = lab.default_quantized_csit(ref.model, 2)
     b1 = build_sample_bank(ref.spec, ref.model, csit, 20, 50, seed=6000)
     b2 = build_sample_bank(ref.spec, ref.model, csit, 20, 50, seed=6000)
-    banks_ok = b1.to_bytes() == b2.to_bytes()
+    banks_ok = bank_bytes(b1) == bank_bytes(b2)
 
     # slope estimates are bit-identical across runs
     ref3 = lab.reference_channel("fdpc-3x2-b")

@@ -59,6 +59,39 @@ def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("section, fields, named", [
+    ("fading", {"variant": "iid_real", "rho_rx": 0.5}, "fading.rho_rx"),
+    ("fading", {"variant": "iid_real", "r_tx": EYE2}, "fading.r_tx"),
+    ("fading", {"variant": "correlated_rayleigh", "r_rx": EYE2, "rho_rx": 0.5},
+     "fading.rho_rx"),
+    ("csit", {"variant": "perfect", "bits": 2}, "csit.bits"),
+    ("csit", {"variant": "none", "step": 0.5}, "csit.step"),
+    ("sigma_s", {"kind": "scaled_identity", "rank": 1}, "sigma_s.rank"),
+    ("sigma_s", {"kind": "matrix", "matrix": EYE2, "seed": 1}, "sigma_s.seed"),
+    ("sigma_s", {"kind": "random_rank", "rank": 1, "seed": 1, "matrix": EYE2},
+     "sigma_s.matrix"),
+    ("sigma_x", {"kind": "scaled_identity", "matrix": [[1.0], [0.0]]}, "sigma_x.matrix"),
+    ("sigma_s", {"kind": "matrix"}, "'matrix' is a required property"),
+    ("sigma_x", {"kind": "factor"}, "'matrix' is a required property"),
+], ids=["fading-rho-iid", "fading-matrix-iid", "fading-matrix-and-rho", "csit-bits-perfect",
+        "csit-step-none", "sigma_s-rank-identity", "sigma_s-seed-matrix",
+        "sigma_s-matrix-random", "sigma_x-matrix-identity", "sigma_s-matrix-missing",
+        "sigma_x-matrix-missing"])
+def test_config_field_the_variant_does_not_read_exits_2(tmp_path, capsys, section, fields,
+                                                       named):
+    """A field its variant or kind ignores, or a matrix its kind needs, is a config error."""
+    raw = dict(BASE_CFG, q_over_p=1.0, sigma_s={"kind": "scaled_identity"})
+    raw[section] = fields
+    if fields.get("variant") == "correlated_rayleigh":
+        raw["field"] = "complex"
+    code, out = run_cli(["rate", write_config(tmp_path, raw), "--solver", "zero"])
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
+
+
 def test_validate_config_reports_the_error_jsonschema_picks():
     """The message names the rejected field by its JSON path."""
     for raw in ({"t": "two"}, {"csit": {"variant": "quantized", "bits": 9}},
@@ -402,6 +435,31 @@ def test_solve_w_perfect_on_a_perfect_csit_cell(tmp_path, capsys):
                          "--samples", "10"])
     assert code == 2 and out == ""
     assert "perfect-CSIT bank" in capsys.readouterr().err
+
+
+def test_perfect_solver_rejects_a_quantized_csit_bank(tmp_path, capsys):
+    """A one-draw quantized cell has an h_hat, but it is the quantized estimate, not H."""
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "quantized", "bits": 1},
+           "mc": {"n_outer": 3}}
+    code, out = run_cli(["rate", write_config(tmp_path, raw), "--solver", "perfect",
+                         "--samples", "1"])
+    assert code == 2 and out == ""
+    assert "perfect-CSIT bank" in capsys.readouterr().err
+    raw["mc"]["n_outer"] = 1
+    code, out = run_cli(["solve-w", write_config(tmp_path, raw), "--solver", "perfect",
+                         "--samples", "1"])
+    assert code == 2 and out == ""
+    assert "perfect-CSIT bank" in capsys.readouterr().err
+
+
+def test_sweep_perfect_solver_errors_on_quantized_csit(tmp_path):
+    out = tmp_path / "perfect.csv"
+    code, payload = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0",
+                             "--csit", "perfect,B=1", "--solvers", "perfect", "--samples", "1",
+                             "--n-outer", "3", "--no-bound", "--out", str(out)])
+    assert code == 0 and json.loads(payload)["errors"] == 1
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(row[1], row[3] == "nan") for row in rows] == [("perfect", False), ("B=1", True)]
 
 
 def test_jointopt_rejects_the_perfect_solver(capsys):

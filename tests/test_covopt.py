@@ -8,7 +8,7 @@ from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoC
                            build_sample_bank)
 from fdpclab.rate import CellCore
 
-from conftest import (IndefiniteCore, make_rng, rand_matrix, rand_psd, rand_spec,
+from conftest import (IndefiniteCore, lagrangian, make_rng, rand_matrix, rand_psd, rand_spec,
                       with_factor)
 
 
@@ -38,7 +38,7 @@ def test_gradient_matches_finite_differences_real():
     lam = 0.7
     residual = covopt.gradient_map(CellCore(with_factor(spec, T), H), W) - lam * T
     fd = central_diff_gradient(
-        lambda x: covopt.lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
+        lambda x: lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
     # real parametrization carries a factor 2 relative to the conjugate map
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
@@ -53,7 +53,7 @@ def test_gradient_matches_finite_differences_complex():
     lam = 0.9
     residual = covopt.gradient_map(CellCore(with_factor(spec, T), H), W) - lam * T
     fd = central_diff_gradient(
-        lambda x: covopt.lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
+        lambda x: lagrangian(CellCore(with_factor(spec, x), H), W, lam), T)
     assert np.linalg.norm(fd - 2 * residual) / np.linalg.norm(fd) < 1e-3
 
 

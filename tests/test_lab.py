@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from fdpclab import lab, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.model import NoCsit, PerfectCsit, QuantizedCsit
 
-from conftest import make_rng, rand_spec
+from conftest import gap_to_bound, make_rng, rand_spec
 
 
 def small_plan(**overrides):
@@ -72,11 +74,12 @@ def test_sweep_error_rows_recorded():
 
 
 def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
-    built = []
+    built, held = [], []
     init = rate.CellCore.__init__
 
     def counting_init(self, spec, draws):
         built.append((spec.P, id(draws)))
+        held.append(draws)  # a freed bank's ids could be reused by the next one
         init(self, spec, draws)
 
     monkeypatch.setattr(rate.CellCore, "__init__", counting_init)
@@ -87,6 +90,35 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
     assert all(r.error is None for r in rows)
     # two SNRs x (one no-CSIT cell + three perfect-CSIT cells)
     assert len(built) == len(set(built)) == 2 * (1 + 3)
+
+
+def test_sweep_holds_one_bank_at_a_time(monkeypatch):
+    """Bank i+1 is built after the last group of bank i, and bank i is freed by then."""
+    events, banks = [], []
+    build, evaluate = lab.build_sample_bank, lab.achievable_rate
+
+    def recording_build(*args):
+        alive = [i for i, ref in enumerate(banks) if ref() is not None]
+        events.append(("build", len(banks), alive))
+        bank = build(*args)
+        banks.append(weakref.ref(bank))
+        return bank
+
+    def recording_evaluate(spec, w, bank, cores=None):
+        events.append(("group", next(i for i, ref in enumerate(banks) if ref() is bank)))
+        return evaluate(spec, w, bank, cores=cores)
+
+    monkeypatch.setattr(lab, "build_sample_bank", recording_build)
+    monkeypatch.setattr(lab, "achievable_rate", recording_evaluate)
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(solvers=("zero",), csit_list=(NoCsit(), PerfectCsit(),
+                                                    QuantizedCsit.designed(1)),
+                      n_outer=2, n_inner=20)
+    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=9)
+    assert all(r.error is None for r in rows)
+    assert events == [("build", 0, []), ("group", 0), ("group", 0),
+                      ("build", 1, []), ("group", 1), ("group", 1),
+                      ("build", 2, []), ("group", 2), ("group", 2)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -150,15 +182,14 @@ def test_gap_to_bound_zero_interference_gap_is_zero():
     spec = rand_spec(make_rng(4), 2, 2, 1, "real", q=0.0)
     from fdpclab.model import IidRealGaussian
 
-    gap, se = lab.gap_to_bound(spec, IidRealGaussian(), 10.0, "zero", seed=5,
-                               n_inner=500)
+    gap, se = gap_to_bound(spec, IidRealGaussian(), 10.0, "zero", seed=5, n_inner=500)
     assert gap == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gap_shrinks_with_snr_on_aligned_reference():
     ref = lab.reference_channel("fdpc-2x2-b")
-    gap10, _ = lab.gap_to_bound(ref.spec, ref.model, 10.0, "alg1", seed=6, n_inner=4000)
-    gap40, _ = lab.gap_to_bound(ref.spec, ref.model, 40.0, "alg1", seed=6, n_inner=4000)
+    gap10, _ = gap_to_bound(ref.spec, ref.model, 10.0, "alg1", seed=6, n_inner=4000)
+    gap40, _ = gap_to_bound(ref.spec, ref.model, 40.0, "alg1", seed=6, n_inner=4000)
     assert gap40 < gap10
 
 

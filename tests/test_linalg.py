@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from fdpclab.errors import EvaluationError
-from fdpclab.linalg import (Cholesky, ct, left_product, logdet_pd, mean_ct_product,
-                            mean_product, right_product)
+from fdpclab.linalg import (Cholesky, ct, logdet_pd, mean_ct_product, mean_product,
+                            right_product)
 
 from conftest import make_rng, rand_matrix
 
@@ -47,8 +47,7 @@ def test_kernel_matches_lapack(k, field):
         eye = np.broadcast_to(np.eye(k), a.shape)
 
         assert np.abs(fac.logdet() - np.linalg.slogdet(a)[1]).max() <= tol
-        assert np.allclose(fac.pivots, np.einsum("nii->ni", L).real ** 2, rtol=tol, atol=0)
-        assert rel_err(fac.forward(eye), np.linalg.inv(L)) <= tol
+        assert rel_err(fac.forward(eye), np.linalg.inv(L)) <= tol  # the factor itself
         for got, want in ((fac.forward(b), np.linalg.solve(L, b)),
                           (fac.inv(), np.linalg.inv(a))):
             assert rel_err(got, want) <= tol
@@ -125,10 +124,6 @@ def test_stack_products_match_einsum(n, field):
                 assert got.shape == (n, m, m)
                 assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
                 assert norm_rel_err(got, np.einsum("nij,jk->nik", x, b)) <= 1e-12
-                got = left_product(b, layout(x))
-                assert got.shape == (n, t, t)
-                assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
-                assert norm_rel_err(got, np.einsum("ij,njk->nik", b, x)) <= 1e-12
                 ly = layout(y)
                 got = mean_ct_product(ly, ly)
                 assert got.shape == (m, m)

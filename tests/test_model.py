@@ -11,10 +11,14 @@ from fdpclab.errors import ConfigurationError
 from fdpclab.model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
                            IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                            NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank,
-                           design_uniform_quantizer, quantize_H, quantizer_mse,
-                           random_psd, sample_H, sample_H_given_Hhat)
+                           _sample_h_batch, design_uniform_quantizer, quantize_H,
+                           random_psd, sample_H_given_Hhat)
 
-from conftest import make_rng, rand_matrix, rand_spec
+from conftest import bank_bytes, make_rng, quantizer_mse, rand_matrix, rand_psd, rand_spec
+
+
+def one_draw(fading, dims, rng):
+    return _sample_h_batch(fading, dims, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +121,8 @@ def test_rescaling_keeps_structure():
 def test_iid_real_gaussian_moments():
     rng = make_rng(0)
     dims = Dimensions(2, 2, 1)
-    draws = np.stack([sample_H(IidRealGaussian(), dims, rng) for _ in range(200)])
+    draws = np.stack([one_draw(IidRealGaussian(), dims, rng) for _ in range(200)])
     # batched path for the heavy moment check
-    from fdpclab.model import _sample_h_batch
-
     big = _sample_h_batch(IidRealGaussian(), dims, rng, 10 ** 5)
     assert abs(big.mean()) < 0.02
     assert 0.95 < big.var() < 1.05
@@ -130,8 +132,6 @@ def test_iid_real_gaussian_moments():
 def test_correlated_rayleigh_identity_matches_iid():
     rng = make_rng(1)
     dims = Dimensions(2, 2, 1)
-    from fdpclab.model import _sample_h_batch
-
     corr = _sample_h_batch(CorrelatedRayleigh(r_rx=np.eye(2), r_tx=np.eye(2)),
                            dims, rng, 10 ** 5)
     assert abs((np.abs(corr) ** 2).mean() - 1.0) < 0.02
@@ -141,11 +141,25 @@ def test_correlated_rayleigh_identity_matches_iid():
     assert off_diag < 0.02
 
 
+def test_correlated_rayleigh_is_sqrtm_sandwich():
+    """The sampler's R_r^{1/2} G R_t^{1/2} against scipy's sqrtm on the same draws of G."""
+    from scipy.linalg import sqrtm
+
+    rng = make_rng(12)
+    r_rx = rand_psd(rng, 2, 2, "complex") + 0.1 * np.eye(2)
+    r_tx = rand_psd(rng, 3, 3, "complex") + 0.1 * np.eye(3)
+    got = _sample_h_batch(CorrelatedRayleigh(r_rx=r_rx, r_tx=r_tx), Dimensions(3, 2, 1),
+                          make_rng(13), 500)
+    replay = make_rng(13)
+    g = (replay.standard_normal((500, 2, 3)) + 1j * replay.standard_normal((500, 2, 3)))
+    want = sqrtm(r_rx) @ (g * np.sqrt(0.5)) @ sqrtm(r_tx)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_uniform_complex_support():
     rng = make_rng(2)
     dims = Dimensions(3, 2, 1)
-    from fdpclab.model import _sample_h_batch
-
     draws = _sample_h_batch(IidUniformComplex(), dims, rng, 2000)
     assert draws.real.min() >= 0.0 and draws.real.max() <= 1.0
     assert draws.imag.min() >= 0.0 and draws.imag.max() <= 1.0
@@ -248,7 +262,7 @@ def test_conditional_sampling_round_trip():
     model = IidRealGaussian()
     dims = Dimensions(2, 2, 1)
     for _ in range(50):
-        h = sample_H(model, dims, rng)
+        h = one_draw(model, dims, rng)
         h_hat = quantize_H(h, csit)
         draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=40)
         assert np.allclose(quantize_H(draws, csit),
@@ -268,8 +282,6 @@ def test_mixture_matches_unconditional_moments():
     dims = Dimensions(2, 2, 1)
     model = IidRealGaussian()
     csit = QuantizedCsit.designed(2)
-    from fdpclab.model import _sample_h_batch
-
     n = 10 ** 5
     unconditional = _sample_h_batch(model, dims, rng, n)
     raw = _sample_h_batch(model, dims, rng, n)
@@ -282,7 +294,7 @@ def test_conditional_sampling_complex_round_trip():
     rng = make_rng(6)
     csit = QuantizedCsit.designed(1, component_std=np.sqrt(0.5))
     model = IidComplexGaussian()
-    h = sample_H(model, Dimensions(2, 2, 1), rng)
+    h = one_draw(model, Dimensions(2, 2, 1), rng)
     h_hat = quantize_H(h, csit)
     draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=100)
     assert np.allclose(quantize_H(draws, csit), np.broadcast_to(h_hat, draws.shape))
@@ -293,7 +305,13 @@ def test_conditional_sampling_complex_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_ndtri_matches_scipy():
+    """``_ndtri_lower`` with the sampler's reflection ``ndtri(u) = -ndtri(1 - u)`` above 1/2."""
     from scipy.special import ndtri
+
+    def reflected(y):
+        upper = y >= 0.5
+        x = model._ndtri_lower(np.where(upper, 1.0 - y, y))
+        return np.where(upper, -x, x)
 
     tiny = np.finfo(np.float64).tiny
     e2, e32 = np.exp(-2.0), np.exp(-32.0)
@@ -305,11 +323,11 @@ def test_ndtri_matches_scipy():
         [tiny, 1.0 - 2.0 ** -53, e2, 1.0 - e2, np.nextafter(e2, 0), np.nextafter(e2, 1),
          e32, np.nextafter(e32, 0), 0.5],
     ])
-    got, want = model._ndtri(y), ndtri(y)
+    got, want = reflected(y), ndtri(y)
     nonzero = want != 0
     assert np.array_equal(got[~nonzero], want[~nonzero])
     assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) <= 4e-15
-    assert model._ndtri(0.5) == 0.0
+    assert reflected(np.array([0.5]))[0] == 0.0
 
 
 def test_ndtr_matches_scipy():
@@ -374,9 +392,9 @@ def test_bank_determinism_bytewise(rng):
     csit = QuantizedCsit.designed(2)
     b1 = build_sample_bank(spec, model, csit, 10, 25, seed=99)
     b2 = build_sample_bank(spec, model, csit, 10, 25, seed=99)
-    assert b1.to_bytes() == b2.to_bytes()
+    assert bank_bytes(b1) == bank_bytes(b2)
     b3 = build_sample_bank(spec, model, csit, 10, 25, seed=100)
-    assert b1.to_bytes() != b3.to_bytes()
+    assert bank_bytes(b1) != bank_bytes(b3)
 
 
 def test_bank_structure_contracts():
@@ -390,6 +408,13 @@ def test_bank_structure_contracts():
     for cell in perfect.cells:
         assert cell.draws.shape == (1, 2, 2)
         assert np.array_equal(cell.draws[0], cell.h_hat)
+
+
+def test_bank_cells_record_their_csit_model():
+    spec = rand_spec(make_rng(8), 2, 2, 1, "real")
+    for csit in (NoCsit(), PerfectCsit(), QuantizedCsit.designed(1)):
+        bank = build_sample_bank(spec, IidRealGaussian(), csit, 3, 1, seed=2)
+        assert all(cell.csit is csit for cell in bank.cells)
 
 
 def test_bank_rejects_field_mismatch():
