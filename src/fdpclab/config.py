@@ -5,12 +5,19 @@ start from a named reference channel (``ref``) and set the operating point
 (SNR, Q/P, CSIT, Monte Carlo settings), or specify everything explicitly.
 A reference fixes the channel, so ``ref`` together with any of
 ``CHANNEL_FIELDS`` is rejected, as are unknown fields.
+
+``CONFIG_SCHEMA`` is the one statement of what is valid.  ``validate_config``
+first runs a small check read off it (``_proven``), which knows only the
+keywords the CLI's flag-built configs use.  The check only accepts: a config
+it cannot prove valid goes to jsonschema, imported on that first call, so
+every rejection and its message come from jsonschema.
 """
 
+import functools
 import hashlib
 import json
+import operator
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigurationError
@@ -120,12 +127,42 @@ DEFAULT_MC = {"n_outer": 200, "n_inner": 20000, "seed": 0}
 CHANNEL_FIELDS = ("t", "r", "m", "field", "n", "fading", "sigma_s", "sigma_x")
 
 
-# Built once: jsonschema.validate would check the schema itself on every call.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# The keywords ``_proven`` knows; a subschema with any other is not proven.
+_PROVABLE = {"type", "minimum", "exclusiveMinimum", "properties", "additionalProperties"}
+_TYPES = {"string": (str,), "number": (int, float), "integer": (int,), "object": (dict,)}
+_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt}
+
+
+def _proven(value, schema):
+    """True if ``value`` meets ``schema`` by the keywords in ``_PROVABLE``.
+
+    False means "not proven", not "invalid": a key without a subschema, a
+    subschema with another keyword, a ``bool`` where a number is asked for,
+    ``3.0`` for an integer, a failed bound (NaN fails every bound).
+    """
+    if not _PROVABLE.issuperset(schema) or type(value) not in _TYPES.get(schema.get("type"), ()):
+        return False
+    if type(value) is dict:
+        props = schema.get("properties", {})
+        return all(key in props and _proven(item, props[key]) for key, item in value.items())
+    return all(_BOUNDS[key](value, bound) for key, bound in schema.items() if key in _BOUNDS)
+
+
+@functools.cache
+def _validator():
+    """jsonschema's validator, imported and built once, for the first config not proven."""
+    import jsonschema  # here, so a process that only builds configs from flags never loads it
+
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def validate_config(raw):
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    """Return ``raw`` if it meets ``CONFIG_SCHEMA``; else raise jsonschema's best error."""
+    if _proven(raw, CONFIG_SCHEMA):
+        return raw
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(raw))
     if error is not None:
         raise ConfigurationError(f"invalid configuration: {error.json_path}: {error.message}")
     return raw

@@ -6,9 +6,12 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpclab.cli import main
-from fdpclab.config import CONFIG_SCHEMA, build_experiment, config_hash, validate_config
+from fdpclab.config import (CONFIG_SCHEMA, _proven, build_experiment, config_hash,
+                            validate_config)
 from fdpclab.errors import ConfigurationError
 from fdpclab.inflation import w_perfect_csit
 from fdpclab.model import build_sample_bank
@@ -96,7 +99,9 @@ def test_validate_config_reports_the_error_jsonschema_picks():
     """The message names the rejected field by its JSON path."""
     for raw in ({"t": "two"}, {"csit": {"variant": "quantized", "bits": 9}},
                 {"t": 0, "r": "x", "bogus": 1}, [1, 2], {"mc": {"seed": -2}},
-                {"sigma_s": {"kind": "random_rank", "rank": 1, "seed": -2}}):
+                {"sigma_s": {"kind": "random_rank", "rank": 1, "seed": -2}},
+                {"mc": {"n_inner": 0}}, {"mc": {"n_outer": 0}}, {"q_over_p": -1.0},
+                {"ref": 3}, {"snr_db": "x"}, {"mc": {"seed": True}}):
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         with pytest.raises(ConfigurationError) as got:
@@ -109,6 +114,34 @@ def test_validate_config_reports_the_error_jsonschema_picks():
         with pytest.raises(ConfigurationError) as got:
             validate_config(raw)
         assert str(got.value) == f"invalid configuration: {path}: -2 is less than the minimum of 0"
+
+
+# Values a flag-shaped config may carry, edge cases first: bools where numbers
+# are asked for, 3.0 for an integer, NaN, infinities, zero and negatives,
+# strings, None, lists and nested sections.
+_EDGE_VALUES = st.one_of(
+    st.booleans(), st.integers(-2, 3),
+    st.sampled_from([3.0, 0.0, -0.0, -1.0, 0.5, float("nan"), float("inf"), float("-inf")]),
+    st.floats(), st.text(max_size=2), st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["n_inner", "variant", "mc"]), st.integers(-1, 2),
+                    max_size=2))
+_MC_SECTIONS = st.fixed_dictionaries({}, optional={
+    "n_inner": _EDGE_VALUES, "n_outer": _EDGE_VALUES, "seed": _EDGE_VALUES,
+    "bogus": _EDGE_VALUES})
+_FLAG_SHAPED = st.fixed_dictionaries({}, optional={
+    "ref": st.one_of(st.just("fdpc-2x2-a"), _EDGE_VALUES), "snr_db": _EDGE_VALUES,
+    "q_over_p": _EDGE_VALUES, "n": _EDGE_VALUES, "t": _EDGE_VALUES,
+    "csit": st.one_of(st.just({"variant": "none"}), _EDGE_VALUES),
+    "mc": st.one_of(_MC_SECTIONS, _EDGE_VALUES), "bogus": _EDGE_VALUES})
+_JSONSCHEMA = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+@given(raw=st.one_of(_FLAG_SHAPED, _EDGE_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_the_jsonschema_free_check_accepts_only_what_jsonschema_accepts(raw):
+    """A config ``validate_config`` accepts without jsonschema is one jsonschema accepts."""
+    if _proven(raw, CONFIG_SCHEMA):
+        assert _JSONSCHEMA.is_valid(raw)
 
 
 def test_build_experiment_requires_core_fields():
@@ -506,14 +539,46 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert json.loads(out)["seed"] == 5
 
 
-@pytest.mark.parametrize("package", ["scipy", "concurrent", "logging"])
-def test_cli_import_leaves_package_out(package):
-    """Importing the CLI loads no module of scipy, concurrent.futures or logging."""
-    code = ("import sys, fdpclab.cli; "
-            f"loaded = [m for m in sys.modules if m.split('.')[0] == {package!r}]; "
-            "assert not loaded, loaded")
+@pytest.fixture(scope="module")
+def loaded_packages(tmp_path_factory):
+    """Top-level packages one process holds after importing the CLI and running flag-only
+    ``rate``, ``sweep`` and ``jointopt`` calls, and after a ``rate`` call on a config file."""
+    tmp = tmp_path_factory.mktemp("imports")
+    cfg = write_config(tmp, {"ref": "fdpc-2x2-a", "csit": {"variant": "perfect"}})
+    code = f"""
+import contextlib, io, json, sys
+import fdpclab.cli
+
+def loaded():
+    return sorted({{m.split(".")[0] for m in sys.modules}})
+
+seen = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["rate", "--ref", "fdpc-2x2-a", "--solver", "zero", "--samples", "10"],
+                 ["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0", "--csit", "none,B=1",
+                  "--samples", "50", "--n-outer", "2", "--out", {str(tmp / "q.csv")!r}],
+                 ["jointopt", "--ref", "fdpc-rank-3x2", "--snr-db", "30", "--rank", "1",
+                  "--samples", "50", "--outer-iters", "2"]):
+        assert fdpclab.cli.main(argv) == 0, argv
+    seen["flags"] = loaded()
+    assert fdpclab.cli.main(["rate", {cfg!r}, "--solver", "zero", "--samples", "10"]) == 0
+seen["file"] = loaded()
+print(json.dumps(seen))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("package", ["scipy", "concurrent", "logging", "jsonschema"])
+def test_cli_import_leaves_package_out(loaded_packages, package):
+    """Neither importing the CLI nor flag-only runs load scipy, concurrent.futures,
+    logging or jsonschema."""
+    assert package not in loaded_packages["flags"]
+
+
+def test_a_config_file_the_check_cannot_prove_loads_jsonschema(loaded_packages):
+    assert "jsonschema" in loaded_packages["file"]
 
 
 def test_quantized_runs_need_no_scipy(tmp_path):
