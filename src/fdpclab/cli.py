@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import covopt, lab
-from .config import _csit_from_config, build_experiment, load_config
+from .config import build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import CLOSED_FORMS, CORE_SOLVERS, SOLVERS, solve_w
-from .model import NoCsit, build_sample_bank
+from .model import NoCsit, build_sample_bank, csit_from_label
 from .rate import CellCore, paired_rates
 
 EXIT_CONFIG = 2
@@ -117,21 +117,6 @@ def cmd_rate(args):
     _emit(payload, args.out)
 
 
-def _parse_csit_labels(spec_labels, exp):
-    """CSIT models for a comma list of ``none``, ``perfect`` and ``B=<bits>``."""
-    out = []
-    for label in spec_labels.split(","):
-        label = label.strip()
-        if label in ("none", "perfect"):
-            cfg = {"variant": label}
-        elif label.startswith("B=") and label[2:].isdigit():
-            cfg = {"variant": "quantized", "bits": int(label[2:])}
-        else:
-            raise ConfigurationError(f"unknown CSIT label {label!r}")
-        out.append(_csit_from_config(cfg, exp.model))
-    return tuple(out)
-
-
 def _parse_snr_list(text):
     try:
         return tuple(float(s) for s in text.split(","))
@@ -144,7 +129,8 @@ def cmd_sweep(args):
     exp = _load_experiment(args)
     snrs = _parse_snr_list(args.snr_db_list)
     solvers = tuple(s.strip() for s in args.solvers.split(","))
-    csits = _parse_csit_labels(args.csit, exp) if args.csit else (exp.csit,)
+    csits = (tuple(csit_from_label(label.strip(), exp.model) for label in args.csit.split(","))
+             if args.csit else (exp.csit,))
     plan = lab.SweepPlan(snr_db_list=snrs, q_over_p=exp.q_over_p, solvers=solvers,
                          csit_list=csits, include_bound=not args.no_bound,
                          n_outer=exp.mc["n_outer"], n_inner=exp.mc["n_inner"])

@@ -21,10 +21,10 @@ import operator
 import numpy as np
 
 from .errors import ConfigurationError
-from .lab import default_quantized_csit, reference_channel
+from .lab import reference_channel
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, IidUniformComplex,
-                    NoCsit, PerfectCsit, QuantizedCsit, exp_correlation,
+                    QuantizedCsit, csit_from_label, exp_correlation,
                     random_psd, scaled_identity)
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
@@ -204,18 +204,14 @@ def _fading_from_config(cfg, t, r):
     raise ConfigurationError(f"unknown fading variant {variant!r}")
 
 
-def _csit_from_config(cfg, model):
-    variant = cfg["variant"]
-    if variant == "perfect":
-        return PerfectCsit()
-    if variant == "none":
-        return NoCsit()
-    if variant == "quantized":
-        bits = cfg.get("bits", 1)
-        if "step" in cfg:
-            return QuantizedCsit(bits=bits, step=cfg["step"])
-        return default_quantized_csit(model, bits)
-    raise ConfigurationError(f"unknown CSIT variant {variant!r}")
+def _csit_from_config(raw, model):
+    cfg = raw.get("csit", {"variant": "none"})
+    if cfg["variant"] != "quantized":  # "none" and "perfect" are their labels
+        return csit_from_label(cfg["variant"], model)
+    bits = cfg.get("bits", 1)
+    if "step" in cfg:
+        return QuantizedCsit(bits=bits, step=cfg["step"])
+    return QuantizedCsit.designed(bits, model)
 
 
 def _sigma_s_from_config(cfg, t, q, field):
@@ -299,9 +295,7 @@ def build_experiment(raw, overrides=None):
         base, model = ref.spec, ref.model
         q_over_p = raw.get("q_over_p", ref.q_over_p)
         snr_db = raw.get("snr_db", 0.0)
-        csit_cfg = raw.get("csit", {"variant": "none"})
-        csit = _csit_from_config(csit_cfg, model)
-        return Experiment(base, model, csit, q_over_p, snr_db, mc, raw)
+        return Experiment(base, model, _csit_from_config(raw, model), q_over_p, snr_db, mc, raw)
 
     required = ("t", "r", "m", "field", "fading")
     missing = [k for k in required if k not in raw]
@@ -326,5 +320,4 @@ def build_experiment(raw, overrides=None):
                             t, m, p0, field)
     sigma_z = scaled_identity(r, n, field)
     base = ChannelSpec.create(T=T, sigma_s=sigma_s, sigma_z=sigma_z, field=field)
-    csit = _csit_from_config(raw.get("csit", {"variant": "none"}), model)
-    return Experiment(base, model, csit, q_over_p, snr_db, mc, raw)
+    return Experiment(base, model, _csit_from_config(raw, model), q_over_p, snr_db, mc, raw)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
 from .linalg import DEFAULT_RANK_TOL, ct, mean_ct_product, right_product
-from .rate import CellCore, SchurPoint, achievable_rate
+from .rate import CellCore, SchurPoint, achievable_rate, check_inflation
 
 
 # Stop the alternation when the rate gains less than this per outer step (bits).
@@ -77,7 +77,7 @@ def t_step_map(core, W):
 def gradient_map(core, W):
     """``g(T, W)`` at the core's ``spec.T``: conjugate-coordinate gradient of the rate term."""
     T, dtype = core.spec.T, core.spec.dtype
-    point = SchurPoint(core, np.asarray(W, dtype=dtype))
+    point = SchurPoint(core, check_inflation(core.spec, W))
     # I - C K T per draw: averaging the two terms apart loses accuracy at high SNR
     rhs = right_product(point.ck, -T)
     rhs += np.eye(rhs.shape[1], dtype=dtype)

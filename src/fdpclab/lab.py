@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FdpcError
+from .errors import ConfigurationError, EvaluationError, FdpcError
 from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling, w_zero
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
-                    IidComplexGaussian, IidRealGaussian, NoCsit, PerfectCsit,
-                    QuantizedCsit, build_sample_bank, exp_correlation,
-                    fading_component_std, random_factor, random_psd)
+                    IidComplexGaussian, IidRealGaussian, NoCsit, build_sample_bank,
+                    exp_correlation, random_factor, random_psd)
 from .rate import CellCore, achievable_rate, no_interference_bound, paired_rates
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
@@ -66,16 +65,6 @@ class SweepRow:
     n_inner: int
     seed: int
     error: str | None = None     # not serialized; nan fields mark error rows
-
-
-def csit_label(csit):
-    if isinstance(csit, NoCsit):
-        return "none"
-    if isinstance(csit, PerfectCsit):
-        return "perfect"
-    if isinstance(csit, QuantizedCsit):
-        return f"B={csit.bits}"
-    raise ConfigurationError(f"unknown CSIT model {csit!r}")
 
 
 def derived_seed(seed, *key):
@@ -127,7 +116,7 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
 
         def row(solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
                 error=None):
-            return SweepRow(snr_db=snr, csit=csit_label(csit), solver=solver,
+            return SweepRow(snr_db=snr, csit=csit.label, solver=solver,
                             rate_bits=rate_bits, stderr_bits=stderr_bits,
                             bound_bits=bound_bits, n_outer=bank.n_outer,
                             n_inner=bank.n_inner, seed=bank_seed, error=error)
@@ -204,13 +193,17 @@ def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p=1.0, n_inner=200
     """Ratio of the zero-inflation rate to the bound per SNR, common draws.
 
     Returns a list of ``(snr_db, ratio, stderr_ratio)`` rows; the stderr is
-    the delta-method propagation using the paired covariance.
+    the delta-method propagation using the paired covariance.  An SNR at
+    which the rate or the bound rounds to 0 bits raises EvaluationError.
     """
     bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
     out = []
     for snr in snr_db_list:
         spec = base_spec.at_snr_db(float(snr), q_over_p)
         r_est, c_est, cov = paired_rates(spec, w_zero(spec), bank)
+        if r_est.rate_bits == 0.0 or c_est.rate_bits == 0.0:
+            raise EvaluationError(f"at {float(snr):g} dB the rate or the bound rounds to"
+                                  " 0 bits, so their ratio is undefined")
         ratio = r_est.rate_bits / c_est.rate_bits
         var = (ratio ** 2) * ((r_est.stderr_bits / r_est.rate_bits) ** 2
                               + (c_est.stderr_bits / c_est.rate_bits) ** 2
@@ -343,8 +336,3 @@ def reference_channel(name):
         raise ConfigurationError(
             f"unknown reference channel {name!r}; known: {', '.join(reference_names())}"
         ) from None
-
-
-def default_quantized_csit(model, bits):
-    """Quantizer with the MSE-optimal step for the fading law's component std."""
-    return QuantizedCsit.designed(bits, fading_component_std(model))

@@ -141,6 +141,8 @@ class ChannelSpec:
             P = self.N * 10.0 ** (snr_db / 10.0)
         except OverflowError:
             raise ConfigurationError(f"SNR {snr_db:g} dB overflows the power budget") from None
+        if not P > 0:  # -inf dB, NaN, or a budget that underflows to 0
+            raise ConfigurationError(f"SNR {snr_db:g} dB leaves no power budget (P = {P:g})")
         Q = self.Q * P / self.P if q_over_p is None else q_over_p * P
         _check_finite_budgets(P=P, Q=Q)
         tr_x = float(np.trace(self.T @ ct(self.T)).real)
@@ -242,12 +244,12 @@ def fading_component_std(model):
 
 @dataclass(frozen=True)
 class PerfectCsit:
-    pass
+    label = "perfect"
 
 
 @dataclass(frozen=True)
 class NoCsit:
-    pass
+    label = "none"
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,10 @@ class QuantizedCsit:
             raise ConfigurationError("quantizer step must be positive")
 
     @property
+    def label(self):
+        return f"B={self.bits}"
+
+    @property
     def n_levels(self):
         return 2 ** self.bits
 
@@ -276,10 +282,18 @@ class QuantizedCsit:
         k = np.arange(self.n_levels, dtype=np.float64)
         return (k - (self.n_levels - 1) / 2.0) * self.step
 
+    def bin_index(self, x):
+        """Index (0 .. n_levels-1) of the bin of each real value in ``x``."""
+        k = np.rint(np.asarray(x, dtype=np.float64) / self.step + (self.n_levels - 1) / 2.0)
+        return np.clip(k, 0, self.n_levels - 1).astype(np.intp)
+
     @classmethod
-    def designed(cls, bits, component_std=1.0):
-        """Quantizer with the MSE-optimal step for the given source std."""
-        return cls(bits=bits, step=design_uniform_quantizer(bits) * component_std)
+    def designed(cls, bits, fading):
+        """Quantizer whose step is ``OPTIMAL_STEPS[bits - 1]`` scaled by the
+        per-component std of ``fading``, an i.i.d. Gaussian law."""
+        if not 1 <= bits <= len(OPTIMAL_STEPS):
+            raise ConfigurationError("bits must lie in 1..6")
+        return cls(bits=bits, step=OPTIMAL_STEPS[int(bits) - 1] * fading_component_std(fading))
 
 
 # MSE-optimal steps for bits 1..6: the minimizers of the quantizer's mean
@@ -289,28 +303,24 @@ OPTIMAL_STEPS = (1.5957690976033163, 0.9956866832112957, 0.5860194518645409,
                  0.33520061249449357, 0.18813879495609337, 0.10406300440302312)
 
 
-def design_uniform_quantizer(bits):
-    """MSE-optimal step of the equally-spaced-level quantizer, unit normal source."""
-    if not 1 <= bits <= len(OPTIMAL_STEPS):
-        raise ConfigurationError("bits must lie in 1..6")
-    return OPTIMAL_STEPS[int(bits) - 1]
-
-
-def _quantize_real(x, csit):
-    c = (csit.n_levels - 1) / 2.0
-    k = np.clip(np.rint(np.asarray(x, dtype=np.float64) / csit.step + c),
-                0, csit.n_levels - 1)
-    return (k - c) * csit.step
+def csit_from_label(label, fading):
+    """The CSIT setting whose ``label`` is ``label``; a quantizer gets the designed step."""
+    for csit in (NoCsit(), PerfectCsit()):
+        if label == csit.label:
+            return csit
+    if label.startswith("B=") and label[2:].isdigit():
+        return QuantizedCsit.designed(int(label[2:]), fading)
+    raise ConfigurationError(f"unknown CSIT label {label!r}; known: none, perfect, B=1 .. B=6")
 
 
 def quantize_H(H, csit):
     """Quantize each entry of H; complex entries quantize re/im independently."""
     if not isinstance(csit, QuantizedCsit):
         raise ConfigurationError("quantize_H requires a QuantizedCsit model")
-    H = np.asarray(H)
+    H, levels = np.asarray(H), csit.levels()
     if np.iscomplexobj(H):
-        return _quantize_real(H.real, csit) + 1j * _quantize_real(H.imag, csit)
-    return _quantize_real(H, csit)
+        return levels[csit.bin_index(H.real)] + 1j * levels[csit.bin_index(H.imag)]
+    return levels[csit.bin_index(H)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +453,7 @@ def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     """
     n_levels, step = csit.n_levels, csit.step
     c = (n_levels - 1) / 2.0
-    k = np.clip(np.rint(np.asarray(values, dtype=np.float64) / step + c),
-                0, n_levels - 1).astype(np.intp).ravel()
+    k = csit.bin_index(values).ravel()
     u = rng.random(shape)
     by_entry = u.reshape(-1, k.size).T  # (entries, draws per entry); the draws overwrite u
     for b in np.flatnonzero(np.bincount(k)):  # the bins in use (np.unique imports numpy.ma)
@@ -513,11 +522,15 @@ class SampleBank:
 
     cells: tuple
     seed: int
-    n_inner: int
 
     @property
     def n_outer(self):
         return len(self.cells)
+
+    @property
+    def n_inner(self):
+        """Draws per cell: as asked for, except 1 under perfect CSIT."""
+        return self.cells[0].draws.shape[0]
 
 
 def _cell_rng(seed, cell_index):
@@ -558,7 +571,6 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
             h = _sample_h_batch(model, dims, rng, 1)
             cells.append(BankCell(h_hat=_freeze(h[0]), draws=_freeze(h), csit=csit))
     elif isinstance(csit, QuantizedCsit):
-        fading_component_std(model)  # raises for unsupported variants
         for i in range(n_outer):
             rng = _cell_rng(seed, i)
             h_raw = _sample_h_batch(model, dims, rng, 1)[0]
@@ -567,7 +579,7 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
             cells.append(BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws), csit=csit))
     else:
         raise ConfigurationError(f"unknown CSIT model {csit!r}")
-    return SampleBank(cells=tuple(cells), seed=int(seed), n_inner=n_inner)
+    return SampleBank(cells=tuple(cells), seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

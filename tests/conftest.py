@@ -57,7 +57,7 @@ def degenerate_bank(H_list):
         cell = BankCell(h_hat=draws[0], draws=draws, csit=PerfectCsit())
     else:
         cell = BankCell(h_hat=None, draws=draws, csit=NoCsit())
-    return SampleBank(cells=(cell,), seed=0, n_inner=draws.shape[0])
+    return SampleBank(cells=(cell,), seed=0)
 
 
 def bank_bytes(bank):

@@ -12,7 +12,7 @@ import numpy as np
 from fdpclab import covopt, inflation, lab, rate
 from fdpclab.linalg import ct, logdet_pd
 from fdpclab.model import (IidComplexGaussian, IidRealGaussian, NoCsit,
-                           PerfectCsit, build_sample_bank)
+                           PerfectCsit, QuantizedCsit, build_sample_bank)
 
 from conftest import (bank_bytes, gap_to_bound, lagrangian, make_rng, rand_matrix, rand_spec,
                       with_factor)
@@ -171,8 +171,8 @@ def test_criterion_7_fixed_point_stationarity():
 
 def test_criterion_8_feedback_monotonicity_and_bound_gap():
     ref = lab.reference_channel("fdpc-2x2-a")
-    csits = (NoCsit(), lab.default_quantized_csit(ref.model, 1),
-             lab.default_quantized_csit(ref.model, 2))
+    csits = (NoCsit(), QuantizedCsit.designed(1, ref.model),
+             QuantizedCsit.designed(2, ref.model))
     plan = lab.SweepPlan(snr_db_list=(10.0,), q_over_p=ref.q_over_p,
                          solvers=("alg1",), csit_list=csits,
                          n_outer=N_OUTER, n_inner=N_INNER)
@@ -274,7 +274,7 @@ def test_criterion_10_covariance_optimization():
 def test_criterion_11_determinism():
     # banks are bytewise reproducible
     ref = lab.reference_channel("fdpc-2x2-a")
-    csit = lab.default_quantized_csit(ref.model, 2)
+    csit = QuantizedCsit.designed(2, ref.model)
     b1 = build_sample_bank(ref.spec, ref.model, csit, 20, 50, seed=6000)
     b2 = build_sample_bank(ref.spec, ref.model, csit, 20, 50, seed=6000)
     banks_ok = bank_bytes(b1) == bank_bytes(b2)

@@ -14,7 +14,7 @@ from fdpclab.config import (CONFIG_SCHEMA, _proven, build_experiment, config_has
                             validate_config)
 from fdpclab.errors import ConfigurationError
 from fdpclab.inflation import w_perfect_csit
-from fdpclab.model import build_sample_bank
+from fdpclab.model import build_sample_bank, csit_from_label
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -308,13 +308,29 @@ def test_sweep_threads_below_one_exits_2(tmp_path, threads):
     ["rate", "--snr-db", "4000"],
     ["rate", "--q-over-p", "inf"],
     ["rate", "--q-over-p", "nan"],
+    # -inf dB gives P = 0, and -4000 dB underflows to it
+    ["rate", "--snr-db=-inf", "--solver", "zero"],
+    ["rate", "--snr-db=-4000", "--solver", "zero"],
+    ["jointopt", "--snr-db=-inf"],
+    ["lowsnr", "--snr-db-list=-inf"],
 ], ids=lambda argv: " ".join(argv))
-def test_non_finite_snr_or_power_exits_2(tmp_path, argv):
+def test_non_finite_snr_or_power_exits_2(tmp_path, capsys, argv):
     out_csv = tmp_path / "x.csv"
     code, out = run_cli([*argv, "--ref", "fdpc-2x2-a", "--samples", "10",
                          "--out", str(out_csv)])
     assert code == 2 and out == ""
     assert not out_csv.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_lowsnr_where_the_bound_rounds_to_0_bits_exits_3(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code, out = run_cli(["lowsnr", "--ref", "fdpc-lowsnr", "--snr-db-list=-170",
+                         "--samples", "10", "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 3 and out == "" and not out_csv.exists()
+    assert err.startswith("error: at -170 dB") and err.count("\n") == 1
 
 
 def test_rate_with_singular_received_covariance_exits_3(capsys):
@@ -411,6 +427,27 @@ def test_n_outer_config_field_on_a_no_csit_bank_exits_2(tmp_path, command):
     cfg = write_config(tmp_path, {**JOINT_CFG, "mc": {"n_inner": 20}})
     code, out = run_cli([command, cfg, "--solver", "zero"])
     assert code == 0
+
+
+def test_a_perfect_csit_rate_reports_one_draw_per_cell(tmp_path):
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "perfect"}, "mc": {"n_outer": 3}}
+    code, out = run_cli(["rate", write_config(tmp_path, raw), "--solver", "zero",
+                         "--samples", "50"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n_outer"], payload["n_inner"]) == (3, 1)
+
+
+def test_csit_label_flag_and_config_build_the_same_quantizer(tmp_path):
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "quantized", "bits": 2}}
+    model = build_experiment({"ref": "fdpc-2x2-a"}).model
+    assert csit_from_label("B=2", model) == build_experiment(raw).csit
+    args = ["sweep", "--snr-db-list", "0", "--solvers", "zero", "--samples", "20",
+            "--n-outer", "2", "--seed", "4"]
+    assert run_cli([*args, "--ref", "fdpc-2x2-a", "--csit", "B=2",
+                    "--out", str(tmp_path / "flag.csv")])[0] == 0
+    assert run_cli([*args, write_config(tmp_path, raw), "--out", str(tmp_path / "cfg.csv")])[0] == 0
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "cfg.csv").read_bytes()
 
 
 def test_sweep_applies_n_outer_to_its_csit_cells_only(tmp_path):

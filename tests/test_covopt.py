@@ -89,6 +89,17 @@ def test_t_step_map_scaling_and_validation():
         covopt.t_step_map(CellCore(with_factor(spec, np.zeros((2, 2))), H), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("W, message", [
+    (np.array([[0.1 + 0.2j, 0.0]]), "complex inflation factor"),  # not the gradient at W.real
+    (np.zeros((2, 2)), "shape"),
+], ids=["complex-on-real-spec", "misshaped"])
+def test_gradient_map_validates_w(W, message):
+    rng = make_rng(5)
+    core = CellCore(rand_spec(rng, 2, 2, 1, "real"), rng.standard_normal((20, 2, 2)))
+    with pytest.raises(ConfigurationError, match=message):
+        covopt.gradient_map(core, W)
+
+
 def test_solve_lambda_meets_power_constraint():
     rng = make_rng(4)
     spec = rand_spec(rng, 3, 2, 2, "complex").at_snr_db(5.0, 1.0)

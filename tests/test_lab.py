@@ -112,7 +112,7 @@ def test_sweep_holds_one_bank_at_a_time(monkeypatch):
     monkeypatch.setattr(lab, "achievable_rate", recording_evaluate)
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(solvers=("zero",), csit_list=(NoCsit(), PerfectCsit(),
-                                                    QuantizedCsit.designed(1)),
+                                                    QuantizedCsit.designed(1, ref.model)),
                       n_outer=2, n_inner=20)
     rows = lab.run_sweep(ref.spec, ref.model, plan, seed=9)
     assert all(r.error is None for r in rows)
@@ -142,9 +142,25 @@ def test_sweep_bound_failure_marks_its_group(monkeypatch, threads):
 
 
 def test_csit_labels():
-    assert lab.csit_label(NoCsit()) == "none"
-    assert lab.csit_label(PerfectCsit()) == "perfect"
-    assert lab.csit_label(QuantizedCsit(bits=2, step=1.0)) == "B=2"
+    assert NoCsit().label == "none"
+    assert PerfectCsit().label == "perfect"
+    assert QuantizedCsit(bits=2, step=1.0).label == "B=2"
+
+
+def test_sweep_rows_report_the_draws_per_cell():
+    """A perfect-CSIT cell holds one draw, whatever n_inner the plan asks for."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(snr_db_list=(0.0,), solvers=("zero",), n_outer=3, n_inner=40,
+                      csit_list=(NoCsit(), PerfectCsit(), QuantizedCsit.designed(1, ref.model)))
+    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=2)
+    assert [(r.csit, r.n_outer, r.n_inner) for r in rows] == [
+        ("none", 1, 40), ("perfect", 3, 1), ("B=1", 3, 40)]
+
+
+def test_low_snr_ratio_where_the_bound_rounds_to_0_bits_is_an_evaluation_error():
+    ref = lab.reference_channel("fdpc-lowsnr")
+    with pytest.raises(EvaluationError, match="at -170 dB"):
+        lab.low_snr_ratio(ref.spec, ref.model, (-30.0, -170.0), seed=3, n_inner=10)
 
 
 def test_estimate_scaling_bound_slope_when_no_interference():

@@ -8,11 +8,11 @@ from scipy.special import roots_legendre
 
 from fdpclab import model
 from fdpclab.errors import ConfigurationError
-from fdpclab.model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
+from fdpclab.model import (OPTIMAL_STEPS, ChannelSpec, CorrelatedRayleigh, Dimensions,
                            IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                            NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank,
-                           _sample_h_batch, design_uniform_quantizer, quantize_H,
-                           random_psd, sample_H_given_Hhat)
+                           _sample_h_batch, csit_from_label, exp_correlation,
+                           quantize_H, random_psd, sample_H_given_Hhat)
 
 from conftest import bank_bytes, make_rng, quantizer_mse, rand_matrix, rand_psd, rand_spec
 
@@ -198,21 +198,25 @@ def _grid_oracle_step(bits):
     return fine[int(np.argmin([_mse_quadrature(d, bits) for d in fine]))]
 
 
+def unit_normal_step(bits):
+    return QuantizedCsit.designed(bits, IidRealGaussian()).step
+
+
 def test_design_b1_closed_form():
     # two symmetric levels: optimal half-step is the mean absolute value
-    step = design_uniform_quantizer(1)
+    step = unit_normal_step(1)
     assert step / 2.0 == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-6)
 
 
 def test_design_b2_matches_grid_oracle():
-    assert design_uniform_quantizer(2) == pytest.approx(_grid_oracle_step(2), abs=1e-4)
+    assert unit_normal_step(2) == pytest.approx(_grid_oracle_step(2), abs=1e-4)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6])
 def test_design_local_optimality(bits):
     from scipy.optimize import minimize_scalar
 
-    step = design_uniform_quantizer(bits)
+    step = unit_normal_step(bits)
     mse = quantizer_mse(step, bits)
     assert mse <= quantizer_mse(step + 0.01, bits)
     assert mse <= quantizer_mse(step - 0.01, bits)
@@ -223,9 +227,39 @@ def test_design_local_optimality(bits):
 
 def test_design_rejects_out_of_range():
     with pytest.raises(ConfigurationError):
-        design_uniform_quantizer(0)
+        unit_normal_step(0)
     with pytest.raises(ConfigurationError):
-        design_uniform_quantizer(7)
+        unit_normal_step(7)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6])
+def test_design_scales_the_unit_normal_step_by_the_component_std(bits):
+    assert unit_normal_step(bits) == OPTIMAL_STEPS[bits - 1]
+    complex_step = QuantizedCsit.designed(bits, IidComplexGaussian()).step
+    assert complex_step == OPTIMAL_STEPS[bits - 1] * np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("fading", [
+    IidUniformComplex(),
+    CorrelatedRayleigh(r_rx=exp_correlation(2, 0.5), r_tx=exp_correlation(2, 0.5)),
+], ids=["uniform", "correlated"])
+def test_design_rejects_a_non_gaussian_or_correlated_fading_law(fading):
+    with pytest.raises(ConfigurationError):
+        QuantizedCsit.designed(1, fading)
+
+
+@pytest.mark.parametrize("fading", [IidRealGaussian(), IidComplexGaussian()],
+                         ids=["real", "complex"])
+def test_csit_from_label_inverts_label(fading):
+    for csit in [NoCsit(), PerfectCsit()] + [QuantizedCsit.designed(b, fading)
+                                             for b in range(1, 7)]:
+        assert csit_from_label(csit.label, fading) == csit
+
+
+@pytest.mark.parametrize("label", ["B=0", "B=7", "B=x", "quantized", ""])
+def test_csit_from_label_rejects_an_unknown_label(label):
+    with pytest.raises(ConfigurationError):
+        csit_from_label(label, IidRealGaussian())
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +292,8 @@ def test_levels_partition_and_spacing():
 
 def test_conditional_sampling_round_trip():
     rng = make_rng(3)
-    csit = QuantizedCsit.designed(2)
     model = IidRealGaussian()
+    csit = QuantizedCsit.designed(2, model)
     dims = Dimensions(2, 2, 1)
     for _ in range(50):
         h = one_draw(model, dims, rng)
@@ -281,7 +315,7 @@ def test_mixture_matches_unconditional_moments():
     rng = make_rng(5)
     dims = Dimensions(2, 2, 1)
     model = IidRealGaussian()
-    csit = QuantizedCsit.designed(2)
+    csit = QuantizedCsit.designed(2, model)
     n = 10 ** 5
     unconditional = _sample_h_batch(model, dims, rng, n)
     raw = _sample_h_batch(model, dims, rng, n)
@@ -292,8 +326,8 @@ def test_mixture_matches_unconditional_moments():
 
 def test_conditional_sampling_complex_round_trip():
     rng = make_rng(6)
-    csit = QuantizedCsit.designed(1, component_std=np.sqrt(0.5))
     model = IidComplexGaussian()
+    csit = QuantizedCsit.designed(1, model)
     h = one_draw(model, Dimensions(2, 2, 1), rng)
     h_hat = quantize_H(h, csit)
     draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=100)
@@ -361,8 +395,7 @@ def _scipy_sample_truncated_real(values, csit, sigma_c, rng, shape):
 @pytest.mark.parametrize("fading", [IidRealGaussian(), IidComplexGaussian()],
                          ids=["real", "complex"])
 def test_sampler_matches_scipy_reference(fading, bits, stacked, monkeypatch):
-    sigma_c = model.fading_component_std(fading)
-    csit = QuantizedCsit.designed(bits, component_std=sigma_c)
+    csit = QuantizedCsit.designed(bits, fading)
     rng = make_rng(bits)
     shape = (400, 2, 3) if stacked else (2, 3)
     # wide enough to land in the outermost bins as well as the inner ones
@@ -377,7 +410,7 @@ def test_sampler_matches_scipy_reference(fading, bits, stacked, monkeypatch):
 
 
 def test_conditional_sampling_rejects_unsupported_fading():
-    csit = QuantizedCsit.designed(1)
+    csit = QuantizedCsit(bits=1, step=1.0)
     with pytest.raises(ConfigurationError):
         sample_H_given_Hhat(np.zeros((2, 2)), csit, IidUniformComplex(), make_rng(0))
 
@@ -389,7 +422,7 @@ def test_conditional_sampling_rejects_unsupported_fading():
 def test_bank_determinism_bytewise(rng):
     spec = rand_spec(make_rng(7), 2, 2, 1, "real")
     model = IidRealGaussian()
-    csit = QuantizedCsit.designed(2)
+    csit = QuantizedCsit.designed(2, model)
     b1 = build_sample_bank(spec, model, csit, 10, 25, seed=99)
     b2 = build_sample_bank(spec, model, csit, 10, 25, seed=99)
     assert bank_bytes(b1) == bank_bytes(b2)
@@ -403,8 +436,10 @@ def test_bank_structure_contracts():
     none = build_sample_bank(spec, model, NoCsit(), 10, 1000, seed=1)
     assert len(none.cells) == 1 and none.cells[0].draws.shape == (1000, 2, 2)
     assert none.cells[0].h_hat is None
+    assert (none.n_outer, none.n_inner) == (1, 1000)
     perfect = build_sample_bank(spec, model, PerfectCsit(), 500, 7, seed=1)
     assert len(perfect.cells) == 500
+    assert (perfect.n_outer, perfect.n_inner) == (500, 1)  # one draw per cell, not 7
     for cell in perfect.cells:
         assert cell.draws.shape == (1, 2, 2)
         assert np.array_equal(cell.draws[0], cell.h_hat)
@@ -412,7 +447,7 @@ def test_bank_structure_contracts():
 
 def test_bank_cells_record_their_csit_model():
     spec = rand_spec(make_rng(8), 2, 2, 1, "real")
-    for csit in (NoCsit(), PerfectCsit(), QuantizedCsit.designed(1)):
+    for csit in (NoCsit(), PerfectCsit(), QuantizedCsit.designed(1, IidRealGaussian())):
         bank = build_sample_bank(spec, IidRealGaussian(), csit, 3, 1, seed=2)
         assert all(cell.csit is csit for cell in bank.cells)
 
@@ -426,7 +461,7 @@ def test_bank_rejects_field_mismatch():
 def test_bank_rejects_quantized_unsupported_fading():
     spec = rand_spec(make_rng(10), 2, 2, 1, "complex")
     with pytest.raises(ConfigurationError):
-        build_sample_bank(spec, IidUniformComplex(), QuantizedCsit.designed(1),
+        build_sample_bank(spec, IidUniformComplex(), QuantizedCsit(bits=1, step=1.0),
                           4, 4, seed=0)
 
 

@@ -267,8 +267,8 @@ def test_stderr_basis_single_cell_is_per_draw():
 
 def test_stderr_basis_multi_cell_is_per_cell_means():
     spec = rand_spec(make_rng(43), 2, 2, 1, "real")
-    bank = build_sample_bank(spec, IidRealGaussian(), QuantizedCsit.designed(1),
-                             6, 50, seed=8)
+    fading = IidRealGaussian()
+    bank = build_sample_bank(spec, fading, QuantizedCsit.designed(1, fading), 6, 50, seed=8)
     W = rand_matrix(make_rng(44), (1, 2), "real")
     terms = [per_draw_terms(spec, W, cell.draws) for cell in bank.cells]
     a = np.array([r.mean() for r, _ in terms])
