@@ -5,9 +5,9 @@ from .model import (ChannelSpec, CorrelatedRayleigh, Dimensions,
                     NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank)
 from .rate import (CellCore, RateEstimate, achievable_rate, build_M,
                    no_interference_bound, objective)
-from .inflation import (SolveResult, SolverConfig, alg1_solve, alg2_solve,
-                        solve_w, theoretical_scaling, w_perfect_csit, w_pinv)
-from .covopt import JointConfig, JointResult, joint_optimize
+from .inflation import (SolveResult, alg1_solve, alg2_solve, solve_w,
+                        theoretical_scaling, w_perfect_csit, w_pinv)
+from .covopt import JointResult, joint_optimize
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,7 @@ __all__ = [
     "QuantizedCsit", "build_sample_bank",
     "CellCore", "RateEstimate", "achievable_rate", "build_M", "no_interference_bound",
     "objective",
-    "SolveResult", "SolverConfig", "alg1_solve", "alg2_solve", "solve_w",
+    "SolveResult", "alg1_solve", "alg2_solve", "solve_w",
     "theoretical_scaling", "w_perfect_csit", "w_pinv",
-    "JointConfig", "JointResult", "joint_optimize",
+    "JointResult", "joint_optimize",
 ]

@@ -201,10 +201,9 @@ def cmd_jointopt(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
     bank = _bank_for(exp)  # a no-CSIT bank: "csit" is unread
-    cfg = covopt.JointConfig(rank_bound=spec.dims.m if args.rank is None else args.rank,
-                             outer_iters=args.outer_iters,
-                             solver=args.solver)
-    res = covopt.joint_optimize(spec, cfg, bank)
+    res = covopt.joint_optimize(spec, bank,
+                                rank_bound=spec.dims.m if args.rank is None else args.rank,
+                                outer_iters=args.outer_iters, solver=args.solver)
     _emit({
         "rate_bits": res.rate_bits,
         "stderr_bits": res.stderr_bits,

@@ -183,6 +183,15 @@ def config_hash(raw):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+def _matrix(cfg, key, path, dtype=float):
+    """``cfg[key]`` as an array, if it is a non-empty rectangular matrix; ``path`` names it."""
+    rows = cfg[key]
+    if not (rows and rows[0] and all(len(row) == len(rows[0]) for row in rows)):
+        raise ConfigurationError(f"invalid configuration: {path}.{key}: "
+                                 "not a non-empty rectangular matrix")
+    return np.asarray(rows, dtype=dtype)
+
+
 def _fading_from_config(cfg, t, r):
     variant = cfg["variant"]
     if variant == "iid_real":
@@ -194,7 +203,7 @@ def _fading_from_config(cfg, t, r):
     if variant == "correlated_rayleigh":
         def corr(n, mat_key, rho_key):
             if mat_key in cfg:
-                return np.asarray(cfg[mat_key], dtype=complex)
+                return _matrix(cfg, mat_key, "$.fading", complex)
             if rho_key in cfg:
                 return exp_correlation(n, cfg[rho_key])
             return np.eye(n, dtype=complex)
@@ -225,7 +234,7 @@ def _sigma_s_from_config(cfg, t, q, field):
     if kind == "random_rank":
         return random_psd(t, cfg["rank"], cfg["seed"], q, field)
     if kind == "matrix":
-        mat = np.asarray(cfg["matrix"], dtype=float)
+        mat = _matrix(cfg, "matrix", "$.sigma_s")
         tr = float(np.trace(mat))
         if tr <= 0:
             raise ConfigurationError("sigma_s matrix must have positive trace")
@@ -238,7 +247,7 @@ def _factor_from_config(cfg, t, m, p, field):
     if kind == "scaled_identity":
         return np.sqrt(p / m) * np.eye(t, m)
     if kind == "factor":
-        mat = np.asarray(cfg["matrix"], dtype=float)
+        mat = _matrix(cfg, "matrix", "$.sigma_x")
         if mat.shape != (t, m):
             raise ConfigurationError(f"sigma_x factor has shape {mat.shape}, expected {(t, m)}")
         tr = float(np.trace(mat @ mat.T))

@@ -38,17 +38,6 @@ RATE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
-class JointConfig:
-    rank_bound: int
-    outer_iters: int = 30
-    solver: str = "alg1"             # inflation solver used in the W-step
-
-    def __post_init__(self):
-        if self.rank_bound < 1 or self.outer_iters < 1:
-            raise ConfigurationError("rank_bound and outer_iters must be >= 1")
-
-
-@dataclass(frozen=True)
 class JointResult:
     T: np.ndarray
     W: np.ndarray
@@ -104,26 +93,30 @@ def _eig_stats(T):
     return int(nz.size), float(nz[0] / nz[-1])
 
 
-def joint_optimize(spec, config, bank):
+def joint_optimize(spec, bank, *, rank_bound, outer_iters, solver):
     """Alternate inflation solving and covariance fixed-point updates.
 
-    Works on single-cell (no-CSIT style) banks: one global W and one T.
-    Returns the best-rate iterate, not the last one, so the reported rate is
-    non-decreasing up to Monte Carlo noise by construction.
+    Starts from the scaled identity factor of rank ``rank_bound`` and runs at
+    most ``outer_iters`` outer steps, each solving W with ``solver`` (a name
+    in :data:`fdpclab.inflation.CORE_SOLVERS`).  Works on single-cell
+    (no-CSIT style) banks: one global W and one T.  Returns the best-rate
+    iterate, not the last one, so the reported rate is non-decreasing up to
+    Monte Carlo noise by construction.
     """
+    if rank_bound < 1 or outer_iters < 1:
+        raise ConfigurationError("rank_bound and outer_iters must be >= 1")
     if len(bank.cells) != 1:
         raise ConfigurationError("joint optimization expects a single-cell bank")
-    m = config.rank_bound
-    T = _initial_factor(spec, m)
+    T = _initial_factor(spec, rank_bound)
     draws = bank.cells[0].draws
     rate_trace = []
     best = None
     prev_rate = -np.inf
     converged = False
-    for outer in range(config.outer_iters):
+    for outer in range(outer_iters):
         spec_t = replace(spec, T=T)
         core = CellCore(spec_t, draws)
-        w_res = solve_w(core, config.solver)
+        w_res = solve_w(core, solver)
         est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:

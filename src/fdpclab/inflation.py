@@ -33,16 +33,15 @@ from .model import PerfectCsit
 from .rate import SchurPoint, check_inflation, objective
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 200
-    tol: float = 1e-7          # alg1: relative objective change; alg2: relative residual
+# Stopping rule of both solvers, read at call time: at most MAX_ITERS sweeps
+# (alg1) or candidates (alg2), and the tolerance TOL on the relative objective
+# change (alg1) or the relative fixed-point residual (alg2).
+MAX_ITERS = 200
+TOL = 1e-7
 
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
-        if not 0.0 < self.tol < 1.0:
-            raise ConfigurationError("tol must lie in (0, 1)")
+# Anderson history depth of alg2_solve: the number of past residual and map
+# differences in its least-squares fit.
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -139,16 +138,6 @@ def theoretical_scaling_pd(t, r):
 # Algorithm 1: row-wise surrogate minimization
 # ---------------------------------------------------------------------------
 
-def row_surrogate(core, W, row):
-    """Value of the Jensen surrogate ``E(a - B* D^{-1} B)`` for one row of W.
-
-    ``a - B* D^{-1} B`` is the Schur complement of the other rows in
-    ``S(W)``, which is ``1 / (S(W)^{-1})_rr``.
-    """
-    W = check_inflation(core.spec, W)
-    return float(np.mean(1.0 / SchurPoint(core, W).factor.inv()[:, row, row].real))
-
-
 def alg1_row_update(core, W, row):
     """Replace one row of W by the minimizer of its Jensen-bounded surrogate.
 
@@ -199,14 +188,14 @@ def alg1_row_update(core, W, row):
     return out
 
 
-def alg1_solve(core, W0, config):
+def alg1_solve(core, W0):
     """Cyclic row minimization until the objective stabilizes.
 
     One iteration sweeps all rows; the objective is recorded after every
     accepted sweep (the initial objective is the first trace entry).  Each
     row step minimizes a Jensen surrogate, which does not guarantee descent
     of the true objective.  A sweep that raises the objective by more than
-    ``tol * max(1, |obj|)`` (``obj`` its last trace entry) is rolled back and
+    ``TOL * max(1, |obj|)`` (``obj`` its last trace entry) is rolled back and
     stops the run, not converged; a smaller change, a rise included, is
     accepted and stops it, converged.  Either way the last accepted W (or W0)
     is returned, not the best seen, and only the last trace step may rise.
@@ -216,17 +205,17 @@ def alg1_solve(core, W0, config):
     trace = [objective(spec, W, H, core)]
     converged = False
     sweeps = 0
-    for sweeps in range(1, config.max_iters + 1):
+    for sweeps in range(1, MAX_ITERS + 1):
         W_new = W
         for row in range(spec.dims.m):
             W_new = alg1_row_update(core, W_new, row)
         obj_new = objective(spec, W_new, H, core)
-        if obj_new > trace[-1] + config.tol * max(1.0, abs(trace[-1])):
+        if obj_new > trace[-1] + TOL * max(1.0, abs(trace[-1])):
             sweeps -= 1  # rolled back: this sweep produced no iterate
             break
         W = W_new
         trace.append(obj_new)
-        if abs(trace[-1] - trace[-2]) < config.tol * max(1.0, abs(trace[-2])):
+        if abs(trace[-1] - trace[-2]) < TOL * max(1.0, abs(trace[-2])):
             converged = True
             break
     return SolveResult(W=W, objective_trace=tuple(trace),
@@ -236,10 +225,6 @@ def alg1_solve(core, W0, config):
 # ---------------------------------------------------------------------------
 # Algorithm 2: stationarity fixed point
 # ---------------------------------------------------------------------------
-
-# Anderson history depth of alg2_solve: the number of past residual and map
-# differences in its least-squares fit.
-ANDERSON_DEPTH = 5
 
 def alg2_map(core, W, point=None):
     """One application of the stationarity map ``g``.
@@ -266,12 +251,12 @@ def alg2_map(core, W, point=None):
         )
 
 
-def alg2_solve(core, W0, config):
+def alg2_solve(core, W0):
     """Safeguarded Anderson-accelerated fixed-point iteration ``W <- map(W)``.
 
     At each accepted point (the start included) the map ``G`` and the
     residual ``f = G - W`` come from that point's :class:`SchurPoint`, and the
-    solve stops, converged, once ``||f|| <= tol ||W||`` (Frobenius norms):
+    solve stops, converged, once ``||f|| <= TOL ||W||`` (Frobenius norms):
     the returned W is then the point whose residual passed.  Otherwise the
     next candidate is the type-II Anderson step ``G - dG c``, with ``c``
     the least-squares fit ``min ||f - dF c||`` over the differences of the
@@ -283,7 +268,7 @@ def alg2_solve(core, W0, config):
     the history, which restarts at the next accepted point, and is replaced
     by the damped step ``(1-g) W + g G`` from ``g = 1``, halving ``g`` on
     every further rise.  Five consecutive rejected candidates, or
-    ``max_iters`` candidates in all, stop the solve unconverged with the
+    ``MAX_ITERS`` candidates in all, stop the solve unconverged with the
     best-seen W.
 
     ``iterations`` counts the evaluated candidates, one :class:`SchurPoint`
@@ -306,7 +291,7 @@ def alg2_solve(core, W0, config):
             # drop W's point before the candidate's is built
             G, point = alg2_map(core, W, point), None
             f = G - W
-            if np.linalg.norm(f) <= config.tol * np.linalg.norm(W):
+            if np.linalg.norm(f) <= TOL * np.linalg.norm(W):
                 converged = True
                 break
             if last is not None:
@@ -314,7 +299,7 @@ def alg2_solve(core, W0, config):
                 d_g.append((G - last[1]).ravel())
                 del d_f[:-ANDERSON_DEPTH], d_g[:-ANDERSON_DEPTH]
             last = f, G
-        if iterations == config.max_iters:
+        if iterations == MAX_ITERS:
             break
         iterations += 1
         if d_f:
@@ -367,8 +352,8 @@ def best_initialization(core):
 def solve_w(core, method, cell=None):
     """Solve for the inflation factor on one cell's core.
 
-    ``method`` is one of :data:`SOLVERS`.  The iterative methods run with the
-    default :class:`SolverConfig` from :func:`best_initialization`.  A closed
+    ``method`` is one of :data:`SOLVERS`.  The iterative methods run from
+    :func:`best_initialization` with :data:`MAX_ITERS` and :data:`TOL`.  A closed
     form returns its W and objective, converged after 0 iterations.
     ``perfect`` is the perfect-CSIT W at ``cell.h_hat``, which needs ``cell``
     to be the core's cell of a bank drawn under :class:`PerfectCsit` (one
@@ -377,7 +362,7 @@ def solve_w(core, method, cell=None):
     """
     if method in ("alg1", "alg2"):
         solve = alg1_solve if method == "alg1" else alg2_solve
-        return solve(core, best_initialization(core), SolverConfig())
+        return solve(core, best_initialization(core))
     if method == "perfect":
         if cell is None or not isinstance(cell.csit, PerfectCsit):
             raise ConfigurationError("the 'perfect' policy requires a perfect-CSIT bank")

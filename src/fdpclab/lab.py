@@ -36,9 +36,9 @@ class SweepPlan:
     q_over_p: float
     solvers: tuple               # names from fdpclab.inflation.SOLVERS
     csit_list: tuple             # CsitModel instances
-    include_bound: bool = True
-    n_outer: int = 200
-    n_inner: int = 2000
+    include_bound: bool
+    n_outer: int
+    n_inner: int
 
     def __post_init__(self):
         if not self.snr_db_list or not self.solvers or not self.csit_list:
@@ -164,8 +164,7 @@ def write_sweep_csv(rows, path):
         fh.write(format_sweep_csv(rows))
 
 
-def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed,
-                     q_over_p=1.0, n_inner=20000):
+def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed, q_over_p, n_inner):
     """High-SNR slope of the rate in bits per log2(P), two-point secant.
 
     ``w_choice`` is a solver name (see :func:`resolve_w`).  Both endpoints
@@ -189,7 +188,7 @@ def predicted_scaling(spec):
     return theoretical_scaling(rank_sum, spec.dims.m, spec.dims.r)
 
 
-def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p=1.0, n_inner=20000):
+def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p, n_inner):
     """Ratio of the zero-inflation rate to the bound per SNR, common draws.
 
     Returns a list of ``(snr_db, ratio, stderr_ratio)`` rows; the stderr is

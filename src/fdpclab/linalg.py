@@ -245,8 +245,10 @@ def numerical_rank(a):
 
 
 def validate_hermitian(a, name, tol=1e-12):
-    """Check that ``a`` is finite and Hermitian within an absolute-scale tolerance."""
+    """Check that ``a`` is a finite square matrix, Hermitian within an absolute-scale tolerance."""
     a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigurationError(f"{name} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ConfigurationError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))

@@ -131,11 +131,11 @@ class ChannelSpec:
         return cls(T=T, sigma_s=sigma_s, sigma_z=sigma_z,
                    P=float(np.trace(T @ ct(T)).real), field=field)
 
-    def at_snr_db(self, snr_db, q_over_p=None):
+    def at_snr_db(self, snr_db, q_over_p):
         """Same spatial structure at the SNR ``P/N`` given in dB.
 
         ``T`` is scaled so ``trace(T T*) = P`` and ``sigma_s`` so its trace
-        is ``Q = q_over_p * P`` (default: keep the current Q/P ratio).
+        is ``Q = q_over_p * P``.
         """
         try:
             P = self.N * 10.0 ** (snr_db / 10.0)
@@ -143,7 +143,7 @@ class ChannelSpec:
             raise ConfigurationError(f"SNR {snr_db:g} dB overflows the power budget") from None
         if not P > 0:  # -inf dB, NaN, or a budget that underflows to 0
             raise ConfigurationError(f"SNR {snr_db:g} dB leaves no power budget (P = {P:g})")
-        Q = self.Q * P / self.P if q_over_p is None else q_over_p * P
+        Q = q_over_p * P
         _check_finite_budgets(P=P, Q=Q)
         tr_x = float(np.trace(self.T @ ct(self.T)).real)
         if tr_x <= 0:
@@ -281,6 +281,13 @@ class QuantizedCsit:
     def levels(self):
         k = np.arange(self.n_levels, dtype=np.float64)
         return (k - (self.n_levels - 1) / 2.0) * self.step
+
+    def bin_edges(self, b):
+        """``(lo, hi)`` of bin ``b``: midway between adjacent levels, +-inf outermost."""
+        c = (self.n_levels - 1) / 2.0
+        lo = -np.inf if b == 0 else (b - 0.5 - c) * self.step
+        hi = np.inf if b == self.n_levels - 1 else (b + 0.5 - c) * self.step
+        return lo, hi
 
     def bin_index(self, x):
         """Index (0 .. n_levels-1) of the bin of each real value in ``x``."""
@@ -438,7 +445,7 @@ def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     ``shape``: each of its entries owns the draws along the leading axes.
     The uniforms come from one ``rng.random(shape)`` call and are mapped by
     the inverse CDF, ``x = sigma_c ndtri(u)`` with ``u`` uniform between the
-    CDF values of the bin edges.
+    CDF values of the bin edges (:meth:`QuantizedCsit.bin_edges`).
 
     The work is entry-major and bin by bin: the draws of the entries in one
     bin are gathered, about ``_BLOCK`` at a time, into a contiguous array
@@ -451,15 +458,12 @@ def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     kept strictly inside their bin, so :func:`quantize_H` round-trips.
     The uniforms' array holds the result, in the layout ``shape``.
     """
-    n_levels, step = csit.n_levels, csit.step
-    c = (n_levels - 1) / 2.0
     k = csit.bin_index(values).ravel()
     u = rng.random(shape)
     by_entry = u.reshape(-1, k.size).T  # (entries, draws per entry); the draws overwrite u
     for b in np.flatnonzero(np.bincount(k)):  # the bins in use (np.unique imports numpy.ma)
         rows = np.flatnonzero(k == b)
-        lo = -np.inf if b == 0 else (b - 0.5 - c) * step
-        hi = np.inf if b == n_levels - 1 else (b + 0.5 - c) * step
+        lo, hi = csit.bin_edges(b)
         u_lo, u_hi = _ndtr(lo / sigma_c), _ndtr(hi / sigma_c)
         upper = lo >= 0.0  # ndtri(u) = -ndtri(1 - u); the clip is u <= 1 - 2**-53
         floor, scale = (2.0 ** -53, -sigma_c) if upper else (_TINY, sigma_c)
@@ -478,20 +482,18 @@ def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     return u
 
 
-def sample_H_given_Hhat(h_hat, csit, model, rng, n=None):
-    """Draw H from the fading prior conditioned on its quantized value.
+def sample_H_given_Hhat(h_hat, csit, model, rng, n):
+    """Draw an (n, r, t) stack of H from the fading prior conditioned on its quantized value.
 
     Each entry's posterior is the prior truncated to the bin whose
     reconstruction level equals the corresponding entry of ``h_hat``.
     Supported only for the i.i.d. Gaussian fading variants.
-
-    Returns one (r, t) draw when ``n`` is None, else an (n, r, t) stack.
     """
     if not isinstance(csit, QuantizedCsit):
         raise ConfigurationError("conditional sampling requires quantized CSIT")
     sigma_c = fading_component_std(model)
     h_hat = np.asarray(h_hat)
-    shape = h_hat.shape if n is None else (n,) + h_hat.shape
+    shape = (n,) + h_hat.shape
     if isinstance(model, IidComplexGaussian):
         re = _sample_truncated_real(h_hat.real, csit, sigma_c, rng, shape)
         im = _sample_truncated_real(h_hat.imag, csit, sigma_c, rng, shape)

@@ -205,7 +205,10 @@ class CellCore:
         """``S(W)`` alone, formed as :meth:`schur` forms it.
 
         The rows of ``C K`` share one (t, n) buffer, so no (n, m, t) stack
-        is held beside ``S``.
+        is held beside ``S``.  That is why it exists beside :meth:`schur`: on
+        ``fdpc-rank-3x2`` (m = 3, 5000 draws, 2 vCPU) one :func:`objective`
+        through ``schur`` took 1.4-2.1 ms against 0.7-1.0 ms through this
+        method, and ``jointopt`` wall time rose 3-5 %.
         """
         return self._schur(W, None, keep_ck=False)[1]
 

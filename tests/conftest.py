@@ -9,7 +9,7 @@ from fdpclab import lab
 from fdpclab.linalg import ct
 from fdpclab.model import (BankCell, ChannelSpec, NoCsit, PerfectCsit, SampleBank, _ndtr,
                            build_sample_bank)
-from fdpclab.rate import CellCore, paired_rates
+from fdpclab.rate import CellCore, build_M, paired_rates
 
 
 def make_rng(seed=0):
@@ -44,6 +44,25 @@ def with_factor(spec, T):
     """Same channel transmitting ``T`` of any trace: ``P`` grows to cover it."""
     T = np.asarray(T, dtype=spec.dtype)
     return replace(spec, T=T, P=max(spec.P, float(np.trace(T @ ct(T)).real)))
+
+
+def permuted_M(spec, W, row, H):
+    """Block matrix with W's target row (and T's column) moved to position 0."""
+    perm = list(range(spec.dims.m))
+    perm[0], perm[row] = perm[row], perm[0]
+    return build_M(with_factor(spec, spec.T[:, perm]), W[perm], H), perm
+
+
+def ref_row_surrogate(spec, W, row, H):
+    """The ``alg1`` row step's Jensen surrogate ``E(a - B* D^{-1} B)`` for one row of W.
+
+    ``a - B* D^{-1} B`` is the Schur complement of the other rows in ``S(W)``,
+    formed here from the block matrix directly.
+    """
+    M, _ = permuted_M(spec, W, row, H)
+    B = M[:, 1:, :1]
+    quad = np.einsum("nio,nio->n", np.conj(B), np.linalg.solve(M[:, 1:, 1:], B))
+    return float(np.mean(M[:, 0, 0].real - quad.real))
 
 
 def degenerate_bank(H_list):
@@ -107,15 +126,25 @@ def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):
 
 
 class IndefiniteCore(CellCore):
-    """A cell core whose Schur complement ``S`` is indefinite at draw ``bad`` only."""
+    """A cell core whose Schur complement ``S`` is indefinite at draw ``bad`` only.
+
+    Both ways of forming ``S`` are overridden: ``schur`` (the solvers' points
+    and the gradient) and ``schur_s`` (the objective and the rate).
+    """
 
     bad = 1
 
-    def schur(self, W, cols=None):
-        ck, S = super().schur(W, cols)
+    def _indefinite(self, S):
         S = S.copy()
         S[self.bad] = -np.eye(S.shape[-1])
-        return ck, S
+        return S
+
+    def schur(self, W, cols=None):
+        ck, S = super().schur(W, cols)
+        return ck, self._indefinite(S)
+
+    def schur_s(self, W):
+        return self._indefinite(super().schur_s(W))
 
 
 @pytest.fixture

@@ -125,13 +125,13 @@ def test_criterion_5_low_snr_ratio():
               f"ratio(-30 dB) = {ratios[-1]:.4f}, monotone = {monotone}")
 
 
-def test_criterion_6_closed_form_matches_single_sweep():
+def test_criterion_6_closed_form_matches_single_sweep(monkeypatch):
     ref = lab.reference_channel("fdpc-fig4-1")
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4400)
     H = bank.cells[0].draws
-    res = inflation.alg1_solve(rate.CellCore(spec, H), inflation.w_zero(spec),
-                               inflation.SolverConfig(max_iters=1))
+    monkeypatch.setattr(inflation, "MAX_ITERS", 1)
+    res = inflation.alg1_solve(rate.CellCore(spec, H), inflation.w_zero(spec))
     # the m = 1 closed form, coded independently of the row-update machinery
     T, ss, sz = spec.T, spec.sigma_s, spec.sigma_z
     sig = T @ ct(T) + ss
@@ -143,14 +143,15 @@ def test_criterion_6_closed_form_matches_single_sweep():
               rel <= 1e-8, f"relative deviation {rel:.2e}")
 
 
-def test_criterion_7_fixed_point_stationarity():
+def test_criterion_7_fixed_point_stationarity(monkeypatch):
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4500)
     H = bank.cells[0].draws
-    cfg = inflation.SolverConfig(tol=1e-8, max_iters=500)
+    monkeypatch.setattr(inflation, "TOL", 1e-8)
+    monkeypatch.setattr(inflation, "MAX_ITERS", 500)
     core = rate.CellCore(spec, H)
-    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core))
     g = inflation.alg2_map(core, res.W)
     resid = float(np.linalg.norm(res.W - g) / max(1.0, np.linalg.norm(res.W)))
     obj0 = rate.objective(spec, res.W, H)
@@ -174,7 +175,7 @@ def test_criterion_8_feedback_monotonicity_and_bound_gap():
     csits = (NoCsit(), QuantizedCsit.designed(1, ref.model),
              QuantizedCsit.designed(2, ref.model))
     plan = lab.SweepPlan(snr_db_list=(10.0,), q_over_p=ref.q_over_p,
-                         solvers=("alg1",), csit_list=csits,
+                         solvers=("alg1",), csit_list=csits, include_bound=True,
                          n_outer=N_OUTER, n_inner=N_INNER)
     rows = {row.csit: row for row in lab.run_sweep(ref.spec, ref.model, plan, seed=4700)}
     mono = (rows["B=2"].rate_bits >= rows["B=1"].rate_bits
@@ -236,8 +237,8 @@ def test_criterion_10_covariance_optimization():
     ref = lab.reference_channel("fdpc-cov-3x3")
     spec_c = ref.spec.at_snr_db(0.0, ref.q_over_p)
     bank_c = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=5200)
-    joint = covopt.joint_optimize(spec_c, covopt.JointConfig(rank_bound=3,
-                                                             outer_iters=25), bank_c)
+    joint = covopt.joint_optimize(spec_c, bank_c, rank_bound=3, outer_iters=25,
+                                  solver="alg1")
     res_w = inflation.solve_w(rate.CellCore(spec_c, bank_c.cells[0].draws), "alg1")
     iso = rate.achievable_rate(spec_c, res_w.W, bank_c)
     wf_ok = joint.rate_bits >= iso.rate_bits - 2 * max(joint.stderr_bits,
@@ -251,9 +252,8 @@ def test_criterion_10_covariance_optimization():
         bank_r = build_sample_bank(ref_r.spec, ref_r.model, NoCsit(), 1, N_INNER,
                                    seed=5300)
         results[snr] = {
-            m: covopt.joint_optimize(spec_r, covopt.JointConfig(rank_bound=m,
-                                                                outer_iters=25),
-                                     bank_r)
+            m: covopt.joint_optimize(spec_r, bank_r, rank_bound=m, outer_iters=25,
+                                     solver="alg1")
             for m in (1, 3)
         }
     low = results[-10.0]
@@ -282,15 +282,16 @@ def test_criterion_11_determinism():
     # slope estimates are bit-identical across runs
     ref3 = lab.reference_channel("fdpc-3x2-b")
     s1 = lab.estimate_scaling(ref3.spec, ref3.model, "pinv", (40.0, 60.0),
-                              seed=6100, n_inner=4000)
+                              seed=6100, q_over_p=ref3.q_over_p, n_inner=4000)
     s2 = lab.estimate_scaling(ref3.spec, ref3.model, "pinv", (40.0, 60.0),
-                              seed=6100, n_inner=4000)
+                              seed=6100, q_over_p=ref3.q_over_p, n_inner=4000)
     slope_ok = np.float64(s1).tobytes() == np.float64(s2).tobytes()
 
     # sweeps (solvers included) are byte-identical and thread-count independent
     plan = lab.SweepPlan(snr_db_list=(0.0, 10.0), q_over_p=1.0,
                          solvers=("alg1", "alg2", "pinv"),
-                         csit_list=(NoCsit(), csit), n_outer=10, n_inner=500)
+                         csit_list=(NoCsit(), csit), include_bound=True,
+                         n_outer=10, n_inner=500)
     csv1 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200))
     csv2 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200))
     csv4 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200,
@@ -301,10 +302,8 @@ def test_criterion_11_determinism():
     ref_r = lab.reference_channel("fdpc-rank-3x2")
     spec_r = ref_r.spec.at_snr_db(0.0, ref_r.q_over_p)
     bank_r = build_sample_bank(ref_r.spec, ref_r.model, NoCsit(), 1, 1500, seed=6300)
-    j1 = covopt.joint_optimize(spec_r, covopt.JointConfig(rank_bound=3,
-                                                          outer_iters=8), bank_r)
-    j2 = covopt.joint_optimize(spec_r, covopt.JointConfig(rank_bound=3,
-                                                          outer_iters=8), bank_r)
+    j1 = covopt.joint_optimize(spec_r, bank_r, rank_bound=3, outer_iters=8, solver="alg1")
+    j2 = covopt.joint_optimize(spec_r, bank_r, rank_bound=3, outer_iters=8, solver="alg1")
     joint_ok = (np.asarray(j1.rate_trace).tobytes() == np.asarray(j2.rate_trace).tobytes()
                 and j1.T.tobytes() == j2.T.tobytes())
 

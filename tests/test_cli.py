@@ -357,6 +357,13 @@ def test_jointopt_rank_zero_exits_2():
     assert code == 2 and out == ""
 
 
+def test_jointopt_outer_iters_zero_exits_2(capsys):
+    code, out = run_cli(["jointopt", "--ref", "fdpc-cov-3x3", "--outer-iters", "0",
+                         "--samples", "10"])
+    assert code == 2 and out == ""
+    assert "outer_iters must be >= 1" in capsys.readouterr().err
+
+
 def test_threads_is_a_sweep_only_flag(tmp_path, capsys):
     """Flags a subcommand cannot honour are rejected, not ignored."""
     required = {"sweep": ("--snr-db-list", "0", "--out", str(tmp_path / "x.csv"))}
@@ -472,6 +479,22 @@ def test_non_finite_config_matrix_exits_2(tmp_path, capsys, field):
     code, out = run_cli(["rate", str(path), "--solver", "zero", "--samples", "20"])
     assert code == 2 and out == ""
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, named", [
+    ({"sigma_s": {"kind": "matrix", "matrix": [[1, 0], [0]]}}, "$.sigma_s.matrix"),
+    ({"sigma_s": {"kind": "matrix", "matrix": []}}, "$.sigma_s.matrix"),
+    ({"fading": {"variant": "correlated_rayleigh", "r_rx": [[1, 0], [0]]}}, "$.fading.r_rx"),
+    ({"sigma_x": {"kind": "factor", "matrix": [[1], []]}}, "$.sigma_x.matrix"),
+    ({"fading": {"variant": "correlated_rayleigh", "r_tx": [[1, 0, 0], [0, 1, 0]]}},
+     "r_tx must be a square matrix"),
+], ids=["sigma_s-ragged", "sigma_s-empty", "r_rx-ragged", "sigma_x-ragged", "r_tx-2x3"])
+def test_malformed_config_matrix_exits_2(tmp_path, capsys, field, named):
+    """A ragged, empty or non-square matrix is a configuration error naming its field."""
+    cfg = write_config(tmp_path, {**JOINT_CFG, **field})
+    code, out = run_cli(["rate", cfg, "--solver", "zero", "--samples", "20"])
+    assert code == 2 and out == ""
+    assert named in capsys.readouterr().err
 
 
 def test_solve_w_payload(tmp_path):

@@ -143,10 +143,9 @@ def test_joint_optimize_isotropic_when_no_interference():
     base = ChannelSpec.create(T=np.sqrt(1 / 3) * np.eye(3),
                               sigma_s=np.zeros((3, 3)), sigma_z=np.eye(3),
                               field="complex")
-    spec = base.at_snr_db(10.0)
+    spec = base.at_snr_db(10.0, 0.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 3000, seed=6)
-    res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=3, outer_iters=20),
-                                bank)
+    res = covopt.joint_optimize(spec, bank, rank_bound=3, outer_iters=20, solver="alg1")
     iso = rate.achievable_rate(spec, inflation.w_zero(spec), bank)
     assert res.rate_bits >= iso.rate_bits - 2 * max(res.stderr_bits, iso.stderr_bits)
     tr = float(np.trace(res.T @ ct(res.T)).real)
@@ -163,8 +162,7 @@ def test_joint_optimize_rank_monotone_in_m():
     rates = []
     ses = []
     for m in (1, 2, 3):
-        res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=m,
-                                                             outer_iters=20), bank)
+        res = covopt.joint_optimize(spec, bank, rank_bound=m, outer_iters=20, solver="alg1")
         rates.append(res.rate_bits)
         ses.append(res.stderr_bits)
     noise = 2 * max(ses)
@@ -178,8 +176,7 @@ def test_joint_result_reproducible_on_fresh_bank():
     base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(5.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 4000, seed=10)
-    res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=15),
-                                bank)
+    res = covopt.joint_optimize(spec, bank, rank_bound=2, outer_iters=15, solver="alg1")
     fresh = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 4000, seed=11)
     spec_t = with_factor(spec, res.T)
     redo = rate.achievable_rate(spec_t, res.W, fresh)
@@ -205,8 +202,7 @@ def test_joint_optimize_computes_one_gradient_per_t_step(monkeypatch):
     base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(10.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 500, seed=16)
-    res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=6),
-                                bank)
+    res = covopt.joint_optimize(spec, bank, rank_bound=2, outer_iters=6, solver="alg1")
     # every outer iteration but a converged last one takes one T-step
     assert calls["t_step_map"] == len(res.rate_trace) - int(res.converged) > 0
     assert calls["gradient_map"] == calls["t_step_map"]
@@ -218,7 +214,7 @@ def test_joint_optimize_rejects_multicell_banks():
     spec = rand_spec(make_rng(12), 2, 2, 2, "complex")
     bank = build_sample_bank(spec, IidComplexGaussian(), PerfectCsit(), 4, 1, seed=0)
     with pytest.raises(ConfigurationError):
-        covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2), bank)
+        covopt.joint_optimize(spec, bank, rank_bound=2, outer_iters=30, solver="alg1")
 
 
 def test_joint_result_best_iterate_dominates_trace():
@@ -227,8 +223,7 @@ def test_joint_result_best_iterate_dominates_trace():
     base = ChannelSpec.create(T=np.eye(2), sigma_s=ss, sigma_z=np.eye(2), field="complex")
     spec = base.at_snr_db(10.0, q_over_p=1.0)
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 2000, seed=14)
-    res = covopt.joint_optimize(spec, covopt.JointConfig(rank_bound=2, outer_iters=12),
-                                bank)
+    res = covopt.joint_optimize(spec, bank, rank_bound=2, outer_iters=12, solver="alg1")
     assert res.rate_bits == pytest.approx(max(res.rate_trace))
 
 

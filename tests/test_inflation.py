@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from fdpclab import inflation, lab, rate
-from fdpclab.errors import ConfigurationError, SolverError
+from fdpclab.errors import ConfigurationError, EvaluationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
 from fdpclab.model import ChannelSpec, NoCsit, build_sample_bank
 
-from conftest import IndefiniteCore, make_rng, rand_matrix, rand_spec
+from conftest import (IndefiniteCore, degenerate_bank, make_rng, rand_matrix, rand_spec,
+                      ref_row_surrogate)
 
 
 def scalar_spec(q, p=1.0, n=1.0):
@@ -217,8 +218,8 @@ def test_row_surrogate_monotone(rng):
     core = rate.CellCore(spec, H)
     for row in range(2):
         updated = inflation.alg1_row_update(core, W, row)
-        before = inflation.row_surrogate(core, W, row)
-        after = inflation.row_surrogate(core, updated, row)
+        before = ref_row_surrogate(spec, W, row, H)
+        after = ref_row_surrogate(spec, updated, row, H)
         assert after <= before + 1e-12
         W = updated
 
@@ -238,7 +239,7 @@ def test_alg1_solve_one_sweep_is_closed_form_m1():
     spec = rand_spec(rng, 3, 2, 1, "complex")
     H = rand_matrix(rng, (300, 2, 3), "complex")
     core = rate.CellCore(spec, H)
-    res = inflation.alg1_solve(core, np.zeros((1, 3)), inflation.SolverConfig())
+    res = inflation.alg1_solve(core, np.zeros((1, 3)))
     direct = inflation.alg1_row_update(core, np.zeros((1, 3)), 0)
     assert np.abs(res.W - direct).max() <= 1e-8 * max(1.0, np.abs(direct).max())
     assert res.converged
@@ -247,8 +248,7 @@ def test_alg1_solve_one_sweep_is_closed_form_m1():
 def test_alg1_solve_zero_interference_single_sweep():
     spec = rand_spec(make_rng(17), 2, 2, 2, "real", q=0.0)
     H = make_rng(18).standard_normal((40, 2, 2))
-    res = inflation.alg1_solve(rate.CellCore(spec, H), np.ones((2, 2)),
-                               inflation.SolverConfig())
+    res = inflation.alg1_solve(rate.CellCore(spec, H), np.ones((2, 2)))
     assert res.converged and res.iterations == 1
     assert res.objective_trace[-1] == pytest.approx(float(logdet_pd(spec.sigma_z)),
                                                     abs=1e-9)
@@ -261,8 +261,7 @@ def test_alg1_trace_non_increasing():
                          "complex" if seed % 2 else "real")
         H = rand_matrix(rng, (800, 2, 3), spec.field)
         core = rate.CellCore(spec, H)
-        res = inflation.alg1_solve(core, inflation.best_initialization(core),
-                                   inflation.SolverConfig())
+        res = inflation.alg1_solve(core, inflation.best_initialization(core))
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs <= 1e-7 * np.maximum(1.0, np.abs(res.objective_trace[:-1])))
 
@@ -271,12 +270,13 @@ def test_alg1_trace_non_increasing():
 # Algorithm 2
 # ---------------------------------------------------------------------------
 
-def test_alg2_scalar_fixed_point_equals_grid_minimizer():
+def test_alg2_scalar_fixed_point_equals_grid_minimizer(monkeypatch):
+    monkeypatch.setattr(inflation, "TOL", 1e-12)
+    monkeypatch.setattr(inflation, "MAX_ITERS", 500)
     spec = scalar_spec(1.0)
     H = np.ones((1, 1, 1))
     core = rate.CellCore(spec, H)
-    res = inflation.alg2_solve(core, np.zeros((1, 1)),
-                               inflation.SolverConfig(tol=1e-12, max_iters=500))
+    res = inflation.alg2_solve(core, np.zeros((1, 1)))
     grid = np.linspace(-1.0, 2.0, 30001)
     w_star = grid[int(np.argmin([rate.objective(spec, [[w]], H, core) for w in grid]))]
     assert res.W[0, 0] == pytest.approx(w_star, abs=1e-4)
@@ -309,7 +309,7 @@ def test_alg2_factors_each_point_once(snr_db):
     W0 = inflation.best_initialization(rate.CellCore(spec, H))
     core = CountingCore(spec, H)
     state = set(vars(core)) | {"_received"}
-    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
+    res = inflation.alg2_solve(core, W0)
     assert set(vars(core)) == state  # the solve leaves nothing on the core
     assert len(core.calls) == 1 + res.iterations
     assert len(set(core.calls)) == len(core.calls)
@@ -321,33 +321,33 @@ def test_alg2_factors_each_point_once(snr_db):
 
 @pytest.mark.parametrize("ref_name", ["fdpc-fig4-1", "fdpc-fig4-2"])
 @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 40.0])
-def test_alg2_accelerated_fixed_point_oracle(ref_name, snr_db):
+def test_alg2_accelerated_fixed_point_oracle(ref_name, snr_db, monkeypatch):
     """The accelerated solve is certified, monotone and no worse than the plain map.
 
     Oracles from the same start: 200 plain ``alg2_map`` steps, and a solve
-    at ``tol=1e-13``.
+    at ``TOL = 1e-13``.
     """
     ref = lab.reference_channel(ref_name)
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
     H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
     core = rate.CellCore(spec, H)
     W0 = inflation.best_initialization(core)
-    cfg = inflation.SolverConfig()
-    res = inflation.alg2_solve(core, W0, cfg)
+    res = inflation.alg2_solve(core, W0)
     assert res.converged
     if snr_db <= 20.0:
         assert res.iterations <= 40
     trace = np.array(res.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
     g = inflation.alg2_map(core, res.W)
-    assert np.linalg.norm(g - res.W) <= cfg.tol * np.linalg.norm(res.W)
+    assert np.linalg.norm(g - res.W) <= inflation.TOL * np.linalg.norm(res.W)
 
     obj = rate.objective(spec, res.W, H, core)
     W_plain = W0
     for _ in range(200):
         W_plain = inflation.alg2_map(core, W_plain)
     assert obj <= rate.objective(spec, W_plain, H, core) + 1e-10
-    tight = inflation.alg2_solve(core, W0, inflation.SolverConfig(tol=1e-13))
+    monkeypatch.setattr(inflation, "TOL", 1e-13)
+    tight = inflation.alg2_solve(core, W0)
     assert abs(obj - rate.objective(spec, tight.W, H, core)) <= 1e-6
 
 
@@ -368,8 +368,7 @@ def test_alg2_rejects_candidates_it_cannot_evaluate():
     spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
     H = rand_matrix(make_rng(42), (40, 2, 2), "complex")
     W0 = inflation.w_pinv(spec)
-    res = inflation.alg2_solve(IndefiniteAfterStartCore(spec, H), W0,
-                               inflation.SolverConfig())
+    res = inflation.alg2_solve(IndefiniteAfterStartCore(spec, H), W0)
     assert not res.converged and res.iterations == 5
     assert len(res.objective_trace) == 1
     assert np.array_equal(res.W, W0)
@@ -382,7 +381,7 @@ def test_alg2_zero_interference_returns_w0():
     core = rate.CellCore(spec, H)
     out = inflation.alg2_map(core, W0)
     assert np.array_equal(out, W0)
-    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
+    res = inflation.alg2_solve(core, W0)
     assert res.converged and res.iterations == 0
     assert np.array_equal(res.W, W0)
 
@@ -402,42 +401,45 @@ def test_alg2_zero_interference_stops_at_w0_with_its_objective():
     core = rate.CellCore(spec, H)
     obj0 = rate.objective(spec, W0, H, core)
     assert obj0 != 0.0
-    res = inflation.alg2_solve(core, W0, inflation.SolverConfig())
+    res = inflation.alg2_solve(core, W0)
     assert res.converged and res.iterations == 0
     assert res.W.dtype == W0.dtype and res.W.tobytes() == W0.tobytes()
     assert res.objective_trace == (obj0,)
 
 
-def test_alg2_residual_satisfies_stopping_contract():
+def test_alg2_residual_satisfies_stopping_contract(monkeypatch):
+    monkeypatch.setattr(inflation, "TOL", 1e-8)
+    monkeypatch.setattr(inflation, "MAX_ITERS", 500)
     rng = make_rng(23)
     spec = rand_spec(rng, 3, 2, 2, "complex")
     H = rand_matrix(rng, (1500, 2, 3), "complex")
-    cfg = inflation.SolverConfig(tol=1e-8, max_iters=500)
     core = rate.CellCore(spec, H)
-    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core))
     assert res.converged
     g = inflation.alg2_map(core, res.W)
-    assert np.linalg.norm(res.W - g) <= cfg.tol * np.linalg.norm(res.W)
+    assert np.linalg.norm(res.W - g) <= 1e-8 * np.linalg.norm(res.W)
 
 
-def test_alg2_fixed_point_near_alg1_on_degenerate_bank():
+def test_alg2_fixed_point_near_alg1_on_degenerate_bank(monkeypatch):
+    monkeypatch.setattr(inflation, "TOL", 1e-12)
+    monkeypatch.setattr(inflation, "MAX_ITERS", 2000)
     rng = make_rng(24)
     spec = rand_spec(rng, 3, 2, 1, "real")
     H = rng.standard_normal((1, 2, 3))
-    cfg = inflation.SolverConfig(tol=1e-12, max_iters=2000)
     core = rate.CellCore(spec, H)
-    r1 = inflation.alg1_solve(core, np.zeros((1, 3)), cfg)
+    r1 = inflation.alg1_solve(core, np.zeros((1, 3)))
     g_at_w1 = inflation.alg2_map(core, r1.W)
     assert np.linalg.norm(g_at_w1 - r1.W) < 1e-3 * max(1.0, np.linalg.norm(r1.W))
 
 
-def test_alg2_directional_derivatives_vanish():
+def test_alg2_directional_derivatives_vanish(monkeypatch):
+    monkeypatch.setattr(inflation, "TOL", 1e-9)
+    monkeypatch.setattr(inflation, "MAX_ITERS", 500)
     rng = make_rng(25)
     spec = rand_spec(rng, 2, 2, 2, "real")
     H = rng.standard_normal((600, 2, 2))
-    cfg = inflation.SolverConfig(tol=1e-9, max_iters=500)
     core = rate.CellCore(spec, H)
-    res = inflation.alg2_solve(core, inflation.best_initialization(core), cfg)
+    res = inflation.alg2_solve(core, inflation.best_initialization(core))
     obj0 = rate.objective(spec, res.W, H)
     scale = max(1.0, abs(obj0))
     step = 1e-5
@@ -506,3 +508,18 @@ def test_indefinite_schur_complement_is_a_solver_error():
         with pytest.raises(SolverError, match=rf"^singular D block in row update {row}$") as exc:
             inflation.alg1_row_update(core, W, row)
         assert exc.value.row_index == row
+
+
+def test_indefinite_schur_complement_reaches_the_objective_and_the_rate():
+    """The objective-only path (``schur_s``) raises at the bad draw too, not a finite value."""
+    spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
+    H = rand_matrix(make_rng(42), (4, 2, 2), "complex")
+    core = IndefiniteCore(spec, H)
+    W = inflation.w_pinv(spec)
+    calls = (lambda: rate.objective(spec, W, H, core),
+             lambda: rate.achievable_rate(spec, W, degenerate_bank(H), cores=(core,)),
+             lambda: inflation.solve_w(core, "alg1"))
+    for call in calls:
+        with pytest.raises(EvaluationError) as exc:
+            call()
+        assert exc.value.sample_index == IndefiniteCore.bad

@@ -160,7 +160,8 @@ def test_sweep_rows_report_the_draws_per_cell():
 def test_low_snr_ratio_where_the_bound_rounds_to_0_bits_is_an_evaluation_error():
     ref = lab.reference_channel("fdpc-lowsnr")
     with pytest.raises(EvaluationError, match="at -170 dB"):
-        lab.low_snr_ratio(ref.spec, ref.model, (-30.0, -170.0), seed=3, n_inner=10)
+        lab.low_snr_ratio(ref.spec, ref.model, (-30.0, -170.0), seed=3,
+                          q_over_p=ref.q_over_p, n_inner=10)
 
 
 def test_estimate_scaling_bound_slope_when_no_interference():
@@ -175,7 +176,8 @@ def test_estimate_scaling_bound_slope_when_no_interference():
 def test_estimate_scaling_window_validation():
     ref = lab.reference_channel("fdpc-3x2-a")
     with pytest.raises(ConfigurationError):
-        lab.estimate_scaling(ref.spec, ref.model, "pinv", (10.0, 20.0), seed=0)
+        lab.estimate_scaling(ref.spec, ref.model, "pinv", (10.0, 20.0), seed=0,
+                             q_over_p=ref.q_over_p, n_inner=100)
 
 
 def test_predicted_scaling_uses_covariance_ranks():

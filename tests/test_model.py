@@ -170,6 +170,11 @@ def test_correlated_rayleigh_rejects_bad_correlation():
         CorrelatedRayleigh(r_rx=np.diag([1.0, -1.0]), r_tx=np.eye(2))
 
 
+def test_correlated_rayleigh_rejects_a_non_square_correlation():
+    with pytest.raises(ConfigurationError, match=r"^r_tx must be a square matrix, got shape \(2, 3\)$"):
+        CorrelatedRayleigh(r_rx=np.eye(2), r_tx=np.eye(2, 3))
+
+
 # ---------------------------------------------------------------------------
 # quantizer design
 # ---------------------------------------------------------------------------
@@ -290,6 +295,18 @@ def test_levels_partition_and_spacing():
     assert np.allclose(lv, -lv[::-1])  # symmetric about zero
 
 
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_bin_edges_are_level_midpoints_and_infinite_outermost(bits):
+    csit = QuantizedCsit.designed(bits, IidRealGaussian())
+    lv = csit.levels()
+    edges = [csit.bin_edges(b) for b in range(csit.n_levels)]
+    assert edges[0][0] == -np.inf and edges[-1][1] == np.inf
+    interior = np.array([hi for _, hi in edges[:-1]])
+    assert np.array_equal(interior, [lo for lo, _ in edges[1:]])
+    np.testing.assert_allclose(interior, (lv[:-1] + lv[1:]) / 2.0, rtol=1e-15, atol=1e-15)
+    assert all(lo < level < hi for (lo, hi), level in zip(edges, lv))
+
+
 def test_conditional_sampling_round_trip():
     rng = make_rng(3)
     model = IidRealGaussian()
@@ -319,7 +336,7 @@ def test_mixture_matches_unconditional_moments():
     n = 10 ** 5
     unconditional = _sample_h_batch(model, dims, rng, n)
     raw = _sample_h_batch(model, dims, rng, n)
-    hierarchical = sample_H_given_Hhat(quantize_H(raw, csit), csit, model, rng)
+    hierarchical = sample_H_given_Hhat(quantize_H(raw, csit), csit, model, rng, n=1)[0]
     assert abs(unconditional.mean() - hierarchical.mean()) < 0.02
     assert abs(unconditional.var() - hierarchical.var()) < 0.02
 
@@ -400,11 +417,11 @@ def test_sampler_matches_scipy_reference(fading, bits, stacked, monkeypatch):
     shape = (400, 2, 3) if stacked else (2, 3)
     # wide enough to land in the outermost bins as well as the inner ones
     h_hat = quantize_H(3.0 * rand_matrix(rng, shape, fading.field), csit)
-    n = None if stacked else 3000
+    n = 1 if stacked else 3000  # stacked: one draw for each of many estimates
     got = sample_H_given_Hhat(h_hat, csit, fading, make_rng(7), n=n)
     monkeypatch.setattr(model, "_sample_truncated_real", _scipy_sample_truncated_real)
     want = sample_H_given_Hhat(h_hat, csit, fading, make_rng(7), n=n)
-    assert got.shape == want.shape == (shape if stacked else (n,) + shape)
+    assert got.shape == want.shape == (n,) + shape
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.array_equal(quantize_H(got, csit), np.broadcast_to(h_hat, got.shape))
 
@@ -412,7 +429,7 @@ def test_sampler_matches_scipy_reference(fading, bits, stacked, monkeypatch):
 def test_conditional_sampling_rejects_unsupported_fading():
     csit = QuantizedCsit(bits=1, step=1.0)
     with pytest.raises(ConfigurationError):
-        sample_H_given_Hhat(np.zeros((2, 2)), csit, IidUniformComplex(), make_rng(0))
+        sample_H_given_Hhat(np.zeros((2, 2)), csit, IidUniformComplex(), make_rng(0), n=1)
 
 
 # ---------------------------------------------------------------------------
