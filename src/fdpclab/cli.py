@@ -131,11 +131,10 @@ def cmd_sweep(args):
     solvers = tuple(s.strip() for s in args.solvers.split(","))
     csits = (tuple(csit_from_label(label.strip(), exp.model) for label in args.csit.split(","))
              if args.csit else (exp.csit,))
-    plan = lab.SweepPlan(snr_db_list=snrs, q_over_p=exp.q_over_p, solvers=solvers,
-                         csit_list=csits, include_bound=not args.no_bound,
-                         n_outer=exp.mc["n_outer"], n_inner=exp.mc["n_inner"])
-    rows = lab.run_sweep(exp.base_spec, exp.model, plan, exp.mc["seed"],
-                         threads=args.threads)
+    rows = lab.run_sweep(exp.base_spec, exp.model, exp.mc["seed"], snr_db_list=snrs,
+                         q_over_p=exp.q_over_p, solvers=solvers, csit_list=csits,
+                         include_bound=not args.no_bound, n_outer=exp.mc["n_outer"],
+                         n_inner=exp.mc["n_inner"], threads=args.threads)
     for row in rows:
         if row.error:
             _log(f"cell (snr={row.snr_db}, csit={row.csit}, solver={row.solver}) "

@@ -224,22 +224,25 @@ def _csit_from_config(raw, model):
 
 
 def _sigma_s_from_config(cfg, t, q, field):
+    """``sigma_s`` of trace ``q``; its kind's fields are checked whatever ``q`` is."""
     kind = cfg["kind"]
-    if q == 0.0:
-        return np.zeros((t, t))  # q_over_p = 0 forces zero interference
     if kind == "zero":
-        raise ConfigurationError("sigma_s kind 'zero' requires q_over_p = 0")
-    if kind == "scaled_identity":
-        return scaled_identity(t, q, field)
-    if kind == "random_rank":
-        return random_psd(t, cfg["rank"], cfg["seed"], q, field)
-    if kind == "matrix":
+        if q != 0.0:
+            raise ConfigurationError("sigma_s kind 'zero' requires q_over_p = 0")
+        mat = None
+    elif kind == "scaled_identity":
+        mat = scaled_identity(t, q, field)
+    elif kind == "random_rank":
+        mat = random_psd(t, cfg["rank"], cfg["seed"], q, field)
+    elif kind == "matrix":
         mat = _matrix(cfg, "matrix", "$.sigma_s")
         tr = float(np.trace(mat))
         if tr <= 0:
             raise ConfigurationError("sigma_s matrix must have positive trace")
-        return mat * (q / tr)
-    raise ConfigurationError(f"unknown sigma_s kind {kind!r}")
+        mat = mat * (q / tr)
+    else:
+        raise ConfigurationError(f"unknown sigma_s kind {kind!r}")
+    return np.zeros((t, t)) if q == 0.0 else mat  # q_over_p = 0 forces zero interference
 
 
 def _factor_from_config(cfg, t, m, p, field):

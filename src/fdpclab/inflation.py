@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
 from .linalg import DEFAULT_RANK_TOL, ct, hermitize
-from .model import PerfectCsit
+from .model import PerfectCsit, as_field
 from .rate import SchurPoint, check_inflation, objective
 
 
@@ -58,7 +58,7 @@ class SolveResult:
 
 def w_perfect_csit(spec, H):
     """Optimal inflation factor when the transmitter knows H exactly."""
-    H = np.asarray(H, dtype=spec.dtype)
+    H = as_field(H, spec.field, "H")
     T = spec.T
     rx = hermitize(H @ (T @ ct(T)) @ ct(H) + spec.sigma_z)
     try:
@@ -105,7 +105,7 @@ def w_raw_to_factored(spec, w_raw):
     """
     if spec.dims.m != spec.dims.t:
         raise ValueError("conversion requires a square transmit factor")
-    return np.linalg.solve(spec.T, np.asarray(w_raw, dtype=spec.dtype))
+    return np.linalg.solve(spec.T, as_field(w_raw, spec.field, "w_raw"))
 
 
 # W-independent inflation factors, by solver name.

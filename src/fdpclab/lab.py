@@ -31,29 +31,6 @@ CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
 
 
 @dataclass(frozen=True)
-class SweepPlan:
-    snr_db_list: tuple
-    q_over_p: float
-    solvers: tuple               # names from fdpclab.inflation.SOLVERS
-    csit_list: tuple             # CsitModel instances
-    include_bound: bool
-    n_outer: int
-    n_inner: int
-
-    def __post_init__(self):
-        if not self.snr_db_list or not self.solvers or not self.csit_list:
-            raise ConfigurationError("sweep plan lists must be nonempty")
-        if not np.isfinite(self.snr_db_list).all():
-            raise ConfigurationError(f"SNRs must be finite, got {self.snr_db_list}")
-        if not 0 <= self.q_over_p < np.inf:
-            raise ConfigurationError("q_over_p must be finite and >= 0")
-        unknown = [s for s in self.solvers if s not in SOLVERS]
-        if unknown:
-            raise ConfigurationError(f"unknown solver(s) {', '.join(map(repr, unknown))};"
-                                     f" known: {', '.join(SOLVERS)}")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     snr_db: float
     csit: str
@@ -87,9 +64,14 @@ def resolve_w(spec, solver):
     return lambda core, cell: solve_w(core, solver, cell)
 
 
-def run_sweep(base_spec, model, plan, seed, threads=1):
-    """Evaluate every (snr, csit, solver) cell of the plan.
+def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_list,
+              include_bound, n_outer, n_inner, threads=1):
+    """Evaluate every (snr, csit, solver) cell of the lists, solvers named as in
+    :data:`fdpclab.inflation.SOLVERS`.
 
+    The lists and names are checked before any bank is built.  The bank of
+    ``csit_list[i]`` has ``n_outer`` cells of ``n_inner`` draws and the seed
+    ``derived_seed(seed, i)``; ``sigma_s`` is scaled to ``q_over_p`` times P.
     The unit of work is a (csit, snr) group: its spec and one
     :class:`fdpclab.rate.CellCore` per bank cell are built once and shared
     by the bound and every solver.  With one thread the groups of one bank
@@ -97,39 +79,48 @@ def run_sweep(base_spec, model, plan, seed, threads=1):
     time; ``threads > 1`` builds every bank up front and runs groups on a pool.
     Failures become error rows (nan rates) and the sweep continues: a solver
     failure marks its row, a spec or bound failure every row of its group.
-    Row order follows the plan regardless of thread count.
+    Rows are in csit, snr, solver order regardless of thread count.
     """
+    if not snr_db_list or not solvers or not csit_list:
+        raise ConfigurationError("sweep plan lists must be nonempty")
+    if not np.isfinite(snr_db_list).all():
+        raise ConfigurationError(f"SNRs must be finite, got {snr_db_list}")
+    if not 0 <= q_over_p < np.inf:
+        raise ConfigurationError("q_over_p must be finite and >= 0")
+    unknown = [s for s in solvers if s not in SOLVERS]
+    if unknown:
+        raise ConfigurationError(f"unknown solver(s) {', '.join(map(repr, unknown))};"
+                                 f" known: {', '.join(SOLVERS)}")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
 
     def groups():
-        for ci, csit in enumerate(plan.csit_list):
-            bank_seed = derived_seed(seed, ci)
-            bank = build_sample_bank(base_spec, model, csit, plan.n_outer, plan.n_inner,
-                                     bank_seed)
-            for snr in plan.snr_db_list:
-                yield csit, bank, bank_seed, float(snr)
+        for ci, csit in enumerate(csit_list):
+            bank = build_sample_bank(base_spec, model, csit, n_outer, n_inner,
+                                     derived_seed(seed, ci))
+            for snr in snr_db_list:
+                yield csit, bank, float(snr)
             del bank  # freed before the next bank is built
 
     def eval_group(group):
-        csit, bank, bank_seed, snr = group
+        csit, bank, snr = group
 
         def row(solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
                 error=None):
             return SweepRow(snr_db=snr, csit=csit.label, solver=solver,
                             rate_bits=rate_bits, stderr_bits=stderr_bits,
                             bound_bits=bound_bits, n_outer=bank.n_outer,
-                            n_inner=bank.n_inner, seed=bank_seed, error=error)
+                            n_inner=bank.n_inner, seed=bank.seed, error=error)
 
         try:
-            spec = base_spec.at_snr_db(snr, plan.q_over_p)
+            spec = base_spec.at_snr_db(snr, q_over_p)
             cores = [CellCore(spec, cell.draws) for cell in bank.cells]
             bound = (no_interference_bound(spec, bank, cores=cores).rate_bits
-                     if plan.include_bound else np.nan)
+                     if include_bound else np.nan)
         except FdpcError as exc:
-            return [row(solver, error=str(exc)) for solver in plan.solvers]
+            return [row(solver, error=str(exc)) for solver in solvers]
         rows = []
-        for solver in plan.solvers:
+        for solver in solvers:
             try:
                 est = achievable_rate(spec, resolve_w(spec, solver), bank, cores=cores)
                 rows.append(row(solver, est.rate_bits, est.stderr_bits, bound))

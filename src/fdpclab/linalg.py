@@ -28,16 +28,19 @@ runs over a trailing axis of length k); it is meant for the small k
 (m, r <= 3) of the rate.
 
 No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
-:func:`mean_product`, :func:`mean_ct_product` and :func:`right_product`,
-are ufunc multiply-adds on one length-n array per matrix entry, like the
-kernel.  They round the same way whatever the BLAS thread count, and start
-no BLAS thread.  A product from the left, ``a x_n``, is :func:`right_product`
-on transposed views, ``(x_n^T a^T)^T``.  :func:`mean_ct_product` conjugates
-the entries of its first stack as it reads them, so no caller makes a
-conjugate-transposed copy of a stack.  The stacks of the kernel and of the
-cell core (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a
-(k, l, n) array, so that each entry ``a[:, i, j]`` is contiguous, and the
-per-entry sums and means run over contiguous arrays.
+:func:`mean_ct_product`, :func:`hermitian_products` (with its row
+:func:`hermitian_row`) and :func:`right_product`, are ufunc multiply-adds on
+one length-n array per matrix entry, like the kernel.  They round the same
+way whatever the BLAS thread count, and start no BLAS thread.  A product from
+the left, ``a x_n``, is :func:`right_product` on transposed views,
+``(x_n^T a^T)^T``.  :func:`mean_ct_product` and :func:`hermitian_products`
+conjugate the entries of a stack as they read them, so no caller makes a
+conjugate-transposed copy of a stack.  A Hermitian result is formed on its
+lower triangle and mirrored, with a real diagonal, so it is exactly
+Hermitian.  The stacks of the kernel and of the cell core
+(:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a (k, l, n)
+array, so that each entry ``a[:, i, j]`` is contiguous, and the per-entry
+sums and means run over contiguous arrays.
 """
 
 import numpy as np
@@ -168,45 +171,64 @@ def _abs2(z):
     return (np.conj(z) * z).real
 
 
-def mean_product(a, b):
-    """``mean_n a_n b_n`` for stacks ``a`` (n, i, j) and ``b`` (n, j, t), shape (i, t).
-
-    Each entry is j multiply-adds on length-n arrays and one mean.
-    """
-    n, i, j = a.shape
-    out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
-    for p in range(i):
-        for q in range(b.shape[2]):
-            v = a[:, p, 0] * b[:, 0, q]
-            for l in range(1, j):
-                v += a[:, p, l] * b[:, l, q]
-            out[p, q] = np.add.reduce(v) / n
-    return out
-
-
 def mean_ct_product(a, b):
     """``mean_n a_n* b_n`` for stacks ``a`` (n, j, i) and ``b`` (n, j, t), shape (i, t).
 
-    Like :func:`mean_product` of ``ct(a)`` and ``b``, but each entry of
-    ``a`` is read and conjugated in place, so no conjugate-transposed copy
-    of the stack is made.  For ``b is a`` (a Gram matrix) only the lower
-    triangle is formed: the upper triangle is its conjugate mirror and the
-    diagonal its real part, so the result is exactly Hermitian.
+    Each entry is j multiply-adds on length-n arrays and one mean.  The j
+    entries of column p of ``a`` are conjugated once, for row p of the
+    result, so no conjugate-transposed copy of the stack is made; for an
+    exactly Hermitian ``a`` this is ``mean_n a_n b_n``.  For ``b is a`` (a Gram matrix) only
+    the lower triangle is formed: the upper triangle is its conjugate mirror
+    and the diagonal its real part, so the result is exactly Hermitian.
     """
     n, j, i = a.shape
     gram = b is a
     out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
     for p in range(i):
+        a_p = [a[:, l, p].conj() for l in range(j)]  # conjugated once per output row
         for q in range(p + 1 if gram else b.shape[2]):
-            v = a[:, 0, p].conj() * b[:, 0, q]
+            v = a_p[0] * b[:, 0, q]
             for l in range(1, j):
-                v += a[:, l, p].conj() * b[:, l, q]
+                v += a_p[l] * b[:, l, q]
             out[p, q] = np.add.reduce(v) / n
             if gram:
                 out[q, p] = np.conj(out[p, q])
         if gram:
             out[p, p] = out[p, p].real
     return out
+
+
+def hermitian_products(x, y, out, shift=None):
+    """Fill ``out[:, i, j] = sum_l x[:, i, l] conj(y[:, j, l]) (+ shift[i, j])`` for i >= j.
+
+    That is ``x_n y_n* (+ shift)`` per draw.  ``x`` and ``y`` are stacks
+    (n, k, L), ``y`` also (1, k, L) for one matrix shared by all draws, and
+    ``out`` an (n, k, k) array or view.  Each entry is a few multiply-adds
+    on length-n arrays, accumulated in its slot of ``out``, with the entries
+    of ``y`` conjugated as they are read (no conjugate copy of the stack);
+    the upper triangle is the conjugate mirror and the diagonal its real
+    part, so the result is exactly Hermitian.
+    """
+    for i in range(x.shape[1]):
+        hermitian_row(x[:, i], y, out, i, shift)
+    return out
+
+
+def hermitian_row(x_i, y, out, i, shift=None):
+    """Row i of :func:`hermitian_products` from ``x_i = x[:, i]`` (n, L) alone.
+
+    Fills ``out[:, i, j]`` for j <= i and mirrors each into ``out[:, j, i]``.
+    """
+    for j in range(i + 1):
+        v = np.multiply(x_i[:, 0], y[:, j, 0].conj(), out=out[:, i, j])
+        for p in range(1, x_i.shape[1]):
+            v += x_i[:, p] * y[:, j, p].conj()
+        if shift is not None:
+            v += shift[i, j]
+        if i != j:
+            np.conjugate(v, out=out[:, j, i])
+        elif np.iscomplexobj(v):
+            v.imag = 0.0
 
 
 def right_product(x, b):

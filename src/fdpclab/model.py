@@ -50,12 +50,17 @@ class Dimensions:
             raise ConfigurationError(f"m={self.m} exceeds t={self.t}")
 
 
-def _as_field(a, field, name):
+def as_field(a, field, name):
+    """``a`` as a contiguous array of the field's dtype, the one cast to a spec's field.
+
+    Complex input with a non-zero imaginary part in a real field is a
+    :class:`ConfigurationError` named by ``name``.
+    """
     a = np.asarray(a)
     if field == REAL:
         if np.iscomplexobj(a):
-            if np.abs(a.imag).max(initial=0.0) > 0:
-                raise ConfigurationError(f"{name} has imaginary entries in a real spec")
+            if a.imag.any():  # NaN counts as non-zero
+                raise ConfigurationError(f"complex {name} in a real spec")
             a = a.real
         return np.ascontiguousarray(a, dtype=np.float64)
     return np.ascontiguousarray(a, dtype=np.complex128)
@@ -90,9 +95,9 @@ class ChannelSpec:
         _check_finite_budgets(P=self.P)
         if self.field not in (REAL, COMPLEX):
             raise ConfigurationError(f"unknown field {self.field!r}")
-        T = _as_field(self.T, self.field, "T")
-        sigma_s = _as_field(self.sigma_s, self.field, "sigma_s")
-        sigma_z = _as_field(self.sigma_z, self.field, "sigma_z")
+        T = as_field(self.T, self.field, "T")
+        sigma_s = as_field(self.sigma_s, self.field, "sigma_s")
+        sigma_z = as_field(self.sigma_z, self.field, "sigma_z")
         if T.ndim != 2 or sigma_z.ndim != 2:
             raise ConfigurationError("T and sigma_z must be matrices")
         dims = Dimensions(T.shape[0], sigma_z.shape[0], T.shape[1])
@@ -192,7 +197,7 @@ class CorrelatedRayleigh:
 
     def __post_init__(self):
         for name in ("r_rx", "r_tx"):
-            mat = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
+            mat = as_field(getattr(self, name), COMPLEX, name)
             validate_hermitian(mat, name)
             if np.linalg.eigvalsh(hermitize(mat)).min() <= 0:
                 raise ConfigurationError(f"{name} must be positive definite")
@@ -290,9 +295,13 @@ class QuantizedCsit:
         return lo, hi
 
     def bin_index(self, x):
-        """Index (0 .. n_levels-1) of the bin of each real value in ``x``."""
-        k = np.rint(np.asarray(x, dtype=np.float64) / self.step + (self.n_levels - 1) / 2.0)
-        return np.clip(k, 0, self.n_levels - 1).astype(np.intp)
+        """Index (0 .. n_levels-1) of the bin of each real value in ``x``.
+
+        A value is compared with the interior edges of :meth:`bin_edges`, so a
+        value inside a bin's edges is in that bin; an edge belongs to the bin above.
+        """
+        inner = [self.bin_edges(b)[0] for b in range(1, self.n_levels)]
+        return np.searchsorted(inner, np.asarray(x, dtype=np.float64), side="right")
 
     @classmethod
     def designed(cls, bits, fading):
@@ -492,13 +501,13 @@ def sample_H_given_Hhat(h_hat, csit, model, rng, n):
     if not isinstance(csit, QuantizedCsit):
         raise ConfigurationError("conditional sampling requires quantized CSIT")
     sigma_c = fading_component_std(model)
-    h_hat = np.asarray(h_hat)
+    h_hat = as_field(h_hat, model.field, "h_hat")
     shape = (n,) + h_hat.shape
     if isinstance(model, IidComplexGaussian):
         re = _sample_truncated_real(h_hat.real, csit, sigma_c, rng, shape)
         im = _sample_truncated_real(h_hat.imag, csit, sigma_c, rng, shape)
         return re + 1j * im
-    return _sample_truncated_real(h_hat.astype(np.float64), csit, sigma_c, rng, shape)
+    return _sample_truncated_real(h_hat, csit, sigma_c, rng, shape)
 
 
 # ---------------------------------------------------------------------------

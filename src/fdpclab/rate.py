@@ -24,12 +24,14 @@ It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
 every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
 The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
-that kernel: each entry of the lower triangle (r, t <= 3) is a few ufunc
-multiply-adds on arrays of length n, and the upper triangle is its
-conjugate mirror, so they are exactly Hermitian without a symmetrization
-pass.  They are stored entry-major, each entry one contiguous length-n
-array, and handed out as (n, ., .) views; no BLAS call sees a length-n
-axis (see :mod:`fdpclab.linalg`).
+that kernel, by :func:`fdpclab.linalg.hermitian_products` and its row
+:func:`fdpclab.linalg.hermitian_row`: each entry of the lower triangle
+(r, t <= 3) is a few ufunc multiply-adds on arrays of length n, and the
+upper triangle is its conjugate mirror, so they are exactly Hermitian
+without a symmetrization pass.  They are stored entry-major, each entry one
+contiguous length-n array, and handed out as (n, ., .) views; no BLAS call
+sees a length-n axis (see :mod:`fdpclab.linalg`, which holds every kernel
+over the draws).
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws, and it is
 the one input that names them: the solvers, the maps and the covariance
 step take a core and read the spec, ``T`` and the draws from it.  A rate
@@ -59,71 +61,32 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import (Cholesky, ct, hermitize, logdet_pd, mean_ct_product, mean_product,
-                     psd_factor, right_product)
+from .linalg import (Cholesky, ct, hermitian_products, hermitian_row, hermitize, logdet_pd,
+                     mean_ct_product, psd_factor, right_product)
+from .model import as_field
 
 LN2 = float(np.log(2.0))
 
 
 def check_inflation(spec, W):
-    """Validate and canonicalize an inflation factor to spec dtype (m, t)."""
+    """Validate and canonicalize an inflation factor to the spec's field (m, t)."""
     W = np.asarray(W)
     m, t = spec.dims.m, spec.dims.t
     if W.shape != (m, t):
         raise ConfigurationError(f"inflation factor has shape {W.shape}, expected {(m, t)}")
     if not np.isfinite(W).all():
         raise ConfigurationError("inflation factor has non-finite entries")
-    if spec.field == "real" and np.iscomplexobj(W):
-        if np.abs(W.imag).max(initial=0.0) > 0:
-            raise ConfigurationError("complex inflation factor in a real spec")
-        W = W.real
-    return np.ascontiguousarray(W, dtype=spec.dtype)
+    return as_field(W, spec.field, "inflation factor")
 
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Monte Carlo rate estimate in bits with its standard error."""
+    """Monte Carlo rate estimate in bits with its standard error; the bank names its draws."""
 
     rate_bits: float
     stderr_bits: float
-    n_outer: int
-    n_inner: int
-    seed: int
     converged: bool = True       # every cell's W solve converged
     iterations: int = 0          # the most iterations of any cell's W solve
-
-
-def _hermitian_products(x, y, out, shift=None):
-    """Fill ``out[:, i, j] = sum_l x[:, i, l] conj(y[:, j, l]) (+ shift[i, j])`` for i >= j.
-
-    That is ``x_n y_n* (+ shift)`` per draw.  ``x`` and ``y`` are stacks
-    (n, k, L), ``y`` also (1, k, L) for one matrix shared by all draws, and
-    ``out`` an (n, k, k) array or view.  Each entry is a few multiply-adds
-    on length-n arrays, accumulated in its slot of ``out``, with the entries
-    of ``y`` conjugated as they are read (no conjugate copy of the stack);
-    the upper triangle is the conjugate mirror and the diagonal its real
-    part, so the result is exactly Hermitian.
-    """
-    for i in range(x.shape[1]):
-        _hermitian_row(x[:, i], y, out, i, shift)
-    return out
-
-
-def _hermitian_row(x_i, y, out, i, shift=None):
-    """Row i of :func:`_hermitian_products` from ``x_i = x[:, i]`` (n, L) alone.
-
-    Fills ``out[:, i, j]`` for j <= i and mirrors each into ``out[:, j, i]``.
-    """
-    for j in range(i + 1):
-        v = np.multiply(x_i[:, 0], y[:, j, 0].conj(), out=out[:, i, j])
-        for p in range(1, x_i.shape[1]):
-            v += x_i[:, p] * y[:, j, p].conj()
-        if shift is not None:
-            v += shift[i, j]
-        if i != j:
-            np.conjugate(v, out=out[:, j, i])
-        elif np.iscomplexobj(v):
-            v.imag = 0.0
 
 
 def _covariance(H, sigma, sigma_z):
@@ -134,7 +97,7 @@ def _covariance(H, sigma, sigma_z):
     """
     n, r, _ = H.shape
     out = np.empty((r, r, n), dtype=np.result_type(H, sigma, sigma_z))
-    return _hermitian_products(right_product(H, sigma), H, out.transpose(2, 0, 1), sigma_z)
+    return hermitian_products(right_product(H, sigma), H, out.transpose(2, 0, 1), sigma_z)
 
 
 class CellCore:
@@ -149,7 +112,7 @@ class CellCore:
     """
 
     def __init__(self, spec, draws):
-        H = np.asarray(draws, dtype=spec.dtype)
+        H = as_field(draws, spec.field, "draws")
         if H.ndim != 3 or H.shape[0] == 0:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
@@ -164,7 +127,7 @@ class CellCore:
         Gt = fac.forward(H).transpose(0, 2, 1)  # G^T for G = L^{-1} H
         K = np.empty((t, t, n), dtype=Gt.dtype)
         # K = G* G is Hermitian, so its transpose is G^T conj(G) = Gt Gt*
-        _hermitian_products(Gt, Gt, K.transpose(2, 1, 0))
+        hermitian_products(Gt, Gt, K.transpose(2, 1, 0))
         return fac.logdet(), K
 
     @property
@@ -227,7 +190,7 @@ class CellCore:
             np.multiply(K[0], C[i, 0], out=row)
             for a in range(1, t):
                 row += C[i, a] * K[a]
-            _hermitian_row(row.T, y, S, i, shift)
+            hermitian_row(row.T, y, S, i, shift)
         return (ck.transpose(2, 0, 1) if keep_ck else None), S
 
     def logdet_s(self, W):
@@ -255,8 +218,8 @@ class SchurPoint:
     @cached_property
     def means(self):
         """``(E S^{-1}, E S^{-1} C K)``, shapes (k, k) and (k, t)."""
-        s_inv = self.factor.inv()
-        return np.add.reduce(s_inv) / s_inv.shape[0], mean_product(s_inv, self.ck)
+        s_inv = self.factor.inv()  # exactly Hermitian, so S^{-1} = (S^{-1})*
+        return np.add.reduce(s_inv) / s_inv.shape[0], mean_ct_product(s_inv, self.ck)
 
     @cached_property
     def G(self):
@@ -276,7 +239,7 @@ def build_M(spec, W, H):
     (n, m+r, m+r) for a stack.
     """
     W = check_inflation(spec, W)
-    H = np.asarray(H, dtype=spec.dtype)
+    H = as_field(H, spec.field, "H")
     single = H.ndim == 2
     if single:
         H = H[None]
@@ -334,11 +297,10 @@ def _evaluate(spec, bank, w=None, bound=False, cores=None):
     return basis(rates), basis(bounds), (converged, iterations)
 
 
-def _estimate(basis, bank, converged=True, iterations=0):
+def _estimate(basis, converged=True, iterations=0):
     """RateEstimate in bits: the basis mean and its standard error."""
     se = float(np.std(basis, ddof=1) / np.sqrt(basis.size)) if basis.size > 1 else 0.0
     return RateEstimate(rate_bits=float(np.mean(basis)) / LN2, stderr_bits=se / LN2,
-                        n_outer=bank.n_outer, n_inner=bank.n_inner, seed=bank.seed,
                         converged=converged, iterations=iterations)
 
 
@@ -353,12 +315,12 @@ def achievable_rate(spec, w, bank, cores=None):
     ``cores`` optionally gives one prebuilt core per cell.
     """
     basis, _, solved = _evaluate(spec, bank, w, cores=cores)
-    return _estimate(basis, bank, *solved)
+    return _estimate(basis, *solved)
 
 
 def no_interference_bound(spec, bank, cores=None):
     """Rate without interference on the same draws; ``cores`` as in :func:`achievable_rate`."""
-    return _estimate(_evaluate(spec, bank, bound=True, cores=cores)[1], bank)
+    return _estimate(_evaluate(spec, bank, bound=True, cores=cores)[1])
 
 
 def paired_rates(spec, w, bank):
@@ -370,4 +332,4 @@ def paired_rates(spec, w, bank):
     """
     a, b, solved = _evaluate(spec, bank, w, bound=True)
     cov = float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
-    return _estimate(a, bank, *solved), _estimate(b, bank), cov
+    return _estimate(a, *solved), _estimate(b), cov

@@ -174,10 +174,10 @@ def test_criterion_8_feedback_monotonicity_and_bound_gap():
     ref = lab.reference_channel("fdpc-2x2-a")
     csits = (NoCsit(), QuantizedCsit.designed(1, ref.model),
              QuantizedCsit.designed(2, ref.model))
-    plan = lab.SweepPlan(snr_db_list=(10.0,), q_over_p=ref.q_over_p,
-                         solvers=("alg1",), csit_list=csits, include_bound=True,
-                         n_outer=N_OUTER, n_inner=N_INNER)
-    rows = {row.csit: row for row in lab.run_sweep(ref.spec, ref.model, plan, seed=4700)}
+    plan = dict(snr_db_list=(10.0,), q_over_p=ref.q_over_p,
+                solvers=("alg1",), csit_list=csits, include_bound=True,
+                n_outer=N_OUTER, n_inner=N_INNER)
+    rows = {row.csit: row for row in lab.run_sweep(ref.spec, ref.model, seed=4700, **plan)}
     mono = (rows["B=2"].rate_bits >= rows["B=1"].rate_bits
             - 2 * max(rows["B=2"].stderr_bits, rows["B=1"].stderr_bits)
             and rows["B=1"].rate_bits >= rows["none"].rate_bits
@@ -288,13 +288,13 @@ def test_criterion_11_determinism():
     slope_ok = np.float64(s1).tobytes() == np.float64(s2).tobytes()
 
     # sweeps (solvers included) are byte-identical and thread-count independent
-    plan = lab.SweepPlan(snr_db_list=(0.0, 10.0), q_over_p=1.0,
-                         solvers=("alg1", "alg2", "pinv"),
-                         csit_list=(NoCsit(), csit), include_bound=True,
-                         n_outer=10, n_inner=500)
-    csv1 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200))
-    csv2 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200))
-    csv4 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=6200,
+    plan = dict(snr_db_list=(0.0, 10.0), q_over_p=1.0,
+                solvers=("alg1", "alg2", "pinv"),
+                csit_list=(NoCsit(), csit), include_bound=True,
+                n_outer=10, n_inner=500)
+    csv1 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=6200, **plan))
+    csv2 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=6200, **plan))
+    csv4 = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=6200, **plan,
                                               threads=4))
     sweep_ok = csv1 == csv2 == csv4
 

@@ -497,6 +497,19 @@ def test_malformed_config_matrix_exits_2(tmp_path, capsys, field, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma_s", [
+    {"kind": "matrix", "matrix": [[1, 0], [0]]},
+    {"kind": "random_rank", "rank": 5, "seed": 1},
+], ids=["matrix-ragged", "random_rank-above-t"])
+def test_sigma_s_fields_are_checked_at_q_over_p_0(tmp_path, capsys, sigma_s):
+    """q_over_p = 0 zeroes the interference but still checks its kind's fields."""
+    cfg = write_config(tmp_path, {"t": 2, "r": 2, "m": 1, "field": "real",
+                                  "fading": {"variant": "iid_real"}, "sigma_s": sigma_s})
+    code, out = run_cli(["rate", cfg, "--solver", "zero", "--samples", "20"])
+    assert code == 2 and out == ""
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_solve_w_payload(tmp_path):
     cfg = write_config(tmp_path, dict(BASE_CFG, q_over_p=1.0,
                                       sigma_s={"kind": "scaled_identity"}))

@@ -11,17 +11,18 @@ from conftest import gap_to_bound, make_rng, rand_spec
 
 
 def small_plan(**overrides):
+    """The keywords of a small :func:`lab.run_sweep`."""
     kwargs = dict(snr_db_list=(0.0, 10.0), q_over_p=1.0, solvers=("zero", "pinv"),
                   csit_list=(NoCsit(),), include_bound=True,
                   n_outer=4, n_inner=400)
     kwargs.update(overrides)
-    return lab.SweepPlan(**kwargs)
+    return kwargs
 
 
 def test_sweep_rows_follow_plan_order():
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan()
-    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=7)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=7, **plan)
     combos = [(r.snr_db, r.csit, r.solver) for r in rows]
     expected = [(snr, "none", solver) for snr in (0.0, 10.0)
                 for solver in ("zero", "pinv")]
@@ -30,7 +31,7 @@ def test_sweep_rows_follow_plan_order():
 
 def test_sweep_bound_dominates_each_row():
     ref = lab.reference_channel("fdpc-2x2-a")
-    rows = lab.run_sweep(ref.spec, ref.model, small_plan(n_inner=3000), seed=7)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=7, **small_plan(n_inner=3000))
     for row in rows:
         assert row.bound_bits >= row.rate_bits - 2 * row.stderr_bits
 
@@ -38,21 +39,21 @@ def test_sweep_bound_dominates_each_row():
 def test_sweep_identical_seed_identical_csv(tmp_path):
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan()
-    a = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=3))
-    b = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=3))
+    a = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=3, **plan))
+    b = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=3, **plan))
     assert a == b
-    c = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=4))
+    c = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=4, **plan))
     assert a != c
     out = tmp_path / "sweep.csv"
-    lab.write_sweep_csv(lab.run_sweep(ref.spec, ref.model, plan, seed=3), out)
+    lab.write_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=3, **plan), out)
     assert out.read_text(encoding="utf-8") == a
 
 
 def test_sweep_thread_count_independent():
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(solvers=("zero", "alg1"))
-    rows1 = lab.run_sweep(ref.spec, ref.model, plan, seed=5, threads=1)
-    rows4 = lab.run_sweep(ref.spec, ref.model, plan, seed=5, threads=4)
+    rows1 = lab.run_sweep(ref.spec, ref.model, seed=5, **plan, threads=1)
+    rows4 = lab.run_sweep(ref.spec, ref.model, seed=5, **plan, threads=4)
     assert lab.format_sweep_csv(rows1) == lab.format_sweep_csv(rows4)
 
 
@@ -64,7 +65,7 @@ def test_sweep_csv_header_exact():
 def test_sweep_error_rows_recorded():
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(solvers=("zero", "perfect"))  # perfect invalid on a NoCsit bank
-    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=6)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=6, **plan)
     good = [r for r in rows if r.solver == "zero"]
     bad = [r for r in rows if r.solver == "perfect"]
     assert all(r.error is None for r in good)
@@ -86,7 +87,7 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(solvers=("zero", "alg1"), csit_list=(NoCsit(), PerfectCsit()),
                       n_outer=3, n_inner=50)
-    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=8)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=8, **plan)
     assert all(r.error is None for r in rows)
     # two SNRs x (one no-CSIT cell + three perfect-CSIT cells)
     assert len(built) == len(set(built)) == 2 * (1 + 3)
@@ -114,7 +115,7 @@ def test_sweep_holds_one_bank_at_a_time(monkeypatch):
     plan = small_plan(solvers=("zero",), csit_list=(NoCsit(), PerfectCsit(),
                                                     QuantizedCsit.designed(1, ref.model)),
                       n_outer=2, n_inner=20)
-    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=9)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=9, **plan)
     assert all(r.error is None for r in rows)
     assert events == [("build", 0, []), ("group", 0), ("group", 0),
                       ("build", 1, []), ("group", 1), ("group", 1),
@@ -132,7 +133,7 @@ def test_sweep_bound_failure_marks_its_group(monkeypatch, threads):
 
     monkeypatch.setattr(lab, "no_interference_bound", failing_at_10db)
     ref = lab.reference_channel("fdpc-2x2-a")
-    rows = lab.run_sweep(ref.spec, ref.model, small_plan(), seed=6, threads=threads)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=6, **small_plan(), threads=threads)
     assert len(rows) == 4
     for row in rows:
         if row.snr_db == 10.0:
@@ -152,7 +153,7 @@ def test_sweep_rows_report_the_draws_per_cell():
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(snr_db_list=(0.0,), solvers=("zero",), n_outer=3, n_inner=40,
                       csit_list=(NoCsit(), PerfectCsit(), QuantizedCsit.designed(1, ref.model)))
-    rows = lab.run_sweep(ref.spec, ref.model, plan, seed=2)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=2, **plan)
     assert [(r.csit, r.n_outer, r.n_inner) for r in rows] == [
         ("none", 1, 40), ("perfect", 3, 1), ("B=1", 3, 40)]
 

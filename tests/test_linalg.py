@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdpclab.errors import EvaluationError
-from fdpclab.linalg import (Cholesky, ct, logdet_pd, mean_ct_product, mean_product,
+from fdpclab.linalg import (Cholesky, ct, hermitian_products, logdet_pd, mean_ct_product,
                             right_product)
 
 from conftest import make_rng, rand_matrix
@@ -117,9 +117,6 @@ def test_stack_products_match_einsum(n, field):
             y = rand_matrix(rng, (n, t, m), field)
             b = rand_matrix(rng, (t, m), field)
             for layout in (np.ascontiguousarray, entry_major):
-                got = mean_product(layout(x), layout(y))
-                assert got.shape == (m, m)
-                assert norm_rel_err(got, np.einsum("nij,njk->ik", x, y) / n) <= 1e-12
                 got = right_product(layout(x), b)
                 assert got.shape == (n, m, m)
                 assert got.transpose(1, 2, 0).flags.c_contiguous  # entry-major
@@ -133,3 +130,11 @@ def test_stack_products_match_einsum(n, field):
                 assert got.shape == (m, m)
                 want = np.einsum("nji,nkj->ik", y.conj(), x) / n
                 assert norm_rel_err(got, want) <= 1e-12
+                # an exactly Hermitian a_n: mean a_n* b_n is mean a_n b_n
+                out = entry_major(np.empty((n, m, m), x.dtype))
+                h = hermitian_products(layout(x), layout(x), out)
+                assert np.array_equal(h, ct(h))
+                assert norm_rel_err(h, np.einsum("nil,njl->nij", x, x.conj())) <= 1e-12
+                got = mean_ct_product(h, layout(x))
+                assert got.shape == (m, t)
+                assert norm_rel_err(got, np.einsum("nij,njk->ik", h, x) / n) <= 1e-12

@@ -307,6 +307,20 @@ def test_bin_edges_are_level_midpoints_and_infinite_outermost(bits):
     assert all(lo < level < hi for (lo, hi), level in zip(edges, lv))
 
 
+@pytest.mark.parametrize("fading", [IidRealGaussian(), IidComplexGaussian()],
+                         ids=["real", "complex"])
+def test_values_just_inside_a_bin_round_trip(fading):
+    """The sampler's clip values, one ulp inside each bin edge, bin and quantize to that bin."""
+    for bits in range(1, 7):
+        csit = QuantizedCsit.designed(bits, fading)
+        lv = csit.levels()
+        for b in range(csit.n_levels):
+            lo, hi = csit.bin_edges(b)
+            x = np.array([np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)])
+            assert np.array_equal(csit.bin_index(x), [b, b]), (bits, b)
+            assert np.array_equal(quantize_H(x, csit), [lv[b], lv[b]]), (bits, b)
+
+
 def test_conditional_sampling_round_trip():
     rng = make_rng(3)
     model = IidRealGaussian()

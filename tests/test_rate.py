@@ -315,3 +315,18 @@ def test_check_inflation_shape_and_field():
         rate.check_inflation(spec, np.full((1, 2), np.inf))
     with pytest.raises(ConfigurationError):
         rate.check_inflation(spec, np.array([[1j, 0.0]]))
+
+
+@pytest.mark.parametrize("call", ["CellCore", "w_perfect_csit", "build_M"])
+def test_complex_draws_on_a_real_spec_are_rejected(call):
+    """A non-zero imaginary part is a configuration error, not dropped after a warning."""
+    rng = make_rng(38)
+    spec = rand_spec(rng, 2, 2, 1, "real")
+    H = rng.standard_normal((5, 2, 2))
+    calls = {"CellCore": lambda H: rate.CellCore(spec, H).H,
+             "w_perfect_csit": lambda H: inflation.w_perfect_csit(spec, H[0]),
+             "build_M": lambda H: rate.build_M(spec, np.zeros((1, 2)), H)}
+    for imag in (1e-3j, complex(0.0, np.nan)):
+        with pytest.raises(ConfigurationError, match="complex .* in a real spec"):
+            calls[call](H + imag)
+    assert np.array_equal(calls[call](H + 0j), calls[call](H))  # a zero imaginary part is real
