@@ -235,24 +235,8 @@ def _add_common(p, solvers=(), unread=()):
     p.set_defaults(unread=unread)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="fdpclab",
-        description="Achievable-rate laboratory for dirty paper coding over fading channels",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help, **common):
-        # no abbreviations, so that --snr-db is not taken for --snr-db-list
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        _add_common(p, **common)
-        p.set_defaults(func=func)
-        return p
-
-    add("rate", cmd_rate, "single rate evaluation", solvers=SOLVERS)
-
+def _sweep_args(p):
     # sweep writes its CSV to --out (required)
-    p = add("sweep", cmd_sweep, "rate-vs-SNR sweep to CSV", unread=("snr_db",))
     p.add_argument("--snr-db-list", required=True, help="comma-separated SNRs in dB")
     p.add_argument("--solvers", default="alg1")
     p.add_argument("--csit", help="comma list of none, perfect, B=1, B=2, ...")
@@ -260,30 +244,66 @@ def build_parser():
     p.add_argument("--threads", type=int, default=1,
                    help="evaluate sweep cells on this many threads")
 
-    one_cell = ("mc.n_outer", "csit")  # scaling, lowsnr, jointopt build one no-CSIT cell
-    p = add("scaling", cmd_scaling, "high-SNR slope estimate",
-            unread=("snr_db", *one_cell))
+
+def _scaling_args(p):
     p.add_argument("--w", default="pinv", choices=tuple(CLOSED_FORMS))
     p.add_argument("--snr-lo", type=float, default=40.0)
     p.add_argument("--snr-hi", type=float, default=60.0)
 
-    p = add("lowsnr", cmd_lowsnr, "zero-inflation to bound ratio curve",
-            unread=("snr_db", *one_cell))
+
+def _lowsnr_args(p):
     p.add_argument("--snr-db-list", default="0,-5,-10,-15,-20,-25,-30")
 
-    add("solve-w", cmd_solve_w, "solve the inflation factor on one bank", solvers=SOLVERS)
 
-    # jointopt's bank is no-CSIT, so "perfect" can never resolve there
-    p = add("jointopt", cmd_jointopt, "joint covariance/inflation optimization",
-            solvers=CORE_SOLVERS, unread=one_cell)
+def _jointopt_args(p):
     p.add_argument("--rank", type=int, help="rank bound for the input covariance")
     p.add_argument("--outer-iters", type=int, default=30)
 
+
+_ONE_CELL = ("mc.n_outer", "csit")  # scaling, lowsnr, jointopt build one no-CSIT cell
+
+# Subcommand: (help, function, keywords of _add_common, adder of its own flags).
+SUBCOMMANDS = {
+    "rate": ("single rate evaluation", cmd_rate, {"solvers": SOLVERS}, None),
+    "sweep": ("rate-vs-SNR sweep to CSV", cmd_sweep, {"unread": ("snr_db",)}, _sweep_args),
+    "scaling": ("high-SNR slope estimate", cmd_scaling,
+                {"unread": ("snr_db", *_ONE_CELL)}, _scaling_args),
+    "lowsnr": ("zero-inflation to bound ratio curve", cmd_lowsnr,
+               {"unread": ("snr_db", *_ONE_CELL)}, _lowsnr_args),
+    "solve-w": ("solve the inflation factor on one bank", cmd_solve_w,
+                {"solvers": SOLVERS}, None),
+    # jointopt's bank is no-CSIT, so "perfect" can never resolve there
+    "jointopt": ("joint covariance/inflation optimization", cmd_jointopt,
+                 {"solvers": CORE_SOLVERS, "unread": _ONE_CELL}, _jointopt_args),
+}
+
+
+def build_parser(command=None):
+    """The CLI parser, with every subcommand listed and its help.
+
+    With ``command`` one of :data:`SUBCOMMANDS`, only that subparser gets its
+    flags, since it is the only one a call parses; building all six cost
+    about 2 ms a call.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fdpclab",
+        description="Achievable-rate laboratory for dirty paper coding over fading channels",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, func, common, own_args) in SUBCOMMANDS.items():
+        # no abbreviations, so that --snr-db is not taken for --snr-db-list
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if command in (None, name):
+            _add_common(p, **common)
+            if own_args:
+                own_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "sweep" and not args.out:
         _log("sweep requires --out PATH for the CSV")

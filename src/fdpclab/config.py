@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lab import reference_channel
+from .linalg import clip_psd
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                     QuantizedCsit, csit_from_label, exp_correlation,
@@ -224,7 +225,11 @@ def _csit_from_config(raw, model):
 
 
 def _sigma_s_from_config(cfg, t, q, field):
-    """``sigma_s`` of trace ``q``; its kind's fields are checked whatever ``q`` is."""
+    """``sigma_s`` of trace ``q``; its kind's fields are checked whatever ``q`` is.
+
+    A ``matrix`` must be (t, t), Hermitian and p.s.d. before it is scaled, so
+    ``q = 0`` does not hide a matrix that ``ChannelSpec`` would reject.
+    """
     kind = cfg["kind"]
     if kind == "zero":
         if q != 0.0:
@@ -236,6 +241,9 @@ def _sigma_s_from_config(cfg, t, q, field):
         mat = random_psd(t, cfg["rank"], cfg["seed"], q, field)
     elif kind == "matrix":
         mat = _matrix(cfg, "matrix", "$.sigma_s")
+        if mat.shape != (t, t):
+            raise ConfigurationError(f"sigma_s matrix has shape {mat.shape}, expected {(t, t)}")
+        clip_psd(mat, "sigma_s")
         tr = float(np.trace(mat))
         if tr <= 0:
             raise ConfigurationError("sigma_s matrix must have positive trace")

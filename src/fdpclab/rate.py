@@ -23,6 +23,12 @@ It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
 factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
 every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
+The core memoizes scalars only: ``E logdet N_r`` and, per full W, the
+objective's ``E logdet S(W)`` (:meth:`CellCore.evaluate`), so the start
+search, the solvers and the fixed-W rate of a many-cell bank factor each
+``S(W)`` once per core.  A solve's :class:`fdpclab.inflation.SolveResult`
+carries ``logdet S`` per draw at its W, from its own evaluation, and the
+rate reads it instead of factoring ``S(W)`` again.
 The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
 that kernel, by :func:`fdpclab.linalg.hermitian_products` and its row
 :func:`fdpclab.linalg.hermitian_row`: each entry of the lower triangle
@@ -117,6 +123,7 @@ class CellCore:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
         self.H = H
+        self._mean_logdet_s = {}  # W.tobytes() of a full canonical W -> E logdet S(W)
 
     @cached_property
     def _received(self):
@@ -128,12 +135,18 @@ class CellCore:
         K = np.empty((t, t, n), dtype=Gt.dtype)
         # K = G* G is Hermitian, so its transpose is G^T conj(G) = Gt Gt*
         hermitian_products(Gt, Gt, K.transpose(2, 1, 0))
-        return fac.logdet(), K
+        logdet_nr = fac.logdet()
+        return logdet_nr, K, np.mean(logdet_nr)
 
     @property
     def logdet_nr(self):
         """``logdet N_r`` per draw, shape (n,)."""
         return self._received[0]
+
+    @property
+    def mean_logdet_nr(self):
+        """``E logdet N_r``, the W-independent term of every objective."""
+        return self._received[2]
 
     @cached_property
     def mean_K(self):
@@ -197,23 +210,53 @@ class CellCore:
         """``logdet S(W)`` per draw; the per-draw rate is its negative."""
         return logdet_pd(self.schur_s(W))
 
+    def evaluate(self, W, logdet_s=None):
+        """``(E logdet M(W), logdet S(W) per draw)`` in nats for a full W.
+
+        W is an (m, t) array as :func:`check_inflation` returns it.  The
+        mean ``E logdet S(W)`` is memoized per W's bytes, so the objective
+        factors ``S(W)`` once per W and core.  ``logdet_s``, when given, is
+        that per-draw log-determinant, computed by the caller; it stands in
+        for the factorization on a miss.  A miss without it factors ``S(W)``
+        by :meth:`logdet_s`; a hit returns ``logdet_s`` as given (None by
+        default), since the core keeps the mean only.
+        """
+        key = W.tobytes()
+        mean = self._mean_logdet_s.get(key)
+        if mean is None:
+            if logdet_s is None:
+                logdet_s = self.logdet_s(W)
+            mean = self._mean_logdet_s[key] = np.mean(logdet_s)
+        return float(self.mean_logdet_nr + mean), logdet_s
+
+    def mean_logdet_s(self, W):
+        """``E logdet S(W)`` for W as in :meth:`evaluate`, from its memo."""
+        self.evaluate(W)
+        return self._mean_logdet_s[W.tobytes()]
+
 
 class SchurPoint:
     """``C K`` and ``S(W) = L L*`` from ``core.schur(W, cols)``, factored once.
 
     An ``S`` that is not positive definite raises :class:`EvaluationError`.
-    The properties are computed on first use and cached on the point, not the core.
+    The properties are computed on first use and cached on the point; the
+    core keeps only the objective's memo (:meth:`CellCore.evaluate`).
     """
 
     def __init__(self, core, W, cols=None):
-        self.core = core
+        self.core, self.W = core, W
         self.ck, S = core.schur(W, cols)
         self.factor = Cholesky(S)
 
     @cached_property
+    def logdet_s(self):
+        """``logdet S(W)`` per draw."""
+        return self.factor.logdet()
+
+    @cached_property
     def objective(self):
-        """``E logdet M(W)`` in nats (W of all m rows)."""
-        return float(np.mean(self.core.logdet_nr) + np.mean(self.factor.logdet()))
+        """``E logdet M(W)`` in nats, for W of all m rows as :func:`check_inflation` returns it."""
+        return self.core.evaluate(self.W, self.logdet_s)[0]
 
     @cached_property
     def means(self):
@@ -262,7 +305,7 @@ def objective(spec, W, inner_samples, core=None):
     W = check_inflation(spec, W)
     if core is None:
         core = CellCore(spec, inner_samples)
-    return float(np.mean(core.logdet_nr) + np.mean(core.logdet_s(W)))
+    return core.evaluate(W)[0]
 
 
 def _evaluate(spec, bank, w=None, bound=False, cores=None):
@@ -273,26 +316,38 @@ def _evaluate(spec, bank, w=None, bound=False, cores=None):
     bank and the array of per-cell means otherwise (None when not asked
     for).  Returns ``(rate_basis, bound_basis, (converged, iterations))``,
     the last folded over the cells' solves as in :class:`RateEstimate`.
+    A solve's ``logdet_s`` gives its rate terms; otherwise a one-cell bank
+    factors ``S(W)`` for the per-draw terms, and a cell of a larger bank
+    reads its mean from the core's memo.
     """
     rates, bounds, converged, iterations = [], [], True, 0
     ld_z = float(logdet_pd(spec.sigma_z))
+    per_draw = len(bank.cells) == 1
+
+    def term(x):  # a cell's basis entry, reduced as it comes
+        return x if per_draw else np.mean(x)
+
     for i, cell in enumerate(bank.cells):
         core = cores[i] if cores is not None else CellCore(spec, cell.draws)
         if w is not None:
-            W = w
+            W, ld = w, None
             if callable(w):
                 res = w(core, cell)
-                W = res.W
+                W, ld = res.W, res.logdet_s
                 converged = converged and bool(res.converged)
                 iterations = max(iterations, res.iterations)
-            rates.append(-core.logdet_s(check_inflation(spec, W)))
+                del res  # its per-draw terms are not held through the next cell's solve
+            if ld is None:
+                W = check_inflation(spec, W)
+                ld = core.logdet_s(W) if per_draw else core.mean_logdet_s(W)
+            rates.append(term(-ld))
         if bound:
-            bounds.append(core.logdet_bound - ld_z)
+            bounds.append(term(core.logdet_bound - ld_z))
 
     def basis(terms):
         if not terms:
             return None
-        return terms[0] if len(terms) == 1 else np.array([np.mean(x) for x in terms])
+        return terms[0] if per_draw else np.array(terms)
 
     return basis(rates), basis(bounds), (converged, iterations)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpclab.cli import main
+from fdpclab.cli import SUBCOMMANDS, build_parser, main
 from fdpclab.config import (CONFIG_SCHEMA, _proven, build_experiment, config_hash,
                             validate_config)
 from fdpclab.errors import ConfigurationError
@@ -364,6 +364,19 @@ def test_jointopt_outer_iters_zero_exits_2(capsys):
     assert "outer_iters must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in SUBCOMMANDS)],
+                         ids=["top", *SUBCOMMANDS])
+def test_help_is_the_full_parsers(capsys, argv):
+    """``main`` gives flags only to the subcommand it parses; every help text is unchanged."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == full != ""
+
+
 def test_threads_is_a_sweep_only_flag(tmp_path, capsys):
     """Flags a subcommand cannot honour are rejected, not ignored."""
     required = {"sweep": ("--snr-db-list", "0", "--out", str(tmp_path / "x.csv"))}
@@ -497,17 +510,22 @@ def test_malformed_config_matrix_exits_2(tmp_path, capsys, field, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma_s", [
-    {"kind": "matrix", "matrix": [[1, 0], [0]]},
-    {"kind": "random_rank", "rank": 5, "seed": 1},
-], ids=["matrix-ragged", "random_rank-above-t"])
-def test_sigma_s_fields_are_checked_at_q_over_p_0(tmp_path, capsys, sigma_s):
-    """q_over_p = 0 zeroes the interference but still checks its kind's fields."""
+@pytest.mark.parametrize("sigma_s, named", [
+    ({"kind": "matrix", "matrix": [[1, 0], [0]]}, "$.sigma_s.matrix"),
+    ({"kind": "random_rank", "rank": 5, "seed": 1}, "configuration error"),
+    ({"kind": "matrix", "matrix": [[1, 5], [0, 1]]}, "sigma_s is not Hermitian"),
+    ({"kind": "matrix", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "sigma_s matrix has shape (3, 3), expected (2, 2)"),
+    ({"kind": "matrix", "matrix": [[1, 2], [2, 1]]}, "sigma_s has negative eigenvalue"),
+], ids=["matrix-ragged", "random_rank-above-t", "matrix-not-hermitian", "matrix-3x3",
+        "matrix-indefinite"])
+def test_sigma_s_fields_are_checked_at_q_over_p_0(tmp_path, capsys, sigma_s, named):
+    """q_over_p = 0 zeroes the interference but still checks its kind's fields and matrix."""
     cfg = write_config(tmp_path, {"t": 2, "r": 2, "m": 1, "field": "real",
                                   "fading": {"variant": "iid_real"}, "sigma_s": sigma_s})
     code, out = run_cli(["rate", cfg, "--solver", "zero", "--samples", "20"])
     assert code == 2 and out == ""
-    assert "configuration error" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_solve_w_payload(tmp_path):

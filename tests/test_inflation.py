@@ -310,7 +310,8 @@ def test_alg2_factors_each_point_once(snr_db):
     core = CountingCore(spec, H)
     state = set(vars(core)) | {"_received"}
     res = inflation.alg2_solve(core, W0)
-    assert set(vars(core)) == state  # the solve leaves nothing on the core
+    assert set(vars(core)) == state  # the solve adds nothing to the core but its memo
+    assert all(np.ndim(mean) == 0 for mean in core._mean_logdet_s.values())
     assert len(core.calls) == 1 + res.iterations
     assert len(set(core.calls)) == len(core.calls)
     if snr_db == 80.0:

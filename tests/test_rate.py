@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fdpclab import inflation, lab, rate
+from fdpclab import covopt, inflation, lab, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
 from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
-                           PerfectCsit, QuantizedCsit, build_sample_bank)
+                           PerfectCsit, QuantizedCsit, build_sample_bank, csit_from_label)
 
 from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
 
@@ -330,3 +330,124 @@ def test_complex_draws_on_a_real_spec_are_rejected(call):
         with pytest.raises(ConfigurationError, match="complex .* in a real spec"):
             calls[call](H + imag)
     assert np.array_equal(calls[call](H + 0j), calls[call](H))  # a zero imaginary part is real
+
+
+# ---------------------------------------------------------------------------
+# one factorization of S(W) per (core, W)
+# ---------------------------------------------------------------------------
+
+class BuildLog:
+    """Records every full-W ``S(W)`` build as (core, W bytes) -> ["schur" | "schur_s", ...].
+
+    The cores are the keys, so none is freed and no id is reused.
+    """
+
+    def __init__(self, monkeypatch):
+        self.builds = {}
+        schur, schur_s = rate.CellCore.schur, rate.CellCore.schur_s
+
+        def logged_schur(core, W, cols=None):
+            if cols is None:
+                self.builds.setdefault((core, W.tobytes()), []).append("schur")
+            return schur(core, W, cols)
+
+        def logged_schur_s(core, W):
+            self.builds.setdefault((core, W.tobytes()), []).append("schur_s")
+            return schur_s(core, W)
+
+        monkeypatch.setattr(rate.CellCore, "schur", logged_schur)
+        monkeypatch.setattr(rate.CellCore, "schur_s", logged_schur_s)
+
+    def repeats(self):
+        """``{(core, W bytes): kinds}`` of the pairs built more than once; clears the log."""
+        out = {pair: kinds for pair, kinds in self.builds.items() if len(kinds) > 1}
+        self.builds = {}
+        return out
+
+
+def test_each_full_w_is_factored_once_per_core(monkeypatch):
+    """A sweep, a solve with its rate and a joint optimization build each (core, W) once.
+
+    The exceptions, each stated where it is asserted, are the builds that
+    need what the core does not keep, since it memoizes scalars only: the
+    per-draw rate terms of a one-cell bank at a W that only
+    ``best_initialization`` evaluated, and the ``C K`` stack of a point
+    (``schur``) at a W already scored for its objective.
+    """
+    log = BuildLog(monkeypatch)
+    ref = lab.reference_channel("fdpc-2x2-a")
+    zero = np.zeros((1, 2)).tobytes()
+    for label in ("none", "B=1"):
+        rows = lab.run_sweep(ref.spec, ref.model, 4700, snr_db_list=(0.0, 10.0),
+                             q_over_p=ref.q_over_p, solvers=("alg1", "zero"),
+                             csit_list=(csit_from_label(label, ref.model),),
+                             include_bound=True, n_outer=3, n_inner=200)
+        assert not any(row.error for row in rows)
+        repeats = log.repeats()
+        if label == "B=1":
+            # the rates of a many-cell bank read the per-cell means from the memo
+            assert repeats == {}
+        else:
+            # the rate of a one-cell bank needs per-draw terms: the zero row's, and
+            # alg1's when its solve returns its start, both at best_initialization's W = 0
+            assert len(repeats) == 2 and {key for _, key in repeats} == {zero}
+            assert all(kinds in (["schur_s"] * 2, ["schur_s"] * 3)
+                       for kinds in repeats.values())
+
+    fig = lab.reference_channel("fdpc-fig4-2")
+    spec = fig.spec.at_snr_db(10.0, fig.q_over_p)
+    bank = build_sample_bank(fig.spec, fig.model, NoCsit(), 1, 300, seed=4700)
+    for method in ("alg1", "alg2"):
+        est = rate.achievable_rate(spec, lab.resolve_w(spec, method), bank)
+        assert est.iterations > 0
+        repeats = log.repeats()
+        if method == "alg1":
+            assert repeats == {}
+        else:
+            # alg2's start point needs C K at best_initialization's winner
+            assert list(repeats.values()) == [["schur_s", "schur"]]
+
+    cov = lab.reference_channel("fdpc-rank-3x2")
+    spec = cov.spec.at_snr_db(30.0, cov.q_over_p)
+    bank = build_sample_bank(cov.spec, cov.model, NoCsit(), 1, 300, seed=4700)
+    res = covopt.joint_optimize(spec, bank, rank_bound=3, outer_iters=3, solver="alg1")
+    repeats = log.repeats()
+    # each T-step's gradient point needs C K at the W its W-solve returned
+    assert len(repeats) == len(res.rate_trace) - res.converged
+    assert all(kinds == ["schur_s", "schur"] for kinds in repeats.values())
+    assert len({core for core, _ in repeats}) == len(repeats)
+
+
+@pytest.mark.parametrize("method", ["alg1", "alg2", *inflation.CLOSED_FORMS])
+@pytest.mark.parametrize("ref_name", ["fdpc-2x2-a", "fdpc-fig4-2"])
+def test_solve_result_carries_the_rate_terms_at_its_w(method, ref_name):
+    """``SolveResult.logdet_s`` is bitwise what the core factors at ``W``."""
+    ref = lab.reference_channel(ref_name)
+    spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700).cells[0].draws
+    W0 = rate.check_inflation(spec, inflation.best_initialization(rate.CellCore(spec, H)))
+    res = inflation.solve_w(rate.CellCore(spec, H), method)
+    if res.logdet_s is None:
+        # alg1 rolls back its first sweep on fdpc-2x2-a and returns its start, at which
+        # it evaluated nothing: the memo holds W0's mean only
+        assert (method, ref_name) == ("alg1", "fdpc-2x2-a")
+        assert res.iterations == 0 and res.W.tobytes() == W0.tobytes()
+        return
+    expected = rate.CellCore(spec, H).logdet_s(rate.check_inflation(spec, res.W))
+    assert res.logdet_s.tobytes() == expected.tobytes()
+    assert res.objective_trace[-1] == rate.objective(spec, res.W, H)
+
+
+def test_memo_hit_is_the_fresh_cores_float():
+    """A memoized objective is the float a fresh core computes, whoever filled the memo."""
+    ref = lab.reference_channel("fdpc-fig4-2")
+    spec = ref.spec.at_snr_db(20.0, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700).cells[0].draws
+    core = rate.CellCore(spec, H)
+    W = rate.check_inflation(spec, inflation.w_pinv(spec))
+    point_obj = rate.SchurPoint(core, W).objective  # fills the memo from a point
+    hit, ld = core.evaluate(W)
+    assert ld is None  # a hit factors nothing and keeps no per-draw terms
+    fresh = rate.CellCore(spec, H)
+    assert hit == point_obj == fresh.evaluate(W)[0] == rate.objective(spec, W, H)
+    assert core.mean_logdet_s(W) == np.mean(fresh.logdet_s(W))
