@@ -21,7 +21,7 @@ from .config import build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import CLOSED_FORMS, CORE_SOLVERS, SOLVERS, solve_w
 from .model import NoCsit, build_sample_bank, csit_from_label
-from .rate import CellCore, paired_rates
+from .rate import CellCore, estimate
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -100,7 +100,8 @@ def cmd_rate(args):
     spec = exp.spec_at()
     bank = _bank_for(exp)
     # one evaluation: the solve, the rate and the bound share each cell's core
-    est, bound, _ = paired_rates(spec, lab.resolve_w(spec, args.solver), bank)
+    (outcome,), bound_basis = lab.evaluate_group(spec, bank, (args.solver,), bound=True)
+    est, bound = estimate(*outcome), estimate(bound_basis)
     payload = {
         "rate_bits": est.rate_bits,
         "stderr_bits": est.stderr_bits,
@@ -147,11 +148,11 @@ def cmd_sweep(args):
 
 def cmd_scaling(args):
     exp = _load_experiment(args)
-    slope = lab.estimate_scaling(exp.base_spec, exp.model, args.w,
-                                 (args.snr_lo, args.snr_hi), exp.mc["seed"],
-                                 q_over_p=exp.q_over_p, n_inner=exp.mc["n_inner"])
+    slope, stderr = lab.estimate_scaling(exp.base_spec, exp.model, args.w,
+                                         (args.snr_lo, args.snr_hi), exp.mc["seed"],
+                                         q_over_p=exp.q_over_p, n_inner=exp.mc["n_inner"])
     predicted = lab.predicted_scaling(exp.spec_at(args.snr_lo))
-    _emit({"measured_slope": slope, "predicted_slope": predicted,
+    _emit({"measured_slope": slope, "stderr_slope": stderr, "predicted_slope": predicted,
            "w": args.w, "snr_window_db": [args.snr_lo, args.snr_hi],
            "seed": exp.mc["seed"], "config_hash": exp.hash}, args.out)
 
@@ -305,11 +306,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
-    if args.command == "sweep" and not args.out:
-        _log("sweep requires --out PATH for the CSV")
-        return EXIT_CONFIG
-    if args.command == "lowsnr" and not args.out:
-        _log("lowsnr requires --out PATH for the CSV")
+    if args.command in ("sweep", "lowsnr") and not args.out:
+        _log(f"{args.command} requires --out PATH for the CSV")
         return EXIT_CONFIG
     try:
         args.func(args)

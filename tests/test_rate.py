@@ -7,7 +7,7 @@ from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
 from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
                            PerfectCsit, QuantizedCsit, build_sample_bank, csit_from_label)
 
-from conftest import degenerate_bank, make_rng, rand_matrix, rand_spec
+from conftest import degenerate_bank, make_rng, paired_estimates, rand_matrix, rand_spec
 
 
 def scalar_spec(q, p=1.0, n=1.0):
@@ -175,7 +175,7 @@ def test_perfect_csit_matches_bound(dims):
     bank = build_sample_bank(spec0, IidComplexGaussian(), PerfectCsit(), 200, 1, seed=5)
     for snr in (0.0, 10.0, 20.0):
         spec = spec0.at_snr_db(snr, q_over_p=1.0)
-        r_est, c_est, cov = rate.paired_rates(spec, lab.resolve_w(spec, "perfect"), bank)
+        r_est, c_est, cov = paired_estimates(spec, lab.resolve_w(spec, "perfect"), bank)
         se = np.sqrt(max(r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2 * cov, 0.0))
         assert abs(r_est.rate_bits - c_est.rate_bits) <= max(2 * se, 1e-9)
 
@@ -195,7 +195,7 @@ def test_bound_dominates_rate(rng):
     bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 4000, seed=6)
     for solver in ("zero", "pinv"):
         sp = spec.at_snr_db(10.0, 1.0)
-        r_est, c_est, cov = rate.paired_rates(sp, lab.resolve_w(sp, solver), bank)
+        r_est, c_est, cov = paired_estimates(sp, lab.resolve_w(sp, solver), bank)
         se = np.sqrt(max(r_est.stderr_bits ** 2 + c_est.stderr_bits ** 2 - 2 * cov, 0.0))
         assert c_est.rate_bits >= r_est.rate_bits - 2 * se
 
@@ -225,7 +225,7 @@ def test_policy_convergence_and_iterations_fold_over_cells():
     for results in cases:
         expected = (all(ok for ok, _ in results), max(n for _, n in results))
         est = rate.achievable_rate(spec, policy_of(results), bank)
-        r_est, c_est, _ = rate.paired_rates(spec, policy_of(results), bank)
+        r_est, c_est, _ = paired_estimates(spec, policy_of(results), bank)
         assert (est.converged, est.iterations) == expected
         assert (r_est.converged, r_est.iterations) == expected
         assert (c_est.converged, c_est.iterations) == (True, 0)
@@ -246,7 +246,7 @@ def per_draw_terms(spec, W, H):
 
 def assert_stderr_basis(spec, W, bank, a, b):
     n = a.size
-    r_est, c_est, cov = rate.paired_rates(spec, W, bank)
+    r_est, c_est, cov = paired_estimates(spec, W, bank)
     assert r_est.rate_bits == pytest.approx(a.mean() / rate.LN2, rel=1e-9)
     assert r_est.stderr_bits == pytest.approx(np.std(a, ddof=1) / np.sqrt(n) / rate.LN2,
                                               rel=1e-9)
@@ -279,7 +279,7 @@ def test_stderr_basis_multi_cell_is_per_cell_means():
 def test_single_term_basis_has_zero_stderr():
     spec = rand_spec(make_rng(45), 2, 2, 1, "real")
     bank = degenerate_bank(make_rng(46).standard_normal((1, 2, 2)))
-    r_est, c_est, cov = rate.paired_rates(spec, np.zeros((1, 2)), bank)
+    r_est, c_est, cov = paired_estimates(spec, np.zeros((1, 2)), bank)
     assert (r_est.stderr_bits, c_est.stderr_bits, cov) == (0.0, 0.0, 0.0)
 
 
