@@ -43,6 +43,8 @@ array, so that each entry ``a[:, i, j]`` is contiguous, and the per-entry
 sums and means run over contiguous arrays.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
@@ -68,7 +70,11 @@ class Cholesky:
     It gives the log-determinant, ``forward`` (``L^{-1} b``) and ``inv``, and no
     back substitution; see the module docstring for the contract.  Each entry
     of ``L`` is one array of the batch shape: ``L[i][j]`` for ``i > j`` and the
-    reciprocal diagonal ``r[j] = 1 / L_jj``.
+    reciprocal diagonal ``r[j] = 1 / L_jj``.  The factor keeps the pivots
+    ``L_jj^2``, which give the log-determinant; ``r[k-1]`` enters no entry
+    of ``L``, so it is formed only when ``forward`` or ``inv`` first reads
+    it.  Each pivot is checked by its minimum and maximum; the element-wise
+    test that finds the first failing matrix runs only when one fails.
     ``forward`` and ``inv`` return entry-major views: a (..., k, t) view of a
     (k, t, ...) array, so each entry ``x[..., i, j]`` is one contiguous array.
     """
@@ -83,20 +89,26 @@ class Cholesky:
                 s = _total(_abs2(L[j][p]) for p in range(j))
                 d = np.array(a[..., j, j].real) if s is None else a[..., j, j].real - s
                 pivots.append(d)
-                r.append(1.0 / np.sqrt(d))
+                if j + 1 < k:
+                    r.append(1.0 / np.sqrt(d))
                 for i in range(j + 1, k):
-                    L[i][j] = _subtract_total(a[..., i, j], (L[i][p] * np.conj(L[j][p])
+                    L[i][j] = _subtract_total(a[..., i, j], (L[i][p] * L[j][p].conj()
                                                              for p in range(j)), r[j])
-        ok = True
-        for d in pivots:
-            ok = ok & (d > 0) & (d < np.inf)
-        if not np.all(ok):
+        if not all(d.size == 0 or (d.min() > 0 and d.max() < np.inf) for d in pivots):
+            ok = True
+            for d in pivots:
+                ok = ok & (d > 0) & (d < np.inf)
             raise EvaluationError(
                 "Cholesky factorization failed: matrix not positive definite",
                 sample_index=int(np.argmin(ok.ravel())) if a.ndim > 2 else None,
             )
-        self.L, self.r, self.k, self._d = L, r, k, pivots
+        self.L, self._r, self.k, self._d = L, r, k, pivots
         self.dtype = np.result_type(a.dtype, float)
+
+    @cached_property
+    def r(self):
+        """The reciprocal diagonal ``1 / L_jj``, its last entry formed on first use."""
+        return self._r + [1.0 / np.sqrt(d) for d in self._d[-1:]]
 
     def logdet(self):
         """log-determinant of each matrix, batch shape."""
@@ -126,7 +138,7 @@ class Cholesky:
         for j in range(k):
             out[..., j, j] = _total(_abs2(X[p][j]) for p in range(j, k))
             for i in range(j + 1, k):
-                out[..., i, j] = _total(np.conj(X[p][i]) * X[p][j] for p in range(i, k))
+                out[..., i, j] = _total(X[p][i].conj() * X[p][j] for p in range(i, k))
                 np.conjugate(out[..., i, j], out=out[..., j, i])
         return out
 
@@ -168,7 +180,7 @@ def _entry_major(shape, dtype):
 
 
 def _abs2(z):
-    return (np.conj(z) * z).real
+    return (z.conj() * z).real
 
 
 def mean_ct_product(a, b):

@@ -15,18 +15,24 @@ complement of ``N_r``,
 
 every W-dependent quantity is an m x m matrix per draw, and the achievable
 rate of one bank cell is ``-mean_i logdet S(W, H_i)`` (averaged over outer
-cells, in bits).  The no-interference bound
-``mean_i logdet(H_i T T* H_i* + Sz) - logdet Sz`` uses the same draws.
+cells, in bits).  The no-interference bound, the MIMO capacity
+``mean_i logdet(I + X_i* X_i)`` with ``X_i = Lz^{-1} H_i T`` and
+``Sz = Lz Lz*``, uses the same draws; by Sylvester's identity it equals
+``mean_i logdet(H_i T T* H_i* + Sz) - logdet Sz`` and is an m x m (or
+r x r, whichever is smaller) determinant per draw.
 
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
 factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
 every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
-The core memoizes scalars only: ``E logdet N_r`` and, per full W, the
-objective's ``E logdet S(W)`` (:meth:`CellCore.evaluate`), so the start
-search, the solvers and the fixed-W rate of a many-cell bank factor each
-``S(W)`` once per core.  A solve's :class:`fdpclab.inflation.SolveResult`
+The core memoizes scalars only: ``E logdet N_r`` and the objective's
+``E logdet S(W)`` (:meth:`CellCore.evaluate`), keyed on ``W Ss`` and
+``W Ss W*``, the only terms of W that ``S(W)`` reads (with a p.s.d. ``Ss``
+the rate depends on W only through ``W Ss``).  So the start search, the
+solvers and the fixed-W rate of a many-cell bank factor each distinct
+``S(W)`` once per core, and inflation factors that differ only outside
+the range of ``Ss`` share it.  A solve's :class:`fdpclab.inflation.SolveResult`
 carries ``logdet S`` per draw at its W, from its own evaluation, and the
 rate reads it instead of factoring ``S(W)`` again.
 The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
@@ -109,7 +115,9 @@ class CellCore:
     computed on first use, the bound term only when the bound is asked for,
     and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
     row step reads, once per core.  ``K`` is stored entry-major as a
-    (t, t, n) array.
+    (t, t, n) array.  The objective's memo is keyed on the bytes of
+    ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same helper,
+    so W with equal keys have bitwise-equal ``S(W)``.
     """
 
     def __init__(self, spec, draws):
@@ -118,7 +126,7 @@ class CellCore:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
         self.H = H
-        self._mean_logdet_s = {}  # W.tobytes() of a full canonical W -> E logdet S(W)
+        self._mean_logdet_s = {}  # _memo_key(W) of a full canonical W -> E logdet S(W)
 
     @cached_property
     def _received(self):
@@ -157,8 +165,19 @@ class CellCore:
 
     @cached_property
     def logdet_bound(self):
-        """``logdet(H T T* H* + Sz)`` per draw: the no-interference received covariance."""
-        return logdet_pd(_covariance(self.H, self.spec.T @ ct(self.spec.T), self.spec.sigma_z))
+        """``logdet(I + E)`` per draw, the no-interference rate in nats.
+
+        ``E`` is the Gram of ``X = Lz^{-1} H T`` (r, m) with ``Sz = Lz Lz*``,
+        on its smaller side: ``X* X`` when m <= r, else ``X X*``.  By
+        Sylvester's identity both equal ``logdet(H T T* H* + Sz) - logdet Sz``.
+        """
+        X = Cholesky(self.spec.sigma_z).forward(right_product(self.H, self.spec.T))
+        if X.shape[2] <= X.shape[1]:
+            # X^T conj(X) is the transpose of X* X, with the same pivots
+            X = X.transpose(0, 2, 1)
+        n, k, _ = X.shape
+        E = np.empty((k, k, n), dtype=X.dtype).transpose(2, 0, 1)
+        return logdet_pd(hermitian_products(X, X, E, np.eye(k)))
 
     def schur(self, W, cols=None):
         """``(C K, S)`` per draw, shapes (n, k, t) and (n, k, k), for W of shape (k, t).
@@ -188,9 +207,9 @@ class CellCore:
         t, _, n = K.shape
         k = W.shape[0]
         Tc = self.spec.T if cols is None else self.spec.T[:, cols]
-        ss = self.spec.sigma_s
-        C = ct(Tc) + W @ ss
-        y, shift = -C[None], np.eye(k) + W @ ss @ ct(W)
+        w_ss, w_ss_w = self._inflation_terms(W)
+        C = ct(Tc) + w_ss
+        y, shift = -C[None], np.eye(k) + w_ss_w
         ck = np.empty((k if keep_ck else 1, t, n), dtype=np.result_type(C, K))
         S = np.empty((k, k, n), dtype=ck.dtype).transpose(2, 0, 1)
         for i in range(k):
@@ -201,6 +220,16 @@ class CellCore:
             hermitian_row(row.T, y, S, i, shift)
         return (ck.transpose(2, 0, 1) if keep_ck else None), S
 
+    def _inflation_terms(self, W):
+        """``(W Ss, W Ss W*)``, all that ``S(W)`` reads of W."""
+        w_ss = W @ self.spec.sigma_s
+        return w_ss, w_ss @ ct(W)
+
+    def _memo_key(self, W):
+        """The objective memo's key: W's terms of ``S(W)``, so equal keys give equal ``S(W)``."""
+        w_ss, w_ss_w = self._inflation_terms(W)
+        return w_ss.tobytes() + w_ss_w.tobytes()
+
     def logdet_s(self, W):
         """``logdet S(W)`` per draw; the per-draw rate is its negative."""
         return logdet_pd(self.schur_s(W))
@@ -209,14 +238,15 @@ class CellCore:
         """``(E logdet M(W), logdet S(W) per draw)`` in nats for a full W.
 
         W is an (m, t) array as :func:`check_inflation` returns it.  The
-        mean ``E logdet S(W)`` is memoized per W's bytes, so the objective
-        factors ``S(W)`` once per W and core.  ``logdet_s``, when given, is
-        that per-draw log-determinant, computed by the caller; it stands in
-        for the factorization on a miss.  A miss without it factors ``S(W)``
-        by :meth:`logdet_s`; a hit returns ``logdet_s`` as given (None by
+        mean ``E logdet S(W)`` is memoized on the bytes of ``W Ss`` and
+        ``W Ss W*``, so the objective factors each distinct ``S(W)`` once
+        per core.  ``logdet_s``, when given, is that per-draw
+        log-determinant, computed by the caller; it stands in for the
+        factorization on a miss.  A miss without it factors ``S(W)`` by
+        :meth:`logdet_s`; a hit returns ``logdet_s`` as given (None by
         default), since the core keeps the mean only.
         """
-        key = W.tobytes()
+        key = self._memo_key(W)
         mean = self._mean_logdet_s.get(key)
         if mean is None:
             if logdet_s is None:
@@ -227,7 +257,7 @@ class CellCore:
     def mean_logdet_s(self, W):
         """``E logdet S(W)`` for W as in :meth:`evaluate`, from its memo."""
         self.evaluate(W)
-        return self._mean_logdet_s[W.tobytes()]
+        return self._mean_logdet_s[self._memo_key(W)]
 
 
 class SchurPoint:
@@ -318,7 +348,6 @@ def _evaluate(spec, bank, ws, bound=False, cores=None):
     ``S(W)``, and a cell of a larger bank reads the mean from the core's memo.
     """
     per_draw = len(bank.cells) == 1
-    ld_z = float(logdet_pd(spec.sigma_z)) if bound else None
     terms, bounds, solved = [[] for _ in ws], [], [(True, 0)] * len(ws)
 
     def term(x):  # a cell's basis entry, reduced as it comes
@@ -327,7 +356,7 @@ def _evaluate(spec, bank, ws, bound=False, cores=None):
     for i, cell in enumerate(bank.cells):
         core = cores[i] if cores is not None else CellCore(spec, cell.draws)
         if bound:
-            bounds.append(term(core.logdet_bound - ld_z))
+            bounds.append(term(core.logdet_bound))
         for j, w in enumerate(ws):
             if isinstance(terms[j], FdpcError):
                 continue

@@ -18,7 +18,7 @@ from fdpclab.linalg import ct, psd_factor
 from fdpclab.model import NoCsit, build_sample_bank
 
 from conftest import (degenerate_bank, make_rng, paired_estimates, permuted_M, rand_matrix,
-                      rand_spec, ref_row_surrogate, with_factor)
+                      rand_psd, rand_spec, ref_row_surrogate, with_factor)
 
 REL = 1e-10
 
@@ -171,14 +171,15 @@ def test_row_update_is_stationary_for_its_surrogate(name):
 # ---------------------------------------------------------------------------
 
 def ref_core(spec, H):
-    """``logdet N_r``, the ``K`` stack and the bound's log-determinant, directly."""
+    """``logdet N_r``, the ``K`` stack and the bound ``logdet(H T T* H* + Sz) - logdet Sz``."""
     sig = spec.T @ ct(spec.T)
     n_r = np.einsum("nrk,kl,nsl->nrs", H, sig + spec.sigma_s, np.conj(H)) + spec.sigma_z
     n_x = np.einsum("nrk,kl,nsl->nrs", H, sig, np.conj(H)) + spec.sigma_z
     L = np.linalg.cholesky(n_r)
     G = np.linalg.solve(L, H)
     ld = lambda lower: 2.0 * np.log(np.abs(np.diagonal(lower, axis1=1, axis2=2))).sum(axis=1)
-    return ld(L), np.einsum("nrt,nru->ntu", np.conj(G), G), ld(np.linalg.cholesky(n_x))
+    ld_bound = ld(np.linalg.cholesky(n_x)) - np.linalg.slogdet(spec.sigma_z)[1]
+    return ld(L), np.einsum("nrt,nru->ntu", np.conj(G), G), ld_bound
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -199,6 +200,24 @@ def test_entrywise_core_matches_einsum_reference(r, t, field):
         assert a.dtype == spec.dtype
         assert np.array_equal(a, ct(a))
     assert core.logdet_nr.dtype == core.logdet_bound.dtype == np.float64
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m,r", [(1, 3), (2, 2), (3, 2)])
+def test_bound_and_core_whiten_non_identity_noise(m, r, field):
+    """A non-diagonal p.d. ``Sz`` with m < r, m = r and m > r: the m x m bound
+    ``logdet(I + X* X)`` (r x r when m > r) is the r x r difference of log-determinants."""
+    rng = make_rng(400 + 10 * m + r)
+    spec = rand_spec(rng, 3, r, m, field, q=2.0, p=3.0)
+    spec = replace(spec, sigma_z=rand_psd(rng, r, r, field) + 0.5 * np.eye(r))
+    assert (spec.sigma_z[np.tril_indices(r, -1)] != 0).all()
+    H = rand_matrix(rng, (64, r, 3), field)
+    core = rate.CellCore(spec, H)
+    ld_nr, K, ld_bound = ref_core(spec, H)
+    assert abs(np.linalg.slogdet(spec.sigma_z)[1]) > 0.1  # the term the bound drops
+    assert rel_err(core.logdet_bound, ld_bound) <= 1e-12
+    assert rel_err(core.logdet_nr, ld_nr) <= 1e-12
+    assert rel_err(core._received[1].transpose(2, 0, 1), K) <= 1e-12
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

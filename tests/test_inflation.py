@@ -474,6 +474,48 @@ def test_best_initialization_takes_the_first_least_objective(name, snr, winner, 
     assert np.array_equal(W0, candidates[winner])
 
 
+@pytest.mark.parametrize("name, factored", [("fdpc-2x2-a", 2), ("fdpc-fig4-1", 4)])
+def test_best_initialization_factors_each_distinct_w_sigma_s_once(name, factored, monkeypatch):
+    """The objective memo is keyed on ``W Ss`` and ``W Ss W*``.
+
+    On fdpc-2x2-a the zero, pinv and identity starts all have ``W Ss = 0``
+    and share one ``S(W)``; fdpc-fig4-1's p.d. ``Ss`` gives four distinct ones.
+    """
+    ref = lab.reference_channel(name)
+    spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1).cells[0].draws
+    calls = []
+
+    def counting_logdet_pd(a):
+        calls.append(a.shape)
+        return logdet_pd(a)
+
+    monkeypatch.setattr(rate, "logdet_pd", counting_logdet_pd)
+    core = rate.CellCore(spec, H)
+    inflation.best_initialization(core)
+    assert len(calls) == len(core._mean_logdet_s) == factored
+    for form in inflation.CLOSED_FORMS.values():
+        W = rate.check_inflation(spec, form(spec))
+        assert core.evaluate(W)[0] == rate.CellCore(spec, H).evaluate(W)[0]
+
+
+def test_inflation_factors_equal_on_the_range_of_sigma_s_share_one_memo_entry(monkeypatch):
+    ref = lab.reference_channel("fdpc-2x2-a")  # Ss = p0 e_1 e_1*
+    spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1).cells[0].draws
+    W = np.array([[0.3, -0.7]])
+    N = np.array([[0.3, 0.0]])  # doubles W's first entry, keeping its sign
+    assert not (N @ spec.sigma_s).any()
+    core = rate.CellCore(spec, H)
+    obj, ld = core.evaluate(W)
+    monkeypatch.setattr(rate, "logdet_pd", None)  # a second factorization would raise
+    obj_n, ld_n = core.evaluate(W + N)
+    assert ld_n is None and obj_n == obj and len(core._mean_logdet_s) == 1
+    monkeypatch.undo()
+    fresh_obj, fresh_ld = rate.CellCore(spec, H).evaluate(W + N)
+    assert fresh_obj == obj and np.array_equal(fresh_ld, ld)
+
+
 def test_solver_dominance_over_baselines():
     """Iterative solvers never lose to the fixed baseline choices."""
     rng = make_rng(27)

@@ -84,16 +84,35 @@ def test_single_matrix_has_batch_shape_of_a_scalar():
 
 @pytest.mark.parametrize("bad", ["indefinite", "singular", "nan", "inf"])
 def test_not_positive_definite_raises_with_first_index(bad):
-    a = np.tile(np.eye(3), (6, 1, 1))
+    """For k = 1 (the sweep's ``S``) the pivots' min/max check is the only guard."""
     value = {"indefinite": -1.0, "singular": 0.0, "nan": np.nan, "inf": np.inf}[bad]
-    a[4, 0, 0] = value  # fails at the first pivot
-    a[3, 2, 2] = value  # fails at the last pivot, but comes first in the stack
-    with pytest.raises(EvaluationError) as exc:
-        Cholesky(a)
-    assert exc.value.sample_index == 3
-    with pytest.raises(EvaluationError) as exc:
-        logdet_pd(a[4])
-    assert exc.value.sample_index is None
+    for k in (1, 2, 3):
+        a = np.tile(np.eye(k), (6, 1, 1))
+        a[4, 0, 0] = value  # fails at the first pivot
+        a[3, k - 1, k - 1] = value  # fails at the last pivot, but comes first in the stack
+        with pytest.raises(EvaluationError) as exc:
+            Cholesky(a)
+        assert exc.value.sample_index == 3
+        with pytest.raises(EvaluationError) as exc:
+            logdet_pd(a[4])
+        assert exc.value.sample_index is None
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_last_reciprocal_pivot_formed_on_first_use_is_the_same(k, field):
+    """A factor first used for ``logdet`` gives what a fresh factor gives after it."""
+    rng = make_rng(300 + 10 * k + (field == "complex"))
+    a = pd_stack(rng, 16, k, 1e4, field)
+    b = rand_matrix(rng, (16, k, 2), field)
+    for first in ("forward", "inv"):
+        used = Cholesky(a)
+        assert np.array_equal(used.logdet(), Cholesky(a).logdet())
+        got = used.forward(b) if first == "forward" else used.inv()
+        fresh = Cholesky(a)
+        assert np.array_equal(got, fresh.forward(b) if first == "forward" else fresh.inv())
+        assert np.array_equal(used.inv(), fresh.inv())
+        assert np.array_equal(used.forward(b), fresh.forward(b))
 
 
 # the products over a stack of draws against einsum
