@@ -117,8 +117,7 @@ def joint_optimize(spec, bank, *, rank_bound, outer_iters, solver):
         spec_t = replace(spec, T=T)
         core = CellCore(spec_t, draws)
         w_res = solve_w(core, solver)
-        # the policy hands over the solve, whose evaluation at W is the rate's
-        est = achievable_rate(spec_t, lambda *_: w_res, bank, cores=(core,))
+        est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
             best = (est, T, w_res.W)

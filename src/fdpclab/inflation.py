@@ -50,9 +50,6 @@ class SolveResult:
     objective_trace: tuple
     converged: bool
     iterations: int
-    # logdet S(W) per draw from the solve's own evaluation at W, which the
-    # rate reads in place of factoring S(W) again; None when it made none
-    logdet_s: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +200,31 @@ def alg1_solve(core, W0):
     accepted and stops it, converged.  Either way the last accepted W (or W0)
     is returned, not the best seen, and only the last trace step may rise.
 
-    Objectives come from the core's memo (:meth:`fdpclab.rate.CellCore.evaluate`),
+    Objectives come from the core's memo (:meth:`fdpclab.rate.CellCore.logdet_s`),
     so W0 scored by :func:`best_initialization` and a sweep that leaves W
-    bitwise unchanged factor nothing.
+    bitwise unchanged factor nothing, and the rate at the returned W reads
+    the per-draw terms its evaluation left there.
     """
     spec = core.spec
     W = check_inflation(spec, W0)
-    obj, ld = core.evaluate(W)
-    trace = [obj]
+    trace = [core.evaluate(W)]
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_ITERS + 1):
         W_new = W
         for row in range(spec.dims.m):
             W_new = alg1_row_update(core, W_new, row)
-        obj_new, ld_new = core.evaluate(W_new)
+        obj_new = core.evaluate(W_new)
         if obj_new > trace[-1] + TOL * max(1.0, abs(trace[-1])):
             sweeps -= 1  # rolled back: this sweep produced no iterate
             break
-        if ld_new is not None or W_new.tobytes() != W.tobytes():
-            ld = ld_new  # a memo hit at W itself keeps W's per-draw terms
         W = W_new
         trace.append(obj_new)
         if abs(trace[-1] - trace[-2]) < TOL * max(1.0, abs(trace[-2])):
             converged = True
             break
     return SolveResult(W=W, objective_trace=tuple(trace),
-                       converged=converged, iterations=sweeps, logdet_s=ld)
+                       converged=converged, iterations=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +278,14 @@ def alg2_solve(core, W0):
 
     ``iterations`` counts the evaluated candidates, one :class:`SchurPoint`
     each.  With zero interference the map returns W0, so the solve stops,
-    converged, after 0 candidates.  Only the core's memoized objectives
-    (scalars) outlive the call; the returned ``logdet_s`` is that of the
-    returned W's point.
+    converged, after 0 candidates.  Only the core's memo of ``logdet S``
+    per draw outlives the call; the rate at the returned W reads it there.
     """
     W = check_inflation(core.spec, W0)
     point = SchurPoint(core, W)
-    obj, ld = point.objective, point.logdet_s
+    obj = point.objective
     trace = [obj]
-    best_obj, best_w, best_ld = obj, W, ld
+    best_obj, best_w = obj, W
     d_f, d_g = [], []  # flattened residual and map differences, oldest first
     G = last = None
     gamma = 1.0
@@ -333,16 +327,16 @@ def alg2_solve(core, W0):
             else:
                 gamma *= 0.5
             continue
-        W, obj, ld, G = cand, obj_c, point.logdet_s, None
+        W, obj, G = cand, obj_c, None
         trace.append(obj)
         strikes = 0
         gamma = 1.0
         if obj < best_obj:
-            best_obj, best_w, best_ld = obj, W, ld
+            best_obj, best_w = obj, W
     if not converged:
-        W, ld = best_w, best_ld
+        W = best_w
     return SolveResult(W=W, objective_trace=tuple(trace),
-                       converged=converged, iterations=iterations, logdet_s=ld)
+                       converged=converged, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +377,5 @@ def solve_w(core, method, cell=None):
     if method not in CLOSED_FORMS:
         raise ConfigurationError(f"unknown solver {method!r}")
     W = CLOSED_FORMS[method](core.spec)
-    obj, ld = core.evaluate(check_inflation(core.spec, W))
-    return SolveResult(W=W, objective_trace=(obj,), converged=True, iterations=0,
-                       logdet_s=ld)
+    return SolveResult(W=W, objective_trace=(core.evaluate(check_inflation(core.spec, W)),),
+                       converged=True, iterations=0)

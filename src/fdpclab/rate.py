@@ -26,15 +26,13 @@ It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
 factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
 every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
-The core memoizes scalars only: ``E logdet N_r`` and the objective's
-``E logdet S(W)`` (:meth:`CellCore.evaluate`), keyed on ``W Ss`` and
-``W Ss W*``, the only terms of W that ``S(W)`` reads (with a p.s.d. ``Ss``
-the rate depends on W only through ``W Ss``).  So the start search, the
-solvers and the fixed-W rate of a many-cell bank factor each distinct
-``S(W)`` once per core, and inflation factors that differ only outside
-the range of ``Ss`` share it.  A solve's :class:`fdpclab.inflation.SolveResult`
-carries ``logdet S`` per draw at its W, from its own evaluation, and the
-rate reads it instead of factoring ``S(W)`` again.
+The core is the one store of ``logdet S(W)`` per draw
+(:meth:`CellCore.logdet_s`), keyed on ``W Ss`` and ``W Ss W*``, the only
+terms of W that ``S(W)`` reads (with a p.s.d. ``Ss`` the rate depends on W
+only through ``W Ss``); the objective and the rate both read it.  So the
+start search, the solvers and the rate factor each distinct ``S(W)`` once
+per core, and inflation factors that differ only outside the range of
+``Ss`` share it.
 The covariances, ``K``, ``C K`` and ``S(W)`` are built entry by entry like
 that kernel, by :func:`fdpclab.linalg.hermitian_products` and its row
 :func:`fdpclab.linalg.hermitian_row`: each entry of the lower triangle
@@ -115,9 +113,12 @@ class CellCore:
     computed on first use, the bound term only when the bound is asked for,
     and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
     row step reads, once per core.  ``K`` is stored entry-major as a
-    (t, t, n) array.  The objective's memo is keyed on the bytes of
-    ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same helper,
-    so W with equal keys have bitwise-equal ``S(W)``.
+    (t, t, n) array.  The memo of :meth:`logdet_s` is keyed on the bytes
+    of ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same
+    helper, so W with equal keys have bitwise-equal ``S(W)``.  It holds one
+    (n,) float64 and its mean per distinct ``S(W)`` for as long as the core
+    lives: at most the four starts of the start search plus ``MAX_ITERS``
+    per solve (:mod:`fdpclab.inflation`).
     """
 
     def __init__(self, spec, draws):
@@ -126,7 +127,7 @@ class CellCore:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
         self.H = H
-        self._mean_logdet_s = {}  # _memo_key(W) of a full canonical W -> E logdet S(W)
+        self._logdet_s = {}  # _memo_key(W) of a full W -> (logdet S(W) per draw, its mean)
 
     @cached_property
     def _received(self):
@@ -231,33 +232,32 @@ class CellCore:
         return w_ss.tobytes() + w_ss_w.tobytes()
 
     def logdet_s(self, W):
-        """``logdet S(W)`` per draw; the per-draw rate is its negative."""
-        return logdet_pd(self.schur_s(W))
+        """``logdet S(W)`` per draw, read-only, for a full W; the per-draw rate is its negative.
 
-    def evaluate(self, W, logdet_s=None):
-        """``(E logdet M(W), logdet S(W) per draw)`` in nats for a full W.
-
-        W is an (m, t) array as :func:`check_inflation` returns it.  The
-        mean ``E logdet S(W)`` is memoized on the bytes of ``W Ss`` and
-        ``W Ss W*``, so the objective factors each distinct ``S(W)`` once
-        per core.  ``logdet_s``, when given, is that per-draw
-        log-determinant, computed by the caller; it stands in for the
-        factorization on a miss.  A miss without it factors ``S(W)`` by
-        :meth:`logdet_s`; a hit returns ``logdet_s`` as given (None by
-        default), since the core keeps the mean only.
+        W is an (m, t) array as :func:`check_inflation` returns it.  The array
+        is memoized with its mean on the bytes of ``W Ss`` and ``W Ss W*``,
+        so the core factors each distinct ``S(W)`` once.
         """
-        key = self._memo_key(W)
-        mean = self._mean_logdet_s.get(key)
-        if mean is None:
-            if logdet_s is None:
-                logdet_s = self.logdet_s(W)
-            mean = self._mean_logdet_s[key] = np.mean(logdet_s)
-        return float(self.mean_logdet_nr + mean), logdet_s
+        return self._memo(W, None)[0]
 
-    def mean_logdet_s(self, W):
-        """``E logdet S(W)`` for W as in :meth:`evaluate`, from its memo."""
-        self.evaluate(W)
-        return self._mean_logdet_s[self._memo_key(W)]
+    def evaluate(self, W, factor=None):
+        """``E logdet M(W)`` in nats for a full W, from the memo of :meth:`logdet_s`.
+
+        ``factor``, the :class:`Cholesky` of ``S(W)`` when the caller has it
+        (a :class:`SchurPoint` does), gives ``logdet S`` on a miss in place
+        of factoring :meth:`schur_s`.
+        """
+        return float(self.mean_logdet_nr + self._memo(W, factor)[1])
+
+    def _memo(self, W, factor):
+        """``(logdet S(W) per draw, its mean)``; the mean is kept so a hit reduces nothing."""
+        key = self._memo_key(W)
+        entry = self._logdet_s.get(key)
+        if entry is None:
+            ld = factor.logdet() if factor is not None else logdet_pd(self.schur_s(W))
+            ld.setflags(write=False)
+            entry = self._logdet_s[key] = ld, np.mean(ld)
+        return entry
 
 
 class SchurPoint:
@@ -265,7 +265,8 @@ class SchurPoint:
 
     An ``S`` that is not positive definite raises :class:`EvaluationError`.
     The properties are computed on first use and cached on the point; the
-    core keeps only the objective's memo (:meth:`CellCore.evaluate`).
+    objective hands the factor to the core's memo (:meth:`CellCore.evaluate`),
+    which keeps ``logdet S`` per draw after the point is dropped.
     """
 
     def __init__(self, core, W, cols=None):
@@ -274,14 +275,9 @@ class SchurPoint:
         self.factor = Cholesky(S)
 
     @cached_property
-    def logdet_s(self):
-        """``logdet S(W)`` per draw."""
-        return self.factor.logdet()
-
-    @cached_property
     def objective(self):
         """``E logdet M(W)`` in nats, for W of all m rows as :func:`check_inflation` returns it."""
-        return self.core.evaluate(self.W, self.logdet_s)[0]
+        return self.core.evaluate(self.W, self.factor)
 
     @cached_property
     def means(self):
@@ -330,7 +326,7 @@ def objective(spec, W, inner_samples, core=None):
     W = check_inflation(spec, W)
     if core is None:
         core = CellCore(spec, inner_samples)
-    return core.evaluate(W)[0]
+    return core.evaluate(W)
 
 
 def _evaluate(spec, bank, ws, bound=False, cores=None):
@@ -343,9 +339,9 @@ def _evaluate(spec, bank, ws, bound=False, cores=None):
     ``(bases, bound_basis, solved)``: a policy that raises an FdpcError has
     it in place of its basis and is not called again; ``bound_basis`` is None
     unless ``bound``, and a bound failure raises; ``solved[j]`` is policy j's
-    ``(converged, iterations)`` as in :class:`RateEstimate`.  A solve's
-    ``logdet_s`` gives its rate terms; otherwise a one-cell bank factors
-    ``S(W)``, and a cell of a larger bank reads the mean from the core's memo.
+    ``(converged, iterations)`` as in :class:`RateEstimate`.  A cell's rate
+    terms are ``-logdet S(W)`` from the core's memo, which a solve that
+    evaluated its W has already filled.
     """
     per_draw = len(bank.cells) == 1
     terms, bounds, solved = [[] for _ in ws], [], [(True, 0)] * len(ws)
@@ -361,17 +357,12 @@ def _evaluate(spec, bank, ws, bound=False, cores=None):
             if isinstance(terms[j], FdpcError):
                 continue
             try:
-                W, ld = w, None
+                W = w
                 if callable(w):
                     res = w(core, cell)
-                    W, ld = res.W, res.logdet_s
                     ok, n = solved[j]
-                    solved[j] = ok and bool(res.converged), max(n, res.iterations)
-                    del res  # its per-draw terms are not held through the next solve
-                if ld is None:
-                    W = check_inflation(spec, W)
-                    ld = core.logdet_s(W) if per_draw else core.mean_logdet_s(W)
-                terms[j].append(term(-ld))
+                    W, solved[j] = res.W, (ok and bool(res.converged), max(n, res.iterations))
+                terms[j].append(-term(core.logdet_s(check_inflation(spec, W))))
             except FdpcError as exc:  # its traceback would hold this cell's core
                 terms[j] = exc.with_traceback(None)
         del core

@@ -284,14 +284,19 @@ def test_alg2_scalar_fixed_point_equals_grid_minimizer(monkeypatch):
 
 
 class CountingCore(rate.CellCore):
-    """A cell core that records the ``(W, cols)`` of every ``schur`` call."""
+    """A cell core that records the ``(W, cols)`` of every ``schur`` call.
+
+    ``keys`` holds the memo key of every full-W call.
+    """
 
     def __init__(self, spec, draws):
         super().__init__(spec, draws)
-        self.calls = []
+        self.calls, self.keys = [], set()
 
     def schur(self, W, cols=None):
         self.calls.append((np.asarray(W).tobytes(), cols))
+        if cols is None:
+            self.keys.add(self._memo_key(W))
         return super().schur(W, cols)
 
 
@@ -311,7 +316,12 @@ def test_alg2_factors_each_point_once(snr_db):
     state = set(vars(core)) | {"_received"}
     res = inflation.alg2_solve(core, W0)
     assert set(vars(core)) == state  # the solve adds nothing to the core but its memo
-    assert all(np.ndim(mean) == 0 for mean in core._mean_logdet_s.values())
+    # the memo holds one read-only logdet S per draw, and its mean, for each S(W)
+    # the solve factored
+    assert set(core._logdet_s) == core.keys
+    for ld, mean in core._logdet_s.values():
+        assert ld.dtype == np.float64 and ld.shape == (len(H),) and not ld.flags.writeable
+        assert mean == np.mean(ld)
     assert len(core.calls) == 1 + res.iterations
     assert len(set(core.calls)) == len(core.calls)
     if snr_db == 80.0:
@@ -493,10 +503,10 @@ def test_best_initialization_factors_each_distinct_w_sigma_s_once(name, factored
     monkeypatch.setattr(rate, "logdet_pd", counting_logdet_pd)
     core = rate.CellCore(spec, H)
     inflation.best_initialization(core)
-    assert len(calls) == len(core._mean_logdet_s) == factored
+    assert len(calls) == len(core._logdet_s) == factored
     for form in inflation.CLOSED_FORMS.values():
         W = rate.check_inflation(spec, form(spec))
-        assert core.evaluate(W)[0] == rate.CellCore(spec, H).evaluate(W)[0]
+        assert core.evaluate(W) == rate.CellCore(spec, H).evaluate(W)
 
 
 def test_inflation_factors_equal_on_the_range_of_sigma_s_share_one_memo_entry(monkeypatch):
@@ -507,13 +517,15 @@ def test_inflation_factors_equal_on_the_range_of_sigma_s_share_one_memo_entry(mo
     N = np.array([[0.3, 0.0]])  # doubles W's first entry, keeping its sign
     assert not (N @ spec.sigma_s).any()
     core = rate.CellCore(spec, H)
-    obj, ld = core.evaluate(W)
+    obj = core.evaluate(W)
     monkeypatch.setattr(rate, "logdet_pd", None)  # a second factorization would raise
-    obj_n, ld_n = core.evaluate(W + N)
-    assert ld_n is None and obj_n == obj and len(core._mean_logdet_s) == 1
+    obj_n = core.evaluate(W + N)
+    assert core.logdet_s(W + N) is core.logdet_s(W)
+    assert obj_n == obj and len(core._logdet_s) == 1
     monkeypatch.undo()
-    fresh_obj, fresh_ld = rate.CellCore(spec, H).evaluate(W + N)
-    assert fresh_obj == obj and np.array_equal(fresh_ld, ld)
+    fresh = rate.CellCore(spec, H)
+    assert fresh.evaluate(W + N) == obj
+    assert np.array_equal(fresh.logdet_s(W + N), core.logdet_s(W))
 
 
 def test_solver_dominance_over_baselines():

@@ -368,31 +368,22 @@ class BuildLog:
 def test_each_full_w_is_factored_once_per_core(monkeypatch):
     """A sweep, a solve with its rate and a joint optimization build each (core, W) once.
 
-    The exceptions, each stated where it is asserted, are the builds that
-    need what the core does not keep, since it memoizes scalars only: the
-    per-draw rate terms of a one-cell bank at a W that only
-    ``best_initialization`` evaluated, and the ``C K`` stack of a point
-    (``schur``) at a W already scored for its objective.
+    The core's memo keeps ``logdet S(W)`` per draw, so the rate of a one-cell
+    bank reads what the start search or the solve left there.  The
+    exceptions, each stated where it is asserted, are the builds that need
+    the ``C K`` stack of a point (``schur``) at a W already scored for its
+    objective, which the memo does not hold.
     """
     log = BuildLog(monkeypatch)
     ref = lab.reference_channel("fdpc-2x2-a")
-    zero = np.zeros((1, 2)).tobytes()
     for label in ("none", "B=1"):
         rows = lab.run_sweep(ref.spec, ref.model, 4700, snr_db_list=(0.0, 10.0),
                              q_over_p=ref.q_over_p, solvers=("alg1", "zero"),
                              csit_list=(csit_from_label(label, ref.model),),
                              include_bound=True, n_outer=3, n_inner=200)
         assert not any(row.error for row in rows)
-        repeats = log.repeats()
-        if label == "B=1":
-            # the rates of a many-cell bank read the per-cell means from the memo
-            assert repeats == {}
-        else:
-            # the rate of a one-cell bank needs per-draw terms: the zero row's, and
-            # alg1's when its solve returns its start, both at best_initialization's W = 0
-            assert len(repeats) == 2 and {key for _, key in repeats} == {zero}
-            assert all(kinds in (["schur_s"] * 2, ["schur_s"] * 3)
-                       for kinds in repeats.values())
+        # the rate reads the memo, whether one cell's per-draw terms or many cells' means
+        assert log.repeats() == {}
 
     fig = lab.reference_channel("fdpc-fig4-2")
     spec = fig.spec.at_snr_db(10.0, fig.q_over_p)
@@ -420,25 +411,22 @@ def test_each_full_w_is_factored_once_per_core(monkeypatch):
 
 @pytest.mark.parametrize("method", ["alg1", "alg2", *inflation.CLOSED_FORMS])
 @pytest.mark.parametrize("ref_name", ["fdpc-2x2-a", "fdpc-fig4-2"])
-def test_solve_result_carries_the_rate_terms_at_its_w(method, ref_name):
-    """``SolveResult.logdet_s`` is bitwise what the core factors at ``W``."""
+def test_solve_result_carries_the_rate_terms_at_its_w(method, ref_name, monkeypatch):
+    """After a solve, the rate terms at its ``W`` are a memo hit, bitwise a fresh core's."""
     ref = lab.reference_channel(ref_name)
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700).cells[0].draws
-    W0 = rate.check_inflation(spec, inflation.best_initialization(rate.CellCore(spec, H)))
-    res = inflation.solve_w(rate.CellCore(spec, H), method)
-    if res.logdet_s is None:
-        # alg1 rolls back its first sweep on fdpc-2x2-a and returns its start, at which
-        # it evaluated nothing: the memo holds W0's mean only
-        assert (method, ref_name) == ("alg1", "fdpc-2x2-a")
-        assert res.iterations == 0 and res.W.tobytes() == W0.tobytes()
-        return
-    expected = rate.CellCore(spec, H).logdet_s(rate.check_inflation(spec, res.W))
-    assert res.logdet_s.tobytes() == expected.tobytes()
+    core = rate.CellCore(spec, H)
+    res = inflation.solve_w(core, method)
+    W = rate.check_inflation(spec, res.W)
+    monkeypatch.setattr(rate, "logdet_pd", None)  # a factorization would raise
+    ld = core.logdet_s(W)
+    monkeypatch.undo()
+    assert ld.tobytes() == rate.CellCore(spec, H).logdet_s(W).tobytes()
     assert res.objective_trace[-1] == rate.objective(spec, res.W, H)
 
 
-def test_memo_hit_is_the_fresh_cores_float():
+def test_memo_hit_is_the_fresh_cores_float(monkeypatch):
     """A memoized objective is the float a fresh core computes, whoever filled the memo."""
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(20.0, ref.q_over_p)
@@ -446,8 +434,11 @@ def test_memo_hit_is_the_fresh_cores_float():
     core = rate.CellCore(spec, H)
     W = rate.check_inflation(spec, inflation.w_pinv(spec))
     point_obj = rate.SchurPoint(core, W).objective  # fills the memo from a point
-    hit, ld = core.evaluate(W)
-    assert ld is None  # a hit factors nothing and keeps no per-draw terms
+    monkeypatch.setattr(rate, "logdet_pd", None)  # a hit factors nothing
+    hit = core.evaluate(W)
+    monkeypatch.undo()
     fresh = rate.CellCore(spec, H)
-    assert hit == point_obj == fresh.evaluate(W)[0] == rate.objective(spec, W, H)
-    assert core.mean_logdet_s(W) == np.mean(fresh.logdet_s(W))
+    assert hit == point_obj == fresh.evaluate(W) == rate.objective(spec, W, H)
+    assert np.mean(core.logdet_s(W)) == np.mean(fresh.logdet_s(W))
+    with pytest.raises(ValueError):  # the memo's entries are read-only
+        core.logdet_s(W)[0] = 0.0
