@@ -347,7 +347,11 @@ def best_initialization(core):
     """The first of the standard starting points with the least sample objective.
 
     The candidates are the perfect-CSIT W at the cell-mean H, then the
-    :data:`CLOSED_FORMS` in their order.
+    :data:`CLOSED_FORMS` in their order.  The cell-mean H is the one
+    reduction over the draws whose rounding follows their layout: numpy sums
+    along the draws axis pairwise when it is contiguous and in sequence
+    otherwise.  The core's draws are entry-major, so each entry's mean is a
+    pairwise sum over its contiguous length-n array.
     """
     spec, H = core.spec, core.H
     candidates = (w_perfect_csit(spec, H.mean(axis=0)),

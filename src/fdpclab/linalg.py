@@ -40,7 +40,9 @@ lower triangle and mirrored, with a real diagonal, so it is exactly
 Hermitian.  The stacks of the kernel and of the cell core
 (:mod:`fdpclab.rate`) are entry-major: an (n, k, l) view of a (k, l, n)
 array, so that each entry ``a[:, i, j]`` is contiguous, and the per-entry
-sums and means run over contiguous arrays.
+sums and means run over contiguous arrays.  So are the fading draws, from
+the sampler that makes them through the sample bank to the core that reads
+them (:func:`entry_major`), so no kernel makes a strided pass over a stack.
 """
 
 from functools import cached_property
@@ -177,6 +179,21 @@ def _subtract_total(b, terms, scale, out=None):
 def _entry_major(shape, dtype):
     """An empty array of the given shape (..., k, t), as a view of a (k, t, ...) array."""
     return np.moveaxis(np.empty(shape[-2:] + shape[:-2], dtype), (0, 1), (-2, -1))
+
+
+def entry_major(a, dtype=None):
+    """A stack ``a`` (n, k, t) as an entry-major stack of ``dtype``: ``a`` itself when it is one.
+
+    Entry-major means ``a.strides[0] == a.itemsize``, so each entry
+    ``a[:, i, j]`` is one contiguous array.  Any other stack, or one of
+    another dtype, is copied into an (n, k, t) view of a (k, t, n) array.
+    """
+    dtype = np.dtype(a.dtype if dtype is None else dtype)
+    if a.dtype == dtype and a.strides[0] == a.itemsize:
+        return a
+    out = _entry_major(a.shape, dtype)
+    out[...] = a
+    return out
 
 
 def _abs2(z):

@@ -41,7 +41,9 @@ upper triangle is its conjugate mirror, so they are exactly Hermitian
 without a symmetrization pass.  They are stored entry-major, each entry one
 contiguous length-n array, and handed out as (n, ., .) views; no BLAS call
 sees a length-n axis (see :mod:`fdpclab.linalg`, which holds every kernel
-over the draws).
+over the draws).  A bank's draws are entry-major too, and the core reads
+them without a copy; draws in another layout are copied entry-major once
+(:func:`fdpclab.model.as_field`).
 The core is valid for one ``T``, ``Ss``, ``Sz`` and stack of draws, and it is
 the one input that names them: the solvers, the maps and the covariance
 step take a core and read the spec, ``T`` and the draws from it.  The

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from fdpclab.model import (OPTIMAL_STEPS, ChannelSpec, CorrelatedRayleigh, Dimen
                            NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank,
                            _sample_h_batch, csit_from_label, exp_correlation,
                            quantize_H, random_psd, sample_H_given_Hhat)
+from fdpclab.rate import CellCore
 
 from conftest import bank_bytes, make_rng, quantizer_mse, rand_matrix, rand_psd, rand_spec
 
@@ -474,6 +476,52 @@ def test_bank_structure_contracts():
     for cell in perfect.cells:
         assert cell.draws.shape == (1, 2, 2)
         assert np.array_equal(cell.draws[0], cell.h_hat)
+
+
+# sha256 of bank_bytes (C-order bytes of every estimate and draw) of a 4 x 300 bank at
+# seed 2500 on a 3 x 2 spec, one per (fading model, CSIT) pair.  The digests were
+# recorded when the draws were still stored C-ordered, so they pin that the values
+# (and the order the random streams are consumed in) do not depend on the layout.
+GOLDEN_BANKS = {
+    ("iid_real", "none"): "ec464a8f45c8ec3c9eb171f0cc391ebb7e7866d1ea0887e54b9dbce47d24b444",
+    ("iid_real", "perfect"): "5aaf31ba4c828e8504d92e7b2a2227ffaccd0198b8d54123a96c573136fd0c26",
+    ("iid_real", "B=1"): "e6d29a33bf85fa9b925124d1f07abac7f9a7400951f48f75e62455d58bc5d2b8",
+    ("iid_real", "B=2"): "9d62bb29e650ac178b917ec4f24bc28c5594913909e5f948d0b2e84d10eeaa24",
+    ("iid_complex", "B=1"): "8afe9ef9c0c695f72a1beb65a3e1a3d70e303f81ed7fbbda8d3e31074b8b3d28",
+    ("correlated_rayleigh", "none"):
+        "3ff32ab744ad81fbe056d075a4dfe398e686d523391ac8195ad8972a76e95f72",
+}
+GOLDEN_IDS = [f"{fading}-{label}" for fading, label in GOLDEN_BANKS]
+FADINGS = {
+    "iid_real": IidRealGaussian(),
+    "iid_complex": IidComplexGaussian(),
+    "correlated_rayleigh": CorrelatedRayleigh(r_rx=exp_correlation(2, 0.5),
+                                              r_tx=exp_correlation(3, 0.7)),
+}
+
+
+def golden_bank(fading, label):
+    fading = FADINGS[fading]
+    spec = rand_spec(make_rng(21), 3, 2, 2, fading.field)
+    return spec, build_sample_bank(spec, fading, csit_from_label(label, fading), 4, 300,
+                                   seed=2500)
+
+
+@pytest.mark.parametrize("fading,label", list(GOLDEN_BANKS), ids=GOLDEN_IDS)
+def test_bank_draws_match_their_golden_digest(fading, label):
+    _, bank = golden_bank(fading, label)
+    digest = hashlib.sha256(bank_bytes(bank)).hexdigest()
+    assert digest == GOLDEN_BANKS[fading, label]
+
+
+@pytest.mark.parametrize("fading,label", list(GOLDEN_BANKS), ids=GOLDEN_IDS)
+def test_bank_draws_are_entry_major_and_read_by_the_core_in_place(fading, label):
+    spec, bank = golden_bank(fading, label)
+    for cell in bank.cells:
+        draws = cell.draws
+        assert draws.strides[0] == draws.itemsize  # each draws[:, i, j] is contiguous
+        assert not draws.flags.writeable
+        assert np.shares_memory(CellCore(spec, draws).H, draws)
 
 
 def test_bank_cells_record_their_csit_model():

@@ -130,6 +130,25 @@ def test_objective_mean_invariance(rng):
     assert doubled == pytest.approx(once, abs=1e-12)
 
 
+@pytest.mark.parametrize("field,label", [("real", "B=2"), ("complex", "B=1")])
+def test_core_terms_do_not_depend_on_the_layout_of_the_draws(field, label):
+    """The core's kernels on a bank's entry-major draws and on a C-ordered copy agree bitwise."""
+    fading = IidRealGaussian() if field == "real" else IidComplexGaussian()
+    spec = rand_spec(make_rng(31), 3, 2, 2, field)
+    draws = build_sample_bank(spec, fading, csit_from_label(label, fading), 1, 500,
+                              seed=32).cells[0].draws
+    c_order = np.ascontiguousarray(draws)
+    assert c_order.flags.c_contiguous and not draws.flags.c_contiguous
+    cores = [rate.CellCore(spec, draws), rate.CellCore(spec, draws)]
+    cores[1].H = c_order  # as_field would copy it entry-major; the kernels read it as given
+    for name in ("logdet_nr", "mean_K", "logdet_bound"):
+        assert np.array_equal(*(getattr(core, name) for core in cores)), name
+    for W in (inflation.w_zero(spec), inflation.w_pinv(spec),
+              rand_matrix(make_rng(33), (2, 3), field)):
+        W = rate.check_inflation(spec, W)
+        assert np.array_equal(*(core.logdet_s(W) for core in cores))
+
+
 def test_objective_rejects_empty():
     spec = rand_spec(make_rng(0), 2, 2, 1, "real")
     with pytest.raises(ConfigurationError):
