@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, SolverError
 from .linalg import DEFAULT_RANK_TOL, ct, hermitize
 from .model import PerfectCsit, as_field
-from .rate import SchurPoint, check_inflation, objective
+from .rate import SchurPoint, SchurRows, check_inflation, objective
 
 
 # Stopping rule of both solvers, read at call time: at most MAX_ITERS sweeps
@@ -138,7 +138,7 @@ def theoretical_scaling_pd(t, r):
 # Algorithm 1: row-wise surrogate minimization
 # ---------------------------------------------------------------------------
 
-def alg1_row_update(core, W, row):
+def alg1_row_update(core, W, row, rows=None):
     """Replace one row of W by the minimizer of its Jensen-bounded surrogate.
 
     The surrogate ``E(a - B* D^{-1} B)`` is an exact quadratic in the row;
@@ -146,7 +146,11 @@ def alg1_row_update(core, W, row):
     as T2 T2*), which also canonicalizes the row into that space.  With
     ``Wb``/``Cb``/``Sb`` the other rows' parts of ``W``, ``C`` and ``S(W)``,
     the expectations it needs are ``E Sb^{-1}``, ``E Sb^{-1} Cb K`` and
-    ``E(K + K Cb* Sb^{-1} Cb K)`` (just ``E K`` when m = 1).
+    ``E(K + K Cb* Sb^{-1} Cb K)`` (just ``E K`` when m = 1), read from the
+    :class:`fdpclab.rate.SchurPoint` of the other rows.  ``rows``, the
+    :class:`fdpclab.rate.SchurRows` of W when the caller keeps one
+    (:func:`alg1_solve` does), gives that point on views of its pieces;
+    without it the point forms them through ``core.schur``.
     """
     spec = core.spec
     W = check_inflation(spec, W)
@@ -166,7 +170,7 @@ def alg1_row_update(core, W, row):
     if rest:
         Wb = W[rest]
         try:
-            point = SchurPoint(core, Wb, rest)
+            point = SchurPoint(core, Wb, rest) if rows is None else rows.point(row)
         except EvaluationError:
             raise SolverError(f"singular D block in row update {row}",
                               row_index=row) from None
@@ -200,24 +204,37 @@ def alg1_solve(core, W0):
     accepted and stops it, converged.  Either way the last accepted W (or W0)
     is returned, not the best seen, and only the last trace step may rise.
 
+    For m >= 2 the solve keeps the current W's ``C K`` rows and ``S(W)``
+    entries (:class:`fdpclab.rate.SchurRows`): a row step reads the other
+    rows' pieces and then forms only its own row's, so a sweep forms m rows
+    of ``C K``.  The sweep's objective borders the last row step's Cholesky
+    factor by the last row, which gives ``logdet S(W)`` bitwise as a fresh
+    factor would, with no new factorization.
+
     Objectives come from the core's memo (:meth:`fdpclab.rate.CellCore.logdet_s`),
     so W0 scored by :func:`best_initialization` and a sweep that leaves W
     bitwise unchanged factor nothing, and the rate at the returned W reads
-    the per-draw terms its evaluation left there.
+    the per-draw terms its evaluation left there.  An accepted sweep drops the
+    memo entry of the iterate it replaced, unless that is W0, which the start
+    search and the closed forms share.
     """
     spec = core.spec
-    W = check_inflation(spec, W0)
+    W = W0 = check_inflation(spec, W0)
     trace = [core.evaluate(W)]
+    rows = SchurRows(core, W) if spec.dims.m > 1 else None
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_ITERS + 1):
         W_new = W
         for row in range(spec.dims.m):
-            W_new = alg1_row_update(core, W_new, row)
-        obj_new = core.evaluate(W_new)
+            W_new = alg1_row_update(core, W_new, row, rows)
+            if rows is not None:
+                rows.set_row(W_new, row)
+        obj_new = core.evaluate(W_new, None if rows is None else rows.factor())
         if obj_new > trace[-1] + TOL * max(1.0, abs(trace[-1])):
             sweeps -= 1  # rolled back: this sweep produced no iterate
             break
+        core.forget(W, W_new, W0)
         W = W_new
         trace.append(obj_new)
         if abs(trace[-1] - trace[-2]) < TOL * max(1.0, abs(trace[-2])):

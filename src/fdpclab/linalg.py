@@ -29,11 +29,11 @@ runs over a trailing axis of length k); it is meant for the small k
 
 No BLAS or LAPACK call runs on a stack of draws.  The products over a stack,
 :func:`mean_ct_product`, :func:`hermitian_products` (with its row
-:func:`hermitian_row`) and :func:`right_product`, are ufunc multiply-adds on
-one length-n array per matrix entry, like the kernel.  They round the same
-way whatever the BLAS thread count, and start no BLAS thread.  A product from
-the left, ``a x_n``, is :func:`right_product` on transposed views,
-``(x_n^T a^T)^T``.  :func:`mean_ct_product` and :func:`hermitian_products`
+:func:`hermitian_row`), :func:`product` and :func:`right_product`, are ufunc
+multiply-adds on one length-n array per matrix entry, like the kernel.  They
+round the same way whatever the BLAS thread count, and start no BLAS thread.
+A product from the left, ``a x_n``, is :func:`right_product` on transposed
+views, ``(x_n^T a^T)^T``.  :func:`mean_ct_product` and :func:`hermitian_products`
 conjugate the entries of a stack as they read them, so no caller makes a
 conjugate-transposed copy of a stack.  A Hermitian result is formed on its
 lower triangle and mirrored, with a real diagonal, so it is exactly
@@ -44,8 +44,6 @@ sums and means run over contiguous arrays.  So are the fading draws, from
 the sampler that makes them through the sample bank to the core that reads
 them (:func:`entry_major`), so no kernel makes a strided pass over a stack.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -72,45 +70,61 @@ class Cholesky:
     It gives the log-determinant, ``forward`` (``L^{-1} b``) and ``inv``, and no
     back substitution; see the module docstring for the contract.  Each entry
     of ``L`` is one array of the batch shape: ``L[i][j]`` for ``i > j`` and the
-    reciprocal diagonal ``r[j] = 1 / L_jj``.  The factor keeps the pivots
-    ``L_jj^2``, which give the log-determinant; ``r[k-1]`` enters no entry
-    of ``L``, so it is formed only when ``forward`` or ``inv`` first reads
-    it.  Each pivot is checked by its minimum and maximum; the element-wise
-    test that finds the first failing matrix runs only when one fails.
+    reciprocal diagonal ``r[j] = 1 / L_jj``.  The factor is formed row by row,
+    each row from the rows above it, so the factor of a leading block extends
+    to the whole matrix with the same arithmetic.  It keeps the pivots
+    ``L_jj^2``, which give the log-determinant; ``r[k-1]`` enters no entry of
+    ``L``, so it is formed only when ``forward`` or ``inv`` first reads it.
+    Each pivot is checked by its minimum and maximum; the element-wise test
+    that finds the first failing matrix runs only when one fails.
     ``forward`` and ``inv`` return entry-major views: a (..., k, t) view of a
     (k, t, ...) array, so each entry ``x[..., i, j]`` is one contiguous array.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, lead=None):
+        """Factor ``a``; ``lead``, the factor of its leading block when the caller has it, is extended.
+
+        Extending forms only the rows below ``lead`` (bordering; Golub & Van
+        Loan, *Matrix Computations*, 4.2) by the same arithmetic, so the
+        entries, pivots and log-determinant are bitwise those of a fresh
+        factor, and only the new pivots are checked.  ``lead`` is left as it is.
+        """
         a = np.asarray(a)
-        k = a.shape[-1]
-        L = [[None] * k for _ in range(k)]
-        r, pivots = [], []
+        self.dtype = np.result_type(a.dtype, float)
+        L, r, pivots = ([], [], []) if lead is None else (lead.L[:], lead._r[:], lead._d[:])
+        self.L, self._r, self._d = L, r, pivots
+        start = len(pivots)
         with np.errstate(invalid="ignore", divide="ignore"):
-            for j in range(k):
-                s = _total(_abs2(L[j][p]) for p in range(j))
-                d = np.array(a[..., j, j].real) if s is None else a[..., j, j].real - s
-                pivots.append(d)
-                if j + 1 < k:
-                    r.append(1.0 / np.sqrt(d))
-                for i in range(j + 1, k):
-                    L[i][j] = _subtract_total(a[..., i, j], (L[i][p] * L[j][p].conj()
-                                                             for p in range(j)), r[j])
-        if not all(d.size == 0 or (d.min() > 0 and d.max() < np.inf) for d in pivots):
+            for i in range(start, a.shape[-1]):
+                if len(r) < i:
+                    r.append(1.0 / np.sqrt(pivots[i - 1]))
+                row = []
+                for j in range(i):
+                    row.append(_subtract_total(a[..., i, j], (row[p] * L[j][p].conj()
+                                                              for p in range(j)), r[j]))
+                L.append(row)
+                s = _total(_abs2(v) for v in row)
+                pivots.append(np.array(a[..., i, i].real) if s is None else a[..., i, i].real - s)
+        new = pivots[start:]
+        if not all(d.size == 0 or (d.min() > 0 and d.max() < np.inf) for d in new):
             ok = True
-            for d in pivots:
+            for d in new:
                 ok = ok & (d > 0) & (d < np.inf)
             raise EvaluationError(
                 "Cholesky factorization failed: matrix not positive definite",
                 sample_index=int(np.argmin(ok.ravel())) if a.ndim > 2 else None,
             )
-        self.L, self._r, self.k, self._d = L, r, k, pivots
-        self.dtype = np.result_type(a.dtype, float)
 
-    @cached_property
+    @property
+    def k(self):
+        return len(self._d)
+
+    @property
     def r(self):
         """The reciprocal diagonal ``1 / L_jj``, its last entry formed on first use."""
-        return self._r + [1.0 / np.sqrt(d) for d in self._d[-1:]]
+        if len(self._r) < self.k:
+            self._r.append(1.0 / np.sqrt(self._d[-1]))
+        return self._r
 
     def logdet(self):
         """log-determinant of each matrix, batch shape."""
@@ -200,18 +214,19 @@ def _abs2(z):
     return (z.conj() * z).real
 
 
-def mean_ct_product(a, b):
+def mean_ct_product(a, b, hermitian=False):
     """``mean_n a_n* b_n`` for stacks ``a`` (n, j, i) and ``b`` (n, j, t), shape (i, t).
 
     Each entry is j multiply-adds on length-n arrays and one mean.  The j
     entries of column p of ``a`` are conjugated once, for row p of the
     result, so no conjugate-transposed copy of the stack is made; for an
-    exactly Hermitian ``a`` this is ``mean_n a_n b_n``.  For ``b is a`` (a Gram matrix) only
-    the lower triangle is formed: the upper triangle is its conjugate mirror
-    and the diagonal its real part, so the result is exactly Hermitian.
+    exactly Hermitian ``a`` this is ``mean_n a_n b_n``.  For a Hermitian
+    result, ``b is a`` (a Gram matrix) or ``hermitian`` (``a* S^{-1} a``, say),
+    only the lower triangle is formed: the upper triangle is its conjugate
+    mirror and the diagonal its real part, so the result is exactly Hermitian.
     """
     n, j, i = a.shape
-    gram = b is a
+    gram = hermitian or b is a
     out = np.empty((i, b.shape[2]), dtype=np.result_type(a, b))
     for p in range(i):
         a_p = [a[:, l, p].conj() for l in range(j)]  # conjugated once per output row
@@ -243,12 +258,13 @@ def hermitian_products(x, y, out, shift=None):
     return out
 
 
-def hermitian_row(x_i, y, out, i, shift=None):
+def hermitian_row(x_i, y, out, i, shift=None, cols=None):
     """Row i of :func:`hermitian_products` from ``x_i = x[:, i]`` (n, L) alone.
 
-    Fills ``out[:, i, j]`` for j <= i and mirrors each into ``out[:, j, i]``.
+    Fills ``out[:, i, j]`` for the columns ``cols``, all j <= i by default, and
+    mirrors each into ``out[:, j, i]``.
     """
-    for j in range(i + 1):
+    for j in range(i + 1) if cols is None else cols:
         v = np.multiply(x_i[:, 0], y[:, j, 0].conj(), out=out[:, i, j])
         for p in range(1, x_i.shape[1]):
             v += x_i[:, p] * y[:, j, p].conj()
@@ -258,6 +274,21 @@ def hermitian_row(x_i, y, out, i, shift=None):
             np.conjugate(v, out=out[:, j, i])
         elif np.iscomplexobj(v):
             v.imag = 0.0
+
+
+def product(a, b):
+    """``a_n b_n`` for stacks ``a`` (n, k, j) and ``b`` (n, j, t), entry-major (n, k, t).
+
+    Each entry is j multiply-adds on length-n arrays.
+    """
+    n, k, j = a.shape
+    out = _entry_major((n, k, b.shape[2]), np.result_type(a, b))
+    for i in range(k):
+        for c in range(b.shape[2]):
+            v = np.multiply(a[:, i, 0], b[:, 0, c], out=out[:, i, c])
+            for p in range(1, j):
+                v += a[:, i, p] * b[:, p, c]
+    return out
 
 
 def right_product(x, b):

@@ -24,8 +24,12 @@ r x r, whichever is smaller) determinant per draw.
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
-factor ``S(W)`` in a :class:`SchurPoint` per W and read their means from it;
-every factorization is one :class:`fdpclab.linalg.Cholesky` over the draws.
+factor ``S(W)`` in a :class:`SchurPoint` per W (per set of rows, for an
+``alg1`` row step) and read their means from it; every factorization is one
+:class:`fdpclab.linalg.Cholesky` over the draws.  An ``alg1`` solve keeps its
+W's ``C K`` rows and ``S(W)`` entries in a :class:`SchurRows`, forms only the
+changed row's after each row step, and scores a sweep by bordering the last
+row step's factor.
 The core is the one store of ``logdet S(W)`` per draw
 (:meth:`CellCore.logdet_s`), keyed on ``W Ss`` and ``W Ss W*``, the only
 terms of W that ``S(W)`` reads (with a p.s.d. ``Ss`` the rate depends on W
@@ -69,7 +73,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FdpcError
 from .linalg import (Cholesky, ct, hermitian_products, hermitian_row, hermitize, logdet_pd,
-                     mean_ct_product, psd_factor, right_product)
+                     mean_ct_product, product, psd_factor, right_product)
 from .model import as_field
 
 LN2 = float(np.log(2.0))
@@ -118,9 +122,10 @@ class CellCore:
     (t, t, n) array.  The memo of :meth:`logdet_s` is keyed on the bytes
     of ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same
     helper, so W with equal keys have bitwise-equal ``S(W)``.  It holds one
-    (n,) float64 and its mean per distinct ``S(W)`` for as long as the core
-    lives: at most the four starts of the start search plus ``MAX_ITERS``
-    per solve (:mod:`fdpclab.inflation`).
+    (n,) float64 and its mean per distinct ``S(W)`` until :meth:`forget`
+    drops it or the core is dropped: at most the four starts of the start
+    search plus, per solve, ``alg1``'s last iterate and rolled-back sweep or
+    ``alg2``'s up to ``MAX_ITERS`` candidates (:mod:`fdpclab.inflation`).
     """
 
     def __init__(self, spec, draws):
@@ -209,19 +214,39 @@ class CellCore:
         K = self._received[1]
         t, _, n = K.shape
         k = W.shape[0]
-        Tc = self.spec.T if cols is None else self.spec.T[:, cols]
-        w_ss, w_ss_w = self._inflation_terms(W)
-        C = ct(Tc) + w_ss
-        y, shift = -C[None], np.eye(k) + w_ss_w
+        C, shift = self._schur_terms(W, cols)
         ck = np.empty((k if keep_ck else 1, t, n), dtype=np.result_type(C, K))
         S = np.empty((k, k, n), dtype=ck.dtype).transpose(2, 0, 1)
+        rows = ck if keep_ck else [ck[0]] * k  # schur_s forms every row in one buffer
         for i in range(k):
-            row = ck[i if keep_ck else 0]
-            np.multiply(K[0], C[i, 0], out=row)
-            for a in range(1, t):
-                row += C[i, a] * K[a]
-            hermitian_row(row.T, y, S, i, shift)
+            self._schur_row(C, shift, rows, S, i)
         return (ck.transpose(2, 0, 1) if keep_ck else None), S
+
+    def _schur_terms(self, W, cols=None):
+        """``(C, I + W Ss W*)`` with ``C = T[:, cols]* + W Ss``, the small terms ``S(W)`` reads."""
+        w_ss, w_ss_w = self._inflation_terms(W)
+        Tc = self.spec.T if cols is None else self.spec.T[:, cols]
+        return ct(Tc) + w_ss, np.eye(W.shape[0]) + w_ss_w
+
+    def _schur_row(self, C, shift, ck, S, i, below=()):
+        """Form row i of ``C K`` in ``ck[i]``, a (t, n) block, and the entries of ``S`` it enters.
+
+        Those are row i of the lower triangle of ``S = shift - (C K) C*`` and,
+        for each l in ``below`` (rows whose ``ck[l]`` is held), the entry
+        ``S[l, i]``; each is mirrored.  An entry ``S[a, b]`` with a >= b is
+        always formed from row a of ``C K``, so, for the same ``C`` and
+        ``shift``, it is bitwise the same whichever of its rows was formed
+        last.  ``S`` is an (n, k, k) view.
+        """
+        K = self._received[1]
+        row = ck[i]
+        np.multiply(K[0], C[i, 0], out=row)
+        for a in range(1, K.shape[0]):
+            row += C[i, a] * K[a]
+        y = -C[None]
+        hermitian_row(row.T, y, S, i, shift)
+        for l in below:
+            hermitian_row(ck[l].T, y, S, l, shift, cols=(i,))
 
     def _inflation_terms(self, W):
         """``(W Ss, W Ss W*)``, all that ``S(W)`` reads of W."""
@@ -251,6 +276,12 @@ class CellCore:
         """
         return float(self.mean_logdet_nr + self._memo(W, factor)[1])
 
+    def forget(self, W, *keep):
+        """Drop the memo entry of W, unless one of the inflation factors ``keep`` shares its key."""
+        key = self._memo_key(W)
+        if all(key != self._memo_key(k) for k in keep):
+            self._logdet_s.pop(key, None)
+
     def _memo(self, W, factor):
         """``(logdet S(W) per draw, its mean)``; the mean is kept so a hit reduces nothing."""
         key = self._memo_key(W)
@@ -265,15 +296,17 @@ class CellCore:
 class SchurPoint:
     """``C K`` and ``S(W) = L L*`` from ``core.schur(W, cols)``, factored once.
 
-    An ``S`` that is not positive definite raises :class:`EvaluationError`.
-    The properties are computed on first use and cached on the point; the
+    ``pieces``, the ``(C K, S)`` views of W when the caller holds them (a
+    :class:`SchurRows` does), are factored in place of ``core.schur``.  An ``S``
+    that is not positive definite raises :class:`EvaluationError`.  The
+    properties are computed on first use and cached on the point; the
     objective hands the factor to the core's memo (:meth:`CellCore.evaluate`),
     which keeps ``logdet S`` per draw after the point is dropped.
     """
 
-    def __init__(self, core, W, cols=None):
+    def __init__(self, core, W, cols=None, pieces=None):
         self.core, self.W = core, W
-        self.ck, S = core.schur(W, cols)
+        self.ck, S = core.schur(W, cols) if pieces is None else pieces
         self.factor = Cholesky(S)
 
     @cached_property
@@ -282,20 +315,82 @@ class SchurPoint:
         return self.core.evaluate(self.W, self.factor)
 
     @cached_property
-    def means(self):
-        """``(E S^{-1}, E S^{-1} C K)``, shapes (k, k) and (k, t)."""
-        s_inv = self.factor.inv()  # exactly Hermitian, so S^{-1} = (S^{-1})*
-        return np.add.reduce(s_inv) / s_inv.shape[0], mean_ct_product(s_inv, self.ck)
+    def _s_inv(self):
+        return self.factor.inv()  # exactly Hermitian, so S^{-1} = (S^{-1})*
 
     @cached_property
-    def G(self):
-        """``L^{-1} C K`` per draw, so that ``(C K)* S^{-1} C K = G* G``."""
-        return self.factor.forward(self.ck)
+    def _Y(self):
+        """``Y = S^{-1} C K`` per draw, formed once from the inverse, shape (n, k, t)."""
+        return product(self._s_inv, self.ck)
+
+    @cached_property
+    def means(self):
+        """``(E S^{-1}, E Y)`` with ``Y = S^{-1} C K``, shapes (k, k) and (k, t)."""
+        n = self.ck.shape[0]
+        return np.add.reduce(self._s_inv) / n, np.add.reduce(self._Y) / n
 
     @cached_property
     def mean_gram(self):
-        """``E G* G = E (C K)* S^{-1} C K``, exactly Hermitian."""
-        return mean_ct_product(self.G, self.G)
+        """``E (C K)* Y = E (C K)* S^{-1} C K``, formed on its lower triangle, exactly Hermitian."""
+        return mean_ct_product(self.ck, self._Y, hermitian=True)
+
+    @cached_property
+    def G(self):
+        """``L^{-1} C K`` per draw, so that ``(C K)* S^{-1} = G* L^{-1}`` (the covariance gradient)."""
+        return self.factor.forward(self.ck)
+
+
+class SchurRows:
+    """The ``C K`` rows and ``S(W)`` entries of a full W whose rows change one at a time.
+
+    :func:`fdpclab.inflation.alg1_solve` keeps one for its whole solve, for
+    m >= 2.  They are stored entry-major, as (m, t, n) and (m, m, n) blocks
+    of one (m, t + m, n) array.  Row r's step reads the other rows' pieces as
+    views (:meth:`point`); after it, :meth:`set_row` forms only row r's new
+    ``C K`` row and its row and column of ``S``, by
+    :meth:`CellCore._schur_row` from the terms of the full W.  So after a
+    sweep every entry is bitwise the one :meth:`CellCore.schur_s` forms at
+    the current W, and :meth:`factor` borders the last row step's factor by
+    the last row instead of factoring ``S(W)`` again.
+    """
+
+    def __init__(self, core, W):
+        """Pieces of every row of W but the first, which the first row step replaces."""
+        K = core._received[1]
+        t, _, n = K.shape
+        m = W.shape[0]
+        self.core, self.m = core, m
+        buf = np.empty((m, t + m, n), dtype=np.result_type(core.spec.dtype, K))  # one allocation
+        self.ck, self.S = buf[:, :t], buf[:, t:].transpose(2, 0, 1)
+        self._last = None  # the point of the last row's step, until factor() reads it
+        C, shift = core._schur_terms(W)
+        for i in range(1, m):
+            core._schur_row(C, shift, self.ck, self.S, i)
+
+    def point(self, row):
+        """The :class:`SchurPoint` of the rows other than ``row``, on views of the pieces."""
+        rest = [i for i in range(self.m) if i != row]
+        if self.m <= 3:  # evenly spaced: a slice, so the pieces are views
+            rest = slice(rest[0], rest[-1] + 1, rest[-1] - rest[0] or 1)
+        point = SchurPoint(self.core, None, pieces=(self.ck.transpose(2, 0, 1)[:, rest],
+                                                    self.S[:, rest][:, :, rest]))
+        self._last = point if row == self.m - 1 else None
+        return point
+
+    def set_row(self, W, row):
+        """Form row ``row``'s pieces at W, which differs from the last W in that row only."""
+        C, shift = self.core._schur_terms(W)
+        self.core._schur_row(C, shift, self.ck, self.S, row, below=range(row + 1, self.m))
+
+    def factor(self):
+        """The :class:`Cholesky` factor of ``S(W)`` at the current W, or None.
+
+        It is the factor of the last row's step, whose other rows are the
+        leading block of ``S(W)``, bordered by that row; None when that step
+        built no point.
+        """
+        point, self._last = self._last, None
+        return None if point is None else Cholesky(self.S, lead=point.factor)
 
 
 def build_M(spec, W, H):

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdpclab import lab
+from fdpclab import inflation, lab
 from fdpclab.linalg import ct
 from fdpclab.model import (BankCell, ChannelSpec, NoCsit, PerfectCsit, SampleBank, _ndtr,
                            build_sample_bank)
-from fdpclab.rate import CellCore, _evaluate, build_M, estimate, paired_cov
+from fdpclab.rate import CellCore, _evaluate, build_M, check_inflation, estimate, paired_cov
 
 
 def make_rng(seed=0):
@@ -63,6 +63,33 @@ def ref_row_surrogate(spec, W, row, H):
     B = M[:, 1:, :1]
     quad = np.einsum("nio,nio->n", np.conj(B), np.linalg.solve(M[:, 1:, 1:], B))
     return float(np.mean(M[:, 0, 0].real - quad.real))
+
+
+def ref_alg1_solve(core, W0):
+    """``alg1_solve`` as a loop of standalone row steps, with its stopping rule (test reference).
+
+    Each row step builds the :class:`fdpclab.rate.SchurPoint` of the other
+    rows through ``core.schur``, and each sweep's objective is a plain
+    ``core.evaluate``, which factors ``core.schur_s``.  No memo entry is dropped.
+    """
+    W = check_inflation(core.spec, W0)
+    trace = [core.evaluate(W)]
+    converged, sweeps = False, 0
+    for sweeps in range(1, inflation.MAX_ITERS + 1):
+        W_new = W
+        for row in range(core.spec.dims.m):
+            W_new = inflation.alg1_row_update(core, W_new, row)
+        obj_new = core.evaluate(W_new)
+        if obj_new > trace[-1] + inflation.TOL * max(1.0, abs(trace[-1])):
+            sweeps -= 1
+            break
+        W = W_new
+        trace.append(obj_new)
+        if abs(trace[-1] - trace[-2]) < inflation.TOL * max(1.0, abs(trace[-2])):
+            converged = True
+            break
+    return inflation.SolveResult(W=W, objective_trace=tuple(trace), converged=converged,
+                                 iterations=sweeps)
 
 
 def degenerate_bank(H_list):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -394,6 +395,31 @@ def test_help_is_the_full_parsers(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out == full != ""
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_subcommand_call_builds_one_parser(name, monkeypatch, capsys):
+    """A known subcommand is parsed by its own parser alone; the full one only for ``--help``."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0 and built == [f"fdpclab {name}"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:  # a flag it does not take
+        main([name, "--bogus"])
+    assert exc.value.code == 2 and built == [f"fdpclab {name}"]
+    assert f"\nfdpclab {name}: error: " in capsys.readouterr().err
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 1 + len(SUBCOMMANDS)
 
 
 def test_threads_is_a_sweep_only_flag(tmp_path, capsys):

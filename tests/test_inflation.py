@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fdpclab import inflation, lab, rate
+from fdpclab import covopt, inflation, lab, rate
 from fdpclab.errors import ConfigurationError, EvaluationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
 from fdpclab.model import ChannelSpec, NoCsit, build_sample_bank
 
 from conftest import (IndefiniteCore, degenerate_bank, make_rng, rand_matrix, rand_spec,
-                      ref_row_surrogate)
+                      ref_alg1_solve, ref_row_surrogate)
 
 
 def scalar_spec(q, p=1.0, n=1.0):
@@ -264,6 +266,85 @@ def test_alg1_trace_non_increasing():
         res = inflation.alg1_solve(core, inflation.best_initialization(core))
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs <= 1e-7 * np.maximum(1.0, np.abs(res.objective_trace[:-1])))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_alg1_sweep_logdet_is_bitwise_a_fresh_factor(m, field, monkeypatch):
+    """The memo's ``logdet S(W)`` after a sweep, from the bordered factor, is a fresh factor's.
+
+    At m = 4 the rows other than a middle one are not evenly spaced, so the
+    row step reads them by index rather than as views.
+    """
+    rng = make_rng(60 + 10 * m + (field == "complex"))
+    t = max(3, m)
+    spec = rand_spec(rng, t, 2, m, field)
+    core = rate.CellCore(spec, rand_matrix(rng, (400, 2, t), field))
+    W0 = inflation.best_initialization(core)
+    monkeypatch.setattr(rate.CellCore, "schur_s", None)  # the sweeps factor nothing anew
+    res = inflation.alg1_solve(core, W0)
+    monkeypatch.undo()
+    assert res.iterations >= 1 and not np.array_equal(res.W, W0)
+    assert np.array_equal(core.logdet_s(res.W), logdet_pd(core.schur_s(res.W)))
+
+
+def alg1_case(name, snr_db, n):
+    """A reference channel's core on a 4700-seeded no-CSIT bank, at rank 3 for fdpc-rank-3x2."""
+    ref = lab.reference_channel(name)
+    spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+    if name == "fdpc-rank-3x2":  # the first step of jointopt --rank 3
+        spec = replace(spec, T=covopt._initial_factor(spec, 3))
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, n, seed=4700).cells[0].draws
+    return spec, H
+
+
+@pytest.mark.parametrize("name,snr_db,rolled_back", [
+    ("fdpc-3x2-a", 10.0, False), ("fdpc-fig4-2", 10.0, True),
+    ("fdpc-rank-3x2", -10.0, False), ("fdpc-rank-3x2", 30.0, True)])
+def test_alg1_solve_matches_the_row_step_loop_and_forms_m_rows_a_sweep(
+        name, snr_db, rolled_back, monkeypatch):
+    """The kept Schur pieces change the arithmetic, not the solve.
+
+    Against :func:`conftest.ref_alg1_solve` the iterations, the stop and the
+    trace length are equal, and W and the trace agree to 1e-12 relative.  Each
+    sweep forms m rows of ``C K`` (the start m - 1), and none of ``schur``
+    and ``schur_s`` runs.  The memo keeps W0 and the returned W, and no other
+    accepted iterate.
+    """
+    spec, H = alg1_case(name, snr_db, 1000)
+    m = spec.dims.m
+    W0 = inflation.best_initialization(rate.CellCore(spec, H))
+    ref = ref_alg1_solve(rate.CellCore(spec, H), W0)
+    core = rate.CellCore(spec, H)
+    core.evaluate(W0)
+    before = set(core._logdet_s)
+    log = []
+    schur_row, evaluate = rate.CellCore._schur_row, rate.CellCore.evaluate
+
+    def logged_row(*args, **kwargs):
+        log.append("row")
+        return schur_row(*args, **kwargs)
+
+    def logged_evaluate(*args, **kwargs):
+        log.append("eval")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(rate.CellCore, "_schur_row", logged_row)
+    monkeypatch.setattr(rate.CellCore, "evaluate", logged_evaluate)
+    monkeypatch.setattr(rate.CellCore, "schur", None)
+    monkeypatch.setattr(rate.CellCore, "schur_s", None)
+    res = inflation.alg1_solve(core, W0)
+    monkeypatch.undo()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert len(res.objective_trace) == len(ref.objective_trace)
+    assert res.converged is not rolled_back and res.iterations < inflation.MAX_ITERS
+    assert np.abs(res.W - ref.W).max() <= 1e-12 * np.abs(ref.W).max()
+    assert np.allclose(res.objective_trace, ref.objective_trace, rtol=1e-12, atol=0.0)
+    sweeps = res.iterations + rolled_back
+    assert log == ["eval"] + ["row"] * (m - 1) + (["row"] * m + ["eval"]) * sweeps
+    new = set(core._logdet_s) - before
+    assert core._memo_key(res.W) in new and core._memo_key(W0) in core._logdet_s
+    assert len(new) == 1 + rolled_back
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,24 @@ def test_inverse_is_exactly_hermitian(field):
     assert not np.einsum("nii->ni", inv).imag.any()
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_extending_a_leading_factor_is_bitwise_a_fresh_factor(k, field):
+    a = pd_stack(make_rng(20 + k + 10 * (field == "complex")), 64, k, 1e6, field)
+    lead = Cholesky(a[:, :k - 1, :k - 1])
+    lead.inv()  # forms the lead's last reciprocal pivot, which the extension reads
+    fresh, ext = Cholesky(a), Cholesky(a, lead=lead)
+    assert np.array_equal(ext.logdet(), fresh.logdet())
+    assert all(np.array_equal(x, y) for x, y in zip(ext._d, fresh._d))
+    assert np.array_equal(ext.inv(), fresh.inv())
+    assert lead.k == k - 1  # left as it is
+    bad = a.copy()
+    bad[5, k - 1, k - 1] = 0.0  # only the new pivot fails
+    with pytest.raises(EvaluationError) as exc:
+        Cholesky(bad, lead=lead)
+    assert exc.value.sample_index == 5
+
+
 def test_kernel_reads_only_lower_triangle_and_real_diagonal():
     a = pd_stack(make_rng(9), 8, 3, 1e3, "complex")
     junk = a.copy()

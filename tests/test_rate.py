@@ -388,10 +388,12 @@ def test_each_full_w_is_factored_once_per_core(monkeypatch):
     """A sweep, a solve with its rate and a joint optimization build each (core, W) once.
 
     The core's memo keeps ``logdet S(W)`` per draw, so the rate of a one-cell
-    bank reads what the start search or the solve left there.  The
-    exceptions, each stated where it is asserted, are the builds that need
-    the ``C K`` stack of a point (``schur``) at a W already scored for its
-    objective, which the memo does not hold.
+    bank reads what the start search or the solve left there.  The one
+    exception, stated where it is asserted, is ``alg2``'s start point, which
+    needs the ``C K`` stack (``schur``) at a W already scored for its
+    objective, which the memo does not hold.  An ``alg1`` sweep builds
+    neither, so the T-step's gradient point is the one build at the W that
+    solve returns.
     """
     log = BuildLog(monkeypatch)
     ref = lab.reference_channel("fdpc-2x2-a")
@@ -421,11 +423,8 @@ def test_each_full_w_is_factored_once_per_core(monkeypatch):
     spec = cov.spec.at_snr_db(30.0, cov.q_over_p)
     bank = build_sample_bank(cov.spec, cov.model, NoCsit(), 1, 300, seed=4700)
     res = covopt.joint_optimize(spec, bank, rank_bound=3, outer_iters=3, solver="alg1")
-    repeats = log.repeats()
-    # each T-step's gradient point needs C K at the W its W-solve returned
-    assert len(repeats) == len(res.rate_trace) - res.converged
-    assert all(kinds == ["schur_s", "schur"] for kinds in repeats.values())
-    assert len({core for core, _ in repeats}) == len(repeats)
+    assert len(res.rate_trace) - res.converged >= 1  # a T-step ran
+    assert log.repeats() == {}
 
 
 @pytest.mark.parametrize("method", ["alg1", "alg2", *inflation.CLOSED_FORMS])
