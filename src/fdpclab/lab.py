@@ -9,7 +9,11 @@ Every sweep cell is reproducible from (seed, config) alone: one bank per
 CSIT setting (fading draws do not depend on the transmit power, so the same
 bank serves every SNR — common random numbers).  Every rate, bound, slope
 and ratio is a reduction of :func:`evaluate_group`, one pass over a bank at
-one spec: per (csit, snr) group of a sweep, per endpoint of a slope.
+one spec: per (csit, snr) group of a sweep, per endpoint of a slope.  The
+banks of a sweep and of a low-SNR ratio have one
+:class:`fdpclab.rate.Workspace` each, made and dropped with the bank, so
+their cell cores at every SNR reuse one set of length-n stacks.  A slope's
+two cores allocate their own: a workspace there read 8-25 % slower.
 """
 
 import csv
@@ -24,7 +28,7 @@ from .linalg import ct, numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
                     IidComplexGaussian, IidRealGaussian, NoCsit, build_sample_bank,
                     exp_correlation, random_factor, random_psd)
-from .rate import _evaluate, estimate, paired_cov
+from .rate import Workspace, _evaluate, estimate, paired_cov
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
               "bound_bits", "n_outer", "n_inner", "seed"]
@@ -60,15 +64,17 @@ def resolve_w(spec, solver):
     return lambda core, cell: solve_w(core, solver, cell)
 
 
-def evaluate_group(spec, bank, solvers, *, bound):
+def evaluate_group(spec, bank, solvers, *, bound, workspace=None):
     """The named solvers' rates, and the bound if asked, in one pass over the bank at ``spec``.
 
     Returns ``(outcomes, bound_basis)`` as :func:`fdpclab.rate._evaluate`
     does, with ``outcomes[k] = (basis, converged, iterations)`` of
-    ``solvers[k]``; :func:`fdpclab.rate.estimate` reduces one.
+    ``solvers[k]``; :func:`fdpclab.rate.estimate` reduces one.  The cell
+    cores borrow their stacks from ``workspace``, the bank's, when given.
     """
     policies = [resolve_w(spec, solver) for solver in solvers]
-    bases, bound_basis, solved = _evaluate(spec, bank, policies, bound=bound)
+    bases, bound_basis, solved = _evaluate(spec, bank, policies, bound=bound,
+                                           workspace=workspace)
     return [(b, *fold) for b, fold in zip(bases, solved)], bound_basis
 
 
@@ -81,9 +87,13 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
     ``csit_list[i]`` has ``n_outer`` cells of ``n_inner`` draws and the seed
     ``derived_seed(seed, i)``; ``sigma_s`` is scaled to ``q_over_p`` times P.
     The unit of work is a (csit, snr) group, one :func:`evaluate_group`
-    call at the group's spec.  With one thread the groups of one bank
+    call at the group's spec.  Each bank has one :class:`fdpclab.rate.Workspace`,
+    built and dropped with it, whose stacks its groups' cell cores borrow one
+    core at a time.  With one thread the groups of one bank
     are evaluated before the next bank is built, so one bank is alive at a
-    time; ``threads > 1`` builds every bank up front and runs groups on a pool.
+    time; ``threads > 1`` builds every bank up front and runs groups on a
+    pool, and a core of a group that runs beside another of its bank gets
+    fresh stacks while that one holds the workspace.
     Failures become error rows (nan rates) and the sweep continues: a solver
     failure marks its row, a spec or bound failure every row of its group.
     Rows are in csit, snr, solver order regardless of thread count.
@@ -105,12 +115,13 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
         for ci, csit in enumerate(csit_list):
             bank = build_sample_bank(base_spec, model, csit, n_outer, n_inner,
                                      derived_seed(seed, ci))
+            workspace = Workspace()
             for snr in snr_db_list:
-                yield csit, bank, float(snr)
-            del bank  # freed before the next bank is built
+                yield csit, bank, workspace, float(snr)
+            del bank, workspace  # freed before the next bank is built
 
     def eval_group(group):
-        csit, bank, snr = group
+        csit, bank, workspace, snr = group
 
         def row(solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
                 error=None):
@@ -121,7 +132,8 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
 
         try:
             spec = base_spec.at_snr_db(snr, q_over_p)
-            outcomes, bound_basis = evaluate_group(spec, bank, solvers, bound=include_bound)
+            outcomes, bound_basis = evaluate_group(spec, bank, solvers, bound=include_bound,
+                                                   workspace=workspace)
             bound = estimate(bound_basis).rate_bits if include_bound else np.nan
         except FdpcError as exc:  # a spec or bound failure marks every row of the group
             outcomes, bound = [(exc,)] * len(solvers), np.nan
@@ -190,14 +202,16 @@ def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p, n_inner):
     """Ratio of the zero-inflation rate to the bound per SNR, common draws.
 
     Returns a list of ``(snr_db, ratio, stderr_ratio)`` rows; the stderr is
-    the delta-method propagation using the paired covariance.  An SNR at
+    the delta-method propagation using the paired covariance.  The cell
+    cores of every SNR borrow their stacks from one workspace.  An SNR at
     which the rate or the bound rounds to 0 bits raises EvaluationError.
     """
     bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
-    out = []
+    workspace, out = Workspace(), []
     for snr in snr_db_list:
         spec = base_spec.at_snr_db(float(snr), q_over_p)
-        (outcome,), bound_basis = evaluate_group(spec, bank, ("zero",), bound=True)
+        (outcome,), bound_basis = evaluate_group(spec, bank, ("zero",), bound=True,
+                                                 workspace=workspace)
         r_est, c_est = estimate(*outcome), estimate(bound_basis)
         cov = paired_cov(outcome[0], bound_basis)
         if r_est.rate_bits == 0.0 or c_est.rate_bits == 0.0:

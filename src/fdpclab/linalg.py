@@ -18,7 +18,8 @@ every per-draw log-determinant, forward substitution and inverse.  Its contract:
   back substitution, since ``b* A^{-1} c = (L^{-1} b)* (L^{-1} c)``;
 * ``forward`` and ``inv`` return entry-major results (below) and allocate
   no stack-sized array besides the one they return: their temporaries are
-  single entries of the batch shape.
+  single entries of the batch shape.  ``forward(b, out=...)`` writes into a
+  stack the caller holds and allocates none; ``out=b`` substitutes in place.
 
 It loops over the entries of the factor in Python with ufuncs over the
 whole stack, and its substitution and log-determinant likewise work one entry of
@@ -130,10 +131,15 @@ class Cholesky:
         """log-determinant of each matrix, batch shape."""
         return _total(np.log(d) for d in self._d)
 
-    def forward(self, b):
-        """``L^{-1} b`` for ``b`` of shape (..., k, t), one entry of the result at a time."""
+    def forward(self, b, out=None):
+        """``L^{-1} b`` for ``b`` of shape (..., k, t), one entry of the result at a time.
+
+        ``out``, a stack of b's shape and the result's dtype, receives the
+        result; it may be ``b`` itself, since entry (i, c) reads only entry
+        (i, c) of ``b`` and the entries above it in the result.
+        """
         L, r = self.L, self.r
-        y = _entry_major(b.shape, np.result_type(b, self.dtype))
+        y = _entry_major(b.shape, np.result_type(b, self.dtype)) if out is None else out
         for c in range(b.shape[-1]):
             for i in range(self.k):
                 _subtract_total(b[..., i, c], (L[i][p] * y[..., p, c] for p in range(i)),
@@ -291,22 +297,23 @@ def product(a, b):
     return out
 
 
-def right_product(x, b):
+def right_product(x, b, out=None):
     """``x_n b`` for a stack ``x`` (n, k, j) and a matrix ``b`` (j, l), shape (n, k, l).
 
     Each entry is j scaled-array adds on length-n arrays.  The result is
     entry-major: an (n, k, l) view of a (k, l, n) array, so each of its
-    entries is one contiguous array.
+    entries is one contiguous array.  ``out``, such a view that does not
+    overlap ``x``, receives it in place of a new array.
     """
     n, k, j = x.shape
-    out = np.empty((k, b.shape[1], n), dtype=np.result_type(x, b))
+    if out is None:
+        out = np.empty((k, b.shape[1], n), dtype=np.result_type(x, b)).transpose(2, 0, 1)
     for i in range(k):
         for c in range(b.shape[1]):
-            v = out[i, c]
-            np.multiply(x[:, i, 0], b[0, c], out=v)
+            v = np.multiply(x[:, i, 0], b[0, c], out=out[:, i, c])
             for p in range(1, j):
                 v += x[:, i, p] * b[p, c]
-    return out.transpose(2, 0, 1)
+    return out
 
 
 def logdet_pd(a):

@@ -56,7 +56,10 @@ covariance optimization builds one per outer step, since ``T`` changes.
 
 Every rate and bound comes from one loop over the bank's cells,
 :func:`_evaluate`: each cell's core serves the bound and then every W
-policy, so one core is alive at a time.  :func:`estimate` reduces a basis
+policy, so one core is alive at a time.  A sweep and a low-SNR ratio
+evaluate each bank at every SNR, and their cores borrow their length-n
+stacks from the bank's :class:`Workspace` instead of allocating their own.
+:func:`estimate` reduces a basis
 (the per-draw terms of a one-cell bank, the per-cell means otherwise) to
 its mean and standard error ``std(ddof=1)/sqrt(size)``, and
 :func:`paired_cov` two bases on the same draws to their covariance, for the
@@ -66,6 +69,9 @@ Internally everything is in nats; reported rates are in bits.  Reductions
 over samples run in a fixed order, so results are deterministic for a fixed
 bank, whatever the BLAS thread count.
 """
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,15 +106,57 @@ class RateEstimate:
     iterations: int = 0          # the most iterations of any cell's W solve
 
 
-def _covariance(H, sigma, sigma_z):
+def _covariance(H, sigma, sigma_z, core=None):
     """``H sigma H* + Sz`` for stacked H of shape (n, r, t), exactly Hermitian.
 
     The result is an entry-major (n, r, r) view; only the lower triangle of
-    ``sigma_z`` is read.
+    ``sigma_z`` is read.  It and the (n, r, t) scratch ``H sigma`` are
+    ``core``'s stacks 0 and 1 (:func:`_stack`).
     """
-    n, r, _ = H.shape
-    out = np.empty((r, r, n), dtype=np.result_type(H, sigma, sigma_z))
-    return hermitian_products(right_product(H, sigma), H, out.transpose(2, 0, 1), sigma_z)
+    n, r, t = H.shape
+    out = _stack(core, 0, (n, r, r), np.result_type(H, sigma, sigma_z))
+    scratch = _stack(core, 1, (n, r, t), np.result_type(H, sigma))
+    return hermitian_products(right_product(H, sigma, out=scratch), H, out, sigma_z)
+
+
+class Workspace:
+    """The length-n stacks of one bank's cell cores, lent to one live core at a time.
+
+    A sweep evaluates each bank at every SNR, so its cores have the same
+    shapes; with one workspace per bank they reuse these stacks instead of
+    each allocating and freeing its own.  A core takes them on its first
+    request (:func:`_stack`) and keeps them while it lives, which a weak
+    reference tells; a core that asks while another holds them, say on a
+    group of the same bank evaluated on another thread, gets fresh arrays.
+    """
+
+    def __init__(self):
+        self.stacks = {}      # slot -> a byte buffer, grown to the largest stack it held
+        self.holder = None    # weak reference to the core that holds them
+        self.lock = threading.Lock()
+
+
+def _stack(core, slot, shape, dtype):
+    """An uninitialized entry-major (n, k, l) stack for ``core``: its workspace's ``slot``, else new.
+
+    The workspace lends its slots when no other live core holds them; a
+    core without one (or None) gets a new array, in the order the calls
+    ask for them.  Slots 0 and 1 hold the stacks of one computation, dead
+    when it returns, so the next computation of the core reuses them;
+    ``"K"`` holds ``K``, which the core keeps.
+    """
+    ws = getattr(core, "workspace", None)
+    if ws is not None:
+        with ws.lock:
+            holder = ws.holder and ws.holder()
+            if holder is None or holder is core:
+                ws.holder = weakref.ref(core)
+                size = math.prod(shape) * np.dtype(dtype).itemsize
+                buf = ws.stacks.get(slot)
+                if buf is None or buf.size < size:
+                    buf = ws.stacks[slot] = np.empty(size, np.uint8)
+                return buf[:size].view(dtype).reshape(shape[1:] + shape[:1]).transpose(2, 0, 1)
+    return np.empty(shape[1:] + shape[:1], dtype).transpose(2, 0, 1)
 
 
 class CellCore:
@@ -119,8 +167,11 @@ class CellCore:
     computed on first use, the bound term only when the bound is asked for,
     and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
     row step reads, once per core.  ``K`` is stored entry-major as a
-    (t, t, n) array.  The memo of :meth:`logdet_s` is keyed on the bytes
-    of ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same
+    (t, t, n) array.  ``workspace``, the bank's :class:`Workspace`, lends
+    the core its length-n stacks: ``N_r`` and its scratch, which then holds
+    ``L^{-1} H``, ``K``, and the bound's ``X`` and ``E``; without one each
+    is allocated when it is needed.  The memo of :meth:`logdet_s` is keyed
+    on the bytes of ``W Ss`` and ``W Ss W*``, which :meth:`schur` forms by the same
     helper, so W with equal keys have bitwise-equal ``S(W)``.  It holds one
     (n,) float64 and its mean per distinct ``S(W)`` until :meth:`forget`
     drops it or the core is dropped: at most the four starts of the start
@@ -128,12 +179,13 @@ class CellCore:
     ``alg2``'s up to ``MAX_ITERS`` candidates (:mod:`fdpclab.inflation`).
     """
 
-    def __init__(self, spec, draws):
+    def __init__(self, spec, draws, workspace=None):
         H = as_field(draws, spec.field, "draws")
         if H.ndim != 3 or H.shape[0] == 0:
             raise ConfigurationError("inner_samples must be a nonempty (n, r, t) stack")
         self.spec = spec
         self.H = H
+        self.workspace = workspace
         self._logdet_s = {}  # _memo_key(W) of a full W -> (logdet S(W) per draw, its mean)
 
     @cached_property
@@ -141,13 +193,15 @@ class CellCore:
         H = self.H
         n, _, t = H.shape
         fac = Cholesky(_covariance(H, self.spec.T @ ct(self.spec.T) + self.spec.sigma_s,
-                                   self.spec.sigma_z))
-        Gt = fac.forward(H).transpose(0, 2, 1)  # G^T for G = L^{-1} H
-        K = np.empty((t, t, n), dtype=Gt.dtype)
+                                   self.spec.sigma_z, self))
+        fac.r  # formed first, so G's stack is allocated where forward(H) would allocate it
+        G = _stack(self, 1, H.shape, np.result_type(H, fac.dtype))  # the dead scratch
+        Gt = fac.forward(H, out=G).transpose(0, 2, 1)  # G^T for G = L^{-1} H
+        K = _stack(self, "K", (n, t, t), Gt.dtype)
         # K = G* G is Hermitian, so its transpose is G^T conj(G) = Gt Gt*
-        hermitian_products(Gt, Gt, K.transpose(2, 1, 0))
+        hermitian_products(Gt, Gt, K.transpose(0, 2, 1))
         logdet_nr = fac.logdet()
-        return logdet_nr, K, np.mean(logdet_nr)
+        return logdet_nr, K.transpose(1, 2, 0), np.mean(logdet_nr)
 
     @property
     def logdet_nr(self):
@@ -179,12 +233,16 @@ class CellCore:
         on its smaller side: ``X* X`` when m <= r, else ``X X*``.  By
         Sylvester's identity both equal ``logdet(H T T* H* + Sz) - logdet Sz``.
         """
-        X = Cholesky(self.spec.sigma_z).forward(right_product(self.H, self.spec.T))
+        H, T = self.H, self.spec.T
+        shape = H.shape[:2] + T.shape[1:]  # (n, r, m)
+        Lz = Cholesky(self.spec.sigma_z)
+        X = Lz.forward(right_product(H, T, out=_stack(self, 0, shape, np.result_type(H, T))),
+                       out=_stack(self, 1, shape, np.result_type(H, T, Lz.dtype)))
         if X.shape[2] <= X.shape[1]:
             # X^T conj(X) is the transpose of X* X, with the same pivots
             X = X.transpose(0, 2, 1)
         n, k, _ = X.shape
-        E = np.empty((k, k, n), dtype=X.dtype).transpose(2, 0, 1)
+        E = _stack(self, 0, (n, k, k), X.dtype)  # H T is dead by now
         return logdet_pd(hermitian_products(X, X, E, np.eye(k)))
 
     def schur(self, W, cols=None):
@@ -426,12 +484,14 @@ def objective(spec, W, inner_samples, core=None):
     return core.evaluate(W)
 
 
-def _evaluate(spec, bank, ws, bound=False, cores=None):
+def _evaluate(spec, bank, ws, bound=False, cores=None, workspace=None):
     """Rate bases of the W policies ``ws``, and the bound basis, over the bank's cells in nats.
 
     A policy is an (m, t) array or ``w(core, cell) -> SolveResult``.  Each
     cell's core (built here, or ``cores[i]``) serves the bound term and then
-    every policy, and is dropped before the next cell's.  A basis is the
+    every policy, and is dropped before the next cell's; a core built here
+    borrows its stacks from ``workspace``, the bank's :class:`Workspace`, when
+    given, so the next core takes them over.  A basis is the
     per-draw array of a one-cell bank, the per-cell means otherwise.  Returns
     ``(bases, bound_basis, solved)``: a policy that raises an FdpcError has
     it in place of its basis and is not called again; ``bound_basis`` is None
@@ -447,7 +507,7 @@ def _evaluate(spec, bank, ws, bound=False, cores=None):
         return x if per_draw else np.mean(x)
 
     for i, cell in enumerate(bank.cells):
-        core = cores[i] if cores is not None else CellCore(spec, cell.draws)
+        core = cores[i] if cores is not None else CellCore(spec, cell.draws, workspace)
         if bound:
             bounds.append(term(core.logdet_bound))
         for j, w in enumerate(ws):

@@ -78,10 +78,10 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
     built, held = [], []
     init = rate.CellCore.__init__
 
-    def counting_init(self, spec, draws):
+    def counting_init(self, spec, draws, *args, **kwargs):
         built.append((spec.P, id(draws)))
         held.append(draws)  # a freed bank's ids could be reused by the next one
-        init(self, spec, draws)
+        init(self, spec, draws, *args, **kwargs)
 
     monkeypatch.setattr(rate.CellCore, "__init__", counting_init)
     ref = lab.reference_channel("fdpc-2x2-a")
@@ -94,20 +94,25 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
 
 
 def test_sweep_holds_one_bank_at_a_time(monkeypatch):
-    """Bank i+1 is built after the last group of bank i, and bank i is freed by then."""
-    events, banks = [], []
+    """Bank i+1 is built after the last group of bank i, and bank i is freed by
+    then, with its workspace, which every group of bank i and no other uses."""
+    events, banks, workspaces = [], [], []
     build, evaluate = lab.build_sample_bank, lab.evaluate_group
 
     def recording_build(*args):
-        alive = [i for i, ref in enumerate(banks) if ref() is not None]
-        events.append(("build", len(banks), alive))
+        alive = [[i for i, ref in enumerate(refs) if ref() is not None]
+                 for refs in (banks, workspaces)]
+        events.append(("build", len(banks), *alive))
         bank = build(*args)
         banks.append(weakref.ref(bank))
         return bank
 
-    def recording_evaluate(spec, bank, solvers, *, bound):
+    def recording_evaluate(spec, bank, solvers, *, bound, workspace):
+        if len(workspaces) < len(banks):
+            workspaces.append(weakref.ref(workspace))
+        assert workspaces[-1]() is workspace
         events.append(("group", next(i for i, ref in enumerate(banks) if ref() is bank)))
-        return evaluate(spec, bank, solvers, bound=bound)
+        return evaluate(spec, bank, solvers, bound=bound, workspace=workspace)
 
     monkeypatch.setattr(lab, "build_sample_bank", recording_build)
     monkeypatch.setattr(lab, "evaluate_group", recording_evaluate)
@@ -117,9 +122,10 @@ def test_sweep_holds_one_bank_at_a_time(monkeypatch):
                       n_outer=2, n_inner=20)
     rows = lab.run_sweep(ref.spec, ref.model, seed=9, **plan)
     assert all(r.error is None for r in rows)
-    assert events == [("build", 0, []), ("group", 0), ("group", 0),
-                      ("build", 1, []), ("group", 1), ("group", 1),
-                      ("build", 2, []), ("group", 2), ("group", 2)]
+    assert events == [("build", 0, [], []), ("group", 0), ("group", 0),
+                      ("build", 1, [], []), ("group", 1), ("group", 1),
+                      ("build", 2, [], []), ("group", 2), ("group", 2)]
+    assert len(workspaces) == 3
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -148,11 +154,11 @@ def test_sweep_holds_one_cell_core_at_a_time(monkeypatch):
     alive, counts = [], []
     init = rate.CellCore.__init__
 
-    def tracking_init(self, spec, draws):
+    def tracking_init(self, spec, draws, *args, **kwargs):
         alive[:] = [core for core in alive if core() is not None]
         alive.append(weakref.ref(self))
         counts.append(len(alive))
-        init(self, spec, draws)
+        init(self, spec, draws, *args, **kwargs)
 
     monkeypatch.setattr(rate.CellCore, "__init__", tracking_init)
     ref = lab.reference_channel("fdpc-2x2-a")

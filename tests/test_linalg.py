@@ -175,3 +175,31 @@ def test_stack_products_match_einsum(n, field):
                 got = mean_ct_product(h, layout(x))
                 assert got.shape == (m, t)
                 assert norm_rel_err(got, np.einsum("nij,njk->ik", h, x) / n) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_forward_into_a_given_stack_is_bitwise_the_fresh_result(k, field):
+    """``forward(b, out=b)`` in place and ``forward(b, out=buf)`` give ``forward(b)``'s bits."""
+    rng = make_rng(400 + 10 * k + (field == "complex"))
+    a = pd_stack(rng, 16, k, 1e4, field)
+    for fac in (Cholesky(a), Cholesky(a[0])):  # a stack, and one matrix for a stack of b
+        b = entry_major(rand_matrix(rng, (16, k, 3), field))
+        want = fac.forward(b)
+        buf = entry_major(np.empty(b.shape, want.dtype))
+        assert fac.forward(b, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        got = fac.forward(b, out=b)
+        assert got is b and b.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_right_product_into_a_given_stack_is_bitwise_the_fresh_result(field):
+    rng = make_rng(500 + (field == "complex"))
+    for j in (1, 2, 3):
+        x = entry_major(rand_matrix(rng, (40, 2, j), field))
+        b = rand_matrix(rng, (j, 3), field)
+        want = right_product(x, b)
+        buf = entry_major(np.empty(want.shape, want.dtype))
+        assert right_product(x, b, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()

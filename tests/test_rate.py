@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -460,3 +463,83 @@ def test_memo_hit_is_the_fresh_cores_float(monkeypatch):
     assert np.mean(core.logdet_s(W)) == np.mean(fresh.logdet_s(W))
     with pytest.raises(ValueError):  # the memo's entries are read-only
         core.logdet_s(W)[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the workspace of a bank's cell cores
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ref_name", ["fdpc-2x2-a", "fdpc-fig4-2", "fdpc-3x2-b"])
+def test_successive_cores_of_a_group_share_the_workspace_stacks(ref_name):
+    """Every core of a group, at every SNR, reads ``K`` from the workspace's one
+    stack, and the bases are bitwise those of cores that allocate their own."""
+    ref = lab.reference_channel(ref_name)
+    bank = build_sample_bank(ref.spec, ref.model, QuantizedCsit.designed(1, ref.model), 3, 200,
+                             seed=4700)
+    workspace, Ks = rate.Workspace(), []
+
+    def policy(core, cell):
+        Ks.append(core._received[1])
+        return inflation.solve_w(core, "alg1", cell)
+
+    for snr_db in (0.0, 20.0):
+        spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
+        bases, bound, _ = rate._evaluate(spec, bank, [policy], bound=True, workspace=workspace)
+        want, want_bound, _ = rate._evaluate(spec, bank, [policy], bound=True)
+        assert bases[0].tobytes() == want[0].tobytes()
+        assert bound.tobytes() == want_bound.tobytes()
+    shared, own = Ks[0:3] + Ks[6:9], Ks[3:6] + Ks[9:12]  # per SNR: on the workspace, then not
+    assert all(np.shares_memory(K, shared[0]) for K in shared[1:])
+    assert not any(np.shares_memory(K, shared[0]) for K in own)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_live_core_keeps_its_stacks_while_another_is_built(field):
+    """A core that outlives the next core on its workspace keeps its own stacks: its
+    terms stay bitwise those of a core without a workspace, and the next core's
+    stacks are fresh until the first core is dropped."""
+    rng = make_rng(11 + (field == "complex"))
+    spec = rand_spec(rng, 3, 2, 2, field)
+    H1, H2 = (rand_matrix(rng, (300, 2, 3), field) for _ in range(2))
+    W = rand_matrix(rng, (2, 3), field)
+    workspace = rate.Workspace()
+    first = rate.CellCore(spec, H1, workspace)
+    bound, ld = first.logdet_bound.copy(), first.logdet_s(W).copy()
+    K = first._received[1]
+    second = rate.CellCore(spec, H2, workspace)
+    second.logdet_bound, second.logdet_s(W)
+    assert not np.shares_memory(second._received[1], K)
+    del first.logdet_bound  # the terms again, from first's stacks
+    first._logdet_s.clear()
+    alone = rate.CellCore(spec, H1)  # and from fresh ones
+    assert first.logdet_bound.tobytes() == bound.tobytes() == alone.logdet_bound.tobytes()
+    assert first.logdet_s(W).tobytes() == ld.tobytes() == alone.logdet_s(W).tobytes()
+    del first, K
+    third = rate.CellCore(spec, H2, workspace)
+    assert np.shares_memory(third._received[1], workspace.stacks["K"])
+    assert third._received[1].tobytes() == second._received[1].tobytes()
+
+
+def test_groups_on_threads_sharing_a_workspace_give_the_serial_bases():
+    """Groups of one bank on more threads than cores, switching threads often, each
+    get bitwise the bases they get alone: no core reads stacks another core holds."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    bank = build_sample_bank(ref.spec, ref.model, QuantizedCsit.designed(1, ref.model), 4, 300,
+                             seed=4700)
+    specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 10.0, 20.0)] * 2
+
+    def group(spec, workspace=None):
+        outcomes, bound = lab.evaluate_group(spec, bank, ("alg1", "zero"), bound=True,
+                                             workspace=workspace)
+        return [o[0].tobytes() for o in outcomes] + [bound.tobytes()]
+
+    want = [group(spec) for spec in specs]
+    workspace, interval = rate.Workspace(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(group, spec, workspace) for spec in specs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
