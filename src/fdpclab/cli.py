@@ -100,7 +100,8 @@ def cmd_rate(args):
     spec = exp.spec_at()
     bank = _bank_for(exp)
     # one evaluation: the solve, the rate and the bound share each cell's core
-    (outcome,), bound_basis = lab.evaluate_group(spec, bank, (args.solver,), bound=True)
+    ((outcome,), bound_basis), = lab.evaluate_group((spec,), bank.cells, (args.solver,),
+                                                     bound=True)
     est, bound = estimate(*outcome), estimate(bound_basis)
     payload = {
         "rate_bits": est.rate_bits,
@@ -243,7 +244,7 @@ def _sweep_args(p):
     p.add_argument("--csit", help="comma list of none, perfect, B=1, B=2, ...")
     p.add_argument("--no-bound", action="store_true")
     p.add_argument("--threads", type=int, default=1,
-                   help="evaluate sweep cells on this many threads")
+                   help="evaluate the CSIT settings in parallel on this many threads")
 
 
 def _scaling_args(p):

@@ -8,12 +8,11 @@ name so results stay stable across runs.
 Every sweep cell is reproducible from (seed, config) alone: one bank per
 CSIT setting (fading draws do not depend on the transmit power, so the same
 bank serves every SNR — common random numbers).  Every rate, bound, slope
-and ratio is a reduction of :func:`evaluate_group`, one pass over a bank at
-one spec: per (csit, snr) group of a sweep, per endpoint of a slope.  The
-banks of a sweep and of a low-SNR ratio have one
-:class:`fdpclab.rate.Workspace` each, made and dropped with the bank, so
-their cell cores at every SNR reuse one set of length-n stacks.  A slope's
-two cores allocate their own: a workspace there read 8-25 % slower.
+and ratio is a reduction of :func:`evaluate_group`, one pass over a bank's
+cells at every SNR: per CSIT setting of a sweep, and once for a slope or a
+low-SNR ratio.  The pass draws each cell, evaluates it at every SNR and
+drops it, so a sweep holds one cell at a time, never a bank;
+:func:`fdpclab.rate._evaluate` owns the workspace its cell cores share.
 """
 
 import csv
@@ -25,10 +24,10 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, FdpcError
 from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling
 from .linalg import ct, numerical_rank
-from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh,
-                    IidComplexGaussian, IidRealGaussian, NoCsit, build_sample_bank,
-                    exp_correlation, random_factor, random_psd)
-from .rate import Workspace, _evaluate, estimate, paired_cov
+from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, IidComplexGaussian,
+                    IidRealGaussian, NoCsit, PerfectCsit, exp_correlation, random_factor,
+                    random_psd, sample_cells)
+from .rate import _evaluate, estimate, paired_cov
 
 CSV_HEADER = ["snr_db", "csit", "solver", "rate_bits", "stderr_bits",
               "bound_bits", "n_outer", "n_inner", "seed"]
@@ -64,18 +63,14 @@ def resolve_w(spec, solver):
     return lambda core, cell: solve_w(core, solver, cell)
 
 
-def evaluate_group(spec, bank, solvers, *, bound, workspace=None):
-    """The named solvers' rates, and the bound if asked, in one pass over the bank at ``spec``.
+def evaluate_group(specs, cells, solvers, *, bound):
+    """The named solvers' rates, and the bound if asked, at each spec in one pass over the cells.
 
-    Returns ``(outcomes, bound_basis)`` as :func:`fdpclab.rate._evaluate`
-    does, with ``outcomes[k] = (basis, converged, iterations)`` of
-    ``solvers[k]``; :func:`fdpclab.rate.estimate` reduces one.  The cell
-    cores borrow their stacks from ``workspace``, the bank's, when given.
+    Returns one ``(outcomes, bound_basis)`` per spec as :func:`fdpclab.rate._evaluate`
+    does, ``outcomes[k]`` of ``solvers[k]``; :func:`fdpclab.rate.estimate` reduces one.
     """
-    policies = [resolve_w(spec, solver) for solver in solvers]
-    bases, bound_basis, solved = _evaluate(spec, bank, policies, bound=bound,
-                                           workspace=workspace)
-    return [(b, *fold) for b, fold in zip(bases, solved)], bound_basis
+    policies = [[resolve_w(spec, solver) for solver in solvers] for spec in specs]
+    return _evaluate(specs, cells, policies, bound=bound)
 
 
 def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_list,
@@ -83,19 +78,14 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
     """Evaluate every (snr, csit, solver) cell of the lists, solvers named as in
     :data:`fdpclab.inflation.SOLVERS`.
 
-    The lists and names are checked before any bank is built.  The bank of
+    The lists and names are checked before any cell is drawn.  The bank of
     ``csit_list[i]`` has ``n_outer`` cells of ``n_inner`` draws and the seed
     ``derived_seed(seed, i)``; ``sigma_s`` is scaled to ``q_over_p`` times P.
-    The unit of work is a (csit, snr) group, one :func:`evaluate_group`
-    call at the group's spec.  Each bank has one :class:`fdpclab.rate.Workspace`,
-    built and dropped with it, whose stacks its groups' cell cores borrow one
-    core at a time.  With one thread the groups of one bank
-    are evaluated before the next bank is built, so one bank is alive at a
-    time; ``threads > 1`` builds every bank up front and runs groups on a
-    pool, and a core of a group that runs beside another of its bank gets
-    fresh stacks while that one holds the workspace.
+    The unit of work is a CSIT setting, one :func:`evaluate_group` call at
+    every SNR, which holds one cell at a time; ``threads > 1`` runs the
+    settings on a pool.
     Failures become error rows (nan rates) and the sweep continues: a solver
-    failure marks its row, a spec or bound failure every row of its group.
+    failure marks its row, a spec or bound failure every row of its SNR.
     Rows are in csit, snr, solver order regardless of thread count.
     """
     if not snr_db_list or not solvers or not csit_list:
@@ -110,48 +100,45 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
                                  f" known: {', '.join(SOLVERS)}")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-
-    def groups():
-        for ci, csit in enumerate(csit_list):
-            bank = build_sample_bank(base_spec, model, csit, n_outer, n_inner,
-                                     derived_seed(seed, ci))
-            workspace = Workspace()
-            for snr in snr_db_list:
-                yield csit, bank, workspace, float(snr)
-            del bank, workspace  # freed before the next bank is built
-
-    def eval_group(group):
-        csit, bank, workspace, snr = group
-
-        def row(solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
-                error=None):
-            return SweepRow(snr_db=snr, csit=csit.label, solver=solver,
-                            rate_bits=rate_bits, stderr_bits=stderr_bits,
-                            bound_bits=bound_bits, n_outer=bank.n_outer,
-                            n_inner=bank.n_inner, seed=bank.seed, error=error)
-
+    specs = []
+    for snr in snr_db_list:
         try:
-            spec = base_spec.at_snr_db(snr, q_over_p)
-            outcomes, bound_basis = evaluate_group(spec, bank, solvers, bound=include_bound,
-                                                   workspace=workspace)
-            bound = estimate(bound_basis).rate_bits if include_bound else np.nan
-        except FdpcError as exc:  # a spec or bound failure marks every row of the group
-            outcomes, bound = [(exc,)] * len(solvers), np.nan
+            specs.append(base_spec.at_snr_db(float(snr), q_over_p))
+        except FdpcError as exc:  # a spec failure marks every row of its SNR
+            specs.append(exc)
+    built = [spec for spec in specs if not isinstance(spec, FdpcError)]
+
+    def sweep_csit(ci):
+        csit, bank_seed = csit_list[ci], derived_seed(seed, ci)
+        cells = sample_cells(base_spec, model, csit, n_outer, n_inner, bank_seed)
+        n_draws = 1 if isinstance(csit, PerfectCsit) else n_inner
+        groups = iter(evaluate_group(built, cells, solvers, bound=include_bound))
+
+        def row(snr, solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
+                error=None):
+            return SweepRow(snr_db=float(snr), csit=csit.label, solver=solver,
+                            rate_bits=rate_bits, stderr_bits=stderr_bits, bound_bits=bound_bits,
+                            n_outer=len(cells), n_inner=n_draws, seed=bank_seed, error=error)
+
         rows = []
-        for solver, outcome in zip(solvers, outcomes):
-            try:
-                est = estimate(*outcome)
-                rows.append(row(solver, est.rate_bits, est.stderr_bits, bound))
-            except FdpcError as exc:
-                rows.append(row(solver, error=str(exc)))
+        for snr, spec in zip(snr_db_list, specs):
+            failed = isinstance(spec, FdpcError)
+            outcomes, bound_basis = ([(spec,)] * len(solvers), None) if failed else next(groups)
+            for solver, outcome in zip(solvers, outcomes):
+                try:  # a bound failure is every outcome's, so the bound is read after them
+                    est = estimate(*outcome)
+                    bound = estimate(bound_basis).rate_bits if include_bound else np.nan
+                    rows.append(row(snr, solver, est.rate_bits, est.stderr_bits, bound))
+                except FdpcError as exc:
+                    rows.append(row(snr, solver, error=str(exc)))
         return rows
 
-    if threads == 1:  # map drops each group once it is evaluated
-        return [row for rows in map(eval_group, groups()) for row in rows]
+    if threads == 1:
+        return [row for ci in range(len(csit_list)) for row in sweep_csit(ci)]
     from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool runs
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # builds every bank up front
-        return [row for rows in pool.map(eval_group, groups()) for row in rows]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [row for rows in pool.map(sweep_csit, range(len(csit_list))) for row in rows]
 
 
 def format_sweep_csv(rows):
@@ -184,9 +171,9 @@ def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed, q_over_p, n_
     lo, hi = snr_db_pair
     if not hi > lo or lo < 30.0:
         raise ConfigurationError("slope window must satisfy hi > lo >= 30 dB")
-    bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
-    lo_out, hi_out = (evaluate_group(base_spec.at_snr_db(snr, q_over_p), bank, (w_choice,),
-                                     bound=False)[0][0] for snr in (lo, hi))
+    cells = sample_cells(base_spec, model, NoCsit(), 1, n_inner, seed)
+    specs = [base_spec.at_snr_db(snr, q_over_p) for snr in (lo, hi)]
+    ((lo_out,), _), ((hi_out,), _) = evaluate_group(specs, cells, (w_choice,), bound=False)
     r_lo, r_hi, dlog_p = estimate(*lo_out), estimate(*hi_out), (hi - lo) / 10.0 * np.log2(10.0)
     var = r_lo.stderr_bits ** 2 + r_hi.stderr_bits ** 2 - 2.0 * paired_cov(lo_out[0], hi_out[0])
     return (r_hi.rate_bits - r_lo.rate_bits) / dlog_p, float(np.sqrt(max(var, 0.0))) / dlog_p
@@ -202,16 +189,15 @@ def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p, n_inner):
     """Ratio of the zero-inflation rate to the bound per SNR, common draws.
 
     Returns a list of ``(snr_db, ratio, stderr_ratio)`` rows; the stderr is
-    the delta-method propagation using the paired covariance.  The cell
-    cores of every SNR borrow their stacks from one workspace.  An SNR at
-    which the rate or the bound rounds to 0 bits raises EvaluationError.
+    the delta-method propagation using the paired covariance, from one pass
+    over the bank at every SNR.  An SNR at which the rate or the bound rounds
+    to 0 bits raises EvaluationError.
     """
-    bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)
-    workspace, out = Workspace(), []
-    for snr in snr_db_list:
-        spec = base_spec.at_snr_db(float(snr), q_over_p)
-        (outcome,), bound_basis = evaluate_group(spec, bank, ("zero",), bound=True,
-                                                 workspace=workspace)
+    cells = sample_cells(base_spec, model, NoCsit(), 1, n_inner, seed)
+    specs = [base_spec.at_snr_db(float(snr), q_over_p) for snr in snr_db_list]
+    out = []
+    for snr, ((outcome,), bound_basis) in zip(snr_db_list, evaluate_group(
+            specs, cells, ("zero",), bound=True)):
         r_est, c_est = estimate(*outcome), estimate(bound_basis)
         cov = paired_cov(outcome[0], bound_basis)
         if r_est.rate_bits == 0.0 or c_est.rate_bits == 0.0:

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 Sampling is pure given an explicit generator; sample banks derive one
 independent stream per outer cell from ``(seed, cell_index)`` so that the
-bank is a deterministic function of its arguments.
+bank is a deterministic function of its arguments, each cell drawn alone.
 
 Quantized CSIT draws each entry of H from a normal truncated to one
 quantizer bin, by inverse CDF.  The normal CDF and the lower half of its
@@ -482,9 +482,8 @@ def _sample_truncated_real(values, csit, sigma_c, rng, shape):
     """
     k = csit.bin_index(values).ravel()
     n = shape[0]
-    # Block-wise, not one whole transposed copy: on sweep-quantized it keeps peak RSS
-    # about 0.2 MB lower at the same page faults, now that the sweep's cell cores share
-    # a workspace (before that, it cost about 9 600 more faults per call).
+    # Block-wise, not one whole transposed copy: it kept sweep-quantized's peak RSS about
+    # 0.2 MB lower.
     by_entry = np.empty((k.size, n))
     step = max(1, _BLOCK // k.size)  # draws per block, in the stream's order
     for j in range(0, n, step):
@@ -576,13 +575,14 @@ def _freeze(a):
     return a
 
 
-def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
-    """Deterministic nested bank of fading draws for the given CSIT model.
+def sample_cells(spec, model, csit, n_outer, n_inner, seed):
+    """The cells of a deterministic nested bank of fading draws, drawn one at a time.
 
     Perfect CSIT yields ``n_outer`` cells of one draw each with ``h_hat``
     equal to the draw; no CSIT collapses to a single cell of ``n_inner``
     unconditional draws; quantized CSIT draws an estimate per cell and
-    ``n_inner`` conditional draws inside it.
+    ``n_inner`` conditional draws inside it.  The arguments are checked on
+    the call; the returned sequence draws cell i each time it is read.
     """
     if n_outer < 1 or n_inner < 1:
         raise ConfigurationError("sample counts must be >= 1")
@@ -590,27 +590,39 @@ def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
         raise ConfigurationError(
             f"fading model field {model.field!r} does not match spec field {spec.field!r}"
         )
-    dims = spec.dims
-    cells = []
-    if isinstance(csit, NoCsit):
-        rng = _cell_rng(seed, 0)
-        draws = _sample_h_batch(model, dims, rng, n_inner)
-        cells.append(BankCell(h_hat=None, draws=_freeze(draws), csit=csit))
-    elif isinstance(csit, PerfectCsit):
-        for i in range(n_outer):
-            rng = _cell_rng(seed, i)
-            h = _sample_h_batch(model, dims, rng, 1)
-            cells.append(BankCell(h_hat=_freeze(h[0]), draws=_freeze(h), csit=csit))
-    elif isinstance(csit, QuantizedCsit):
-        for i in range(n_outer):
-            rng = _cell_rng(seed, i)
-            h_raw = _sample_h_batch(model, dims, rng, 1)[0]
-            h_hat = quantize_H(h_raw, csit)
-            draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=n_inner)
-            cells.append(BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws), csit=csit))
-    else:
+    if not isinstance(csit, (NoCsit, PerfectCsit, QuantizedCsit)):
         raise ConfigurationError(f"unknown CSIT model {csit!r}")
-    return SampleBank(cells=tuple(cells), seed=int(seed))
+    return _Cells(spec.dims, model, csit, n_inner, seed,
+                  1 if isinstance(csit, NoCsit) else n_outer)
+
+
+class _Cells:
+    """A bank's cells, a sequence; cell i is drawn from its own stream each time it is read."""
+
+    def __init__(self, dims, model, csit, n_inner, seed, n_cells):
+        self._args, self._n = (dims, model, csit, n_inner, seed), n_cells
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        dims, model, csit, n_inner, seed = self._args
+        rng = _cell_rng(seed, range(self._n)[i])
+        if isinstance(csit, NoCsit):
+            draws = _sample_h_batch(model, dims, rng, n_inner)
+            return BankCell(h_hat=None, draws=_freeze(draws), csit=csit)
+        h = _sample_h_batch(model, dims, rng, 1)
+        if isinstance(csit, PerfectCsit):
+            return BankCell(h_hat=_freeze(h[0]), draws=_freeze(h), csit=csit)
+        h_hat = quantize_H(h[0], csit)
+        draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=n_inner)
+        return BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws), csit=csit)
+
+
+def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
+    """The bank of every cell :func:`sample_cells` draws, held at once."""
+    return SampleBank(cells=tuple(sample_cells(spec, model, csit, n_outer, n_inner, seed)),
+                      seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,11 @@ step take a core and read the spec, ``T`` and the draws from it.  The
 covariance optimization builds one per outer step, since ``T`` changes.
 :func:`build_M` is the direct form, kept as the tests' reference.
 
-Every rate and bound comes from one loop over the bank's cells,
-:func:`_evaluate`: each cell's core serves the bound and then every W
-policy, so one core is alive at a time.  A sweep and a low-SNR ratio
-evaluate each bank at every SNR, and their cores borrow their length-n
-stacks from the bank's :class:`Workspace` instead of allocating their own.
+Every rate and bound comes from one loop over a bank's cells at one or
+more specs, :func:`_evaluate`: each cell is read once and serves one core
+per spec, which serves the bound and then every W policy.  One core and one
+cell are alive at a time, so a pass over :func:`fdpclab.model.sample_cells`
+never holds a bank; the cores borrow their stacks from a :class:`Workspace`.
 :func:`estimate` reduces a basis
 (the per-draw terms of a one-cell bank, the per-cell means otherwise) to
 its mean and standard error ``std(ddof=1)/sqrt(size)``, and
@@ -70,7 +70,6 @@ over samples run in a fixed order, so results are deterministic for a fixed
 bank, whatever the BLAS thread count.
 """
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,20 +119,16 @@ def _covariance(H, sigma, sigma_z, core=None):
 
 
 class Workspace:
-    """The length-n stacks of one bank's cell cores, lent to one live core at a time.
+    """The length-n stacks of one :func:`_evaluate` call's cell cores, lent to one at a time.
 
-    A sweep evaluates each bank at every SNR, so its cores have the same
-    shapes; with one workspace per bank they reuse these stacks instead of
-    each allocating and freeing its own.  A core takes them on its first
-    request (:func:`_stack`) and keeps them while it lives, which a weak
-    reference tells; a core that asks while another holds them, say on a
-    group of the same bank evaluated on another thread, gets fresh arrays.
+    A core takes them on its first request (:func:`_stack`) and keeps them
+    while it lives, which a weak reference tells; a core that asks while
+    another holds them gets fresh arrays.
     """
 
     def __init__(self):
-        self.stacks = {}      # slot -> a byte buffer, grown to the largest stack it held
+        self.stacks = {}      # slot -> a byte buffer
         self.holder = None    # weak reference to the core that holds them
-        self.lock = threading.Lock()
 
 
 def _stack(core, slot, shape, dtype):
@@ -142,20 +137,21 @@ def _stack(core, slot, shape, dtype):
     The workspace lends its slots when no other live core holds them; a
     core without one (or None) gets a new array, in the order the calls
     ask for them.  Slots 0 and 1 hold the stacks of one computation, dead
-    when it returns, so the next computation of the core reuses them;
-    ``"K"`` holds ``K``, which the core keeps.
+    when it returns: 0 ``N_r`` (n, r, r) or the bound's ``H T`` (n, r, m)
+    and ``E``, 1 the (n, r, t) scratch and ``L^{-1} H`` or the bound's ``X``.
+    ``"K"`` holds ``K`` (n, t, t), which the core keeps.  A slot is allocated
+    once, for the largest of its stacks (all of the draws' dtype; m <= t).
     """
     ws = getattr(core, "workspace", None)
-    if ws is not None:
-        with ws.lock:
-            holder = ws.holder and ws.holder()
-            if holder is None or holder is core:
-                ws.holder = weakref.ref(core)
-                size = math.prod(shape) * np.dtype(dtype).itemsize
-                buf = ws.stacks.get(slot)
-                if buf is None or buf.size < size:
-                    buf = ws.stacks[slot] = np.empty(size, np.uint8)
-                return buf[:size].view(dtype).reshape(shape[1:] + shape[:1]).transpose(2, 0, 1)
+    if ws is not None and (ws.holder is None or ws.holder() in (None, core)):
+        ws.holder = weakref.ref(core)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = ws.stacks.get(slot)
+        if buf is None or buf.size < size:
+            n, r, t = core.H.shape
+            most = n * {0: r * max(r, core.spec.dims.m), 1: r * t, "K": t * t}[slot]
+            buf = ws.stacks[slot] = np.empty(max(size, most * core.H.itemsize), np.uint8)
+        return buf[:size].view(dtype).reshape(shape[1:] + shape[:1]).transpose(2, 0, 1)
     return np.empty(shape[1:] + shape[:1], dtype).transpose(2, 0, 1)
 
 
@@ -167,7 +163,7 @@ class CellCore:
     computed on first use, the bound term only when the bound is asked for,
     and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
     row step reads, once per core.  ``K`` is stored entry-major as a
-    (t, t, n) array.  ``workspace``, the bank's :class:`Workspace`, lends
+    (t, t, n) array.  ``workspace``, a :class:`Workspace`, lends
     the core its length-n stacks: ``N_r`` and its scratch, which then holds
     ``L^{-1} H``, ``K``, and the bound's ``X`` and ``E``; without one each
     is allocated when it is needed.  The memo of :meth:`logdet_s` is keyed
@@ -484,54 +480,71 @@ def objective(spec, W, inner_samples, core=None):
     return core.evaluate(W)
 
 
-def _evaluate(spec, bank, ws, bound=False, cores=None, workspace=None):
-    """Rate bases of the W policies ``ws``, and the bound basis, over the bank's cells in nats.
+def _evaluate(specs, cells, policies, bound=False, cores=None):
+    """Rate bases of the W policies ``policies[k]`` at ``specs[k]``, and bound bases, in nats.
 
     A policy is an (m, t) array or ``w(core, cell) -> SolveResult``.  Each
-    cell's core (built here, or ``cores[i]``) serves the bound term and then
-    every policy, and is dropped before the next cell's; a core built here
-    borrows its stacks from ``workspace``, the bank's :class:`Workspace`, when
-    given, so the next core takes them over.  A basis is the
-    per-draw array of a one-cell bank, the per-cell means otherwise.  Returns
-    ``(bases, bound_basis, solved)``: a policy that raises an FdpcError has
-    it in place of its basis and is not called again; ``bound_basis`` is None
-    unless ``bound``, and a bound failure raises; ``solved[j]`` is policy j's
-    ``(converged, iterations)`` as in :class:`RateEstimate`.  A cell's rate
-    terms are ``-logdet S(W)`` from the core's memo, which a solve that
-    evaluated its W has already filled.
+    cell (of a bank, or of :func:`fdpclab.model.sample_cells`) is read once
+    and serves one core per spec (built here, or ``cores[i]`` for one spec):
+    the bound term, then every policy at the spec.  Each core and cell is
+    dropped before the next.  The cores of a multi-cell pass share one
+    :class:`Workspace`; a one-cell pass holds every spec's per-draw bases,
+    and its cores allocate their own.  Returns one ``(outcomes, bound_basis)``
+    per spec, ``outcomes[j] = (basis, converged, iterations)`` of policy j
+    (see :class:`RateEstimate`); a basis is the per-draw array of a one-cell
+    bank, the per-cell means otherwise.  A policy's FdpcError replaces its
+    basis and ends the policy; a core or bound failure replaces every basis
+    of its spec and ends the spec.  ``bound_basis`` is None unless ``bound``.
+    The rate terms are ``-logdet S(W)`` from the core's memo, filled already
+    by a solve that evaluated its W.
     """
-    per_draw = len(bank.cells) == 1
-    terms, bounds, solved = [[] for _ in ws], [], [(True, 0)] * len(ws)
+    per_draw = len(cells) == 1
+    workspace = None if per_draw else Workspace()
+    terms = [[[] for _ in ws] for ws in policies]  # per spec, each policy's rate terms
+    bounds = [[] for _ in specs]
+    solved = [[(True, 0)] * len(ws) for ws in policies]
 
     def term(x):  # a cell's basis entry, reduced as it comes
         return x if per_draw else np.mean(x)
 
-    for i, cell in enumerate(bank.cells):
-        core = cores[i] if cores is not None else CellCore(spec, cell.draws, workspace)
+    def serve(k, core, cell):  # one core's terms; it is dropped on return
         if bound:
-            bounds.append(term(core.logdet_bound))
-        for j, w in enumerate(ws):
-            if isinstance(terms[j], FdpcError):
+            bounds[k].append(term(core.logdet_bound))
+        for j, w in enumerate(policies[k]):
+            if isinstance(terms[k][j], FdpcError):
                 continue
             try:
                 W = w
                 if callable(w):
                     res = w(core, cell)
-                    ok, n = solved[j]
-                    W, solved[j] = res.W, (ok and bool(res.converged), max(n, res.iterations))
-                terms[j].append(-term(core.logdet_s(check_inflation(spec, W))))
+                    ok, n = solved[k][j]
+                    W, solved[k][j] = res.W, (ok and bool(res.converged), max(n, res.iterations))
+                terms[k][j].append(-term(core.logdet_s(check_inflation(specs[k], W))))
             except FdpcError as exc:  # its traceback would hold this cell's core
-                terms[j] = exc.with_traceback(None)
-        del core
+                terms[k][j] = exc.with_traceback(None)
+
+    for i in range(len(cells)):
+        cell = cells[i]  # a lazy sequence draws it here; enumerate would hold the last one
+        for k, spec in enumerate(specs):
+            if isinstance(bounds[k], FdpcError):
+                continue
+            try:
+                serve(k, cores[i] if cores is not None else CellCore(spec, cell.draws, workspace),
+                      cell)
+            except FdpcError as exc:
+                bounds[k] = exc.with_traceback(None)
+                terms[k] = [bounds[k]] * len(terms[k])
+        del cell
 
     def basis(t):
         return t if isinstance(t, FdpcError) else t[0] if per_draw else np.array(t)
 
-    return [basis(t) for t in terms], basis(bounds) if bound else None, solved
+    return [([(basis(t), *fold) for t, fold in zip(ts, folds)], basis(b) if bound else None)
+            for ts, b, folds in zip(terms, bounds, solved)]
 
 
 def estimate(basis, converged=True, iterations=0):
-    """RateEstimate in bits of an :func:`_evaluate` basis; an error in its place raises."""
+    """RateEstimate in bits of an :func:`_evaluate` outcome; an error as its basis raises."""
     if isinstance(basis, FdpcError):
         raise basis
     se = float(np.std(basis, ddof=1) / np.sqrt(basis.size)) if basis.size > 1 else 0.0
@@ -550,10 +563,10 @@ def achievable_rate(spec, w, bank, cores=None):
     :func:`fdpclab.lab.resolve_w` gives the policy of a solver name, and
     ``cores`` optionally one prebuilt core per cell.
     """
-    (basis,), _, (solved,) = _evaluate(spec, bank, (w,), cores=cores)
-    return estimate(basis, *solved)
+    ((outcome,), _), = _evaluate((spec,), bank.cells, ((w,),), cores=cores)
+    return estimate(*outcome)
 
 
 def no_interference_bound(spec, bank):
     """Rate without interference on the same draws as :func:`achievable_rate`."""
-    return estimate(_evaluate(spec, bank, (), bound=True)[1])
+    return estimate(_evaluate((spec,), bank.cells, ((),), bound=True)[0][1])

@@ -144,8 +144,8 @@ def lagrangian(core, W, lam):
 
 def paired_estimates(spec, w, bank):
     """``(rate, bound, cov_bits2)`` of one W policy from one pass of the rate evaluator."""
-    (basis,), bound_basis, (solved,) = _evaluate(spec, bank, (w,), bound=True)
-    return estimate(basis, *solved), estimate(bound_basis), paired_cov(basis, bound_basis)
+    ((outcome,), bound_basis), = _evaluate((spec,), bank.cells, ((w,),), bound=True)
+    return estimate(*outcome), estimate(bound_basis), paired_cov(outcome[0], bound_basis)
 
 
 def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):

@@ -3,9 +3,9 @@ import weakref
 import numpy as np
 import pytest
 
-from fdpclab import lab, rate
+from fdpclab import lab, model, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
-from fdpclab.model import NoCsit, PerfectCsit, QuantizedCsit
+from fdpclab.model import NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank, csit_from_label
 
 from conftest import gap_to_bound, make_rng, rand_spec
 
@@ -93,39 +93,82 @@ def test_sweep_builds_one_core_per_group_and_bank_cell(monkeypatch):
     assert len(built) == len(set(built)) == 2 * (1 + 3)
 
 
-def test_sweep_holds_one_bank_at_a_time(monkeypatch):
-    """Bank i+1 is built after the last group of bank i, and bank i is freed by
-    then, with its workspace, which every group of bank i and no other uses."""
-    events, banks, workspaces = [], [], []
-    build, evaluate = lab.build_sample_bank, lab.evaluate_group
+def test_sweep_holds_one_cell_at_a_time(monkeypatch):
+    """Each cell of each CSIT setting is drawn once, and every cell drawn before it
+    is freed by then, its draws included: a sweep never holds a bank."""
+    draw, drawn = model._Cells.__getitem__, []
 
-    def recording_build(*args):
-        alive = [[i for i, ref in enumerate(refs) if ref() is not None]
-                 for refs in (banks, workspaces)]
-        events.append(("build", len(banks), *alive))
-        bank = build(*args)
-        banks.append(weakref.ref(bank))
-        return bank
+    def recording_draw(cells, i):
+        assert [ref() for ref in drawn] == [None] * len(drawn)
+        cell = draw(cells, i)
+        drawn.append(weakref.ref(cell.draws))
+        return cell
 
-    def recording_evaluate(spec, bank, solvers, *, bound, workspace):
-        if len(workspaces) < len(banks):
-            workspaces.append(weakref.ref(workspace))
-        assert workspaces[-1]() is workspace
-        events.append(("group", next(i for i, ref in enumerate(banks) if ref() is bank)))
-        return evaluate(spec, bank, solvers, bound=bound, workspace=workspace)
-
-    monkeypatch.setattr(lab, "build_sample_bank", recording_build)
-    monkeypatch.setattr(lab, "evaluate_group", recording_evaluate)
+    monkeypatch.setattr(model._Cells, "__getitem__", recording_draw)
     ref = lab.reference_channel("fdpc-2x2-a")
-    plan = small_plan(solvers=("zero",), csit_list=(NoCsit(), PerfectCsit(),
-                                                    QuantizedCsit.designed(1, ref.model)),
-                      n_outer=2, n_inner=20)
+    plan = small_plan(snr_db_list=(0.0, 10.0, 20.0), solvers=("zero", "alg1"),
+                      csit_list=(NoCsit(), PerfectCsit(), QuantizedCsit.designed(1, ref.model)),
+                      n_outer=3, n_inner=50)
     rows = lab.run_sweep(ref.spec, ref.model, seed=9, **plan)
     assert all(r.error is None for r in rows)
-    assert events == [("build", 0, [], []), ("group", 0), ("group", 0),
-                      ("build", 1, [], []), ("group", 1), ("group", 1),
-                      ("build", 2, [], []), ("group", 2), ("group", 2)]
-    assert len(workspaces) == 3
+    assert len(drawn) == 1 + 3 + 3
+
+
+@pytest.mark.parametrize("label", ["none", "perfect", "B=1", "B=2"])
+def test_sweep_rows_are_the_per_snr_evaluations_of_the_eager_bank(label):
+    """The sweep's one cell-major pass per CSIT setting gives bitwise the rows of one
+    single-spec evaluation per SNR over the bank built up front."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    csit = csit_from_label(label, ref.model)
+    plan = small_plan(snr_db_list=(0.0, 10.0, 20.0), solvers=("zero", "alg1"),
+                      csit_list=(csit,), n_outer=3, n_inner=200)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=12, **plan)
+    bank = build_sample_bank(ref.spec, ref.model, csit, 3, 200, lab.derived_seed(12, 0))
+    want = []
+    for snr in plan["snr_db_list"]:
+        spec = ref.spec.at_snr_db(snr, plan["q_over_p"])
+        policies = [lab.resolve_w(spec, solver) for solver in plan["solvers"]]
+        (outcomes, bound), = rate._evaluate((spec,), bank.cells, (policies,), bound=True)
+        for solver, outcome in zip(plan["solvers"], outcomes):
+            est = rate.estimate(*outcome)
+            want.append((snr, label, solver, est.rate_bits, est.stderr_bits,
+                         rate.estimate(bound).rate_bits, bank.n_outer, bank.n_inner, bank.seed))
+    assert [(r.snr_db, r.csit, r.solver, r.rate_bits, r.stderr_bits, r.bound_bits, r.n_outer,
+             r.n_inner, r.seed) for r in rows] == want
+    assert all(r.error is None for r in rows)
+
+
+def test_a_policy_failing_at_one_snr_on_one_cell_marks_only_its_row(monkeypatch):
+    """A policy that raises on cell 2 at 10 dB gets an error row; every other
+    (csit, snr, solver) row is bitwise the row of the sweep without the failure."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(snr_db_list=(0.0, 10.0, 20.0), solvers=("zero", "alg1"), n_outer=3,
+                      n_inner=100, csit_list=(QuantizedCsit.designed(1, ref.model), PerfectCsit()))
+    want = lab.run_sweep(ref.spec, ref.model, seed=13, **plan)
+    resolve, failing_p = lab.resolve_w, ref.spec.at_snr_db(10.0, plan["q_over_p"]).P
+
+    def resolve_failing_on_cell_2(spec, solver):
+        solve = resolve(spec, solver)
+        if solver != "alg1" or spec.P != failing_p:
+            return solve
+        cells = []
+
+        def policy(core, cell):
+            cells.append(cell)
+            if len(cells) == 2:
+                raise EvaluationError("cell 2 failed")
+            return solve(core, cell)
+        return policy
+
+    monkeypatch.setattr(lab, "resolve_w", resolve_failing_on_cell_2)
+    rows = lab.run_sweep(ref.spec, ref.model, seed=13, **plan)
+    assert len(rows) == len(want) == 2 * 3 * 2
+    for got, row in zip(rows, want):
+        if (got.snr_db, got.solver) == (10.0, "alg1"):
+            assert got.error == "cell 2 failed" and np.isnan(got.rate_bits)
+            assert np.isnan(got.bound_bits)
+        else:
+            assert got == row and got.error is None
 
 
 @pytest.mark.parametrize("threads", [1, 2])

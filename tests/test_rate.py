@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -466,31 +463,71 @@ def test_memo_hit_is_the_fresh_cores_float(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the workspace of a bank's cell cores
+# the workspace of one evaluation's cell cores
 # ---------------------------------------------------------------------------
 
+def quantized_bank(ref, n_outer=3, n_inner=200):
+    return build_sample_bank(ref.spec, ref.model, QuantizedCsit.designed(1, ref.model), n_outer,
+                             n_inner, seed=4700)
+
+
 @pytest.mark.parametrize("ref_name", ["fdpc-2x2-a", "fdpc-fig4-2", "fdpc-3x2-b"])
-def test_successive_cores_of_a_group_share_the_workspace_stacks(ref_name):
-    """Every core of a group, at every SNR, reads ``K`` from the workspace's one
-    stack, and the bases are bitwise those of cores that allocate their own."""
+def test_successive_cores_of_a_multi_snr_call_share_the_stacks(ref_name):
+    """Every core of one call, at every SNR, reads ``K`` from the call's one stack,
+    and each SNR's bases are bitwise those of cores that allocate their own."""
     ref = lab.reference_channel(ref_name)
-    bank = build_sample_bank(ref.spec, ref.model, QuantizedCsit.designed(1, ref.model), 3, 200,
-                             seed=4700)
-    workspace, Ks = rate.Workspace(), []
+    bank = quantized_bank(ref)
+    specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 20.0)]
+    Ks = []
 
     def policy(core, cell):
         Ks.append(core._received[1])
         return inflation.solve_w(core, "alg1", cell)
 
-    for snr_db in (0.0, 20.0):
-        spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
-        bases, bound, _ = rate._evaluate(spec, bank, [policy], bound=True, workspace=workspace)
-        want, want_bound, _ = rate._evaluate(spec, bank, [policy], bound=True)
-        assert bases[0].tobytes() == want[0].tobytes()
+    got = rate._evaluate(specs, bank.cells, [[policy]] * len(specs), bound=True)
+    shared = Ks[:]
+    assert len(shared) == 6 and all(np.shares_memory(K, shared[0]) for K in shared[1:])
+    for spec, (((basis, *_),), bound) in zip(specs, got):
+        own = [rate.CellCore(spec, cell.draws) for cell in bank.cells]
+        (((want, *_),), want_bound), = rate._evaluate((spec,), bank.cells, ([policy],),
+                                                      bound=True, cores=own)
+        assert basis.tobytes() == want.tobytes()
         assert bound.tobytes() == want_bound.tobytes()
-    shared, own = Ks[0:3] + Ks[6:9], Ks[3:6] + Ks[9:12]  # per SNR: on the workspace, then not
-    assert all(np.shares_memory(K, shared[0]) for K in shared[1:])
-    assert not any(np.shares_memory(K, shared[0]) for K in own)
+    assert not any(np.shares_memory(K, shared[0]) for K in Ks[len(shared):])
+
+
+@pytest.mark.parametrize("ref_name", ["fdpc-2x2-a", "fdpc-fig4-2", "fdpc-3x2-b"])
+def test_each_workspace_slot_is_allocated_once_per_call(ref_name, monkeypatch):
+    """Over one multi-SNR call, whose cores form the bound's stacks before ``N_r``'s,
+    each slot is allocated once, at the size of the largest stack it holds; a
+    one-cell call lends no stacks."""
+    allocations = []
+
+    class RecordingStacks(dict):
+        def __setitem__(self, slot, buf):
+            allocations.append((slot, buf.size))
+            super().__setitem__(slot, buf)
+
+    init = rate.Workspace.__init__
+
+    def recording_init(self):
+        init(self)
+        self.stacks = RecordingStacks()
+
+    monkeypatch.setattr(rate.Workspace, "__init__", recording_init)
+    ref = lab.reference_channel(ref_name)
+    bank = quantized_bank(ref)
+    specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 10.0, 20.0)]
+    policies = [[lab.resolve_w(spec, solver) for solver in ("alg1", "zero")] for spec in specs]
+    results = rate._evaluate(specs, bank.cells, policies, bound=True)
+    assert not any(isinstance(o[0], Exception) for outcomes, _ in results for o in outcomes)
+    (t, r, m), n = (ref.spec.dims.t, ref.spec.dims.r, ref.spec.dims.m), bank.n_inner
+    item = np.dtype(ref.spec.dtype).itemsize
+    assert allocations == [(0, n * r * max(r, m) * item), (1, n * r * t * item),
+                           ("K", n * t * t * item)]
+    del allocations[:]
+    rate._evaluate(specs, quantized_bank(ref, n_outer=1).cells, policies, bound=True)
+    assert allocations == []
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -518,28 +555,3 @@ def test_a_live_core_keeps_its_stacks_while_another_is_built(field):
     third = rate.CellCore(spec, H2, workspace)
     assert np.shares_memory(third._received[1], workspace.stacks["K"])
     assert third._received[1].tobytes() == second._received[1].tobytes()
-
-
-def test_groups_on_threads_sharing_a_workspace_give_the_serial_bases():
-    """Groups of one bank on more threads than cores, switching threads often, each
-    get bitwise the bases they get alone: no core reads stacks another core holds."""
-    ref = lab.reference_channel("fdpc-2x2-a")
-    bank = build_sample_bank(ref.spec, ref.model, QuantizedCsit.designed(1, ref.model), 4, 300,
-                             seed=4700)
-    specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 10.0, 20.0)] * 2
-
-    def group(spec, workspace=None):
-        outcomes, bound = lab.evaluate_group(spec, bank, ("alg1", "zero"), bound=True,
-                                             workspace=workspace)
-        return [o[0].tobytes() for o in outcomes] + [bound.tobytes()]
-
-    want = [group(spec) for spec in specs]
-    workspace, interval = rate.Workspace(), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(group, spec, workspace) for spec in specs]
-            got = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
