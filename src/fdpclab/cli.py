@@ -20,7 +20,7 @@ from . import covopt, lab
 from .config import build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import CLOSED_FORMS, CORE_SOLVERS, SOLVERS, solve_w
-from .model import NoCsit, build_sample_bank, csit_from_label
+from .model import NoCsit, build_sample_bank, csit_from_label, sample_cells
 from .rate import CellCore, estimate
 
 EXIT_CONFIG = 2
@@ -85,22 +85,27 @@ def _load_experiment(args):
     return exp
 
 
-def _bank_for(exp):
+def _cells_for(exp, sample=sample_cells):
+    """The experiment's bank as ``sample`` gives it: cells drawn when read, or a held bank.
+
+    ``sample`` is :func:`fdpclab.model.sample_cells` or ``build_sample_bank``,
+    called after the check of ``n_outer``.
+    """
     # only a flag or config value is in raw, not DEFAULT_MC; 1 is honoured
     n_outer = exp.raw.get("mc", {}).get("n_outer", 1)
     if isinstance(exp.csit, NoCsit) and n_outer != 1:
         raise ConfigurationError(f"n_outer {n_outer} needs perfect or quantized CSIT;"
                                  " a no-CSIT bank is one cell of n_inner draws")
-    return build_sample_bank(exp.base_spec, exp.model, exp.csit,
-                             exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
+    return sample(exp.base_spec, exp.model, exp.csit,
+                  exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
 
 
 def cmd_rate(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
-    bank = _bank_for(exp)
-    # one evaluation: the solve, the rate and the bound share each cell's core
-    ((outcome,), bound_basis), = lab.evaluate_group((spec,), bank.cells, (args.solver,),
+    cells = _cells_for(exp)
+    # one pass, one cell at a time: the solve, the rate and the bound share each cell's core
+    ((outcome,), bound_basis), = lab.evaluate_group((spec,), cells, (args.solver,),
                                                      bound=True)
     est, bound = estimate(*outcome), estimate(bound_basis)
     payload = {
@@ -111,8 +116,8 @@ def cmd_rate(args):
         "converged": est.converged,
         "iterations": est.iterations,
         "snr_db": exp.snr_db,
-        "n_outer": bank.n_outer,
-        "n_inner": bank.n_inner,
+        "n_outer": len(cells),
+        "n_inner": cells.n_inner,
         "seed": exp.mc["seed"],
         "config_hash": exp.hash,
     }
@@ -172,10 +177,10 @@ def cmd_lowsnr(args):
 def cmd_solve_w(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
-    bank = _bank_for(exp)
-    if len(bank.cells) != 1:
+    cells = _cells_for(exp)
+    if len(cells) != 1:
         raise ConfigurationError("solve-w expects a single-cell bank")
-    cell = bank.cells[0]
+    cell = cells[0]
     res = solve_w(CellCore(spec, cell.draws), args.solver, cell)
     if not res.converged:
         _log(f"solver {args.solver} did not converge "
@@ -201,7 +206,8 @@ def _matrix_payload(mat):
 def cmd_jointopt(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
-    bank = _bank_for(exp)  # a no-CSIT bank: "csit" is unread
+    # a no-CSIT bank, held: every outer step reads its one cell, which sample_cells would redraw
+    bank = _cells_for(exp, build_sample_bank)
     res = covopt.joint_optimize(spec, bank,
                                 rank_bound=spec.dims.m if args.rank is None else args.rank,
                                 outer_iters=args.outer_iters, solver=args.solver)

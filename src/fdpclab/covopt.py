@@ -20,7 +20,10 @@ derives the rank bound ``m`` from ``T``'s shape and keeps the covariances and
 the budget ``P``.  ``K`` depends on ``T``, so each outer step builds one
 :class:`fdpclab.rate.CellCore` on that spec for its W-solve, its rate and its
 T-step, which computes the gradient once for both the new factor and
-``lambda``.  The maps below take that core and read ``T`` from its spec.
+``lambda``.  The maps below take that core and read ``T`` from its spec, and
+the terms of the spec alone (``T T* + Ss``, ``pinv(T)``, ...) are cached on
+it, so each is computed once per outer step, the best step's ``T T*`` giving
+the reported eigenvalue ratio.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
-from .linalg import DEFAULT_RANK_TOL, ct, mean_ct_product, right_product
+from .linalg import DEFAULT_RANK_TOL, mean_ct_product, right_product
 from .rate import CellCore, SchurPoint, achievable_rate, check_inflation
 
 
@@ -83,8 +86,8 @@ def _initial_factor(spec, m):
     return np.sqrt(spec.P / m) * np.eye(t, m, dtype=spec.dtype)
 
 
-def _eig_stats(T):
-    w = np.linalg.eigvalsh(T @ ct(T)).real
+def _eig_stats(sigma_x):
+    w = np.linalg.eigvalsh(sigma_x).real
     w = np.sort(w)[::-1]
     keep = w > DEFAULT_RANK_TOL * max(w[0], np.finfo(float).tiny)
     nz = w[keep]
@@ -120,15 +123,15 @@ def joint_optimize(spec, bank, *, rank_bound, outer_iters, solver):
         est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
-            best = (est, T, w_res.W)
+            best = (est, spec_t, w_res.W)
         if est.rate_bits - prev_rate < RATE_TOL and outer > 0:
             converged = True
             break
         prev_rate = est.rate_bits
         T, _ = t_step_map(core, w_res.W)
-    est, T, W = best
-    rank_used, eig_ratio = _eig_stats(T)
-    return JointResult(T=T, W=W, rate_trace=tuple(rate_trace),
+    est, spec_t, W = best
+    rank_used, eig_ratio = _eig_stats(spec_t.sigma_x)
+    return JointResult(T=spec_t.T, W=W, rate_trace=tuple(rate_trace),
                        eig_ratio=eig_ratio, rate_bits=est.rate_bits,
                        stderr_bits=est.stderr_bits, rank_used=rank_used,
                        converged=converged)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, SolverError
-from .linalg import DEFAULT_RANK_TOL, ct, hermitize
+from .linalg import ct, hermitize
 from .model import PerfectCsit, as_field
 from .rate import SchurPoint, SchurRows, check_inflation, objective
 
@@ -59,18 +59,17 @@ class SolveResult:
 def w_perfect_csit(spec, H):
     """Optimal inflation factor when the transmitter knows H exactly."""
     H = as_field(H, spec.field, "H")
-    T = spec.T
-    rx = hermitize(H @ (T @ ct(T)) @ ct(H) + spec.sigma_z)
+    rx = hermitize(H @ spec.sigma_x @ ct(H) + spec.sigma_z)
     try:
-        return ct(T) @ ct(H) @ np.linalg.solve(rx, H)
+        return ct(spec.T) @ ct(H) @ np.linalg.solve(rx, H)
     except np.linalg.LinAlgError:
         raise EvaluationError("received covariance is numerically singular; "
                               "no perfect-CSIT inflation factor") from None
 
 
 def w_pinv(spec):
-    """Moore-Penrose pseudo-inverse of the transmit factor (m, t)."""
-    return np.linalg.pinv(spec.T, rcond=DEFAULT_RANK_TOL)
+    """Moore-Penrose pseudo-inverse of the transmit factor (m, t), read-only (``spec.t_pinv``)."""
+    return spec.t_pinv
 
 
 def w_zero(spec):
@@ -158,7 +157,7 @@ def alg1_row_update(core, W, row, rows=None):
     if not 0 <= row < m:
         raise ValueError(f"row index {row} out of range for m={m}")
 
-    t2, t2_pinv = core.sigma_s_factor
+    t2, t2_pinv = spec.sigma_s_factor
     out = W.copy()
     if t2.shape[1] == 0:
         # W multiplies sigma_s everywhere; the zero row is the canonical choice
@@ -364,7 +363,10 @@ def best_initialization(core):
     """The first of the standard starting points with the least sample objective.
 
     The candidates are the perfect-CSIT W at the cell-mean H, then the
-    :data:`CLOSED_FORMS` in their order.  The cell-mean H is the one
+    :data:`CLOSED_FORMS` in their order.  What they read of the spec alone,
+    ``T T*`` and ``pinv(T)``, is computed once per spec and cached on it; per
+    core come the cell-mean H, the perfect-CSIT W at it and the objective of
+    each candidate, which stays in the core's memo.  The cell-mean H is the one
     reduction over the draws whose rounding follows their layout: numpy sums
     along the draws axis pairwise when it is contiguous and in sequence
     otherwise.  The core's draws are entry-major, so each entry's mean is a

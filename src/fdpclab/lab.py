@@ -3,7 +3,8 @@
 A registry of named reference channels pins one instance of each
 qualitative regime (interference rank versus input rank, feedback
 resolution, correlation structure); tests and the CLI refer to them by
-name so results stay stable across runs.
+name so results stay stable across runs.  A reference is built on its
+first lookup.
 
 Every sweep cell is reproducible from (seed, config) alone: one bank per
 CSIT setting (fading draws do not depend on the transmit power, so the same
@@ -16,6 +17,7 @@ drops it, so a sweep holds one cell at a time, never a bank;
 """
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -23,9 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FdpcError
 from .inflation import CLOSED_FORMS, SOLVERS, solve_w, theoretical_scaling
-from .linalg import ct, numerical_rank
+from .linalg import numerical_rank
 from .model import (COMPLEX, REAL, ChannelSpec, CorrelatedRayleigh, IidComplexGaussian,
-                    IidRealGaussian, NoCsit, PerfectCsit, exp_correlation, random_factor,
+                    IidRealGaussian, NoCsit, exp_correlation, random_factor,
                     random_psd, sample_cells)
 from .rate import _evaluate, estimate, paired_cov
 
@@ -111,14 +113,13 @@ def run_sweep(base_spec, model, seed, *, snr_db_list, q_over_p, solvers, csit_li
     def sweep_csit(ci):
         csit, bank_seed = csit_list[ci], derived_seed(seed, ci)
         cells = sample_cells(base_spec, model, csit, n_outer, n_inner, bank_seed)
-        n_draws = 1 if isinstance(csit, PerfectCsit) else n_inner
         groups = iter(evaluate_group(built, cells, solvers, bound=include_bound))
 
         def row(snr, solver, rate_bits=np.nan, stderr_bits=np.nan, bound_bits=np.nan,
                 error=None):
             return SweepRow(snr_db=float(snr), csit=csit.label, solver=solver,
                             rate_bits=rate_bits, stderr_bits=stderr_bits, bound_bits=bound_bits,
-                            n_outer=len(cells), n_inner=n_draws, seed=bank_seed, error=error)
+                            n_outer=len(cells), n_inner=cells.n_inner, seed=bank_seed, error=error)
 
         rows = []
         for snr, spec in zip(snr_db_list, specs):
@@ -181,7 +182,7 @@ def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed, q_over_p, n_
 
 def predicted_scaling(spec):
     """Theoretical high-SNR slope for the spec's covariance ranks."""
-    rank_sum = numerical_rank(spec.T @ ct(spec.T) + spec.sigma_s)
+    rank_sum = numerical_rank(spec.sigma_xs)
     return theoretical_scaling(rank_sum, spec.dims.m, spec.dims.r)
 
 
@@ -239,99 +240,101 @@ def _basis_outer(n, i):
     return np.outer(e, e)
 
 
-def _make_registry():
-    regs = {}
-
-    def add(name, spec, model, q_over_p, note):
-        regs[name] = ReferenceChannel(name, spec, model, q_over_p, note)
-
-    real = IidRealGaussian()
-    cplx = IidComplexGaussian()
-
-    # 2x2 real channels (quantized-feedback regimes)
-    p0 = 2.0  # P = N = trace(I_2)
-    add("fdpc-2x2-a",
-        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
-                           sigma_s=p0 * _basis_outer(2, 1), sigma_z=np.eye(2), field=REAL),
-        real, 1.0,
-        "rank(Sigma_X + Sigma_S) = 2 > rank(Sigma_X) = 1; feedback-monotonicity regime")
-    add("fdpc-2x2-b",
-        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0]]),
-                           sigma_s=p0 * _basis_outer(2, 0), sigma_z=np.eye(2), field=REAL),
-        real, 1.0,
-        "interference aligned with the input: rank sum = m = 1 <= r, bound gap vanishes")
-
-    # 3x2 real channels (scaling-factor regimes, W = T+)
-    t3 = np.sqrt(p0 / 2.0) * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    add("fdpc-3x2-a",
-        ChannelSpec.create(T=t3,
-                           sigma_s=p0 * _basis_outer(3, 2), sigma_z=np.eye(2), field=REAL),
-        real, 1.0, "rank sum 3 > m = 2: predicted slope 1")
-    add("fdpc-3x2-b",
-        ChannelSpec.create(T=t3,
-                           sigma_s=(p0 / 2.0) * np.diag([1.0, 1.0, 0.0]),
-                           sigma_z=np.eye(2), field=REAL),
-        real, 1.0, "rank sum 2 = m: predicted slope 2")
-    add("fdpc-3x2-c",
-        ChannelSpec.create(T=np.sqrt(p0) * np.array([[1.0], [0.0], [0.0]]),
-                           sigma_s=(p0 / 2.0) * np.diag([0.0, 1.0, 1.0]),
-                           sigma_z=np.eye(2), field=REAL),
-        real, 1.0, "rank sum 3, m = 1: predicted slope 0")
-
-    # low-SNR reference
-    add("fdpc-lowsnr",
-        ChannelSpec.create(T=np.sqrt(p0 / 2.0) * np.eye(2),
-                           sigma_s=(p0 / 2.0) * np.eye(2), sigma_z=np.eye(2), field=REAL),
-        real, 1.0, "2x2 real, Q/P = 1: zero-inflation ratio-optimality regime")
-
-    # algorithm-comparison channels (complex Rayleigh, no CSIT)
-    add("fdpc-fig4-1",
-        ChannelSpec.create(T=random_factor(2, 1, seed=61, power=p0, field=COMPLEX),
-                           sigma_s=random_psd(2, 2, seed=62, trace=p0, field=COMPLEX),
-                           sigma_z=np.eye(2), field=COMPLEX),
-        cplx, 1.0, "m = 1: row solver uses its closed form")
-    add("fdpc-fig4-2",
-        ChannelSpec.create(T=random_factor(3, 2, seed=63, power=p0, field=COMPLEX),
-                           sigma_s=random_psd(3, 3, seed=64, trace=p0, field=COMPLEX),
-                           sigma_z=np.eye(2), field=COMPLEX),
-        cplx, 1.0, "m = 2 rank-3 interference")
-
-    # full-rank covariance, t > r (high-SNR identity-choice regime)
-    add("fdpc-3x2-pd",
-        ChannelSpec.create(T=random_factor(3, 3, seed=101, power=p0, field=COMPLEX),
-                           sigma_s=random_psd(3, 3, seed=102, trace=p0, field=COMPLEX),
-                           sigma_z=np.eye(2), field=COMPLEX),
-        cplx, 1.0, "positive definite input covariance, t = 3 > r = 2")
-
-    # covariance-optimization references
-    p3 = 3.0
-    add("fdpc-cov-3x3",
-        ChannelSpec.create(T=np.sqrt(p3 / 3.0) * np.eye(3),
-                           sigma_s=random_psd(3, 3, seed=41, trace=p3, field=COMPLEX),
-                           sigma_z=np.eye(3), field=COMPLEX),
-        CorrelatedRayleigh(r_rx=exp_correlation(3, 0.7), r_tx=exp_correlation(3, 0.5)),
-        1.0, "separably correlated Rayleigh 3x3: spatial water-filling regime")
-    add("fdpc-rank-3x2",
-        ChannelSpec.create(T=np.sqrt(p0 / 3.0) * np.eye(3),
-                           sigma_s=random_psd(3, 2, seed=51, trace=p0, field=COMPLEX),
-                           sigma_z=np.eye(2), field=COMPLEX),
-        CorrelatedRayleigh(r_rx=exp_correlation(2, 0.3), r_tx=exp_correlation(3, 0.9)),
-        1.0, "strong transmit correlation: reduced-rank signalling suffices at low SNR")
-
-    return regs
+# name -> (the spec's builder, the fading model's builder, q_over_p, note); a
+# reference is built on its first lookup, so importing the package builds none.
+_REFERENCES = {}
 
 
-_REGISTRY = _make_registry()
+def _add(name, spec, model, q_over_p, note):
+    _REFERENCES[name] = (spec, model, q_over_p, note)
+
+
+# 2x2 real channels (quantized-feedback regimes); P = N = trace(I_2)
+_P0 = 2.0
+_add("fdpc-2x2-a",
+     lambda: ChannelSpec.create(T=np.sqrt(_P0) * np.array([[1.0], [0.0]]),
+                                sigma_s=_P0 * _basis_outer(2, 1), sigma_z=np.eye(2), field=REAL),
+     IidRealGaussian, 1.0,
+     "rank(Sigma_X + Sigma_S) = 2 > rank(Sigma_X) = 1; feedback-monotonicity regime")
+_add("fdpc-2x2-b",
+     lambda: ChannelSpec.create(T=np.sqrt(_P0) * np.array([[1.0], [0.0]]),
+                                sigma_s=_P0 * _basis_outer(2, 0), sigma_z=np.eye(2), field=REAL),
+     IidRealGaussian, 1.0,
+     "interference aligned with the input: rank sum = m = 1 <= r, bound gap vanishes")
+
+
+# 3x2 real channels (scaling-factor regimes, W = T+)
+def _t3():
+    return np.sqrt(_P0 / 2.0) * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+_add("fdpc-3x2-a",
+     lambda: ChannelSpec.create(T=_t3(), sigma_s=_P0 * _basis_outer(3, 2), sigma_z=np.eye(2),
+                                field=REAL),
+     IidRealGaussian, 1.0, "rank sum 3 > m = 2: predicted slope 1")
+_add("fdpc-3x2-b",
+     lambda: ChannelSpec.create(T=_t3(), sigma_s=(_P0 / 2.0) * np.diag([1.0, 1.0, 0.0]),
+                                sigma_z=np.eye(2), field=REAL),
+     IidRealGaussian, 1.0, "rank sum 2 = m: predicted slope 2")
+_add("fdpc-3x2-c",
+     lambda: ChannelSpec.create(T=np.sqrt(_P0) * np.array([[1.0], [0.0], [0.0]]),
+                                sigma_s=(_P0 / 2.0) * np.diag([0.0, 1.0, 1.0]),
+                                sigma_z=np.eye(2), field=REAL),
+     IidRealGaussian, 1.0, "rank sum 3, m = 1: predicted slope 0")
+
+# low-SNR reference
+_add("fdpc-lowsnr",
+     lambda: ChannelSpec.create(T=np.sqrt(_P0 / 2.0) * np.eye(2),
+                                sigma_s=(_P0 / 2.0) * np.eye(2), sigma_z=np.eye(2), field=REAL),
+     IidRealGaussian, 1.0, "2x2 real, Q/P = 1: zero-inflation ratio-optimality regime")
+
+
+# algorithm-comparison channels (complex Rayleigh, no CSIT)
+_add("fdpc-fig4-1",
+     lambda: ChannelSpec.create(T=random_factor(2, 1, seed=61, power=_P0, field=COMPLEX),
+                                sigma_s=random_psd(2, 2, seed=62, trace=_P0, field=COMPLEX),
+                                sigma_z=np.eye(2), field=COMPLEX),
+     IidComplexGaussian, 1.0, "m = 1: row solver uses its closed form")
+_add("fdpc-fig4-2",
+     lambda: ChannelSpec.create(T=random_factor(3, 2, seed=63, power=_P0, field=COMPLEX),
+                                sigma_s=random_psd(3, 3, seed=64, trace=_P0, field=COMPLEX),
+                                sigma_z=np.eye(2), field=COMPLEX),
+     IidComplexGaussian, 1.0, "m = 2 rank-3 interference")
+
+# full-rank covariance, t > r (high-SNR identity-choice regime)
+_add("fdpc-3x2-pd",
+     lambda: ChannelSpec.create(T=random_factor(3, 3, seed=101, power=_P0, field=COMPLEX),
+                                sigma_s=random_psd(3, 3, seed=102, trace=_P0, field=COMPLEX),
+                                sigma_z=np.eye(2), field=COMPLEX),
+     IidComplexGaussian, 1.0, "positive definite input covariance, t = 3 > r = 2")
+
+# covariance-optimization references
+_P3 = 3.0
+_add("fdpc-cov-3x3",
+     lambda: ChannelSpec.create(T=np.sqrt(_P3 / 3.0) * np.eye(3),
+                                sigma_s=random_psd(3, 3, seed=41, trace=_P3, field=COMPLEX),
+                                sigma_z=np.eye(3), field=COMPLEX),
+     lambda: CorrelatedRayleigh(r_rx=exp_correlation(3, 0.7), r_tx=exp_correlation(3, 0.5)),
+     1.0, "separably correlated Rayleigh 3x3: spatial water-filling regime")
+_add("fdpc-rank-3x2",
+     lambda: ChannelSpec.create(T=np.sqrt(_P0 / 3.0) * np.eye(3),
+                                sigma_s=random_psd(3, 2, seed=51, trace=_P0, field=COMPLEX),
+                                sigma_z=np.eye(2), field=COMPLEX),
+     lambda: CorrelatedRayleigh(r_rx=exp_correlation(2, 0.3), r_tx=exp_correlation(3, 0.9)),
+     1.0, "strong transmit correlation: reduced-rank signalling suffices at low SNR")
 
 
 def reference_names():
-    return sorted(_REGISTRY)
+    return sorted(_REFERENCES)
 
 
+@functools.cache
 def reference_channel(name):
+    """The :class:`ReferenceChannel` of ``name``, built on its first lookup."""
     try:
-        return _REGISTRY[name]
+        spec, model, q_over_p, note = _REFERENCES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown reference channel {name!r}; known: {', '.join(reference_names())}"
         ) from None
+    return ReferenceChannel(name, spec(), model(), q_over_p, note)

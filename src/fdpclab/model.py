@@ -21,12 +21,14 @@ package needs no scipy; the sampler reflects an upper bin onto the lower half.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
+import numpy.random  # the samplers' generators; numpy loads it only on first use
 
 from .errors import ConfigurationError
-from .linalg import (clip_psd, ct, entry_major, hermitize, right_product, sqrtm_pd,
-                     validate_hermitian)
+from .linalg import (DEFAULT_RANK_TOL, Cholesky, clip_psd, ct, entry_major, hermitize,
+                     psd_factor, right_product, sqrtm_pd, validate_hermitian)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -71,6 +73,11 @@ def as_field(a, field, name):
     return np.ascontiguousarray(a, dtype=dtype)
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 def _check_finite_budgets(**budgets):
     if not np.isfinite(list(budgets.values())).all():
         raise ConfigurationError("power budgets must be finite, got "
@@ -85,6 +92,12 @@ class ChannelSpec:
     ``trace(T T*)``) and the field.  ``dims`` comes from the shapes, and ``Q``
     and ``N`` are the traces of ``sigma_s`` and ``sigma_z`` as given (before
     ``sigma_s`` is clipped to p.s.d.).
+
+    The spec owns the terms that depend on it alone: ``T T*``, ``T T* + Ss``,
+    the factor of ``Ss`` with its pseudo-inverse, the Cholesky factor of
+    ``Sz`` and ``pinv(T)``.  Each is computed on first use and cached on the
+    spec, read-only, so every cell core of the spec shares it;
+    ``dataclasses.replace`` makes a spec with an empty cache.
     """
 
     T: np.ndarray          # (t, m) factor of Sigma_X
@@ -114,8 +127,10 @@ class ChannelSpec:
         Q = float(np.trace(sigma_s).real)
         N = float(np.trace(sigma_z).real)
         sigma_s = clip_psd(sigma_s, "sigma_s")
+        for name, arr in (("T", T), ("sigma_s", sigma_s), ("sigma_z", sigma_z)):
+            object.__setattr__(self, name, arr)
 
-        tr_x = float(np.trace(T @ ct(T)).real)
+        tr_x = float(np.trace(self.sigma_x).real)
         if not tr_x <= self.P * (1.0 + 1e-9) + 1e-15:
             raise ConfigurationError(
                 f"trace(T T*)={tr_x:.6g} exceeds power budget P={self.P:.6g}"
@@ -124,11 +139,41 @@ class ChannelSpec:
         if np.linalg.eigvalsh(hermitize(sigma_z)).min() <= 0 or sign.real <= 0:
             raise ConfigurationError("sigma_z must be positive definite")
 
-        for name, arr in (("T", T), ("sigma_s", sigma_s), ("sigma_z", sigma_z)):
+        for arr in (T, sigma_s, sigma_z):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         for name, val in (("dims", dims), ("Q", Q), ("N", N)):
             object.__setattr__(self, name, val)
+
+    @cached_property
+    def sigma_x(self):
+        """``Sigma_X = T T*`` (t, t)."""
+        return _read_only(self.T @ ct(self.T))
+
+    @cached_property
+    def sigma_xs(self):
+        """``T T* + Ss`` (t, t), the covariance of ``X + S`` that every ``N_r`` reads."""
+        return _read_only(self.sigma_x + self.sigma_s)
+
+    @cached_property
+    def sigma_s_factor(self):
+        """``(F, pinv(F))`` with ``Ss = F F*`` and F of width rank(Ss) (:func:`psd_factor`).
+
+        Every ``alg1`` row step reads it (:func:`fdpclab.inflation.alg1_row_update`).
+        """
+        F = psd_factor(self.sigma_s)
+        return _read_only(F), _read_only(np.linalg.pinv(F))
+
+    @cached_property
+    def sigma_z_factor(self):
+        """The :class:`Cholesky` factor ``Lz`` of ``Sz = Lz Lz*``, which the bound whitens with."""
+        factor = Cholesky(self.sigma_z)
+        factor.r  # formed now, so the cores that share the factor only read it
+        return factor
+
+    @cached_property
+    def t_pinv(self):
+        """``pinv(T)`` (m, t) at the cutoff ``DEFAULT_RANK_TOL``, the ``pinv`` inflation factor."""
+        return _read_only(np.linalg.pinv(self.T, rcond=DEFAULT_RANK_TOL))
 
     @property
     def dtype(self):
@@ -155,7 +200,7 @@ class ChannelSpec:
             raise ConfigurationError(f"SNR {snr_db:g} dB leaves no power budget (P = {P:g})")
         Q = q_over_p * P
         _check_finite_budgets(P=P, Q=Q)
-        tr_x = float(np.trace(self.T @ ct(self.T)).real)
+        tr_x = float(np.trace(self.sigma_x).real)
         if tr_x <= 0:
             raise ConfigurationError("cannot rescale a zero transmit factor")
         if Q > 0 and self.Q == 0:
@@ -558,7 +603,7 @@ class SampleBank:
 
     @property
     def n_inner(self):
-        """Draws per cell: as asked for, except 1 under perfect CSIT."""
+        """Draws per cell, read off the first cell: the ``n_inner`` of the sequence that drew it."""
         return self.cells[0].draws.shape[0]
 
 
@@ -582,7 +627,9 @@ def sample_cells(spec, model, csit, n_outer, n_inner, seed):
     equal to the draw; no CSIT collapses to a single cell of ``n_inner``
     unconditional draws; quantized CSIT draws an estimate per cell and
     ``n_inner`` conditional draws inside it.  The arguments are checked on
-    the call; the returned sequence draws cell i each time it is read.
+    the call; the returned sequence draws cell i each time it is read, and
+    its ``n_inner`` is the draws per cell (1 under perfect CSIT) without
+    drawing any.
     """
     if n_outer < 1 or n_inner < 1:
         raise ConfigurationError("sample counts must be >= 1")
@@ -597,25 +644,30 @@ def sample_cells(spec, model, csit, n_outer, n_inner, seed):
 
 
 class _Cells:
-    """A bank's cells, a sequence; cell i is drawn from its own stream each time it is read."""
+    """A bank's cells, a sequence; cell i is drawn from its own stream each time it is read.
+
+    ``n_inner``, the draws of each cell, is as asked for, except 1 under
+    perfect CSIT, where a cell's one draw is its known channel.
+    """
 
     def __init__(self, dims, model, csit, n_inner, seed, n_cells):
-        self._args, self._n = (dims, model, csit, n_inner, seed), n_cells
+        self._args, self._n = (dims, model, csit, seed), n_cells
+        self.n_inner = 1 if isinstance(csit, PerfectCsit) else n_inner
 
     def __len__(self):
         return self._n
 
     def __getitem__(self, i):
-        dims, model, csit, n_inner, seed = self._args
+        dims, model, csit, seed = self._args
         rng = _cell_rng(seed, range(self._n)[i])
         if isinstance(csit, NoCsit):
-            draws = _sample_h_batch(model, dims, rng, n_inner)
+            draws = _sample_h_batch(model, dims, rng, self.n_inner)
             return BankCell(h_hat=None, draws=_freeze(draws), csit=csit)
         h = _sample_h_batch(model, dims, rng, 1)
         if isinstance(csit, PerfectCsit):
             return BankCell(h_hat=_freeze(h[0]), draws=_freeze(h), csit=csit)
         h_hat = quantize_H(h[0], csit)
-        draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=n_inner)
+        draws = sample_H_given_Hhat(h_hat, csit, model, rng, n=self.n_inner)
         return BankCell(h_hat=_freeze(h_hat), draws=_freeze(draws), csit=csit)
 
 

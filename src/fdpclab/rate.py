@@ -21,9 +21,15 @@ cells, in bits).  The no-interference bound, the MIMO capacity
 ``mean_i logdet(H_i T T* H_i* + Sz) - logdet Sz`` and is an m x m (or
 r x r, whichever is smaller) determinant per draw.
 
+The terms come at three levels.  Per spec, once, cached on the
+:class:`fdpclab.model.ChannelSpec` and shared by all its cores: ``T T* + Ss``,
+which every ``N_r`` reads, the factor of ``Ss`` and its pseudo-inverse, which
+every ``alg1`` row step reads, the Cholesky factor ``Lz`` of ``Sz``, and
+``T T*`` and ``pinv(T)``, which the start search reads.  Per (spec, cell), a
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
-``K = G* G`` with ``G = L^{-1} H``.  The solvers and the covariance gradient
+``K = G* G`` with ``G = L^{-1} H``; it forms the bound term only when asked.
+Per W, the solvers and the covariance gradient
 factor ``S(W)`` in a :class:`SchurPoint` per W (per set of rows, for an
 ``alg1`` row step) and read their means from it; every factorization is one
 :class:`fdpclab.linalg.Cholesky` over the draws.  An ``alg1`` solve keeps its
@@ -78,7 +84,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FdpcError
 from .linalg import (Cholesky, ct, hermitian_products, hermitian_row, hermitize, logdet_pd,
-                     mean_ct_product, product, psd_factor, right_product)
+                     mean_ct_product, product, right_product)
 from .model import as_field
 
 LN2 = float(np.log(2.0))
@@ -160,9 +166,10 @@ class CellCore:
 
     The transmit factor is ``spec.T``; to evaluate another one, build the
     core on ``dataclasses.replace(spec, T=T)``.  ``logdet N_r`` and ``K`` are
-    computed on first use, the bound term only when the bound is asked for,
-    and the factor of ``Ss`` with its pseudo-inverse, which every ``alg1``
-    row step reads, once per core.  ``K`` is stored entry-major as a
+    computed on first use and the bound term only when the bound is asked
+    for, once per core; the terms of the spec alone (``T T* + Ss``, the
+    factors of ``Ss`` and ``Sz``) are the spec's, computed once per spec and
+    read by every core built on it.  ``K`` is stored entry-major as a
     (t, t, n) array.  ``workspace``, a :class:`Workspace`, lends
     the core its length-n stacks: ``N_r`` and its scratch, which then holds
     ``L^{-1} H``, ``K``, and the bound's ``X`` and ``E``; without one each
@@ -188,8 +195,7 @@ class CellCore:
     def _received(self):
         H = self.H
         n, _, t = H.shape
-        fac = Cholesky(_covariance(H, self.spec.T @ ct(self.spec.T) + self.spec.sigma_s,
-                                   self.spec.sigma_z, self))
+        fac = Cholesky(_covariance(H, self.spec.sigma_xs, self.spec.sigma_z, self))
         fac.r  # formed first, so G's stack is allocated where forward(H) would allocate it
         G = _stack(self, 1, H.shape, np.result_type(H, fac.dtype))  # the dead scratch
         Gt = fac.forward(H, out=G).transpose(0, 2, 1)  # G^T for G = L^{-1} H
@@ -216,12 +222,6 @@ class CellCore:
         return np.add.reduce(K, axis=2) / K.shape[2]
 
     @cached_property
-    def sigma_s_factor(self):
-        """``(F, pinv(F))`` with ``Ss = F F*`` and F of width rank(Ss) (:func:`psd_factor`)."""
-        F = psd_factor(self.spec.sigma_s)
-        return F, np.linalg.pinv(F)
-
-    @cached_property
     def logdet_bound(self):
         """``logdet(I + E)`` per draw, the no-interference rate in nats.
 
@@ -231,7 +231,7 @@ class CellCore:
         """
         H, T = self.H, self.spec.T
         shape = H.shape[:2] + T.shape[1:]  # (n, r, m)
-        Lz = Cholesky(self.spec.sigma_z)
+        Lz = self.spec.sigma_z_factor
         X = Lz.forward(right_product(H, T, out=_stack(self, 0, shape, np.result_type(H, T))),
                        out=_stack(self, 1, shape, np.result_type(H, T, Lz.dtype)))
         if X.shape[2] <= X.shape[1]:
@@ -464,7 +464,7 @@ def build_M(spec, W, H):
     M[:, :m, :m] = hermitize(np.eye(m, dtype=spec.dtype) + W @ spec.sigma_s @ ct(W))
     M[:, :m, m:] = cross
     M[:, m:, :m] = ct(cross)
-    M[:, m:, m:] = _covariance(H, spec.T @ ct(spec.T) + spec.sigma_s, spec.sigma_z)
+    M[:, m:, m:] = _covariance(H, spec.sigma_xs, spec.sigma_z)
     return M[0] if single else M
 
 

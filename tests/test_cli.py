@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import jsonschema
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdpclab import lab, model
 from fdpclab.cli import SUBCOMMANDS, build_parser, main
 from fdpclab.config import (CONFIG_SCHEMA, _proven, build_experiment, config_hash,
                             validate_config)
 from fdpclab.errors import ConfigurationError
 from fdpclab.inflation import w_perfect_csit
 from fdpclab.model import build_sample_bank, csit_from_label
+from fdpclab.rate import estimate
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -619,6 +622,59 @@ def test_perfect_solver_rejects_a_quantized_csit_bank(tmp_path, capsys):
                          "--samples", "1"])
     assert code == 2 and out == ""
     assert "perfect-CSIT bank" in capsys.readouterr().err
+
+
+def test_rate_holds_one_cell_at_a_time(tmp_path, monkeypatch):
+    """``rate`` draws each cell of a 3-cell bank once, and every cell drawn before it is
+    freed by then, its draws included: it never holds the bank."""
+    draw, drawn = model._Cells.__getitem__, []
+
+    def recording_draw(cells, i):
+        assert [ref() for ref in drawn] == [None] * len(drawn)
+        cell = draw(cells, i)
+        drawn.append(weakref.ref(cell.draws))
+        return cell
+
+    monkeypatch.setattr(model._Cells, "__getitem__", recording_draw)
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "quantized", "bits": 2},
+           "mc": {"n_outer": 3}}
+    code, out = run_cli(["rate", write_config(tmp_path, raw), "--solver", "alg1",
+                         "--samples", "50"])
+    assert code == 0 and json.loads(out)["n_outer"] == 3
+    assert len(drawn) == 3
+
+
+@pytest.mark.parametrize("csit,n_outer", [({"variant": "none"}, 1),
+                                          ({"variant": "perfect"}, 3),
+                                          ({"variant": "quantized", "bits": 1}, 3)])
+def test_rate_payload_is_that_of_the_eager_bank(tmp_path, csit, n_outer):
+    """The cells ``rate`` draws one at a time give the payload of the bank built up front."""
+    raw = {"ref": "fdpc-2x2-a", "csit": csit, "mc": {"n_outer": n_outer}}
+    code, out = run_cli(["rate", write_config(tmp_path, raw), "--solver", "alg1",
+                         "--samples", "50", "--seed", "4"])
+    assert code == 0
+    payload = json.loads(out)
+    exp = build_experiment(raw, {"n_inner": 50, "seed": 4})
+    bank = build_sample_bank(exp.base_spec, exp.model, exp.csit, n_outer, 50, 4)
+    ((outcome,), bound_basis), = lab.evaluate_group((exp.spec_at(),), bank.cells, ("alg1",),
+                                                     bound=True)
+    est = estimate(*outcome)
+    assert payload["n_outer"] == bank.n_outer and payload["n_inner"] == bank.n_inner
+    assert (payload["rate_bits"], payload["stderr_bits"], payload["bound_bits"],
+            payload["converged"], payload["iterations"]) == (
+        est.rate_bits, est.stderr_bits, estimate(bound_basis).rate_bits, est.converged,
+        est.iterations)
+
+
+def test_solve_w_rejects_a_many_cell_bank_before_drawing_a_cell(tmp_path, monkeypatch, capsys):
+    def no_draw(cells, i):
+        raise AssertionError(f"cell {i} drawn")
+
+    monkeypatch.setattr(model._Cells, "__getitem__", no_draw)
+    raw = {"ref": "fdpc-2x2-a", "csit": {"variant": "quantized", "bits": 1}}
+    code, out = run_cli(["solve-w", write_config(tmp_path, raw), "--samples", "20000"])
+    assert code == 2 and out == ""
+    assert "single-cell bank" in capsys.readouterr().err
 
 
 def test_sweep_perfect_solver_errors_on_quantized_csit(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -55,6 +58,24 @@ def test_sweep_thread_count_independent():
     rows1 = lab.run_sweep(ref.spec, ref.model, seed=5, **plan, threads=1)
     rows4 = lab.run_sweep(ref.spec, ref.model, seed=5, **plan, threads=4)
     assert lab.format_sweep_csv(rows1) == lab.format_sweep_csv(rows4)
+
+
+def test_threads_computing_the_shared_spec_terms_give_the_serial_rows():
+    """Four CSIT settings on four threads share the sweep's fresh specs, so the first
+    read of each spec-only term races; with a short switch interval the rows still
+    equal the serial sweep's."""
+    ref = lab.reference_channel("fdpc-2x2-a")
+    plan = small_plan(solvers=("alg1", "pinv"), n_outer=3, n_inner=100,
+                      csit_list=tuple(csit_from_label(label, ref.model)
+                                      for label in ("none", "perfect", "B=1", "B=2")))
+    serial = lab.format_sweep_csv(lab.run_sweep(ref.spec, ref.model, seed=13, **plan))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = lab.run_sweep(ref.spec, ref.model, seed=13, **plan, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert lab.format_sweep_csv(threaded) == serial
 
 
 def test_sweep_csv_header_exact():
@@ -337,6 +358,39 @@ def test_registry_names_and_lookup():
         lab.reference_channel("fdpc-nope")
     ref = lab.reference_channel("fdpc-lowsnr")
     assert ref.spec.field == "real" and ref.q_over_p == 1.0
+
+
+def test_importing_the_cli_builds_no_reference_channel():
+    """A reference is built on its first lookup; importing the CLI builds no spec,
+    and loads numpy.random, which the samplers use."""
+    code = """
+import sys
+from fdpclab import model
+built = []
+post_init = model.ChannelSpec.__post_init__
+model.ChannelSpec.__post_init__ = lambda self: (built.append(self), post_init(self))[1]
+import fdpclab.cli
+from fdpclab import lab
+assert built == [] and lab.reference_channel.cache_info().currsize == 0, built
+assert len(lab.reference_names()) == 11 and built == []
+assert "numpy.random" in sys.modules
+lab.reference_channel("fdpc-2x2-a")
+assert len(built) == 1
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_reference_matrices_keep_their_bytes():
+    """Every reference's ``T``, ``sigma_s`` and ``sigma_z``, in name order, hash to the
+    bytes the references were built with when the registry was built at import."""
+    digest = hashlib.sha256()
+    for name in lab.reference_names():
+        spec = lab.reference_channel(name).spec
+        for a in (spec.T, spec.sigma_s, spec.sigma_z):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "477b6196df2494fbf1535cbe09da0f6f67fe1feb6357ee0031a42bc2134e15a0")
 
 
 def test_derived_seed_stability():

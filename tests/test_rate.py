@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdpclab import covopt, inflation, lab, rate
+from fdpclab import covopt, inflation, lab, linalg, model, rate
 from fdpclab.errors import ConfigurationError, EvaluationError
 from fdpclab.linalg import ct, hermitize, logdet_pd, numerical_rank
 from fdpclab.model import (ChannelSpec, IidComplexGaussian, IidRealGaussian, NoCsit,
@@ -555,3 +555,55 @@ def test_a_live_core_keeps_its_stacks_while_another_is_built(field):
     third = rate.CellCore(spec, H2, workspace)
     assert np.shares_memory(third._received[1], workspace.stacks["K"])
     assert third._received[1].tobytes() == second._received[1].tobytes()
+
+
+def test_each_spec_only_term_is_computed_once_per_spec(monkeypatch):
+    """One pass over 3 quantized cells at 2 SNRs, with alg1, zero and the bound, factors
+    ``Ss`` (with the pseudo-inverse of its factor), takes ``pinv(T)`` and factors ``Sz``
+    once per spec, not once per cell core.  The cached terms are read-only, and the
+    bases are bitwise those of per-cell cores built on fresh specs."""
+    ref = lab.reference_channel("fdpc-fig4-2")
+    bank = quantized_bank(ref)
+    specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 20.0)]
+    factored, pinv_of, cholesky_of = [], [], []
+    psd_factor, pinv, cholesky = linalg.psd_factor, np.linalg.pinv, linalg.Cholesky.__init__
+
+    def counting_psd_factor(sigma):
+        factored.append(sigma)
+        return psd_factor(sigma)
+
+    def counting_pinv(a, *args, **kwargs):
+        pinv_of.append(a)
+        return pinv(a, *args, **kwargs)
+
+    def counting_cholesky(self, a, lead=None):
+        if np.ndim(a) == 2:  # one matrix, not a stack of draws
+            cholesky_of.append(a)
+        cholesky(self, a, lead)
+
+    for module in (linalg, model, rate, inflation):
+        if hasattr(module, "psd_factor"):
+            monkeypatch.setattr(module, "psd_factor", counting_psd_factor)
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    monkeypatch.setattr(linalg.Cholesky, "__init__", counting_cholesky)
+    policies = [[lab.resolve_w(spec, solver) for solver in ("alg1", "zero")] for spec in specs]
+    got = rate._evaluate(specs, bank.cells, policies, bound=True)
+    assert len(factored) == len(cholesky_of) == len(pinv_of) / 2 == len(specs)
+    # at_snr_db keeps the base spec's Sz, so both specs hold the same array
+    assert all(a is ref.spec.sigma_z for a in cholesky_of)
+    for spec in specs:
+        assert sum(a is spec.sigma_s for a in factored) == 1
+        assert sum(a is spec.T for a in pinv_of) == 1
+        assert sum(a is spec.sigma_s_factor[0] for a in pinv_of) == 1
+        for a in (*spec.sigma_s_factor, spec.sigma_x, spec.sigma_xs, spec.t_pinv):
+            assert not a.flags.writeable
+    monkeypatch.undo()
+    for snr_db, policy, (outcomes, bound) in zip((0.0, 20.0), policies, got):
+        # at_snr_db gives bitwise the same matrices, on a spec with an empty cache
+        fresh = [rate.CellCore(ref.spec.at_snr_db(snr_db, ref.q_over_p), cell.draws)
+                 for cell in bank.cells]
+        (want, want_bound), = rate._evaluate((spec,), bank.cells, (policy,), bound=True,
+                                             cores=fresh)
+        assert bound.tobytes() == want_bound.tobytes()
+        for (basis, *fold), (want_basis, *want_fold) in zip(outcomes, want):
+            assert basis.tobytes() == want_basis.tobytes() and fold == want_fold
