@@ -20,7 +20,7 @@ from . import covopt, lab
 from .config import build_experiment, load_config
 from .errors import ConfigurationError, FdpcError, SolverError
 from .inflation import CLOSED_FORMS, CORE_SOLVERS, SOLVERS, solve_w
-from .model import NoCsit, build_sample_bank, csit_from_label, sample_cells
+from .model import NoCsit, csit_from_label, sample_cells
 from .rate import CellCore, estimate
 
 EXIT_CONFIG = 2
@@ -31,11 +31,23 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
+def _unwritable(path, exc):
+    return ConfigurationError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
+def _write_text(path, text):
+    """Write ``text`` to ``path``; a path that cannot be written is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
 def _emit(payload, out_path=None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     else:
         print(text)
 
@@ -85,19 +97,15 @@ def _load_experiment(args):
     return exp
 
 
-def _cells_for(exp, sample=sample_cells):
-    """The experiment's bank as ``sample`` gives it: cells drawn when read, or a held bank.
-
-    ``sample`` is :func:`fdpclab.model.sample_cells` or ``build_sample_bank``,
-    called after the check of ``n_outer``.
-    """
+def _cells_for(exp):
+    """The experiment's bank from :func:`fdpclab.model.sample_cells`: each cell drawn when read."""
     # only a flag or config value is in raw, not DEFAULT_MC; 1 is honoured
     n_outer = exp.raw.get("mc", {}).get("n_outer", 1)
     if isinstance(exp.csit, NoCsit) and n_outer != 1:
         raise ConfigurationError(f"n_outer {n_outer} needs perfect or quantized CSIT;"
                                  " a no-CSIT bank is one cell of n_inner draws")
-    return sample(exp.base_spec, exp.model, exp.csit,
-                  exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
+    return sample_cells(exp.base_spec, exp.model, exp.csit,
+                        exp.mc["n_outer"], exp.mc["n_inner"], exp.mc["seed"])
 
 
 def cmd_rate(args):
@@ -137,7 +145,7 @@ def cmd_sweep(args):
     snrs = _parse_snr_list(args.snr_db_list)
     solvers = tuple(s.strip() for s in args.solvers.split(","))
     csits = (tuple(csit_from_label(label.strip(), exp.model) for label in args.csit.split(","))
-             if args.csit else (exp.csit,))
+             if args.csit is not None else (exp.csit,))
     rows = lab.run_sweep(exp.base_spec, exp.model, exp.mc["seed"], snr_db_list=snrs,
                          q_over_p=exp.q_over_p, solvers=solvers, csit_list=csits,
                          include_bound=not args.no_bound, n_outer=exp.mc["n_outer"],
@@ -146,7 +154,10 @@ def cmd_sweep(args):
         if row.error:
             _log(f"cell (snr={row.snr_db}, csit={row.csit}, solver={row.solver}) "
                  f"failed: {row.error}")
-    lab.write_sweep_csv(rows, args.out)
+    try:
+        lab.write_sweep_csv(rows, args.out)
+    except OSError as exc:
+        raise _unwritable(args.out, exc) from None
     _emit({"out": args.out, "rows": len(rows),
            "errors": sum(1 for r in rows if r.error),
            "seed": exp.mc["seed"], "config_hash": exp.hash})
@@ -168,8 +179,7 @@ def cmd_lowsnr(args):
     snrs = _parse_snr_list(args.snr_db_list)
     rows = lab.low_snr_ratio(exp.base_spec, exp.model, snrs, exp.mc["seed"],
                              q_over_p=exp.q_over_p, n_inner=exp.mc["n_inner"])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(lab.format_lowsnr_csv(rows))
+    _write_text(args.out, lab.format_lowsnr_csv(rows))
     _emit({"out": args.out, "rows": len(rows), "seed": exp.mc["seed"],
            "config_hash": exp.hash})
 
@@ -206,9 +216,8 @@ def _matrix_payload(mat):
 def cmd_jointopt(args):
     exp = _load_experiment(args)
     spec = exp.spec_at()
-    # a no-CSIT bank, held: every outer step reads its one cell, which sample_cells would redraw
-    bank = _cells_for(exp, build_sample_bank)
-    res = covopt.joint_optimize(spec, bank,
+    # a no-CSIT bank: joint_optimize draws its one cell once and every outer step reads it
+    res = covopt.joint_optimize(spec, _cells_for(exp),
                                 rank_bound=spec.dims.m if args.rank is None else args.rank,
                                 outer_iters=args.outer_iters, solver=args.solver)
     _emit({

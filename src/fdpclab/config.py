@@ -151,10 +151,16 @@ def _proven(value, schema):
 
 @functools.cache
 def _validator():
-    """jsonschema's validator, imported and built once, for the first config not proven."""
+    """jsonschema's validator, imported and built once, for the first config not proven.
+
+    Its ``integer`` is a Python ``int``, as in ``_proven``: JSON Schema's also
+    takes ``2.0``, which is no count for numpy and hashes apart from ``2``.
+    """
     import jsonschema  # here, so a process that only builds configs from flags never loads it
 
-    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    draft = jsonschema.Draft202012Validator
+    checker = draft.TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int)
+    return jsonschema.validators.extend(draft, type_checker=checker)(CONFIG_SCHEMA)
 
 
 def validate_config(raw):

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError
 from .inflation import solve_w
 from .linalg import DEFAULT_RANK_TOL, mean_ct_product, right_product
-from .rate import CellCore, SchurPoint, achievable_rate, check_inflation
+from .rate import CellCore, SchurPoint, _evaluate, check_inflation, estimate
 
 
 # Stop the alternation when the rate gains less than this per outer step (bits).
@@ -96,31 +96,34 @@ def _eig_stats(sigma_x):
     return int(nz.size), float(nz[0] / nz[-1])
 
 
-def joint_optimize(spec, bank, *, rank_bound, outer_iters, solver):
+def joint_optimize(spec, cells, *, rank_bound, outer_iters, solver):
     """Alternate inflation solving and covariance fixed-point updates.
 
     Starts from the scaled identity factor of rank ``rank_bound`` and runs at
     most ``outer_iters`` outer steps, each solving W with ``solver`` (a name
-    in :data:`fdpclab.inflation.CORE_SOLVERS`).  Works on single-cell
-    (no-CSIT style) banks: one global W and one T.  Returns the best-rate
-    iterate, not the last one, so the reported rate is non-decreasing up to
-    Monte Carlo noise by construction.
+    in :data:`fdpclab.inflation.CORE_SOLVERS`).  Works on the cells of a
+    single-cell (no-CSIT style) bank, and reads that cell once: one global W
+    and one T.  Each step's rate is :func:`fdpclab.rate._evaluate` on the
+    step's core.  Returns the best-rate iterate, not the last one, so the
+    reported rate is non-decreasing up to Monte Carlo noise by construction.
     """
     if rank_bound < 1 or outer_iters < 1:
         raise ConfigurationError("rank_bound and outer_iters must be >= 1")
-    if len(bank.cells) != 1:
+    if len(cells) != 1:
         raise ConfigurationError("joint optimization expects a single-cell bank")
     T = _initial_factor(spec, rank_bound)
-    draws = bank.cells[0].draws
+    cell = cells[0]
     rate_trace = []
     best = None
     prev_rate = -np.inf
     converged = False
     for outer in range(outer_iters):
         spec_t = replace(spec, T=T)
-        core = CellCore(spec_t, draws)
+        core = CellCore(spec_t, cell.draws)
         w_res = solve_w(core, solver)
-        est = achievable_rate(spec_t, w_res.W, bank, cores=(core,))
+        ((outcome,), _), = _evaluate((spec_t,), (cell,), ((w_res.W,),), cores=(core,))
+        est = estimate(*outcome)
+        del outcome  # its per-draw basis, which would outlive the step
         rate_trace.append(est.rate_bits)
         if best is None or est.rate_bits > best[0].rate_bits:
             best = (est, spec_t, w_res.W)

@@ -146,10 +146,10 @@ def alg1_row_update(core, W, row, rows=None):
     ``Wb``/``Cb``/``Sb`` the other rows' parts of ``W``, ``C`` and ``S(W)``,
     the expectations it needs are ``E Sb^{-1}``, ``E Sb^{-1} Cb K`` and
     ``E(K + K Cb* Sb^{-1} Cb K)`` (just ``E K`` when m = 1), read from the
-    :class:`fdpclab.rate.SchurPoint` of the other rows.  ``rows``, the
-    :class:`fdpclab.rate.SchurRows` of W when the caller keeps one
-    (:func:`alg1_solve` does), gives that point on views of its pieces;
-    without it the point forms them through ``core.schur``.
+    :class:`fdpclab.rate.SchurPoint` of the other rows, on views of the
+    pieces of ``rows``: the :class:`fdpclab.rate.SchurRows` of W when the
+    caller keeps one (:func:`alg1_solve` does), else one formed here of
+    every row but ``row``.
     """
     spec = core.spec
     W = check_inflation(spec, W)
@@ -169,7 +169,7 @@ def alg1_row_update(core, W, row, rows=None):
     if rest:
         Wb = W[rest]
         try:
-            point = SchurPoint(core, Wb, rest) if rows is None else rows.point(row)
+            point = (SchurRows(core, W, row) if rows is None else rows).point(row)
         except EvaluationError:
             raise SolverError(f"singular D block in row update {row}",
                               row_index=row) from None

@@ -590,23 +590,6 @@ class BankCell:
     csit: object
 
 
-@dataclass(frozen=True)
-class SampleBank:
-    """A fixed, seeded collection of fading draws shared across evaluations."""
-
-    cells: tuple
-    seed: int
-
-    @property
-    def n_outer(self):
-        return len(self.cells)
-
-    @property
-    def n_inner(self):
-        """Draws per cell, read off the first cell: the ``n_inner`` of the sequence that drew it."""
-        return self.cells[0].draws.shape[0]
-
-
 def _cell_rng(seed, cell_index):
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(cell_index),))
@@ -672,9 +655,8 @@ class _Cells:
 
 
 def build_sample_bank(spec, model, csit, n_outer, n_inner, seed):
-    """The bank of every cell :func:`sample_cells` draws, held at once."""
-    return SampleBank(cells=tuple(sample_cells(spec, model, csit, n_outer, n_inner, seed)),
-                      seed=int(seed))
+    """The cells :func:`sample_cells` draws, all drawn and held in a tuple."""
+    return tuple(sample_cells(spec, model, csit, n_outer, n_inner, seed))
 
 
 # ---------------------------------------------------------------------------

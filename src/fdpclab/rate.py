@@ -29,13 +29,16 @@ every ``alg1`` row step reads, the Cholesky factor ``Lz`` of ``Sz``, and
 :class:`CellCore` holds the W-independent part of one (spec, draws) pair.
 It factors ``N_r = L L*`` once, which gives both ``logdet N_r`` and
 ``K = G* G`` with ``G = L^{-1} H``; it forms the bound term only when asked.
-Per W, the solvers and the covariance gradient
-factor ``S(W)`` in a :class:`SchurPoint` per W (per set of rows, for an
-``alg1`` row step) and read their means from it; every factorization is one
-:class:`fdpclab.linalg.Cholesky` over the draws.  An ``alg1`` solve keeps its
-W's ``C K`` rows and ``S(W)`` entries in a :class:`SchurRows`, forms only the
-changed row's after each row step, and scores a sweep by bordering the last
-row step's factor.
+Per W, :meth:`CellCore.schur` is the one builder of a full W's ``S(W)``
+(with or without the ``C K`` stack), and every entry of ``S`` it or a
+:class:`SchurRows` holds is formed by one row helper,
+:meth:`CellCore._schur_row`.  The solvers and the covariance gradient
+factor ``S(W)`` in a :class:`SchurPoint` per W (per set of other rows, for
+an ``alg1`` row step) and read their means from it; every factorization is
+one :class:`fdpclab.linalg.Cholesky` over the draws.  A row step reads the
+other rows' pieces from a :class:`SchurRows`: an ``alg1`` solve keeps one
+for its W, forms only the changed row's after each row step, and scores a
+sweep by bordering the last row step's factor.
 The core is the one store of ``logdet S(W)`` per draw
 (:meth:`CellCore.logdet_s`), keyed on ``W Ss`` and ``W Ss W*``, the only
 terms of W that ``S(W)`` reads (with a p.s.d. ``Ss`` the rate depends on W
@@ -241,46 +244,34 @@ class CellCore:
         E = _stack(self, 0, (n, k, k), X.dtype)  # H T is dead by now
         return logdet_pd(hermitian_products(X, X, E, np.eye(k)))
 
-    def schur(self, W, cols=None):
-        """``(C K, S)`` per draw, shapes (n, k, t) and (n, k, k), for W of shape (k, t).
+    def schur(self, W, keep_ck=True):
+        """``(C K, S)`` per draw, shapes (n, m, t) and (n, m, m), for a full W of shape (m, t).
 
-        ``C = T[:, cols]* + W Ss`` with ``cols`` all of T's columns by
-        default, so a subset of W's rows passes the matching columns of T.
-        Both are entry-major views.  Row i of ``C K`` is the sum of the
-        (t, n) blocks ``K[a]`` scaled by ``C[i, a]``; row i of the lower
-        triangle of ``S = I + W Ss W* - (C K) C*`` is formed from it entry
-        by entry and mirrored, so ``S`` is exactly Hermitian.
+        ``C = T* + W Ss``.  Both are entry-major views.  Row i of ``C K`` is
+        the sum of the (t, n) blocks ``K[a]`` scaled by ``C[i, a]``; row i of
+        the lower triangle of ``S = I + W Ss W* - (C K) C*`` is formed from it
+        entry by entry and mirrored, so ``S`` is exactly Hermitian.  With
+        ``keep_ck`` false ``C K`` is None: its rows share one (t, n) buffer, so
+        no (n, m, t) stack is held beside ``S``.  The objective's memo takes
+        that form, because on ``fdpc-rank-3x2`` (m = 3, 5000 draws, 2 vCPU)
+        one :func:`objective` through the kept ``C K`` took 1.4-2.1 ms against
+        0.7-1.0 ms, and ``jointopt`` wall time rose 3-5 %.
         """
-        return self._schur(W, cols, keep_ck=True)
-
-    def schur_s(self, W):
-        """``S(W)`` alone, formed as :meth:`schur` forms it.
-
-        The rows of ``C K`` share one (t, n) buffer, so no (n, m, t) stack
-        is held beside ``S``.  That is why it exists beside :meth:`schur`: on
-        ``fdpc-rank-3x2`` (m = 3, 5000 draws, 2 vCPU) one :func:`objective`
-        through ``schur`` took 1.4-2.1 ms against 0.7-1.0 ms through this
-        method, and ``jointopt`` wall time rose 3-5 %.
-        """
-        return self._schur(W, None, keep_ck=False)[1]
-
-    def _schur(self, W, cols, keep_ck):
         K = self._received[1]
         t, _, n = K.shape
-        k = W.shape[0]
-        C, shift = self._schur_terms(W, cols)
-        ck = np.empty((k if keep_ck else 1, t, n), dtype=np.result_type(C, K))
-        S = np.empty((k, k, n), dtype=ck.dtype).transpose(2, 0, 1)
-        rows = ck if keep_ck else [ck[0]] * k  # schur_s forms every row in one buffer
-        for i in range(k):
+        m = W.shape[0]
+        C, shift = self._schur_terms(W)
+        ck = np.empty((m if keep_ck else 1, t, n), dtype=np.result_type(C, K))
+        S = np.empty((m, m, n), dtype=ck.dtype).transpose(2, 0, 1)
+        rows = ck if keep_ck else [ck[0]] * m
+        for i in range(m):
             self._schur_row(C, shift, rows, S, i)
         return (ck.transpose(2, 0, 1) if keep_ck else None), S
 
-    def _schur_terms(self, W, cols=None):
-        """``(C, I + W Ss W*)`` with ``C = T[:, cols]* + W Ss``, the small terms ``S(W)`` reads."""
+    def _schur_terms(self, W):
+        """``(C, I + W Ss W*)`` with ``C = T* + W Ss``, the small terms ``S(W)`` reads."""
         w_ss, w_ss_w = self._inflation_terms(W)
-        Tc = self.spec.T if cols is None else self.spec.T[:, cols]
-        return ct(Tc) + w_ss, np.eye(W.shape[0]) + w_ss_w
+        return ct(self.spec.T) + w_ss, np.eye(W.shape[0]) + w_ss_w
 
     def _schur_row(self, C, shift, ck, S, i, below=()):
         """Form row i of ``C K`` in ``ck[i]``, a (t, n) block, and the entries of ``S`` it enters.
@@ -326,7 +317,7 @@ class CellCore:
 
         ``factor``, the :class:`Cholesky` of ``S(W)`` when the caller has it
         (a :class:`SchurPoint` does), gives ``logdet S`` on a miss in place
-        of factoring :meth:`schur_s`.
+        of factoring :meth:`schur`'s ``S``.
         """
         return float(self.mean_logdet_nr + self._memo(W, factor)[1])
 
@@ -341,26 +332,28 @@ class CellCore:
         key = self._memo_key(W)
         entry = self._logdet_s.get(key)
         if entry is None:
-            ld = factor.logdet() if factor is not None else logdet_pd(self.schur_s(W))
+            ld = (factor.logdet() if factor is not None
+                  else logdet_pd(self.schur(W, keep_ck=False)[1]))
             ld.setflags(write=False)
             entry = self._logdet_s[key] = ld, np.mean(ld)
         return entry
 
 
 class SchurPoint:
-    """``C K`` and ``S(W) = L L*`` from ``core.schur(W, cols)``, factored once.
+    """``C K`` and ``S(W) = L L*`` from ``core.schur(W)``, factored once.
 
-    ``pieces``, the ``(C K, S)`` views of W when the caller holds them (a
-    :class:`SchurRows` does), are factored in place of ``core.schur``.  An ``S``
-    that is not positive definite raises :class:`EvaluationError`.  The
-    properties are computed on first use and cached on the point; the
-    objective hands the factor to the core's memo (:meth:`CellCore.evaluate`),
-    which keeps ``logdet S`` per draw after the point is dropped.
+    ``pieces``, the ``(C K, S)`` views when the caller holds them, are
+    factored in place of ``core.schur``: a :class:`SchurRows` hands out those
+    of the rows other than one, and W is then None.  An ``S`` that is not
+    positive definite raises :class:`EvaluationError`.  The properties are
+    computed on first use and cached on the point; the objective hands the
+    factor to the core's memo (:meth:`CellCore.evaluate`), which keeps
+    ``logdet S`` per draw after the point is dropped.
     """
 
-    def __init__(self, core, W, cols=None, pieces=None):
+    def __init__(self, core, W, pieces=None):
         self.core, self.W = core, W
-        self.ck, S = core.schur(W, cols) if pieces is None else pieces
+        self.ck, S = core.schur(W) if pieces is None else pieces
         self.factor = Cholesky(S)
 
     @cached_property
@@ -398,18 +391,19 @@ class SchurRows:
     """The ``C K`` rows and ``S(W)`` entries of a full W whose rows change one at a time.
 
     :func:`fdpclab.inflation.alg1_solve` keeps one for its whole solve, for
-    m >= 2.  They are stored entry-major, as (m, t, n) and (m, m, n) blocks
-    of one (m, t + m, n) array.  Row r's step reads the other rows' pieces as
-    views (:meth:`point`); after it, :meth:`set_row` forms only row r's new
+    m >= 2, and a standalone row step builds one for its row.  They are
+    stored entry-major, as (m, t, n) and (m, m, n) blocks of one
+    (m, t + m, n) array.  Row r's step reads the other rows' pieces as views
+    (:meth:`point`); after it, :meth:`set_row` forms only row r's new
     ``C K`` row and its row and column of ``S``, by
     :meth:`CellCore._schur_row` from the terms of the full W.  So after a
-    sweep every entry is bitwise the one :meth:`CellCore.schur_s` forms at
+    sweep every entry is bitwise the one :meth:`CellCore.schur` forms at
     the current W, and :meth:`factor` borders the last row step's factor by
     the last row instead of factoring ``S(W)`` again.
     """
 
-    def __init__(self, core, W):
-        """Pieces of every row of W but the first, which the first row step replaces."""
+    def __init__(self, core, W, skip=0):
+        """Pieces of every row of W but ``skip``, which the next row step replaces (None: all)."""
         K = core._received[1]
         t, _, n = K.shape
         m = W.shape[0]
@@ -418,8 +412,9 @@ class SchurRows:
         self.ck, self.S = buf[:, :t], buf[:, t:].transpose(2, 0, 1)
         self._last = None  # the point of the last row's step, until factor() reads it
         C, shift = core._schur_terms(W)
-        for i in range(1, m):
-            core._schur_row(C, shift, self.ck, self.S, i)
+        for i in range(m):
+            if i != skip:
+                core._schur_row(C, shift, self.ck, self.S, i)
 
     def point(self, row):
         """The :class:`SchurPoint` of the rows other than ``row``, on views of the pieces."""
@@ -557,16 +552,15 @@ def paired_cov(a, b):
     return float(np.cov(a, b, ddof=1)[0, 1] / a.size) / LN2 ** 2 if a.size > 1 else 0.0
 
 
-def achievable_rate(spec, w, bank, cores=None):
-    """Achievable rate over the bank of a W policy (see :func:`_evaluate`).
+def achievable_rate(spec, w, cells):
+    """Achievable rate over a bank's cells of a W policy (see :func:`_evaluate`).
 
-    :func:`fdpclab.lab.resolve_w` gives the policy of a solver name, and
-    ``cores`` optionally one prebuilt core per cell.
+    :func:`fdpclab.lab.resolve_w` gives the policy of a solver name.
     """
-    ((outcome,), _), = _evaluate((spec,), bank.cells, ((w,),), cores=cores)
+    ((outcome,), _), = _evaluate((spec,), cells, ((w,),))
     return estimate(*outcome)
 
 
-def no_interference_bound(spec, bank):
+def no_interference_bound(spec, cells):
     """Rate without interference on the same draws as :func:`achievable_rate`."""
-    return estimate(_evaluate((spec,), bank.cells, ((),), bound=True)[0][1])
+    return estimate(_evaluate((spec,), cells, ((),), bound=True)[0][1])

@@ -7,8 +7,7 @@ import pytest
 
 from fdpclab import inflation, lab
 from fdpclab.linalg import ct
-from fdpclab.model import (BankCell, ChannelSpec, NoCsit, PerfectCsit, SampleBank, _ndtr,
-                           build_sample_bank)
+from fdpclab.model import BankCell, ChannelSpec, NoCsit, PerfectCsit, _ndtr, build_sample_bank
 from fdpclab.rate import CellCore, _evaluate, build_M, check_inflation, estimate, paired_cov
 
 
@@ -68,9 +67,10 @@ def ref_row_surrogate(spec, W, row, H):
 def ref_alg1_solve(core, W0):
     """``alg1_solve`` as a loop of standalone row steps, with its stopping rule (test reference).
 
-    Each row step builds the :class:`fdpclab.rate.SchurPoint` of the other
-    rows through ``core.schur``, and each sweep's objective is a plain
-    ``core.evaluate``, which factors ``core.schur_s``.  No memo entry is dropped.
+    Each row step forms the other rows' pieces anew (a standalone
+    ``alg1_row_update``), and each sweep's objective is a plain
+    ``core.evaluate``, which factors ``core.schur``'s ``S``.  No memo entry is
+    dropped.
     """
     W = check_inflation(core.spec, W0)
     trace = [core.evaluate(W)]
@@ -93,7 +93,7 @@ def ref_alg1_solve(core, W0):
 
 
 def degenerate_bank(H_list):
-    """Single-cell bank whose draws are exactly the given matrices.
+    """Single-cell bank (a tuple of one cell) whose draws are exactly the given matrices.
 
     A one-draw bank doubles as a perfect-CSIT cell (h_hat set to the draw).
     """
@@ -103,13 +103,13 @@ def degenerate_bank(H_list):
         cell = BankCell(h_hat=draws[0], draws=draws, csit=PerfectCsit())
     else:
         cell = BankCell(h_hat=None, draws=draws, csit=NoCsit())
-    return SampleBank(cells=(cell,), seed=0)
+    return (cell,)
 
 
 def bank_bytes(bank):
     """Deterministic serialization of every estimate and draw of a bank."""
     parts = []
-    for cell in bank.cells:
+    for cell in bank:
         if cell.h_hat is not None:
             parts.append(np.ascontiguousarray(cell.h_hat).tobytes())
         parts.append(np.ascontiguousarray(cell.draws).tobytes())
@@ -144,7 +144,7 @@ def lagrangian(core, W, lam):
 
 def paired_estimates(spec, w, bank):
     """``(rate, bound, cov_bits2)`` of one W policy from one pass of the rate evaluator."""
-    ((outcome,), bound_basis), = _evaluate((spec,), bank.cells, ((w,),), bound=True)
+    ((outcome,), bound_basis), = _evaluate((spec,), bank, ((w,),), bound=True)
     return estimate(*outcome), estimate(bound_basis), paired_cov(outcome[0], bound_basis)
 
 
@@ -159,25 +159,19 @@ def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):
 
 
 class IndefiniteCore(CellCore):
-    """A cell core whose Schur complement ``S`` is indefinite at draw ``bad`` only.
+    """A cell core whose Schur complement ``S`` is ``-I`` at draw ``bad`` only.
 
-    Both ways of forming ``S`` are overridden: ``schur`` (the solvers' points
-    and the gradient) and ``schur_s`` (the objective and the rate).
+    It overrides ``_schur_row``, which forms every entry of ``S`` that any
+    builder forms: ``schur`` (the solvers' points, the gradient, the
+    objective and the rate) and a ``SchurRows``' kept rows (the row steps).
     """
 
     bad = 1
 
-    def _indefinite(self, S):
-        S = S.copy()
-        S[self.bad] = -np.eye(S.shape[-1])
-        return S
-
-    def schur(self, W, cols=None):
-        ck, S = super().schur(W, cols)
-        return ck, self._indefinite(S)
-
-    def schur_s(self, W):
-        return self._indefinite(super().schur_s(W))
+    def _schur_row(self, C, shift, ck, S, i, below=()):
+        super()._schur_row(C, shift, ck, S, i, below)
+        for l in (*range(i + 1), *below):  # the entries S[i, l] and S[l, i] just formed
+            S[self.bad, i, l] = S[self.bad, l, i] = -float(i == l)
 
 
 @pytest.fixture

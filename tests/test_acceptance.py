@@ -97,7 +97,7 @@ def test_criterion_4_high_snr_identity_choice():
     candidates = {"zero": inflation.w_zero(spec), "pinv": inflation.w_pinv(spec)}
     for k in range(5):
         candidates[f"random-{k}"] = rand_matrix(rng, (3, 3), "complex")
-    res = inflation.solve_w(rate.CellCore(spec, bank.cells[0].draws), "alg1")
+    res = inflation.solve_w(rate.CellCore(spec, bank[0].draws), "alg1")
     candidates["alg1"] = res.W
     ok = True
     margin = []
@@ -129,7 +129,7 @@ def test_criterion_6_closed_form_matches_single_sweep(monkeypatch):
     ref = lab.reference_channel("fdpc-fig4-1")
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4400)
-    H = bank.cells[0].draws
+    H = bank[0].draws
     monkeypatch.setattr(inflation, "MAX_ITERS", 1)
     res = inflation.alg1_solve(rate.CellCore(spec, H), inflation.w_zero(spec))
     # the m = 1 closed form, coded independently of the row-update machinery
@@ -147,7 +147,7 @@ def test_criterion_7_fixed_point_stationarity(monkeypatch):
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
     bank = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=4500)
-    H = bank.cells[0].draws
+    H = bank[0].draws
     monkeypatch.setattr(inflation, "TOL", 1e-8)
     monkeypatch.setattr(inflation, "MAX_ITERS", 500)
     core = rate.CellCore(spec, H)
@@ -213,7 +213,7 @@ def test_criterion_10_covariance_optimization():
     rng = make_rng(5000)
     spec_g = rand_spec(rng, 2, 2, 2, "real")
     bank_g = build_sample_bank(spec_g, IidRealGaussian(), NoCsit(), 1, 250, seed=5100)
-    H = bank_g.cells[0].draws
+    H = bank_g[0].draws
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
@@ -239,7 +239,7 @@ def test_criterion_10_covariance_optimization():
     bank_c = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, N_INNER, seed=5200)
     joint = covopt.joint_optimize(spec_c, bank_c, rank_bound=3, outer_iters=25,
                                   solver="alg1")
-    res_w = inflation.solve_w(rate.CellCore(spec_c, bank_c.cells[0].draws), "alg1")
+    res_w = inflation.solve_w(rate.CellCore(spec_c, bank_c[0].draws), "alg1")
     iso = rate.achievable_rate(spec_c, res_w.W, bank_c)
     wf_ok = joint.rate_bits >= iso.rate_bits - 2 * max(joint.stderr_bits,
                                                        iso.stderr_bits)

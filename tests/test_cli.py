@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -118,6 +119,57 @@ def test_validate_config_reports_the_error_jsonschema_picks():
         with pytest.raises(ConfigurationError) as got:
             validate_config(raw)
         assert str(got.value) == f"invalid configuration: {path}: -2 is less than the minimum of 0"
+
+
+_EXPLICIT_CFG = {"t": 2, "r": 2, "m": 1, "q_over_p": 1.0, "field": "real",
+                 "fading": {"variant": "iid_real"}}
+_QUANTIZED_CFG = {"ref": "fdpc-2x2-a", "csit": {"variant": "quantized", "bits": 2},
+                  "mc": {"n_outer": 2}}
+_RANDOM_RANK_CFG = {**_EXPLICIT_CFG, "sigma_s": {"kind": "random_rank", "rank": 1, "seed": 1}}
+
+# A valid config and the path of one of its integer fields, for each integer field.
+_INTEGER_CASES = [
+    (_EXPLICIT_CFG, ("t",)), (_EXPLICIT_CFG, ("r",)), (_EXPLICIT_CFG, ("m",)),
+    (_QUANTIZED_CFG, ("csit", "bits")), (_QUANTIZED_CFG, ("mc", "n_outer")),
+    (_RANDOM_RANK_CFG, ("sigma_s", "rank")), (_RANDOM_RANK_CFG, ("sigma_s", "seed")),
+    ({"ref": "fdpc-2x2-a", "mc": {"n_inner": 5}}, ("mc", "n_inner")),
+    ({"ref": "fdpc-2x2-a", "mc": {"seed": 3}}, ("mc", "seed"))]
+
+
+def _integer_fields(schema, path=()):
+    """The path of every ``integer`` field of ``schema``."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_fields(sub, (*path, key))
+
+
+def test_the_integer_cases_cover_every_integer_field():
+    assert sorted(path for _, path in _INTEGER_CASES) == sorted(_integer_fields(CONFIG_SCHEMA))
+
+
+@pytest.mark.parametrize("raw,path", _INTEGER_CASES,
+                         ids=[".".join(path) for _, path in _INTEGER_CASES])
+def test_an_integral_float_in_an_integer_field_exits_2(tmp_path, capsys, raw, path):
+    """JSON Schema's ``integer`` takes ``2.0``; the config's does not, and names the field.
+
+    The same config with the int runs, so the float is what is rejected.
+    """
+    raw = json.loads(json.dumps(raw))
+    *outer, key = path
+    section = functools.reduce(dict.__getitem__, outer, raw)
+
+    def rate():
+        return run_cli(["rate", write_config(tmp_path, raw), "--solver", "zero",
+                        "--samples", "10"])
+
+    assert rate()[0] == 0
+    section[key] = float(section[key])
+    capsys.readouterr()
+    assert rate() == (2, "")
+    assert capsys.readouterr().err == (
+        f"configuration error: invalid configuration: $.{'.'.join(path)}: "
+        f"{section[key]!r} is not of type 'integer'\n")
 
 
 # Values a flag-shaped config may carry, edge cases first: bools where numbers
@@ -292,6 +344,38 @@ def test_sweep_malformed_csit_label_exits_2(tmp_path):
                          "--csit", "B=x", "--samples", "10",
                          "--out", str(tmp_path / "x.csv")])
     assert code == 2 and out == ""
+
+
+def test_sweep_empty_csit_list_exits_2(tmp_path, capsys):
+    """``--csit ""`` is one empty label, as ``--solvers ""`` is, not the config's CSIT."""
+    code, out = run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0", "--csit", "",
+                         "--samples", "10", "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and out == ""
+    assert "unknown CSIT label ''" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# A cheap call of each subcommand, less its --out.
+_OUT_CALLS = {
+    "rate": ["--ref", "fdpc-2x2-a", "--solver", "zero", "--samples", "10"],
+    "sweep": ["--ref", "fdpc-2x2-a", "--snr-db-list", "0", "--solvers", "zero",
+              "--samples", "10"],
+    "scaling": ["--ref", "fdpc-3x2-b", "--samples", "10"],
+    "lowsnr": ["--ref", "fdpc-lowsnr", "--snr-db-list", "0", "--samples", "10"],
+    "solve-w": ["--ref", "fdpc-2x2-a", "--solver", "zero", "--samples", "10"],
+    "jointopt": ["--ref", "fdpc-2x2-a", "--outer-iters", "1", "--samples", "10"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_an_unwritable_out_exits_2_with_one_line_naming_it(tmp_path, capsys, command):
+    """A missing directory or a directory as ``--out``: exit 2, empty stdout, no traceback."""
+    assert set(_OUT_CALLS) == set(SUBCOMMANDS)
+    for out, why in ((tmp_path / "missing" / "x.out", "No such file or directory"),
+                     (tmp_path, "Is a directory")):
+        assert run_cli([command, *_OUT_CALLS[command], "--out", str(out)]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write --out {out}: {why}\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "lowsnr"])
@@ -598,7 +682,7 @@ def test_solve_w_perfect_on_a_perfect_csit_cell(tmp_path, capsys):
     payload = json.loads(out)
     exp = build_experiment(raw, {"n_inner": 1, "seed": 3})
     bank = build_sample_bank(exp.base_spec, exp.model, exp.csit, 1, 1, exp.mc["seed"])
-    expected = w_perfect_csit(exp.spec_at(), bank.cells[0].h_hat)
+    expected = w_perfect_csit(exp.spec_at(), bank[0].h_hat)
     assert np.array_equal(np.asarray(payload["W"]), expected)
     assert (payload["converged"], payload["iterations"], payload["objective_trace"]) == (
         True, 0, [])
@@ -656,10 +740,10 @@ def test_rate_payload_is_that_of_the_eager_bank(tmp_path, csit, n_outer):
     payload = json.loads(out)
     exp = build_experiment(raw, {"n_inner": 50, "seed": 4})
     bank = build_sample_bank(exp.base_spec, exp.model, exp.csit, n_outer, 50, 4)
-    ((outcome,), bound_basis), = lab.evaluate_group((exp.spec_at(),), bank.cells, ("alg1",),
+    ((outcome,), bound_basis), = lab.evaluate_group((exp.spec_at(),), bank, ("alg1",),
                                                      bound=True)
     est = estimate(*outcome)
-    assert payload["n_outer"] == bank.n_outer and payload["n_inner"] == bank.n_inner
+    assert payload["n_outer"] == len(bank) and payload["n_inner"] == bank[0].draws.shape[0]
     assert (payload["rate_bits"], payload["stderr_bits"], payload["bound_bits"],
             payload["converged"], payload["iterations"]) == (
         est.rate_bits, est.stderr_bits, estimate(bound_basis).rate_bits, est.converged,
@@ -693,6 +777,21 @@ def test_jointopt_rejects_the_perfect_solver(capsys):
         run_cli(["jointopt", "--ref", "fdpc-2x2-a", "--solver", "perfect", "--samples", "10"])
     assert exc.value.code == 2
     assert "invalid choice: 'perfect'" in capsys.readouterr().err
+
+
+def test_jointopt_draws_its_one_cell_once(monkeypatch):
+    """Every outer step reads the one no-CSIT cell, drawn once by ``sample_cells``."""
+    draw, drawn = model._Cells.__getitem__, []
+
+    def recording_draw(cells, i):
+        drawn.append(i)
+        return draw(cells, i)
+
+    monkeypatch.setattr(model._Cells, "__getitem__", recording_draw)
+    code, out = run_cli(["jointopt", "--ref", "fdpc-2x2-a", "--outer-iters", "3",
+                         "--samples", "50"])
+    assert code == 0 and len(json.loads(out)["rate_trace"]) >= 2
+    assert drawn == [0]
 
 
 def test_jointopt_payload(tmp_path):

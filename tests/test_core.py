@@ -89,7 +89,7 @@ def ref_gradient(spec, T, W, H):
 def reference_case(name, snr_db):
     ref = lab.reference_channel(name)
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=77).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=77)[0].draws
     return spec, H
 
 
@@ -233,17 +233,22 @@ def test_schur_matches_einsum_reference_and_is_exactly_hermitian(m, t, field):
         if not cols:
             continue
         Wk = W[cols]
-        C = ct(spec.T[:, cols]) + Wk @ spec.sigma_s
+        C = (ct(spec.T) + W @ spec.sigma_s)[cols]
         ck_ref = np.einsum("ia,nab->nib", C, K)
         S_ref = (np.eye(len(cols)) + Wk @ spec.sigma_s @ ct(Wk)
                  - np.einsum("nib,jb->nij", ck_ref, np.conj(C)))
-        ck, S = core.schur(Wk, None if len(cols) == m else cols)
+        if len(cols) == m:
+            ck, S = core.schur(W)
+            point = rate.SchurPoint(core, W)
+        else:  # the pieces a row step of the first row reads, kept by a SchurRows
+            rows = rate.SchurRows(core, W)
+            point = rows.point(0)
+            ck, S = point.ck, rows.S[:, 1:, 1:]
         assert rel_err(ck, ck_ref) <= 1e-12
         assert rel_err(S, S_ref) <= 1e-12
         assert ck.dtype == S.dtype == spec.dtype
         assert np.array_equal(S, ct(S))
         # the point's means: E S^{-1}, E S^{-1} C K and E (C K)* S^{-1} C K
-        point = rate.SchurPoint(core, Wk, None if len(cols) == m else cols)
         s_inv = np.linalg.inv(S_ref)
         e_inv, e_sck = point.means
         assert rel_err(e_inv, s_inv.mean(axis=0)) <= 1e-12
@@ -251,6 +256,11 @@ def test_schur_matches_einsum_reference_and_is_exactly_hermitian(m, t, field):
         gram_ref = np.einsum("nia,nij,njb->ab", np.conj(ck_ref), s_inv, ck_ref) / len(H)
         assert rel_err(point.mean_gram, gram_ref) <= 1e-12
         assert np.array_equal(point.mean_gram, ct(point.mean_gram))
+    # every row kept, or the S alone: bitwise the pieces of schur(W)
+    ck, S = core.schur(W)
+    rows = rate.SchurRows(core, W, skip=None)
+    assert np.array_equal(rows.ck.transpose(2, 0, 1), ck) and np.array_equal(rows.S, S)
+    assert np.array_equal(core.schur(W, keep_ck=False)[1], S)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,7 @@ def oracle_rate_bits(spec, W, h):
 def test_per_draw_rate_against_mpmath_oracle(name, snr_db, tol_bits):
     ref = lab.reference_channel(name)
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 8, seed=3).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 8, seed=3)[0].draws
     W = inflation.w_pinv(spec)
     got = -rate.CellCore(spec, H).logdet_s(W) / np.log(2.0)
     want = np.array([oracle_rate_bits(spec, W, h) for h in H])
@@ -324,7 +334,7 @@ def test_covariance_gradient_against_mpmath_oracle(snr_db, tol):
     ref = lab.reference_channel("fdpc-rank-3x2")
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
     spec = replace(spec, T=covopt._initial_factor(spec, 3))
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 16, seed=3).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 16, seed=3)[0].draws
     core = rate.CellCore(spec, H)
     W = inflation.solve_w(core, "alg2").W
     want = oracle_gradient(spec, W, H)

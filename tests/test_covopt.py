@@ -32,7 +32,7 @@ def test_gradient_matches_finite_differences_real():
     rng = make_rng(0)
     spec = rand_spec(rng, 2, 2, 2, "real")
     bank = build_sample_bank(spec, IidRealGaussian(), NoCsit(), 1, 250, seed=1)
-    H = bank.cells[0].draws
+    H = bank[0].draws
     T = rng.standard_normal((2, 2)) * 0.5
     W = rng.standard_normal((2, 2)) * 0.3
     lam = 0.7
@@ -47,7 +47,7 @@ def test_gradient_matches_finite_differences_complex():
     rng = make_rng(1)
     spec = rand_spec(rng, 2, 2, 2, "complex")
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 200, seed=2)
-    H = bank.cells[0].draws
+    H = bank[0].draws
     T = rand_matrix(rng, (2, 2), "complex") * 0.5
     W = rand_matrix(rng, (2, 2), "complex") * 0.3
     lam = 0.9

@@ -281,11 +281,11 @@ def test_alg1_sweep_logdet_is_bitwise_a_fresh_factor(m, field, monkeypatch):
     spec = rand_spec(rng, t, 2, m, field)
     core = rate.CellCore(spec, rand_matrix(rng, (400, 2, t), field))
     W0 = inflation.best_initialization(core)
-    monkeypatch.setattr(rate.CellCore, "schur_s", None)  # the sweeps factor nothing anew
+    monkeypatch.setattr(rate.CellCore, "schur", None)  # the sweeps factor nothing anew
     res = inflation.alg1_solve(core, W0)
     monkeypatch.undo()
     assert res.iterations >= 1 and not np.array_equal(res.W, W0)
-    assert np.array_equal(core.logdet_s(res.W), logdet_pd(core.schur_s(res.W)))
+    assert np.array_equal(core.logdet_s(res.W), logdet_pd(core.schur(res.W, keep_ck=False)[1]))
 
 
 def alg1_case(name, snr_db, n):
@@ -294,7 +294,7 @@ def alg1_case(name, snr_db, n):
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
     if name == "fdpc-rank-3x2":  # the first step of jointopt --rank 3
         spec = replace(spec, T=covopt._initial_factor(spec, 3))
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, n, seed=4700).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, n, seed=4700)[0].draws
     return spec, H
 
 
@@ -307,9 +307,9 @@ def test_alg1_solve_matches_the_row_step_loop_and_forms_m_rows_a_sweep(
 
     Against :func:`conftest.ref_alg1_solve` the iterations, the stop and the
     trace length are equal, and W and the trace agree to 1e-12 relative.  Each
-    sweep forms m rows of ``C K`` (the start m - 1), and none of ``schur``
-    and ``schur_s`` runs.  The memo keeps W0 and the returned W, and no other
-    accepted iterate.
+    sweep forms m rows of ``C K`` (the start m - 1), and ``schur`` never
+    runs.  The memo keeps W0 and the returned W, and no other accepted
+    iterate.
     """
     spec, H = alg1_case(name, snr_db, 1000)
     m = spec.dims.m
@@ -332,7 +332,6 @@ def test_alg1_solve_matches_the_row_step_loop_and_forms_m_rows_a_sweep(
     monkeypatch.setattr(rate.CellCore, "_schur_row", logged_row)
     monkeypatch.setattr(rate.CellCore, "evaluate", logged_evaluate)
     monkeypatch.setattr(rate.CellCore, "schur", None)
-    monkeypatch.setattr(rate.CellCore, "schur_s", None)
     res = inflation.alg1_solve(core, W0)
     monkeypatch.undo()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -365,20 +364,19 @@ def test_alg2_scalar_fixed_point_equals_grid_minimizer(monkeypatch):
 
 
 class CountingCore(rate.CellCore):
-    """A cell core that records the ``(W, cols)`` of every ``schur`` call.
+    """A cell core that records the W bytes of every ``schur`` call.
 
-    ``keys`` holds the memo key of every full-W call.
+    ``keys`` holds the memo key of every call.
     """
 
     def __init__(self, spec, draws):
         super().__init__(spec, draws)
         self.calls, self.keys = [], set()
 
-    def schur(self, W, cols=None):
-        self.calls.append((np.asarray(W).tobytes(), cols))
-        if cols is None:
-            self.keys.add(self._memo_key(W))
-        return super().schur(W, cols)
+    def schur(self, W, keep_ck=True):
+        self.calls.append(np.asarray(W).tobytes())
+        self.keys.add(self._memo_key(W))
+        return super().schur(W, keep_ck)
 
 
 @pytest.mark.parametrize("snr_db", [10.0, 20.0, 40.0, 80.0])
@@ -391,7 +389,7 @@ def test_alg2_factors_each_point_once(snr_db):
     """
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700)[0].draws
     W0 = inflation.best_initialization(rate.CellCore(spec, H))
     core = CountingCore(spec, H)
     state = set(vars(core)) | {"_received"}
@@ -421,7 +419,7 @@ def test_alg2_accelerated_fixed_point_oracle(ref_name, snr_db, monkeypatch):
     """
     ref = lab.reference_channel(ref_name)
     spec = ref.spec.at_snr_db(snr_db, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 500, seed=4700)[0].draws
     core = rate.CellCore(spec, H)
     W0 = inflation.best_initialization(core)
     res = inflation.alg2_solve(core, W0)
@@ -448,11 +446,16 @@ class IndefiniteAfterStartCore(IndefiniteCore):
 
     started = False
 
-    def schur(self, W, cols=None):
-        if not self.started:
+    def schur(self, W, keep_ck=True):
+        try:
+            return super().schur(W, keep_ck)
+        finally:
             self.started = True
-            return rate.CellCore.schur(self, W, cols)
-        return super().schur(W, cols)
+
+    def _schur_row(self, *args, **kwargs):
+        if self.started:
+            return super()._schur_row(*args, **kwargs)
+        return rate.CellCore._schur_row(self, *args, **kwargs)
 
 
 def test_alg2_rejects_candidates_it_cannot_evaluate():
@@ -556,7 +559,7 @@ def test_best_initialization_takes_the_first_least_objective(name, snr, winner, 
     """The candidates, in order: mean-H, zero, pinv, identity; the first minimum wins."""
     ref = lab.reference_channel(name)
     spec = ref.spec.at_snr_db(snr, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 50, seed=1).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 50, seed=1)[0].draws
     candidates = [inflation.w_perfect_csit(spec, H.mean(axis=0)), inflation.w_zero(spec),
                   inflation.w_pinv(spec), inflation.w_identity(spec)]
     values = [rate.objective(spec, W, H) for W in candidates]
@@ -574,7 +577,7 @@ def test_best_initialization_factors_each_distinct_w_sigma_s_once(name, factored
     """
     ref = lab.reference_channel(name)
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1)[0].draws
     calls = []
 
     def counting_logdet_pd(a):
@@ -593,7 +596,7 @@ def test_best_initialization_factors_each_distinct_w_sigma_s_once(name, factored
 def test_inflation_factors_equal_on_the_range_of_sigma_s_share_one_memo_entry(monkeypatch):
     ref = lab.reference_channel("fdpc-2x2-a")  # Ss = p0 e_1 e_1*
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 200, seed=1)[0].draws
     W = np.array([[0.3, -0.7]])
     N = np.array([[0.3, 0.0]])  # doubles W's first entry, keeping its sign
     assert not (N @ spec.sigma_s).any()
@@ -646,14 +649,30 @@ def test_indefinite_schur_complement_is_a_solver_error():
         assert exc.value.row_index == row
 
 
+def test_indefinite_schur_complement_reaches_the_kept_rows_of_a_row_step():
+    """A row step on ``alg1_solve``'s kept pieces (``SchurRows``) raises like a standalone one."""
+    spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
+    H = rand_matrix(make_rng(42), (4, 2, 2), "complex")
+    core = IndefiniteCore(spec, H)
+    W = inflation.w_pinv(spec)
+    rows = rate.SchurRows(core, W)
+    for row in range(2):
+        with pytest.raises(SolverError, match=rf"^singular D block in row update {row}$") as exc:
+            inflation.alg1_row_update(core, W, row, rows)
+        assert exc.value.row_index == row
+        rows.set_row(W, row)  # as the solve does after each row step
+
+
 def test_indefinite_schur_complement_reaches_the_objective_and_the_rate():
-    """The objective-only path (``schur_s``) raises at the bad draw too, not a finite value."""
+    """The objective-only path (``S`` without ``C K``) raises at the bad draw too, not a
+    finite value."""
     spec = rand_spec(make_rng(41), 2, 2, 2, "complex")
     H = rand_matrix(make_rng(42), (4, 2, 2), "complex")
     core = IndefiniteCore(spec, H)
     W = inflation.w_pinv(spec)
     calls = (lambda: rate.objective(spec, W, H, core),
-             lambda: rate.achievable_rate(spec, W, degenerate_bank(H), cores=(core,)),
+             lambda: rate.estimate(*rate._evaluate((spec,), degenerate_bank(H), ((W,),),
+                                                   cores=(core,))[0][0][0]),
              lambda: inflation.solve_w(core, "alg1"))
     for call in calls:
         with pytest.raises(EvaluationError) as exc:

@@ -144,16 +144,18 @@ def test_sweep_rows_are_the_per_snr_evaluations_of_the_eager_bank(label):
     plan = small_plan(snr_db_list=(0.0, 10.0, 20.0), solvers=("zero", "alg1"),
                       csit_list=(csit,), n_outer=3, n_inner=200)
     rows = lab.run_sweep(ref.spec, ref.model, seed=12, **plan)
-    bank = build_sample_bank(ref.spec, ref.model, csit, 3, 200, lab.derived_seed(12, 0))
+    bank_seed = lab.derived_seed(12, 0)
+    bank = build_sample_bank(ref.spec, ref.model, csit, 3, 200, bank_seed)
     want = []
     for snr in plan["snr_db_list"]:
         spec = ref.spec.at_snr_db(snr, plan["q_over_p"])
         policies = [lab.resolve_w(spec, solver) for solver in plan["solvers"]]
-        (outcomes, bound), = rate._evaluate((spec,), bank.cells, (policies,), bound=True)
+        (outcomes, bound), = rate._evaluate((spec,), bank, (policies,), bound=True)
         for solver, outcome in zip(plan["solvers"], outcomes):
             est = rate.estimate(*outcome)
             want.append((snr, label, solver, est.rate_bits, est.stderr_bits,
-                         rate.estimate(bound).rate_bits, bank.n_outer, bank.n_inner, bank.seed))
+                         rate.estimate(bound).rate_bits, len(bank), bank[0].draws.shape[0],
+                         bank_seed))
     assert [(r.snr_db, r.csit, r.solver, r.rate_bits, r.stderr_bits, r.bound_bits, r.n_outer,
              r.n_inner, r.seed) for r in rows] == want
     assert all(r.error is None for r in rows)

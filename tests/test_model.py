@@ -13,7 +13,7 @@ from fdpclab.model import (OPTIMAL_STEPS, ChannelSpec, CorrelatedRayleigh, Dimen
                            IidComplexGaussian, IidRealGaussian, IidUniformComplex,
                            NoCsit, PerfectCsit, QuantizedCsit, build_sample_bank,
                            _sample_h_batch, csit_from_label, exp_correlation,
-                           quantize_H, random_psd, sample_H_given_Hhat)
+                           quantize_H, random_psd, sample_H_given_Hhat, sample_cells)
 from fdpclab.rate import CellCore
 
 from conftest import bank_bytes, make_rng, quantizer_mse, rand_matrix, rand_psd, rand_spec
@@ -467,13 +467,15 @@ def test_bank_structure_contracts():
     spec = rand_spec(make_rng(8), 2, 2, 1, "real")
     model = IidRealGaussian()
     none = build_sample_bank(spec, model, NoCsit(), 10, 1000, seed=1)
-    assert len(none.cells) == 1 and none.cells[0].draws.shape == (1000, 2, 2)
-    assert none.cells[0].h_hat is None
-    assert (none.n_outer, none.n_inner) == (1, 1000)
+    assert len(none) == 1 and none[0].draws.shape == (1000, 2, 2)
+    assert none[0].h_hat is None
+    cells = sample_cells(spec, model, NoCsit(), 10, 1000, seed=1)
+    assert (len(cells), cells.n_inner) == (1, 1000)
     perfect = build_sample_bank(spec, model, PerfectCsit(), 500, 7, seed=1)
-    assert len(perfect.cells) == 500
-    assert (perfect.n_outer, perfect.n_inner) == (500, 1)  # one draw per cell, not 7
-    for cell in perfect.cells:
+    assert len(perfect) == 500
+    cells = sample_cells(spec, model, PerfectCsit(), 500, 7, seed=1)
+    assert (len(cells), cells.n_inner) == (500, 1)  # one draw per cell, not 7
+    for cell in perfect:
         assert cell.draws.shape == (1, 2, 2)
         assert np.array_equal(cell.draws[0], cell.h_hat)
 
@@ -517,7 +519,7 @@ def test_bank_draws_match_their_golden_digest(fading, label):
 @pytest.mark.parametrize("fading,label", list(GOLDEN_BANKS), ids=GOLDEN_IDS)
 def test_bank_draws_are_entry_major_and_read_by_the_core_in_place(fading, label):
     spec, bank = golden_bank(fading, label)
-    for cell in bank.cells:
+    for cell in bank:
         draws = cell.draws
         assert draws.strides[0] == draws.itemsize  # each draws[:, i, j] is contiguous
         assert not draws.flags.writeable
@@ -528,7 +530,7 @@ def test_bank_cells_record_their_csit_model():
     spec = rand_spec(make_rng(8), 2, 2, 1, "real")
     for csit in (NoCsit(), PerfectCsit(), QuantizedCsit.designed(1, IidRealGaussian())):
         bank = build_sample_bank(spec, IidRealGaussian(), csit, 3, 1, seed=2)
-        assert all(cell.csit is csit for cell in bank.cells)
+        assert all(cell.csit is csit for cell in bank)
 
 
 def test_bank_rejects_field_mismatch():

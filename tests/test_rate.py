@@ -136,7 +136,7 @@ def test_core_terms_do_not_depend_on_the_layout_of_the_draws(field, label):
     fading = IidRealGaussian() if field == "real" else IidComplexGaussian()
     spec = rand_spec(make_rng(31), 3, 2, 2, field)
     draws = build_sample_bank(spec, fading, csit_from_label(label, fading), 1, 500,
-                              seed=32).cells[0].draws
+                              seed=32)[0].draws
     c_order = np.ascontiguousarray(draws)
     assert c_order.flags.c_contiguous and not draws.flags.c_contiguous
     cores = [rate.CellCore(spec, draws), rate.CellCore(spec, draws)]
@@ -280,7 +280,7 @@ def test_stderr_basis_single_cell_is_per_draw():
     spec = rand_spec(make_rng(41), 3, 2, 2, "complex")
     bank = build_sample_bank(spec, IidComplexGaussian(), NoCsit(), 1, 300, seed=7)
     W = rand_matrix(make_rng(42), (2, 3), "complex")
-    a, b = per_draw_terms(spec, W, bank.cells[0].draws)
+    a, b = per_draw_terms(spec, W, bank[0].draws)
     assert_stderr_basis(spec, W, bank, a, b)
 
 
@@ -289,7 +289,7 @@ def test_stderr_basis_multi_cell_is_per_cell_means():
     fading = IidRealGaussian()
     bank = build_sample_bank(spec, fading, QuantizedCsit.designed(1, fading), 6, 50, seed=8)
     W = rand_matrix(make_rng(44), (1, 2), "real")
-    terms = [per_draw_terms(spec, W, cell.draws) for cell in bank.cells]
+    terms = [per_draw_terms(spec, W, cell.draws) for cell in bank]
     a = np.array([r.mean() for r, _ in terms])
     b = np.array([c.mean() for _, c in terms])
     assert_stderr_basis(spec, W, bank, a, b)
@@ -356,26 +356,20 @@ def test_complex_draws_on_a_real_spec_are_rejected(call):
 # ---------------------------------------------------------------------------
 
 class BuildLog:
-    """Records every full-W ``S(W)`` build as (core, W bytes) -> ["schur" | "schur_s", ...].
+    """Records every ``S(W)`` build by ``schur`` as (core, W bytes) -> [keep_ck, ...].
 
     The cores are the keys, so none is freed and no id is reused.
     """
 
     def __init__(self, monkeypatch):
         self.builds = {}
-        schur, schur_s = rate.CellCore.schur, rate.CellCore.schur_s
+        schur = rate.CellCore.schur
 
-        def logged_schur(core, W, cols=None):
-            if cols is None:
-                self.builds.setdefault((core, W.tobytes()), []).append("schur")
-            return schur(core, W, cols)
-
-        def logged_schur_s(core, W):
-            self.builds.setdefault((core, W.tobytes()), []).append("schur_s")
-            return schur_s(core, W)
+        def logged_schur(core, W, keep_ck=True):
+            self.builds.setdefault((core, W.tobytes()), []).append(keep_ck)
+            return schur(core, W, keep_ck)
 
         monkeypatch.setattr(rate.CellCore, "schur", logged_schur)
-        monkeypatch.setattr(rate.CellCore, "schur_s", logged_schur_s)
 
     def repeats(self):
         """``{(core, W bytes): kinds}`` of the pairs built more than once; clears the log."""
@@ -390,8 +384,8 @@ def test_each_full_w_is_factored_once_per_core(monkeypatch):
     The core's memo keeps ``logdet S(W)`` per draw, so the rate of a one-cell
     bank reads what the start search or the solve left there.  The one
     exception, stated where it is asserted, is ``alg2``'s start point, which
-    needs the ``C K`` stack (``schur``) at a W already scored for its
-    objective, which the memo does not hold.  An ``alg1`` sweep builds
+    needs the ``C K`` stack (``schur`` with ``keep_ck``) at a W already scored
+    for its objective (``S`` alone), which the memo does not hold.  An ``alg1`` sweep builds
     neither, so the T-step's gradient point is the one build at the W that
     solve returns.
     """
@@ -417,7 +411,7 @@ def test_each_full_w_is_factored_once_per_core(monkeypatch):
             assert repeats == {}
         else:
             # alg2's start point needs C K at best_initialization's winner
-            assert list(repeats.values()) == [["schur_s", "schur"]]
+            assert list(repeats.values()) == [[False, True]]
 
     cov = lab.reference_channel("fdpc-rank-3x2")
     spec = cov.spec.at_snr_db(30.0, cov.q_over_p)
@@ -433,7 +427,7 @@ def test_solve_result_carries_the_rate_terms_at_its_w(method, ref_name, monkeypa
     """After a solve, the rate terms at its ``W`` are a memo hit, bitwise a fresh core's."""
     ref = lab.reference_channel(ref_name)
     spec = ref.spec.at_snr_db(10.0, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700)[0].draws
     core = rate.CellCore(spec, H)
     res = inflation.solve_w(core, method)
     W = rate.check_inflation(spec, res.W)
@@ -448,7 +442,7 @@ def test_memo_hit_is_the_fresh_cores_float(monkeypatch):
     """A memoized objective is the float a fresh core computes, whoever filled the memo."""
     ref = lab.reference_channel("fdpc-fig4-2")
     spec = ref.spec.at_snr_db(20.0, ref.q_over_p)
-    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700).cells[0].draws
+    H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 300, seed=4700)[0].draws
     core = rate.CellCore(spec, H)
     W = rate.check_inflation(spec, inflation.w_pinv(spec))
     point_obj = rate.SchurPoint(core, W).objective  # fills the memo from a point
@@ -484,12 +478,12 @@ def test_successive_cores_of_a_multi_snr_call_share_the_stacks(ref_name):
         Ks.append(core._received[1])
         return inflation.solve_w(core, "alg1", cell)
 
-    got = rate._evaluate(specs, bank.cells, [[policy]] * len(specs), bound=True)
+    got = rate._evaluate(specs, bank, [[policy]] * len(specs), bound=True)
     shared = Ks[:]
     assert len(shared) == 6 and all(np.shares_memory(K, shared[0]) for K in shared[1:])
     for spec, (((basis, *_),), bound) in zip(specs, got):
-        own = [rate.CellCore(spec, cell.draws) for cell in bank.cells]
-        (((want, *_),), want_bound), = rate._evaluate((spec,), bank.cells, ([policy],),
+        own = [rate.CellCore(spec, cell.draws) for cell in bank]
+        (((want, *_),), want_bound), = rate._evaluate((spec,), bank, ([policy],),
                                                       bound=True, cores=own)
         assert basis.tobytes() == want.tobytes()
         assert bound.tobytes() == want_bound.tobytes()
@@ -519,14 +513,14 @@ def test_each_workspace_slot_is_allocated_once_per_call(ref_name, monkeypatch):
     bank = quantized_bank(ref)
     specs = [ref.spec.at_snr_db(snr_db, ref.q_over_p) for snr_db in (0.0, 10.0, 20.0)]
     policies = [[lab.resolve_w(spec, solver) for solver in ("alg1", "zero")] for spec in specs]
-    results = rate._evaluate(specs, bank.cells, policies, bound=True)
+    results = rate._evaluate(specs, bank, policies, bound=True)
     assert not any(isinstance(o[0], Exception) for outcomes, _ in results for o in outcomes)
-    (t, r, m), n = (ref.spec.dims.t, ref.spec.dims.r, ref.spec.dims.m), bank.n_inner
+    (t, r, m), n = (ref.spec.dims.t, ref.spec.dims.r, ref.spec.dims.m), bank[0].draws.shape[0]
     item = np.dtype(ref.spec.dtype).itemsize
     assert allocations == [(0, n * r * max(r, m) * item), (1, n * r * t * item),
                            ("K", n * t * t * item)]
     del allocations[:]
-    rate._evaluate(specs, quantized_bank(ref, n_outer=1).cells, policies, bound=True)
+    rate._evaluate(specs, quantized_bank(ref, n_outer=1), policies, bound=True)
     assert allocations == []
 
 
@@ -587,7 +581,7 @@ def test_each_spec_only_term_is_computed_once_per_spec(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     monkeypatch.setattr(linalg.Cholesky, "__init__", counting_cholesky)
     policies = [[lab.resolve_w(spec, solver) for solver in ("alg1", "zero")] for spec in specs]
-    got = rate._evaluate(specs, bank.cells, policies, bound=True)
+    got = rate._evaluate(specs, bank, policies, bound=True)
     assert len(factored) == len(cholesky_of) == len(pinv_of) / 2 == len(specs)
     # at_snr_db keeps the base spec's Sz, so both specs hold the same array
     assert all(a is ref.spec.sigma_z for a in cholesky_of)
@@ -601,8 +595,8 @@ def test_each_spec_only_term_is_computed_once_per_spec(monkeypatch):
     for snr_db, policy, (outcomes, bound) in zip((0.0, 20.0), policies, got):
         # at_snr_db gives bitwise the same matrices, on a spec with an empty cache
         fresh = [rate.CellCore(ref.spec.at_snr_db(snr_db, ref.q_over_p), cell.draws)
-                 for cell in bank.cells]
-        (want, want_bound), = rate._evaluate((spec,), bank.cells, (policy,), bound=True,
+                 for cell in bank]
+        (want, want_bound), = rate._evaluate((spec,), bank, (policy,), bound=True,
                                              cores=fresh)
         assert bound.tobytes() == want_bound.tobytes()
         for (basis, *fold), (want_basis, *want_fold) in zip(outcomes, want):
