@@ -10,6 +10,7 @@ exits 2.  Flags override config-file values; the seed resolution order is
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -33,6 +34,18 @@ def _log(msg):
 
 def _unwritable(path, exc):
     return ConfigurationError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
+def _check_out(path):
+    """Reject, before any computation and creating no file, an ``--out`` that is
+    a directory or whose directory does not exist."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        code = errno.ENOENT
+    else:
+        return
+    raise _unwritable(path, OSError(code, os.strerror(code)))
 
 
 def _write_text(path, text):
@@ -337,6 +350,8 @@ def main(argv=None):
         _log(f"{args.command} requires --out PATH for the CSV")
         return EXIT_CONFIG
     try:
+        if args.out:
+            _check_out(args.out)
         args.func(args)
     except ConfigurationError as exc:
         _log(f"configuration error: {exc}")

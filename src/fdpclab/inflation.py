@@ -13,10 +13,15 @@ Both solvers, their maps and the initialization take a
 :class:`fdpclab.rate.CellCore`, which fixes the spec, ``T`` and the draws they
 work on.
 
-Closed forms: the perfect-CSIT inflation factor, the pseudo-inverse choice
-that attains the largest high-SNR scaling, and the high-SNR choice for
-positive definite input covariance (stated in the raw-input convention, see
-``w_raw_to_factored``).
+Closed forms: the perfect-CSIT inflation factor, and the pseudo-inverse
+choice ``w_pinv`` that attains the largest high-SNR scaling factor
+:func:`theoretical_scaling`.  Positive definite input covariance is the
+special case rank Sigma_X = m = t of both, so it needs no code of its own:
+
+* the high-SNR optimal inflation factor when t > r is the identity against
+  the physical input X = T X'; against the whitened X' that W weights, it
+  is ``T^{-1} = pinv(T)``, which is ``w_pinv``;
+* ``theoretical_scaling(t, t, r) = min(r, t) - min(r, 0) = min(t, r)``.
 
 Solver names live here only: :func:`solve_w` resolves each of
 :data:`SOLVERS` to a :class:`SolveResult`, which is what a per-cell W policy
@@ -82,31 +87,6 @@ def w_identity(spec):
     return np.eye(spec.dims.m, spec.dims.t, dtype=spec.dtype)
 
 
-def w_high_snr_pd(spec):
-    """High-SNR optimal inflation factor for full-rank input covariance.
-
-    Stated in the raw-input convention (auxiliary variable built from X
-    rather than the whitened X'); convert with :func:`w_raw_to_factored`
-    before evaluating rates.  Requires m = t.
-    """
-    if spec.dims.m != spec.dims.t:
-        raise ValueError("the high-SNR identity choice requires m = t")
-    return np.eye(spec.dims.t, dtype=spec.dtype)
-
-
-def w_raw_to_factored(spec, w_raw):
-    """Map a raw-input-convention inflation factor to the factored convention.
-
-    The package's W weights the interference inside U = X' + W S with
-    X' the whitened input, X = T X'.  A (t, t) factor W_raw defined against
-    the physical input X corresponds to T^{-1} W_raw; requires square
-    invertible T.
-    """
-    if spec.dims.m != spec.dims.t:
-        raise ValueError("conversion requires a square transmit factor")
-    return np.linalg.solve(spec.T, as_field(w_raw, spec.field, "w_raw"))
-
-
 # W-independent inflation factors, by solver name.
 CLOSED_FORMS = {"zero": w_zero, "pinv": w_pinv, "identity": w_identity}
 
@@ -116,21 +96,17 @@ CORE_SOLVERS = ("alg1", "alg2", *CLOSED_FORMS)
 SOLVERS = (*CORE_SOLVERS, "perfect")
 
 
-def theoretical_scaling(rank_sum, m, r):
+def theoretical_scaling(rank_sum, rank_x, r):
     """Largest high-SNR scaling factor achievable by interference pre-subtraction.
 
-    ``rank_sum`` is the rank of Sigma_X + Sigma_S.
+    ``rank_sum`` is the rank of Sigma_X + Sigma_S and ``rank_x`` that of
+    Sigma_X, which is at most the number m of columns of T.
     """
-    if r < 1 or m < 1:
-        raise ValueError("m and r must be >= 1")
-    if rank_sum < m:
-        raise ValueError("rank_sum must be >= m")
-    return min(r, rank_sum) - min(r, rank_sum - m)
-
-
-def theoretical_scaling_pd(t, r):
-    """Scaling factor in the full-rank input covariance case."""
-    return min(t, r)
+    if r < 1 or rank_x < 1:
+        raise ValueError("rank_x and r must be >= 1")
+    if rank_sum < rank_x:
+        raise ValueError("rank_sum must be >= rank_x")
+    return min(r, rank_sum) - min(r, rank_sum - rank_x)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ def estimate_scaling(base_spec, model, w_choice, snr_db_pair, seed, q_over_p, n_
 
 
 def predicted_scaling(spec):
-    """Theoretical high-SNR slope for the spec's covariance ranks."""
-    rank_sum = numerical_rank(spec.sigma_xs)
-    return theoretical_scaling(rank_sum, spec.dims.m, spec.dims.r)
+    """Theoretical high-SNR slope from the ranks of Sigma_X + Sigma_S and Sigma_X."""
+    return theoretical_scaling(numerical_rank(spec.sigma_xs), numerical_rank(spec.sigma_x),
+                               spec.dims.r)
 
 
 def low_snr_ratio(base_spec, model, snr_db_list, seed, q_over_p, n_inner):
@@ -301,7 +301,8 @@ _add("fdpc-fig4-2",
                                 sigma_z=np.eye(2), field=COMPLEX),
      IidComplexGaussian, 1.0, "m = 2 rank-3 interference")
 
-# full-rank covariance, t > r (high-SNR identity-choice regime)
+# full-rank covariance, t > r: pinv(T) = T^-1 is the high-SNR optimum, its
+# paired gap to the solved optimum c/SNR
 _add("fdpc-3x2-pd",
      lambda: ChannelSpec.create(T=random_factor(3, 3, seed=101, power=_P0, field=COMPLEX),
                                 sigma_s=random_psd(3, 3, seed=102, trace=_P0, field=COMPLEX),

@@ -148,6 +148,18 @@ def paired_estimates(spec, w, bank):
     return estimate(*outcome), estimate(bound_basis), paired_cov(outcome[0], bound_basis)
 
 
+def pinv_gap_to_alg2(spec, H):
+    """``E logdet S(pinv(T)) - E logdet S(W_alg2)`` in nats, paired per draw, on draws ``H``.
+
+    ``alg2`` runs from the best of the four standard starts; it must converge.
+    """
+    core = CellCore(spec, H)
+    res = inflation.solve_w(core, "alg2")
+    assert res.converged, res.iterations
+    diff = core.logdet_s(check_inflation(spec, inflation.w_pinv(spec))) - core.logdet_s(res.W)
+    return float(np.mean(diff))
+
+
 def gap_to_bound(base_spec, model, snr_db, solver, seed, n_inner=20000):
     """Bound minus rate (bits) on one no-CSIT bank: ``(gap_bits, stderr_gap_bits)``."""
     bank = build_sample_bank(base_spec, model, NoCsit(), 1, n_inner, seed)

@@ -378,6 +378,20 @@ def test_an_unwritable_out_exits_2_with_one_line_naming_it(tmp_path, capsys, com
             f"configuration error: cannot write --out {out}: {why}\n")
 
 
+def test_an_out_in_a_missing_directory_exits_2_before_a_cell_is_drawn(tmp_path, capsys,
+                                                                     monkeypatch):
+    def drawn(self, i):
+        raise AssertionError("a cell was drawn")
+
+    monkeypatch.setattr(model._Cells, "__getitem__", drawn)
+    out = tmp_path / "missing" / "s.csv"
+    assert run_cli(["sweep", "--ref", "fdpc-2x2-a", "--snr-db-list", "0,10,20",
+                    "--csit", "B=2", "--n-outer", "50", "--samples", "5000",
+                    "--out", str(out)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write --out {out}: No such file or directory\n")
+
+
 @pytest.mark.parametrize("command", ["sweep", "lowsnr"])
 def test_malformed_snr_list_exits_2(tmp_path, command):
     code, out = run_cli([command, "--ref", "fdpc-2x2-a", "--snr-db-list", "0,abc",

@@ -8,8 +8,8 @@ from fdpclab.errors import ConfigurationError, EvaluationError, SolverError
 from fdpclab.linalg import logdet_pd, psd_factor
 from fdpclab.model import ChannelSpec, NoCsit, build_sample_bank
 
-from conftest import (IndefiniteCore, degenerate_bank, make_rng, rand_matrix, rand_spec,
-                      ref_alg1_solve, ref_row_surrogate)
+from conftest import (IndefiniteCore, degenerate_bank, make_rng, pinv_gap_to_alg2, rand_matrix,
+                      rand_spec, ref_alg1_solve, ref_row_surrogate)
 
 
 def scalar_spec(q, p=1.0, n=1.0):
@@ -72,15 +72,27 @@ def test_theoretical_scaling_values(args, expected):
 def test_theoretical_scaling_rejects_bad_args():
     with pytest.raises(ValueError):
         inflation.theoretical_scaling(1, 2, 2)
-    assert inflation.theoretical_scaling_pd(3, 2) == 2
+    assert inflation.theoretical_scaling(3, 3, 2) == 2
 
 
-def test_high_snr_pd_choice_requires_square():
-    spec = rand_spec(make_rng(3), 3, 2, 2, "complex")
-    with pytest.raises(ValueError):
-        inflation.w_high_snr_pd(spec)
-    square = rand_spec(make_rng(3), 3, 2, 3, "complex")
-    assert np.array_equal(inflation.w_high_snr_pd(square), np.eye(3))
+def test_pd_closed_forms_are_pinv_and_the_rank_formula():
+    """For p.d. input covariance (square invertible T) the raw-input identity
+    choice T^-1 is ``w_pinv``, and the scaling factor min(t, r) is the rank
+    formula at rank Sigma_X = rank(Sigma_X + Sigma_S) = t."""
+    rng = make_rng(31)
+    worst = 0.0
+    for k in range(120):
+        t = 1 + k % 4
+        field = "real" if k % 8 < 4 else "complex"
+        spec = rand_spec(make_rng(3100 + k), t, int(rng.integers(1, 5)), t, field)
+        spec = spec.at_snr_db(float(rng.uniform(-20.0, 80.0)), q_over_p=1.0)
+        w_inv = np.linalg.solve(spec.T, np.eye(t))
+        w = inflation.w_pinv(spec)
+        worst = max(worst, float(np.linalg.norm(w_inv - w) / np.linalg.norm(w)))
+    assert worst <= 1e-12, worst
+    for t in range(1, 5):
+        for r in range(1, 5):
+            assert inflation.theoretical_scaling(t, t, r) == min(t, r)
 
 
 def test_high_snr_gauge_invariance():
@@ -90,7 +102,7 @@ def test_high_snr_gauge_invariance():
     w, v = np.linalg.eigh(spec.sigma_s)
     null_vec = v[:, 0]  # eigenvector of the (clipped) zero eigenvalue
     H = rand_matrix(rng, (20, 2, 3), "complex")
-    base = inflation.w_raw_to_factored(spec, inflation.w_high_snr_pd(spec))
+    base = inflation.w_pinv(spec)
     delta = np.outer(rand_matrix(rng, (3,), "complex"), np.conj(null_vec))
     assert abs(rate.objective(spec, base, H)
                - rate.objective(spec, base + delta, H)) < 1e-10
@@ -102,10 +114,28 @@ def test_high_snr_pd_near_bound_when_t_le_r():
     spec0 = rand_spec(make_rng(5), 2, 2, 2, "complex")
     bank = build_sample_bank(spec0, IidComplexGaussian(), NoCsit(), 1, 20000, seed=11)
     spec = spec0.at_snr_db(50.0, q_over_p=1.0)
-    w = inflation.w_raw_to_factored(spec, inflation.w_high_snr_pd(spec))
+    w = inflation.w_pinv(spec)
     r_est = rate.achievable_rate(spec, w, bank)
     c_est = rate.no_interference_bound(spec, bank)
     assert c_est.rate_bits - r_est.rate_bits < 0.1
+
+
+@pytest.mark.parametrize("name,snrs_db", [
+    ("fdpc-3x2-pd", (20.0, 30.0, 40.0, 50.0, 60.0)),
+    # 60 dB is left out on the real references: roundoff nears the gap there
+    ("fdpc-3x2-b", (20.0, 30.0, 40.0, 50.0)),
+    ("fdpc-2x2-b", (20.0, 30.0, 40.0, 50.0)),
+])
+def test_pinv_paired_gap_to_the_optimum_is_c_over_snr(name, snrs_db):
+    """``pinv(T)`` attains the optimal high-SNR offset: its paired gap to the
+    ``alg2`` optimum times the linear SNR is one constant c across the SNRs."""
+    ref = lab.reference_channel(name)
+    for seed in (4100, 4700):
+        H = build_sample_bank(ref.spec, ref.model, NoCsit(), 1, 4000, seed)[0].draws
+        c = np.array([10.0 ** (snr / 10.0)
+                      * pinv_gap_to_alg2(ref.spec.at_snr_db(snr, ref.q_over_p), H)
+                      for snr in snrs_db])
+        assert c.min() > 0.0 and c.max() - c.min() <= 0.03 * c.min(), (seed, c)
 
 
 # ---------------------------------------------------------------------------

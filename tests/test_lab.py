@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 import weakref
@@ -324,6 +325,29 @@ def test_predicted_scaling_uses_covariance_ranks():
     assert lab.predicted_scaling(lab.reference_channel("fdpc-3x2-a").spec) == 1
     assert lab.predicted_scaling(lab.reference_channel("fdpc-3x2-b").spec) == 2
     assert lab.predicted_scaling(lab.reference_channel("fdpc-3x2-c").spec) == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    # rank Sigma_X = 1 < m = 2 < t = 3, rank-1 interference: rank sum 2
+    {"t": 3, "r": 2, "m": 2, "q_over_p": 1,
+     "sigma_x": {"kind": "factor", "matrix": [[1, 1], [1, 1], [0, 0]]},
+     "sigma_s": {"kind": "random_rank", "rank": 1, "seed": 3}},
+    # rank Sigma_X = 1 < m = 2, no interference: rank sum 1 < m
+    {"t": 2, "r": 2, "m": 2, "q_over_p": 0,
+     "sigma_x": {"kind": "factor", "matrix": [[1, 0], [0, 0]]}},
+])
+def test_predicted_slope_reads_the_rank_of_sigma_x_not_m(tmp_path, cfg):
+    """A rank-deficient T: the rank formula takes rank Sigma_X, and ``scaling``
+    measures and predicts slope 1."""
+    from fdpclab.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "field": "real", "fading": {"variant": "iid_real"}}))
+    out = tmp_path / "scaling.json"
+    assert main(["scaling", str(path), "--samples", "2000", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["predicted_slope"] == 1
+    assert abs(payload["measured_slope"] - 1) <= 0.15
 
 
 def test_low_snr_ratio_is_one_when_no_interference():
